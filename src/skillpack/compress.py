@@ -10,6 +10,9 @@ For a factorized delta U diag(sigma) V^T, the V^T rows of each group are
 quantized against the calibration activations x, then the U columns of the
 group are quantized against sigma_g * V^T_g * x, so the second step sees
 the quantization error of the first. Sigma stays unquantized at 32 bits.
+The V^T side's inverse-Hessian factor depends only on x, so it is computed
+once per calibration matrix and shared by every group, and by every delta
+of the same input width under synthetic calibration.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .plans import (
     clip_groups,
     plan_to_dict,
 )
-from .quantize import qmax, quantize_gptq, rtn_scales
+from .quantize import encode, hessian_factor, quantize_gptq, rtn_scales
 from .tensors import magnitude_prune, svd, truncate
 
 
@@ -46,21 +49,36 @@ def synthetic_calibration(seed: int, width: int, samples: int) -> np.ndarray:
 
 
 class _Calibration:
-    """Resolves per-tensor calibration activations for one compression run."""
+    """Resolves per-tensor calibration activations for one compression run.
+
+    Each activation matrix is cached beside its V-side `hessian_factor`,
+    which depends only on the activations and the plan's damping. Synthetic
+    activations are shared per input width, so their factors are too. File
+    activations are per tensor name; only the latest is kept, since no
+    other tensor reuses it.
+    """
 
     def __init__(self, plan: CompressionPlan):
         self.plan = plan
-        self._synthetic_cache: dict[int, np.ndarray] = {}
+        self._cache: dict[object, tuple[np.ndarray, np.ndarray | None]] = {}
         self._file_tensors = None
         if isinstance(plan.calibration, FileCalibration):
             self._file_tensors = load_checkpoint(plan.calibration.path).tensors
 
-    def activations(self, name: str, width: int) -> np.ndarray:
+    def activations(self, name: str, width: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """(x, factor): activations (width x samples) and their Hessian factor."""
         spec = self.plan.calibration
-        if isinstance(spec, SyntheticCalibration):
-            if width not in self._synthetic_cache:
-                self._synthetic_cache[width] = synthetic_calibration(spec.seed, width, spec.samples)
-            return self._synthetic_cache[width]
+        key = width if isinstance(spec, SyntheticCalibration) else name
+        if key not in self._cache:
+            if isinstance(spec, SyntheticCalibration):
+                x = synthetic_calibration(spec.seed, width, spec.samples)
+            else:
+                x = self._file_activations(name, width)
+                self._cache.clear()
+            self._cache[key] = (x, hessian_factor(x, self.plan.damping))
+        return self._cache[key]
+
+    def _file_activations(self, name: str, width: int) -> np.ndarray:
         x = self._file_tensors.get(name)
         if x is None:
             raise KeyError(f"calibration file has no activations for {name!r}")
@@ -73,14 +91,8 @@ class _Calibration:
 def _compress_prune(delta: np.ndarray, mclass: ModuleClass, strategy: PruneStrategy) -> PrunedSparseEntry:
     sparse = magnitude_prune(delta, strategy.alpha)
     scales = rtn_scales(delta, strategy.value_bits, axis="row")
-    s64 = scales.astype(np.float64)
-    rows = sparse.indices // delta.shape[1]
-    row_scales = s64[rows]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(row_scales == 0.0, 0.0, sparse.values.astype(np.float64) / row_scales)
-    codes = np.trunc(ratio + np.copysign(0.5, ratio))
-    limit = qmax(strategy.value_bits)
-    codes = np.clip(codes, -limit, limit).astype(np.int32)
+    row_scales = scales.astype(np.float64)[sparse.indices // delta.shape[1]]
+    codes = encode(sparse.values, row_scales, strategy.value_bits)
     return PrunedSparseEntry(
         shape=tuple(delta.shape),
         mclass=mclass,
@@ -98,9 +110,10 @@ def _compress_svd(
     strategy: SvdQuantStrategy,
     x: np.ndarray,
     damping: float,
+    factor: np.ndarray | None,
 ) -> QuantizedSvdEntry:
     rows, cols = delta.shape
-    factors = truncate(svd(delta.astype(np.float64)), strategy.rank)
+    factors = truncate(svd(delta), strategy.rank)
     rank = factors.rank
     groups = clip_groups(strategy.groups, rank)
 
@@ -111,7 +124,7 @@ def _compress_svd(
 
     for g in groups:
         vt_block = factors.vt[g.begin : g.end, :]
-        qv = quantize_gptq(vt_block, x, g.bits, damping=damping, scale_axis="row")
+        qv = quantize_gptq(vt_block, x, g.bits, damping=damping, scale_axis="row", factor=factor)
         v_codes[g.begin : g.end, :] = qv.codes
         v_scales[g.begin : g.end] = qv.scales
 
@@ -140,11 +153,14 @@ def compress_entry(
     mclass: ModuleClass,
     plan: CompressionPlan,
     calibration: np.ndarray | None = None,
+    factor: np.ndarray | None = None,
 ) -> CompressedEntry:
     """Compress one delta tensor according to its class strategy.
 
     1-D tensors are stored dense regardless of class. Float16 deltas are
-    promoted to float32 before any decomposition.
+    promoted to float32 before any decomposition. `factor` is
+    `hessian_factor(calibration, plan.damping)` when the caller already
+    has it; otherwise each quantizer call computes its own.
     """
     delta = np.asarray(delta)
     if delta.dtype == np.float16:
@@ -157,7 +173,7 @@ def compress_entry(
     if isinstance(strategy, SvdQuantStrategy):
         if calibration is None:
             raise ValueError(f"entry {name!r} needs calibration activations for SVD quantization")
-        return _compress_svd(delta, mclass, strategy, calibration, plan.damping)
+        return _compress_svd(delta, mclass, strategy, calibration, plan.damping, factor)
     raise TypeError(f"unknown strategy {strategy!r}")
 
 
@@ -179,8 +195,8 @@ def compress_delta(
         needs_calibration = (
             isinstance(plan.strategies[mclass], SvdQuantStrategy) and np.asarray(delta).ndim == 2
         )
-        x = calib.activations(name, np.asarray(delta).shape[1]) if needs_calibration else None
-        entries[name] = compress_entry(name, delta, mclass, plan, x)
+        x, factor = calib.activations(name, np.asarray(delta).shape[1]) if needs_calibration else (None, None)
+        entries[name] = compress_entry(name, delta, mclass, plan, x, factor)
     return SkillPack(
         base_model_id=deltas.base_id,
         tuned_model_id=deltas.tuned_id,

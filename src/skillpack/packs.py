@@ -20,7 +20,7 @@ from . import container
 from .classify import ModuleClass
 from .errors import FormatError, IntegrityError
 from .plans import DenseStrategy, PruneStrategy, Strategy, SvdQuantStrategy, clip_groups
-from .quantize import BitGroup, check_groups, pack_codes, packed_size, qmax, unpack_codes
+from .quantize import MAX_BITS, MIN_BITS, BitGroup, check_groups, pack_codes, packed_size, qmax, unpack_codes
 from .tensors import retained_count
 
 MAGIC = b"SKPK"
@@ -352,11 +352,57 @@ def save_pack(pack: SkillPack, path) -> None:
     container.write_container(path, MAGIC, VERSION, header, payload)
 
 
-def _require_roles(head: dict, roles: tuple[str, ...]) -> dict[str, dict]:
-    by_role = {b["role"]: b for b in head.get("blobs", [])}
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _field(head: dict, key: str, kind: type, ctx: str):
+    """head[key], which must be present and a `kind` (a bool is never an int)."""
+    value = head.get(key)
+    if not isinstance(value, kind) or (kind is int and not _is_int(value)):
+        got = "missing" if key not in head else type(value).__name__
+        raise FormatError(f"{ctx}: header field {key!r} must be {kind.__name__}, got {got}")
+    return value
+
+
+def _int_field(head: dict, key: str, ctx: str, low: int, high: int) -> int:
+    value = _field(head, key, int, ctx)
+    if not low <= value <= high:
+        raise FormatError(f"{ctx}: header field {key!r} = {value} is outside [{low}, {high}]")
+    return value
+
+
+def _shape_field(head: dict, ctx: str, ndim: int | None) -> tuple[int, ...]:
+    shape = _field(head, "shape", list, ctx)
+    if (ndim is not None and len(shape) != ndim) or not all(_is_int(d) and d >= 0 for d in shape):
+        raise FormatError(f"{ctx}: header field 'shape' must be {ndim or 'some'} non-negative ints")
+    return tuple(shape)
+
+
+def _groups_field(head: dict, ctx: str, rank: int) -> tuple[BitGroup, ...]:
+    raw = _field(head, "groups", list, ctx)
+    try:
+        if not all(isinstance(g, list) and len(g) == 3 and all(_is_int(v) for v in g) for g in raw):
+            raise ValueError("each group must be [begin, end, bits] ints")
+        groups = tuple(BitGroup(*g) for g in raw)
+        check_groups(groups, rank)
+    except ValueError as exc:
+        raise FormatError(f"{ctx}: bad header field 'groups': {exc}") from None
+    return groups
+
+
+def _require_roles(head: dict, roles: tuple[str, ...], ctx: str) -> dict[str, dict]:
+    blobs = _field(head, "blobs", list, ctx)
+    keys = ("offset", "byte_len", "crc32")
+    for b in blobs:
+        if not isinstance(b, dict) or not isinstance(b.get("role"), str) or not all(
+            _is_int(b.get(k)) and b[k] >= 0 for k in keys
+        ):
+            raise FormatError(f"{ctx}: malformed blob metadata")
+    by_role = {b["role"]: b for b in blobs}
     for role in roles:
         if role not in by_role:
-            raise FormatError(f"entry {head.get('name')!r} is missing blob {role!r}")
+            raise FormatError(f"{ctx} is missing blob {role!r}")
     return by_role
 
 
@@ -364,7 +410,10 @@ def _read_f32(payload, meta, context, expect_len) -> np.ndarray:
     blob = container.fetch_blob(payload, meta, context)
     if len(blob) != 4 * expect_len:
         raise FormatError(f"{context}: expected {expect_len} float32 values")
-    return np.frombuffer(blob, dtype="<f4").astype(np.float32)
+    values = np.frombuffer(blob, dtype="<f4").astype(np.float32)
+    if not np.all(np.isfinite(values)):
+        raise IntegrityError(f"{context}: non-finite float32 values")
+    return values
 
 
 def _unpack_group_codes(blob: bytes, groups, counts: list[int], context: str) -> list[np.ndarray]:
@@ -379,31 +428,46 @@ def _unpack_group_codes(blob: bytes, groups, counts: list[int], context: str) ->
     return out
 
 
-def _load_entry(head: dict, payload: bytes) -> tuple[str, CompressedEntry]:
-    name = head["name"]
-    kind = head["kind"]
-    mclass = ModuleClass(head["class"])
-    shape = tuple(int(d) for d in head["shape"])
-    ctx = f"entry {name!r}"
+def _load_entry(index: int, head, payload: bytes) -> tuple[str, CompressedEntry]:
+    """One entry from its header; every header field is checked before use."""
+    if not isinstance(head, dict):
+        raise FormatError(f"entry #{index}: header must be a JSON object")
+    name = head.get("name")
+    ctx = f"entry {name!r}" if isinstance(name, str) else f"entry #{index}"
+    name = _field(head, "name", str, ctx)
+    kind = _field(head, "kind", str, ctx)
+    try:
+        mclass = ModuleClass(_field(head, "class", str, ctx))
+    except ValueError:
+        raise FormatError(f"{ctx}: unknown module class {head['class']!r}") from None
 
     if kind == "dense":
-        by_role = _require_roles(head, ("dense",))
-        n = int(np.prod(shape)) if shape else 1
+        shape = _shape_field(head, ctx, None)
+        by_role = _require_roles(head, ("dense",), ctx)
+        n = math.prod(shape)
         values = _read_f32(payload, by_role["dense"], f"{ctx} blob 'dense'", n).reshape(shape)
         return name, DenseEntry(shape=shape, mclass=mclass, values=values)
 
     if kind == "pruned_sparse":
-        by_role = _require_roles(head, ("indices", "values", "scales"))
-        n = int(np.prod(shape))
-        value_bits = int(head["value_bits"])
-        width = int(head.get("index_width", 32))
-        if width not in (32, 64):
-            raise FormatError(f"{ctx}: bad index width {width}")
+        shape = _shape_field(head, ctx, 2)
+        by_role = _require_roles(head, ("indices", "values", "scales"), ctx)
+        n = math.prod(shape)
+        value_bits = _int_field(head, "value_bits", ctx, MIN_BITS, MAX_BITS)
+        width = head.get("index_width", 32)
+        if not _is_int(width) or width not in (32, 64):
+            raise FormatError(f"{ctx}: bad index width {width!r}")
+        alpha = head.get("alpha", 0.0)
+        if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
+            raise FormatError(f"{ctx}: header field 'alpha' must be a number")
         idx_blob = container.fetch_blob(payload, by_role["indices"], f"{ctx} blob 'indices'")
+        if len(idx_blob) % (width // 8):
+            raise FormatError(f"{ctx} blob 'indices': length is not a whole number of {width}-bit indices")
         indices = np.frombuffer(idx_blob, dtype="<u8" if width == 64 else "<u4").astype(np.int64)
         if indices.size and (np.any(np.diff(indices) <= 0) or indices[0] < 0 or indices[-1] >= n):
             raise FormatError(f"{ctx}: indices must be strictly increasing and in range")
         val_blob = container.fetch_blob(payload, by_role["values"], f"{ctx} blob 'values'")
+        if len(val_blob) < packed_size(len(indices), value_bits):
+            raise FormatError(f"{ctx} blob 'values': shorter than {len(indices)} {value_bits}-bit codes")
         codes = unpack_codes(val_blob, len(indices), value_bits)
         if codes.size and int(np.max(np.abs(codes))) > qmax(value_bits):
             raise IntegrityError(f"corrupted codes: {ctx} out of range for {value_bits}-bit values")
@@ -411,7 +475,7 @@ def _load_entry(head: dict, payload: bytes) -> tuple[str, CompressedEntry]:
         return name, PrunedSparseEntry(
             shape=shape,
             mclass=mclass,
-            alpha=float(head.get("alpha", 0.0)),
+            alpha=float(alpha),
             value_bits=value_bits,
             indices=indices,
             codes=codes,
@@ -419,10 +483,11 @@ def _load_entry(head: dict, payload: bytes) -> tuple[str, CompressedEntry]:
         )
 
     if kind == "quantized_svd":
-        by_role = _require_roles(head, ("sigma", "codes_u", "scales_u", "codes_v", "scales_v"))
-        rank = int(head["rank"])
-        groups = tuple(BitGroup(int(b), int(e), int(k)) for b, e, k in head["groups"])
+        shape = _shape_field(head, ctx, 2)
         rows, cols = shape
+        by_role = _require_roles(head, ("sigma", "codes_u", "scales_u", "codes_v", "scales_v"), ctx)
+        rank = _int_field(head, "rank", ctx, 1, min(rows, cols))
+        groups = _groups_field(head, ctx, rank)
         sigma = _read_f32(payload, by_role["sigma"], f"{ctx} blob 'sigma'", rank)
         u_scales = _read_f32(payload, by_role["scales_u"], f"{ctx} blob 'scales_u'", rank)
         v_scales = _read_f32(payload, by_role["scales_v"], f"{ctx} blob 'scales_v'", rank)
@@ -457,8 +522,11 @@ def _load_entry(head: dict, payload: bytes) -> tuple[str, CompressedEntry]:
 def load_pack(path) -> SkillPack:
     header, payload = container.read_container(path, MAGIC, VERSION)
     entries: dict[str, CompressedEntry] = {}
-    for head in header.get("entries", []):
-        name, entry = _load_entry(head, payload)
+    heads = header.get("entries", [])
+    if not isinstance(heads, list):
+        raise FormatError("header field 'entries' must be a list")
+    for index, head in enumerate(heads):
+        name, entry = _load_entry(index, head, payload)
         if name in entries:
             raise FormatError(f"duplicate entry name {name!r}")
         entries[name] = entry

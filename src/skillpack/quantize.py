@@ -6,8 +6,18 @@ Two quantizers share one code/scale layout:
   codes = round(v / scale) with halves away from zero.
 * calibrated (GPTQ-style): same grid, but columns are quantized in
   natural order and each column's rounding error is propagated to the
-  not-yet-quantized columns through the Cholesky factor of the inverse
-  damped activation Hessian, approximately minimizing ||m x - m^ x||^2.
+  not-yet-quantized columns through the upper Cholesky factor of the
+  inverse damped activation Hessian, approximately minimizing
+  ||m x - m^ x||^2.
+
+The calibrated quantizer has two parts. `hessian_factor(x, damping)`
+computes the factor once; it depends only on the activations, so callers
+quantizing several matrices against the same x (the V^T groups of one
+delta, or every delta of one input width) compute it once and pass it in.
+The column sweep then uses the "lazy batch" updates of GPTQ (Frantar et
+al., arXiv 2210.17323): inside a block of GPTQ_BLOCK columns each column's
+error updates only the rest of the block, and the block's errors reach the
+columns after it through one matrix product.
 
 Codes are symmetric, zero-point free: c in [-(2^(k-1)-1), 2^(k-1)-1].
 An all-zero vector gets scale 0 and codes 0.
@@ -18,10 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 MIN_BITS = 2
 MAX_BITS = 16
+# Columns per lazy batch of the GPTQ sweep.
+GPTQ_BLOCK = 128
 
 
 def qmax(bits: int) -> int:
@@ -97,17 +109,28 @@ class QuantizedMatrix:
 def rtn_scales(m: np.ndarray, bits: int, axis: str = "row") -> np.ndarray:
     """Per-vector symmetric scales, rounded to their stored float32 values."""
     reduce_axis = 1 if axis == "row" else 0
-    amax = np.max(np.abs(m.astype(np.float64)), axis=reduce_axis)
+    m = np.asarray(m)
+    if not np.issubdtype(m.dtype, np.floating):
+        m = m.astype(np.float64)
+    # |.| and max are exact in any float type, so widening after the reduction is too.
+    amax = np.max(np.abs(m), axis=reduce_axis).astype(np.float64)
     return (amax / qmax(bits)).astype(np.float32)
 
 
-def _encode(values: np.ndarray, scales64, bits: int) -> np.ndarray:
-    """round(v / s) half-away-from-zero, codes 0 where the scale is 0."""
+def encode(values: np.ndarray, scales64, bits: int) -> np.ndarray:
+    """round(v / s) half-away-from-zero, codes 0 where the scale is 0.
+
+    Rounds in place in the quotient's buffer, so encoding a large pruned
+    entry allocates few float64 temporaries.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(scales64 == 0.0, 0.0, values / scales64)
-    codes = np.trunc(ratio + np.copysign(0.5, ratio))
+        ratio = np.divide(values, scales64)
+    np.copyto(ratio, 0.0, where=np.equal(scales64, 0.0))
+    ratio += np.copysign(0.5, ratio)
+    np.trunc(ratio, out=ratio)
     limit = qmax(bits)
-    return np.clip(codes, -limit, limit).astype(np.int32)
+    np.clip(ratio, -limit, limit, out=ratio)
+    return ratio.astype(np.int32)
 
 
 def quantize_rtn(m: np.ndarray, bits: int, axis: str = "row") -> QuantizedMatrix:
@@ -119,10 +142,80 @@ def quantize_rtn(m: np.ndarray, bits: int, axis: str = "row") -> QuantizedMatrix
     scales = rtn_scales(m, bits, axis)
     s64 = scales.astype(np.float64)
     broadcast = s64[:, None] if axis == "row" else s64[None, :]
-    codes = _encode(m.astype(np.float64), broadcast, bits)
+    codes = encode(m.astype(np.float64), broadcast, bits)
     n_vectors = m.shape[0] if axis == "row" else m.shape[1]
     group = BitGroup(0, n_vectors, bits)
     return QuantizedMatrix(codes=codes, scales=scales, groups=(group,), axis=axis)
+
+
+def _reverse(a: np.ndarray) -> None:
+    """a[:] = a[::-1, ::-1] for a square array, one pair of rows at a time, so
+    that no second n x n array is needed."""
+    n = a.shape[0]
+    for i in range(n // 2):
+        top = a[i, ::-1].copy()
+        a[i] = a[n - 1 - i, ::-1]
+        a[n - 1 - i] = top
+    if n % 2:
+        a[n // 2] = a[n // 2, ::-1].copy()
+
+
+def hessian_factor(x: np.ndarray, damping: float = 0.01) -> np.ndarray | None:
+    """Upper Cholesky factor R of the inverse damped Hessian, R^T R = (x x^T + d I)^-1.
+
+    d is `damping` times the mean of the Hessian's diagonal. Returns None
+    when that diagonal is all zero: there is no calibration signal, every
+    rounding is cost-free, and the calibrated quantizer is plain RTN.
+
+    The factor is computed in the Hessian's own buffer, with no further
+    n x n array: with J the exchange (reversal) matrix,
+    R = J inv(L) J where L L^T = J H J is a lower Cholesky factorization,
+    and both LAPACK steps (potrf, trtri) overwrite their input.
+    """
+    x64 = np.asarray(x, dtype=np.float64)
+    cols = x64.shape[0]
+    hess = x64 @ x64.T
+    mean_diag = float(np.trace(hess)) / cols
+    if mean_diag == 0.0:
+        return None
+    hess[np.diag_indices(cols)] += damping * mean_diag
+    _reverse(hess)
+    # hess is symmetric, so hess.T is the same matrix in Fortran order and
+    # LAPACK can work on it in place.
+    lower, info = lapack.dpotrf(hess.T, lower=1, clean=1, overwrite_a=1)
+    if info == 0:
+        lower, info = lapack.dtrtri(lower, lower=1, overwrite_c=1)
+    if info != 0:
+        raise ValueError("damped Hessian is singular; increase the damping factor")
+    # Reversing both axes of lower.T (C-ordered, so row by row is fast)
+    # reverses both axes of lower: J inv(L) J.
+    _reverse(lower.T)
+    return lower
+
+
+def _sweep(w: np.ndarray, factor: np.ndarray, s64: np.ndarray, bits: int, scale_axis: str) -> np.ndarray:
+    """Quantize w (rows x cols) column by column, in lazy batches.
+
+    Works on a copy of w transposed, so that each column is one contiguous row.
+    """
+    cols = w.shape[1]
+    wt = np.array(w.T, order="C")
+    codes = np.empty(wt.shape, dtype=np.int32)
+    for b0 in range(0, cols, GPTQ_BLOCK):
+        b1 = min(b0 + GPTQ_BLOCK, cols)
+        errs = np.empty((b1 - b0, wt.shape[1]))
+        for j in range(b0, b1):
+            col = wt[j]
+            s_j = s64 if scale_axis == "row" else s64[j]
+            c = encode(col, s_j, bits)
+            codes[j] = c
+            err = (col - c * s_j) / factor[j, j]
+            errs[j - b0] = err
+            if j + 1 < b1:
+                wt[j + 1 : b1] -= np.outer(factor[j, j + 1 : b1], err)
+        if b1 < cols:
+            wt[b1:] -= factor[b0:b1, b1:].T @ errs
+    return np.ascontiguousarray(codes.T)
 
 
 def quantize_gptq(
@@ -131,6 +224,7 @@ def quantize_gptq(
     bits: int,
     damping: float = 0.01,
     scale_axis: str = "row",
+    factor: np.ndarray | None = None,
 ) -> QuantizedMatrix:
     """Calibrated quantization of m (out x in) against activations x (in x s).
 
@@ -138,6 +232,8 @@ def quantize_gptq(
     compensation. The Hessian is damped by `damping` times the mean of its
     diagonal; a Hessian with an all-zero diagonal (no calibration signal)
     degrades to plain RTN, since every rounding is then cost-free.
+    `factor` is `hessian_factor(x, damping)` when the caller already has
+    it; it is computed here when None.
     """
     _check_bits(bits)
     m = np.asarray(m)
@@ -156,37 +252,17 @@ def quantize_gptq(
     rows, cols = m.shape
     scales = rtn_scales(m, bits, scale_axis)
     s64 = scales.astype(np.float64)
-
-    w = m.astype(np.float64).copy()
-    x64 = x.astype(np.float64)
-    hess = x64 @ x64.T
-    mean_diag = float(np.trace(hess)) / cols
     n_vectors = rows if scale_axis == "row" else cols
     group = (BitGroup(0, n_vectors, bits),)
+    if factor is None:
+        factor = hessian_factor(x, damping)
 
-    if mean_diag == 0.0:
+    w = np.asarray(m, dtype=np.float64)
+    if factor is None:  # no calibration signal: plain RTN
         broadcast = s64[:, None] if scale_axis == "row" else s64[None, :]
-        codes = _encode(w, broadcast, bits)
-        return QuantizedMatrix(codes=codes, scales=scales, groups=group, axis=scale_axis)
-
-    hess[np.diag_indices(cols)] += damping * mean_diag
-    try:
-        chol_lower = np.linalg.cholesky(hess)
-        hess_inv = scipy.linalg.cho_solve((chol_lower, True), np.eye(cols))
-        hess_inv = (hess_inv + hess_inv.T) / 2.0
-        chol_inv_upper = scipy.linalg.cholesky(hess_inv, lower=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-        raise ValueError("damped Hessian is singular; increase the damping factor") from None
-
-    codes = np.zeros((rows, cols), dtype=np.int32)
-    for j in range(cols):
-        col = w[:, j]
-        s_j = s64 if scale_axis == "row" else s64[j]
-        c = _encode(col, s_j, bits)
-        codes[:, j] = c
-        err = (col - c.astype(np.float64) * s_j) / chol_inv_upper[j, j]
-        if j + 1 < cols:
-            w[:, j + 1 :] -= np.outer(err, chol_inv_upper[j, j + 1 :])
+        codes = encode(w, broadcast, bits)
+    else:
+        codes = _sweep(w, factor, s64, bits, scale_axis)
     return QuantizedMatrix(codes=codes, scales=scales, groups=group, axis=scale_axis)
 
 

@@ -73,16 +73,25 @@ class SparseEntries:
 def svd(a: np.ndarray) -> SvdFactors:
     """Full thin SVD of a 2-D matrix, computed in float64.
 
-    Uses the bidiagonalization + implicit-shift QR LAPACK path (gesvd)
-    rather than divide-and-conquer, so results are deterministic across
-    repeated calls on the same data.
+    Uses LAPACK's divide-and-conquer SVD (gesdd), several times faster
+    than gesvd on the matrices compressed here. At a fixed BLAS thread
+    count, repeated calls on the same data give bit-identical factors.
+    Across thread counts they need not: on a 1408x512 Gaussian matrix
+    with OpenBLAS, U from 1 and from 2 threads differed by up to 1.3e-16,
+    where gesvd gave equal bits. Packs compressed with 1 and 2 threads
+    were still byte-identical there, but that is not guaranteed.
     """
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"svd requires a 2-D matrix, got shape {a.shape}")
     ensure_finite(a, "svd input")
+    # LAPACK overwrites this Fortran-ordered float64 copy instead of making its own.
     u, sigma, vt = scipy.linalg.svd(
-        a.astype(np.float64), full_matrices=False, lapack_driver="gesvd"
+        np.array(a, dtype=np.float64, order="F"),
+        full_matrices=False,
+        overwrite_a=True,
+        check_finite=False,
+        lapack_driver="gesdd",
     )
     # Fix signs: largest-|.| element of each left singular vector positive.
     anchor = np.argmax(np.abs(u), axis=0)
@@ -120,8 +129,8 @@ def magnitude_prune(a: np.ndarray, alpha: float) -> SparseEntries:
     flat = a.reshape(-1)
     keep = retained_count(alpha, flat.size)
     order = np.argsort(-np.abs(flat), kind="stable")
-    indices = np.sort(order[:keep]).astype(np.int64)
-    return SparseEntries(shape=tuple(a.shape), indices=indices, values=flat[indices].copy())
+    indices = np.sort(order[:keep]).astype(np.int64, copy=False)
+    return SparseEntries(shape=tuple(a.shape), indices=indices, values=flat[indices])
 
 
 def frobenius_rel_err(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import skillpack.compress as compress_module
 from skillpack.checkpoints import DeltaMap
-from skillpack.classify import ModuleClass, default_manifest
+from skillpack.classify import ModuleClass, classify, default_manifest
 from skillpack.compress import compress_delta, compress_entry, reconstruct_entry, synthetic_calibration
-from skillpack.packs import DenseEntry, PrunedSparseEntry, QuantizedSvdEntry, predict_stats, save_pack
+from skillpack.packs import DenseEntry, PrunedSparseEntry, QuantizedSvdEntry, SkillPack, predict_stats, save_pack
 from skillpack.plans import (
     CompressionPlan,
     DenseStrategy,
@@ -16,7 +17,7 @@ from skillpack.plans import (
     plan_from_dict,
     plan_to_dict,
 )
-from skillpack.quantize import BitGroup
+from skillpack.quantize import BitGroup, quantize_rtn
 
 
 def simple_plan(rank=4, bits=8, alpha=0.5, value_bits=4, **kwargs):
@@ -274,3 +275,59 @@ def test_predicted_stats_match_actual():
 def test_reconstruct_entry_delegates():
     entry = DenseEntry(shape=(2,), mclass=ModuleClass.PASSTHROUGH, values=np.ones(2, np.float32))
     assert np.array_equal(reconstruct_entry(entry), entry.reconstruct())
+
+
+def test_cached_factor_gives_same_pack_bytes(tmp_path, monkeypatch):
+    rng = np.random.default_rng(14)
+    shapes = {
+        "model.layers.0.mlp.gate_proj.weight": (24, 16),
+        "model.layers.0.mlp.up_proj.weight": (24, 16),
+        "model.layers.0.mlp.down_proj.weight": (16, 24),
+        "model.layers.0.self_attn.q_proj.weight": (16, 16),
+    }
+    deltas = DeltaMap(
+        base_id="b", tuned_id="t",
+        deltas={n: rng.standard_normal(s).astype(np.float32) for n, s in shapes.items()},
+    )
+    groups = (BitGroup(0, 4, 8), BitGroup(4, 12, 3))
+    plan = CompressionPlan(
+        strategies={
+            ModuleClass.EMBEDDING_OR_HEAD: PruneStrategy(alpha=0.5),
+            ModuleClass.MLP: SvdQuantStrategy(rank=12, groups=groups),
+            ModuleClass.ATTENTION: SvdQuantStrategy(rank=12, groups=groups),
+            ModuleClass.PASSTHROUGH: DenseStrategy(),
+        },
+        calibration=SyntheticCalibration(seed=3, samples=32),
+    )
+    factorizations = []
+    hessian_factor = compress_module.hessian_factor
+
+    def counting_factor(*args):
+        factorizations.append(args)
+        return hessian_factor(*args)
+
+    monkeypatch.setattr(compress_module, "hessian_factor", counting_factor)
+    cached = compress_delta(deltas, default_manifest(), plan)
+    assert len(factorizations) == 2  # one per input width, 16 and 24
+
+    fresh = {
+        name: compress_entry(name, d, classify(name, default_manifest()), plan,
+                             synthetic_calibration(3, d.shape[1], 32))
+        for name, d in deltas.deltas.items()
+    }
+    fresh_pack = SkillPack(cached.base_model_id, cached.tuned_model_id, cached.task_tag,
+                           cached.plan_snapshot, fresh)
+    save_pack(cached, tmp_path / "cached.skpk")
+    save_pack(fresh_pack, tmp_path / "fresh.skpk")
+    assert (tmp_path / "cached.skpk").read_bytes() == (tmp_path / "fresh.skpk").read_bytes()
+
+
+def test_full_retention_prune_codes_equal_rtn():
+    rng = np.random.default_rng(15)
+    delta = rng.standard_normal((12, 10)).astype(np.float32)
+    delta[3] = 0.0
+    for bits in (2, 4, 8):
+        entry = compress_entry("e", delta, ModuleClass.EMBEDDING_OR_HEAD, simple_plan(alpha=1.0, value_bits=bits))
+        rtn = quantize_rtn(delta, bits)
+        np.testing.assert_array_equal(entry.codes, rtn.codes.reshape(-1))
+        np.testing.assert_array_equal(entry.scales, rtn.scales)

@@ -1,12 +1,13 @@
 import json
 import struct
+import zlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from skillpack.classify import ModuleClass
-from skillpack.errors import IntegrityError
+from skillpack.errors import FormatError, IntegrityError
 from skillpack.packs import (
     DenseEntry,
     PrunedSparseEntry,
@@ -126,6 +127,50 @@ def _rewrite_header(path, mutate):
     mutate(header)
     blob = json.dumps(header).encode()
     open(path, "wb").write(struct.pack("<4sIQ", magic, version, len(blob)) + blob + raw[16 + header_len :])
+
+
+def _svd_pack_file(tmp_path):
+    entry = random_entry(np.random.default_rng(21), "svd")
+    path = tmp_path / "p.skpk"
+    save_pack(SkillPack("b", "t", "", {}, {"mlp.weight": entry}), path)
+    return path
+
+
+def test_missing_header_field_names_entry(tmp_path):
+    path = _svd_pack_file(tmp_path)
+    _rewrite_header(path, lambda header: header["entries"][0].pop("kind"))
+    with pytest.raises(FormatError, match="mlp.weight.*'kind'"):
+        load_pack(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rank", "3"), ("rank", 10**6), ("shape", [2]), ("shape", None),
+    ("groups", [[0, 1]]), ("groups", 7), ("class", "nonsense"), ("blobs", [{"role": 1}]),
+])
+def test_ill_typed_header_field_is_format_error(tmp_path, field, value):
+    path = _svd_pack_file(tmp_path)
+
+    def mutate(header):
+        header["entries"][0][field] = value
+
+    _rewrite_header(path, mutate)
+    with pytest.raises(FormatError, match="mlp.weight"):
+        load_pack(path)
+
+
+def test_nan_sigma_is_integrity_error(tmp_path):
+    path = _svd_pack_file(tmp_path)
+    raw = path.read_bytes()
+    magic, version, header_len = struct.unpack_from("<4sIQ", raw)
+    header = json.loads(raw[16 : 16 + header_len])
+    payload = bytearray(raw[16 + header_len :])
+    meta = next(b for b in header["entries"][0]["blobs"] if b["role"] == "sigma")
+    payload[meta["offset"] : meta["offset"] + 4] = np.float32(np.nan).tobytes()
+    meta["crc32"] = zlib.crc32(bytes(payload[meta["offset"] : meta["offset"] + meta["byte_len"]]))
+    blob = json.dumps(header).encode()
+    path.write_bytes(struct.pack("<4sIQ", magic, version, len(blob)) + blob + bytes(payload))
+    with pytest.raises(IntegrityError, match="mlp.weight.*'sigma'.*non-finite"):
+        load_pack(path)
 
 
 def test_stats_tamper_detected(tmp_path):

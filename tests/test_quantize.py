@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from skillpack.quantize import (
+    GPTQ_BLOCK,
     BitGroup,
     calibration_error,
     check_groups,
+    hessian_factor,
     pack_codes,
     packed_size,
     qmax,
     quantize_gptq,
     quantize_rtn,
+    rtn_scales,
     unpack_codes,
 )
 
@@ -173,3 +177,74 @@ def test_bit_groups_validate():
     with pytest.raises(ValueError):
         check_groups((BitGroup(0, 2, 4),), 5)
     check_groups((BitGroup(0, 2, 8), BitGroup(2, 5, 2)), 5)
+
+
+def chained_factor(x, damping=0.01):
+    """The inverse-Hessian factor by the cholesky -> cho_solve -> cholesky chain."""
+    cols = x.shape[0]
+    hess = x @ x.T
+    hess[np.diag_indices(cols)] += damping * np.trace(hess) / cols
+    hess_inv = scipy.linalg.cho_solve((np.linalg.cholesky(hess), True), np.eye(cols))
+    return scipy.linalg.cholesky((hess_inv + hess_inv.T) / 2.0, lower=False)
+
+
+def per_column_gptq(m, x, bits, scale_axis):
+    """Reference GPTQ: one full-width rank-1 update per column, no lazy batches."""
+    s64 = rtn_scales(m, bits, scale_axis).astype(np.float64)
+    factor = chained_factor(x)
+    w = m.astype(np.float64)
+    codes = np.zeros(m.shape, dtype=np.int32)
+    limit = qmax(bits)
+    for j in range(m.shape[1]):
+        s_j = s64 if scale_axis == "row" else s64[j]
+        ratio = w[:, j] / s_j
+        codes[:, j] = np.clip(np.trunc(ratio + np.copysign(0.5, ratio)), -limit, limit)
+        err = (w[:, j] - codes[:, j] * s_j) / factor[j, j]
+        w[:, j + 1 :] -= np.outer(err, factor[j, j + 1 :])
+    return codes, s64.astype(np.float32)
+
+
+@pytest.mark.parametrize("cols", [1, GPTQ_BLOCK - 1, GPTQ_BLOCK, GPTQ_BLOCK + 1, 300])
+@pytest.mark.parametrize("scale_axis", ["row", "column"])
+def test_lazy_batch_sweep_matches_per_column_loop(cols, scale_axis):
+    rng = np.random.default_rng(cols)
+    m = rng.standard_normal((9, cols))
+    x = rng.standard_normal((cols, 64))
+    for bits in (2, 3, 8):
+        codes, scales = per_column_gptq(m, x, bits, scale_axis)
+        qm = quantize_gptq(m, x, bits, scale_axis=scale_axis)
+        np.testing.assert_array_equal(qm.codes, codes)
+        np.testing.assert_array_equal(qm.scales, scales)
+
+
+@pytest.mark.parametrize("cols", [1, 2, 7, 130, 400])
+def test_in_place_factor_matches_chain(cols):
+    rng = np.random.default_rng(cols)
+    x = rng.standard_normal((cols, 96))
+    factor = hessian_factor(x, 0.01)
+    reference = chained_factor(x)
+    assert np.max(np.abs(factor - reference)) <= 1e-10 * np.max(np.abs(reference))
+    assert np.all(np.tril(factor, -1) == 0.0)
+
+
+def test_hessian_factor_none_without_signal():
+    assert hessian_factor(np.zeros((5, 3))) is None
+
+
+def test_gptq_given_factor_matches_computed():
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal((20, 150))
+    x = rng.standard_normal((150, 40))
+    factor = hessian_factor(x, 0.05)
+    a = quantize_gptq(m, x, 3, damping=0.05, factor=factor)
+    b = quantize_gptq(m, x, 3, damping=0.05)
+    np.testing.assert_array_equal(a.codes, b.codes)
+
+
+def test_gptq_leaves_inputs_untouched():
+    rng = np.random.default_rng(13)
+    for m in (rng.standard_normal((30, 12)), np.asfortranarray(rng.standard_normal((30, 12)))):
+        x = rng.standard_normal((12, 16))
+        before = m.copy()
+        quantize_gptq(m, x, 3, scale_axis="column")
+        np.testing.assert_array_equal(m, before)

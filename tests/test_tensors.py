@@ -31,6 +31,16 @@ def test_svd_reconstruction_64bit():
     assert frobenius_rel_err(a, factors.reconstruct()) < 1e-10
 
 
+def test_svd_repeated_calls_bit_identical():
+    rng = np.random.default_rng(43)
+    a = rng.standard_normal((140, 60)).astype(np.float32)
+    first = svd(a)
+    for _ in range(3):
+        again = svd(a)
+        for got, want in ((again.u, first.u), (again.sigma, first.sigma), (again.vt, first.vt)):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_svd_rejects_bad_input():
     with pytest.raises(ValueError):
         svd(np.zeros(4))
