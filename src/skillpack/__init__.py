@@ -19,7 +19,7 @@ from .checkpoints import (
     save_delta,
 )
 from .classify import ClassificationManifest, ModuleClass, classify, default_manifest
-from .compress import compress_delta, compress_entry, reconstruct_entry, synthetic_calibration
+from .compress import compress_delta, compress_entry, synthetic_calibration
 from .errors import FormatError, IntegrityError, SkillPackError
 from .losses import PreferenceScores, dpo_loss, sft_nll
 from .packs import (
@@ -67,7 +67,6 @@ from .tensors import (
     SvdFactors,
     frobenius_rel_err,
     magnitude_prune,
-    matmul,
     svd,
     truncate,
 )

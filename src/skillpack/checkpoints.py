@@ -8,6 +8,7 @@ convention tuned - base, computed in float32.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -126,44 +127,61 @@ def load_delta(path) -> DeltaMap:
     )
 
 
-def _apply_updates(base: Checkpoint, updates: dict[str, np.ndarray], model_id: str | None = None) -> Checkpoint:
-    """New checkpoint = base + float32 updates; untouched names copied bit-exact.
+def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) -> Checkpoint:
+    """New checkpoint = base + sum of weight * reconstructed deltas.
 
-    Elements whose update is zero keep the base bit pattern (adding 0.0
-    would flip -0.0 to +0.0), which is what makes zero-delta grafts and
-    empty fusions exact identities.
+    `selected` is an ordered sequence of (pack id, pack, weight). Every
+    pack's base id (unless `force`) and every entry's name and shape are
+    checked against the base before anything is reconstructed. Updates
+    are summed in float32 in the given order; packs of weight 0 add
+    nothing. The base is never mutated and untouched names are copied
+    bit-exact. Elements whose update is zero keep the base bit pattern
+    (adding 0.0 would flip -0.0 to +0.0), which is what makes zero-delta
+    grafts and empty fusions exact identities.
     """
+    for pack_id, pack, _ in selected:
+        if pack.base_model_id != base.model_id and not force:
+            raise ValueError(
+                f"pack {pack_id!r} was built against {pack.base_model_id!r}, base is {base.model_id!r}"
+                " (use force to override)"
+            )
+        for name, entry in pack.entries.items():
+            arr = base.tensors.get(name)
+            if arr is None:
+                raise ValueError(f"pack {pack_id!r} entry {name!r} has no matching tensor in the base checkpoint")
+            if tuple(entry.shape) != arr.shape:
+                raise ValueError(f"pack {pack_id!r} entry {name!r} shape {entry.shape} does not match base {arr.shape}")
+
+    updates: dict[str, np.ndarray] = {}
+    for _, pack, weight in selected:
+        if weight == 0.0:
+            continue
+        for name, entry in pack.entries.items():
+            contribution = np.float32(weight) * entry.reconstruct()
+            if name in updates:
+                updates[name] += contribution
+            else:
+                updates[name] = contribution
+
     out: dict[str, np.ndarray] = {}
     for name, arr in base.tensors.items():
         update = updates.get(name)
         if update is None:
             out[name] = arr.copy()
             continue
-        if tuple(update.shape) != tuple(arr.shape):
-            raise ValueError(f"shape mismatch for {name!r}: base {arr.shape} vs update {update.shape}")
-        shifted = (arr.astype(np.float32) + update).astype(arr.dtype)
-        out[name] = np.where(update == 0.0, arr, shifted)
-    for name in updates:
-        if name not in base.tensors:
-            raise ValueError(f"update names tensor {name!r} absent from the base checkpoint")
-    return Checkpoint(model_id=base.model_id if model_id is None else model_id, tensors=out)
+        shifted = np.add(arr, update, dtype=np.float32)
+        if shifted.dtype != arr.dtype:
+            shifted = shifted.astype(arr.dtype)
+        np.copyto(shifted, arr, where=update == 0.0)
+        out[name] = shifted
+    return Checkpoint(model_id=base.model_id, tensors=out)
 
 
 def apply_pack(base: Checkpoint, pack, scale: float = 1.0, force: bool = False) -> Checkpoint:
     """Graft a pack onto a base: base + scale * reconstructed deltas.
 
-    The base is never mutated; unloading a pack is recomposition from the
-    untouched base, never subtraction.
+    A one-pack `compose`, named by the pack's task tag in errors. The base
+    is never mutated; unloading a pack is recomposition from the untouched
+    base, never subtraction.
     """
-    if pack.base_model_id != base.model_id and not force:
-        raise ValueError(
-            f"pack was built against {pack.base_model_id!r}, base is {base.model_id!r} (use force to override)"
-        )
-    updates: dict[str, np.ndarray] = {}
-    for name, entry in pack.entries.items():
-        if name not in base.tensors:
-            raise ValueError(f"pack entry {name!r} has no matching tensor in the base checkpoint")
-        if scale == 0.0:
-            continue
-        updates[name] = np.float32(scale) * entry.reconstruct()
-    return _apply_updates(base, updates)
+    return compose(base, [(pack.task_tag, pack, scale)], force)

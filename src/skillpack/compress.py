@@ -204,12 +204,3 @@ def compress_delta(
         plan_snapshot=plan_to_dict(plan),
         entries=entries,
     )
-
-
-def reconstruct_entry(entry: CompressedEntry) -> np.ndarray:
-    """Dense float32 reconstruction of a compressed entry."""
-    return entry.reconstruct()
-
-
-def reconstruct_pack(pack: SkillPack) -> dict[str, np.ndarray]:
-    return {name: entry.reconstruct() for name, entry in pack.entries.items()}

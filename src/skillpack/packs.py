@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
 from . import container
-from .classify import ModuleClass
+from .classify import ModuleClass, classify
 from .errors import FormatError, IntegrityError
 from .plans import DenseStrategy, PruneStrategy, Strategy, SvdQuantStrategy, clip_groups
 from .quantize import MAX_BITS, MIN_BITS, BitGroup, check_groups, pack_codes, packed_size, qmax, unpack_codes
@@ -30,6 +30,11 @@ VERSION = 1
 # --------------------------------------------------------------------------
 # Compressed entries
 # --------------------------------------------------------------------------
+
+def _check_code_range(codes: np.ndarray, bits: int, what: str) -> None:
+    if codes.size and int(np.max(np.abs(codes))) > qmax(bits):
+        raise IntegrityError(f"corrupted codes: {what} out of range for {bits}-bit values")
+
 
 @dataclass(eq=False)
 class DenseEntry:
@@ -55,10 +60,10 @@ class PrunedSparseEntry:
 
     kind = "pruned_sparse"
 
+    def __post_init__(self):
+        _check_code_range(self.codes, self.value_bits, "values")
+
     def reconstruct(self) -> np.ndarray:
-        limit = qmax(self.value_bits)
-        if self.codes.size and int(np.max(np.abs(self.codes))) > limit:
-            raise IntegrityError(f"corrupted codes: out of range for {self.value_bits}-bit values")
         dense = np.zeros(int(np.prod(self.shape)), dtype=np.float32)
         rows = self.indices // self.shape[1]
         dense[self.indices] = self.codes.astype(np.float32) * self.scales[rows]
@@ -84,19 +89,12 @@ class QuantizedSvdEntry:
         check_groups(self.groups, self.rank)
         if len(self.sigma) != self.rank or len(self.u_scales) != self.rank or len(self.v_scales) != self.rank:
             raise ValueError("sigma and scale lengths must equal the rank")
-
-    def _check_codes(self) -> None:
         for g in self.groups:
-            limit = qmax(g.bits)
-            u_block = self.u_codes[:, g.begin : g.end]
-            v_block = self.v_codes[g.begin : g.end, :]
-            if (u_block.size and int(np.max(np.abs(u_block))) > limit) or (
-                v_block.size and int(np.max(np.abs(v_block))) > limit
-            ):
-                raise IntegrityError(f"corrupted codes: out of range for {g.bits}-bit group [{g.begin}, {g.end})")
+            group = f"group [{g.begin}, {g.end})"
+            _check_code_range(self.u_codes[:, g.begin : g.end], g.bits, f"U {group}")
+            _check_code_range(self.v_codes[g.begin : g.end, :], g.bits, f"V {group}")
 
     def reconstruct(self) -> np.ndarray:
-        self._check_codes()
         u = self.u_codes.astype(np.float32) * self.u_scales[None, :]
         vt = self.v_codes.astype(np.float32) * self.v_scales[:, None]
         return (u * self.sigma[None, :]) @ vt
@@ -218,14 +216,17 @@ def entry_stats(entry: CompressedEntry) -> StatLine:
     raise TypeError(f"unknown entry {entry!r}")
 
 
-def pack_stats(entries: dict[str, CompressedEntry]) -> StorageStats:
+def _accumulate(lines: Iterable[tuple[ModuleClass, StatLine]]) -> StorageStats:
     per_class = {cls.value: _ZERO for cls in ModuleClass}
     total = _ZERO
-    for entry in entries.values():
-        line = entry_stats(entry)
-        per_class[entry.mclass.value] = per_class[entry.mclass.value] + line
+    for mclass, line in lines:
+        per_class[mclass.value] = per_class[mclass.value] + line
         total = total + line
     return StorageStats(per_class=per_class, total=total)
+
+
+def pack_stats(entries: dict[str, CompressedEntry]) -> StorageStats:
+    return _accumulate((entry.mclass, entry_stats(entry)) for entry in entries.values())
 
 
 def predict_stats(shapes: dict[str, tuple[int, ...]], manifest, plan) -> StorageStats:
@@ -234,19 +235,13 @@ def predict_stats(shapes: dict[str, tuple[int, ...]], manifest, plan) -> Storage
     Mirrors the compressor's dispatch: names are classified by the
     manifest, non-2-D tensors fall back to dense storage.
     """
-    from .classify import classify
 
-    per_class = {cls.value: _ZERO for cls in ModuleClass}
-    total = _ZERO
-    for name, shape in shapes.items():
+    def line(name: str, shape: tuple[int, ...]) -> tuple[ModuleClass, StatLine]:
         mclass = classify(name, manifest)
-        strategy = plan.strategies[mclass]
-        if len(shape) != 2:
-            strategy = DenseStrategy()
-        line = storage_ratio(shape, strategy)
-        per_class[mclass.value] = per_class[mclass.value] + line
-        total = total + line
-    return StorageStats(per_class=per_class, total=total)
+        strategy = plan.strategies[mclass] if len(shape) == 2 else DenseStrategy()
+        return mclass, storage_ratio(shape, strategy)
+
+    return _accumulate(line(name, shape) for name, shape in shapes.items())
 
 
 # --------------------------------------------------------------------------
@@ -260,12 +255,12 @@ class SkillPack:
     task_tag: str
     plan_snapshot: dict
     entries: dict[str, CompressedEntry] = field(default_factory=dict)
-    stats: StorageStats = field(default=None)  # recomputed when None
     format_version: int = VERSION
 
-    def __post_init__(self):
-        if self.stats is None:
-            self.stats = pack_stats(self.entries)
+    @property
+    def stats(self) -> StorageStats:
+        """Storage stats computed from the entries, so they cannot go stale."""
+        return pack_stats(self.entries)
 
 
 # --------------------------------------------------------------------------
@@ -428,6 +423,14 @@ def _unpack_group_codes(blob: bytes, groups, counts: list[int], context: str) ->
     return out
 
 
+def _construct(cls, ctx: str, **fields) -> CompressedEntry:
+    """cls(**fields), with the entry's code-range IntegrityError naming it."""
+    try:
+        return cls(**fields)
+    except IntegrityError as exc:
+        raise IntegrityError(f"{ctx}: {exc}") from None
+
+
 def _load_entry(index: int, head, payload: bytes) -> tuple[str, CompressedEntry]:
     """One entry from its header; every header field is checked before use."""
     if not isinstance(head, dict):
@@ -469,10 +472,10 @@ def _load_entry(index: int, head, payload: bytes) -> tuple[str, CompressedEntry]
         if len(val_blob) < packed_size(len(indices), value_bits):
             raise FormatError(f"{ctx} blob 'values': shorter than {len(indices)} {value_bits}-bit codes")
         codes = unpack_codes(val_blob, len(indices), value_bits)
-        if codes.size and int(np.max(np.abs(codes))) > qmax(value_bits):
-            raise IntegrityError(f"corrupted codes: {ctx} out of range for {value_bits}-bit values")
         scales = _read_f32(payload, by_role["scales"], f"{ctx} blob 'scales'", shape[0])
-        return name, PrunedSparseEntry(
+        return name, _construct(
+            PrunedSparseEntry,
+            ctx,
             shape=shape,
             mclass=mclass,
             alpha=float(alpha),
@@ -502,7 +505,9 @@ def _load_entry(index: int, head, payload: bytes) -> tuple[str, CompressedEntry]
         v_codes = np.concatenate(
             [part.reshape(g.length, cols) for part, g in zip(v_parts, groups)], axis=0
         )
-        entry = QuantizedSvdEntry(
+        return name, _construct(
+            QuantizedSvdEntry,
+            ctx,
             shape=shape,
             mclass=mclass,
             rank=rank,
@@ -513,8 +518,6 @@ def _load_entry(index: int, head, payload: bytes) -> tuple[str, CompressedEntry]
             v_codes=v_codes,
             v_scales=v_scales,
         )
-        entry._check_codes()
-        return name, entry
 
     raise FormatError(f"{ctx}: unknown entry kind {kind!r}")
 
@@ -530,8 +533,7 @@ def load_pack(path) -> SkillPack:
         if name in entries:
             raise FormatError(f"duplicate entry name {name!r}")
         entries[name] = entry
-    stats = pack_stats(entries)
-    if stats.to_dict() != header.get("stats"):
+    if pack_stats(entries).to_dict() != header.get("stats"):
         raise IntegrityError("stats mismatch: stored storage stats do not match the entries")
     return SkillPack(
         base_model_id=header.get("base_model_id", ""),
@@ -539,7 +541,6 @@ def load_pack(path) -> SkillPack:
         task_tag=header.get("task_tag", ""),
         plan_snapshot=header.get("plan", {}),
         entries=entries,
-        stats=stats,
         format_version=header.get("format_version", VERSION),
     )
 
@@ -554,6 +555,17 @@ def _fmt_shape(shape) -> str:
 
 def _fmt_groups(groups) -> str:
     return "[" + ", ".join(f"{g.begin}:{g.end}@{g.bits}b" for g in groups) + "]"
+
+
+def _fmt_ratios(line: StatLine) -> str:
+    return f"ratio_value={100 * line.ratio_value_only:.4f}%  ratio_total={100 * line.ratio_total:.4f}%"
+
+
+def _fmt_bits(line: StatLine) -> str:
+    return (
+        f"original_bits={line.original_bits}  value_bits={line.stored_value_bits}"
+        f"  overhead_bits={line.stored_overhead_bits}  {_fmt_ratios(line)}"
+    )
 
 
 def inspect_pack(pack: SkillPack) -> str:
@@ -571,20 +583,10 @@ def inspect_pack(pack: SkillPack) -> str:
             detail = f"  rank={entry.rank}  groups={_fmt_groups(entry.groups)}"
         lines.append(
             f"  {name}  kind={entry.kind}  class={entry.mclass.value}  shape={_fmt_shape(entry.shape)}"
-            f"{detail}  ratio_value={100 * line.ratio_value_only:.4f}%  ratio_total={100 * line.ratio_total:.4f}%"
+            f"{detail}  {_fmt_ratios(line)}"
         )
+    stats = pack.stats
     lines.append("per-class storage:")
-    for cls in ModuleClass:
-        line = pack.stats.per_class[cls.value]
-        lines.append(
-            f"  {cls.value}: original_bits={line.original_bits}  value_bits={line.stored_value_bits}"
-            f"  overhead_bits={line.stored_overhead_bits}"
-            f"  ratio_value={100 * line.ratio_value_only:.4f}%  ratio_total={100 * line.ratio_total:.4f}%"
-        )
-    total = pack.stats.total
-    lines.append(
-        f"total: original_bits={total.original_bits}  value_bits={total.stored_value_bits}"
-        f"  overhead_bits={total.stored_overhead_bits}"
-        f"  ratio_value={100 * total.ratio_value_only:.4f}%  ratio_total={100 * total.ratio_total:.4f}%"
-    )
+    lines.extend(f"  {cls.value}: {_fmt_bits(stats.per_class[cls.value])}" for cls in ModuleClass)
+    lines.append(f"total: {_fmt_bits(stats.total)}")
     return "\n".join(lines)

@@ -16,7 +16,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .checkpoints import Checkpoint, _apply_updates
+from .checkpoints import Checkpoint, compose
 from .packs import SkillPack
 
 
@@ -103,30 +103,13 @@ def fuse(request: FusionRequest) -> Checkpoint:
     Zero routed packs returns the base bit-exactly. Packs touching the
     same tensor are summed; use `overlapping_names` to warn about that.
     """
-    routed = sorted(route(request.router, request.selector))
-    base = request.base
-    updates: dict[str, np.ndarray] = {}
-    for pack_id, weight in routed:
+    selected = []
+    for pack_id, weight in sorted(route(request.router, request.selector)):
         pack = request.packs.get(pack_id)
         if pack is None:
             raise ValueError(f"router selected unknown pack id {pack_id!r}")
-        if pack.base_model_id != base.model_id:
-            raise ValueError(
-                f"pack {pack_id!r} was built against {pack.base_model_id!r}, base is {base.model_id!r}"
-            )
-        for name, entry in pack.entries.items():
-            if name not in base.tensors:
-                raise ValueError(f"pack {pack_id!r} entry {name!r} has no matching base tensor")
-            if tuple(entry.shape) != tuple(base.tensors[name].shape):
-                raise ValueError(
-                    f"pack {pack_id!r} entry {name!r} shape {entry.shape} does not match base {base.tensors[name].shape}"
-                )
-            contribution = np.float32(weight) * entry.reconstruct()
-            if name in updates:
-                updates[name] = updates[name] + contribution
-            else:
-                updates[name] = contribution
-    return _apply_updates(base, updates)
+        selected.append((pack_id, pack, weight))
+    return compose(request.base, selected)
 
 
 def instantiate_task(

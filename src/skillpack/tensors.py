@@ -144,11 +144,3 @@ def frobenius_rel_err(a: np.ndarray, b: np.ndarray) -> float:
     if denom == 0.0:
         return 0.0 if num == 0.0 else math.inf
     return num / denom
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"incompatible matmul shapes: {a.shape} x {b.shape}")
-    return a @ b

@@ -4,7 +4,7 @@ import pytest
 import skillpack.compress as compress_module
 from skillpack.checkpoints import DeltaMap
 from skillpack.classify import ModuleClass, classify, default_manifest
-from skillpack.compress import compress_delta, compress_entry, reconstruct_entry, synthetic_calibration
+from skillpack.compress import compress_delta, compress_entry, synthetic_calibration
 from skillpack.packs import DenseEntry, PrunedSparseEntry, QuantizedSvdEntry, SkillPack, predict_stats, save_pack
 from skillpack.plans import (
     CompressionPlan,
@@ -270,11 +270,6 @@ def test_predicted_stats_match_actual():
     predicted = predict_stats(shapes, default_manifest(), plan)
     assert predicted.to_dict() == pack.stats.to_dict()
     assert abs(predicted.total.ratio_total - pack.stats.total.ratio_total) <= 0.005
-
-
-def test_reconstruct_entry_delegates():
-    entry = DenseEntry(shape=(2,), mclass=ModuleClass.PASSTHROUGH, values=np.ones(2, np.float32))
-    assert np.array_equal(reconstruct_entry(entry), entry.reconstruct())
 
 
 def test_cached_factor_gives_same_pack_bytes(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from skillpack.checkpoints import Checkpoint, apply_pack
 from skillpack.classify import ModuleClass
 from skillpack.errors import FormatError, IntegrityError
 from skillpack.packs import (
@@ -158,19 +159,61 @@ def test_ill_typed_header_field_is_format_error(tmp_path, field, value):
         load_pack(path)
 
 
-def test_nan_sigma_is_integrity_error(tmp_path):
-    path = _svd_pack_file(tmp_path)
+def _overwrite_blob_start(path, role, data: bytes):
+    """Overwrite the first bytes of the first entry's `role` blob and recompute its CRC."""
     raw = path.read_bytes()
     magic, version, header_len = struct.unpack_from("<4sIQ", raw)
     header = json.loads(raw[16 : 16 + header_len])
     payload = bytearray(raw[16 + header_len :])
-    meta = next(b for b in header["entries"][0]["blobs"] if b["role"] == "sigma")
-    payload[meta["offset"] : meta["offset"] + 4] = np.float32(np.nan).tobytes()
+    meta = next(b for b in header["entries"][0]["blobs"] if b["role"] == role)
+    payload[meta["offset"] : meta["offset"] + len(data)] = data
     meta["crc32"] = zlib.crc32(bytes(payload[meta["offset"] : meta["offset"] + meta["byte_len"]]))
     blob = json.dumps(header).encode()
     path.write_bytes(struct.pack("<4sIQ", magic, version, len(blob)) + blob + bytes(payload))
+
+
+def test_nan_sigma_is_integrity_error(tmp_path):
+    path = _svd_pack_file(tmp_path)
+    _overwrite_blob_start(path, "sigma", np.float32(np.nan).tobytes())
     with pytest.raises(IntegrityError, match="mlp.weight.*'sigma'.*non-finite"):
         load_pack(path)
+
+
+def test_corrupt_svd_code_range_names_entry(tmp_path):
+    # the first group is 8-bit; byte 0x80 decodes to -128, outside [-127, 127]
+    path = _svd_pack_file(tmp_path)
+    _overwrite_blob_start(path, "codes_u", b"\x80")
+    with pytest.raises(IntegrityError, match="mlp.weight.*corrupted codes"):
+        load_pack(path)
+
+
+def test_forged_sparse_shape_is_rejected_before_reconstruct(tmp_path, monkeypatch):
+    def entry(shape):
+        return PrunedSparseEntry(
+            shape=shape, mclass=ModuleClass.EMBEDDING_OR_HEAD, alpha=0.5, value_bits=4,
+            indices=np.array([0, 3], dtype=np.int64), codes=np.array([1, 2], dtype=np.int32),
+            scales=np.ones(1, dtype=np.float32),
+        )
+
+    path = tmp_path / "p.skpk"
+    save_pack(SkillPack("b", "t", "", {}, {"e.weight": entry((1, 4))}), path)
+    forged = (1, 2**40)
+
+    def mutate(header):
+        header["entries"][0]["shape"] = list(forged)
+        header["stats"] = pack_stats({"e.weight": entry(forged)}).to_dict()
+
+    _rewrite_header(path, mutate)
+    pack = load_pack(path)
+    assert pack.entries["e.weight"].shape == forged
+
+    def never(self):
+        raise AssertionError("reconstruct must not run")
+
+    monkeypatch.setattr(PrunedSparseEntry, "reconstruct", never)
+    base = Checkpoint(model_id="b", tensors={"e.weight": np.zeros((1, 4), np.float32)})
+    with pytest.raises(ValueError, match="e.weight.*shape"):
+        apply_pack(base, pack)
 
 
 def test_stats_tamper_detected(tmp_path):
@@ -325,3 +368,40 @@ def test_reconstruct_pruned_places_values():
     assert dense[0, 1] == np.float32(3.5)
     assert dense[1, 2] == np.float32(-6.0)
     assert np.count_nonzero(dense) == 2
+
+
+def test_inspect_report_pinned():
+    pack = SkillPack("base-m", "tuned-m", "math", {}, {
+        "model.norm.weight": DenseEntry(shape=(3,), mclass=ModuleClass.PASSTHROUGH,
+                                        values=np.zeros(3, np.float32)),
+        "lm_head.weight": PrunedSparseEntry(
+            shape=(4, 8), mclass=ModuleClass.EMBEDDING_OR_HEAD, alpha=0.25, value_bits=4,
+            indices=np.arange(0, 32, 4, dtype=np.int64), codes=np.ones(8, np.int32),
+            scales=np.ones(4, np.float32)),
+        "mlp.up_proj.weight": QuantizedSvdEntry(
+            shape=(6, 5), mclass=ModuleClass.MLP, rank=3,
+            groups=(BitGroup(0, 1, 8), BitGroup(1, 3, 3)), sigma=np.ones(3, np.float32),
+            u_codes=np.zeros((6, 3), np.int32), u_scales=np.ones(3, np.float32),
+            v_codes=np.zeros((3, 5), np.int32), v_scales=np.ones(3, np.float32)),
+    })
+    assert inspect_pack(pack) == "\n".join([
+        "SkillPack  base='base-m'  tuned='tuned-m'  tag='math'",
+        "entries: 3",
+        "  model.norm.weight  kind=dense  class=passthrough  shape=3"
+        "  ratio_value=200.0000%  ratio_total=200.0000%",
+        "  lm_head.weight  kind=pruned_sparse  class=embedding_or_head  shape=4x8"
+        "  alpha=0.25  value_bits=4  retained=8  ratio_value=6.2500%  ratio_total=39.0625%",
+        "  mlp.up_proj.weight  kind=quantized_svd  class=mlp  shape=6x5"
+        "  rank=3  groups=[0:1@8b, 1:3@3b]  ratio_value=52.0833%  ratio_total=92.0833%",
+        "per-class storage:",
+        "  embedding_or_head: original_bits=512  value_bits=32  overhead_bits=168"
+        "  ratio_value=6.2500%  ratio_total=39.0625%",
+        "  mlp: original_bits=480  value_bits=250  overhead_bits=192"
+        "  ratio_value=52.0833%  ratio_total=92.0833%",
+        "  attention: original_bits=0  value_bits=0  overhead_bits=0"
+        "  ratio_value=0.0000%  ratio_total=0.0000%",
+        "  passthrough: original_bits=48  value_bits=96  overhead_bits=0"
+        "  ratio_value=200.0000%  ratio_total=200.0000%",
+        "total: original_bits=1040  value_bits=378  overhead_bits=360"
+        "  ratio_value=36.3462%  ratio_total=70.9615%",
+    ])

@@ -145,6 +145,22 @@ def test_fuse_unknown_pack_and_bad_base_id():
                            router=router, selector=Tag("t")))
 
 
+def test_fuse_checks_every_pack_before_reconstructing(monkeypatch):
+    base = make_base()
+    bad = dense_pack("x.weight", 2.0)
+    bad.entries["x.weight"] = DenseEntry(shape=(2, 2), mclass=ModuleClass.PASSTHROUGH,
+                                         values=np.ones((2, 2), np.float32))
+
+    def never(self):
+        raise AssertionError("reconstruct must not run")
+
+    monkeypatch.setattr(DenseEntry, "reconstruct", never)
+    router = TaskTable(table={"t": ["a", "b"]})
+    with pytest.raises(ValueError, match="'b'.*x.weight.*shape"):
+        fuse(FusionRequest(base=base, packs={"a": dense_pack("x.weight", 1.0), "b": bad},
+                           router=router, selector=Tag("t")))
+
+
 def test_instantiate_task_history_independent():
     base = make_base()
     packs = {"code": dense_pack("x.weight", 0.5), "math": dense_pack("y.weight", -0.5)}

@@ -5,7 +5,6 @@ from skillpack.tensors import (
     SparseEntries,
     frobenius_rel_err,
     magnitude_prune,
-    matmul,
     retained_count,
     svd,
     truncate,
@@ -158,13 +157,6 @@ def test_frobenius_rel_err_basics():
     assert frobenius_rel_err(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
     with pytest.raises(ValueError):
         frobenius_rel_err(a, np.zeros((3, 3)))
-
-
-def test_matmul():
-    a = np.arange(6.0).reshape(2, 3)
-    assert np.array_equal(matmul(np.eye(2), a), a)
-    with pytest.raises(ValueError):
-        matmul(a, a)
 
 
 def test_sparse_entries_densify():
