@@ -132,7 +132,8 @@ def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) ->
 
     `selected` is an ordered sequence of (pack id, pack, weight). Every
     pack's base id (unless `force`) and every entry's name and shape are
-    checked against the base before anything is reconstructed. Updates
+    checked against the base before anything is reconstructed; errors name
+    the pack by its id, or as <untagged> when the id is empty. Updates
     are summed in float32 in the given order; packs of weight 0 add
     nothing. The base is never mutated and untouched names are copied
     bit-exact. Elements whose update is zero keep the base bit pattern
@@ -140,17 +141,18 @@ def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) ->
     grafts and empty fusions exact identities.
     """
     for pack_id, pack, _ in selected:
+        label = repr(pack_id) if pack_id else "<untagged>"
         if pack.base_model_id != base.model_id and not force:
             raise ValueError(
-                f"pack {pack_id!r} was built against {pack.base_model_id!r}, base is {base.model_id!r}"
+                f"pack {label} was built against {pack.base_model_id!r}, base is {base.model_id!r}"
                 " (use force to override)"
             )
         for name, entry in pack.entries.items():
             arr = base.tensors.get(name)
             if arr is None:
-                raise ValueError(f"pack {pack_id!r} entry {name!r} has no matching tensor in the base checkpoint")
+                raise ValueError(f"pack {label} entry {name!r} has no matching tensor in the base checkpoint")
             if tuple(entry.shape) != arr.shape:
-                raise ValueError(f"pack {pack_id!r} entry {name!r} shape {entry.shape} does not match base {arr.shape}")
+                raise ValueError(f"pack {label} entry {name!r} shape {entry.shape} does not match base {arr.shape}")
 
     updates: dict[str, np.ndarray] = {}
     for _, pack, weight in selected:

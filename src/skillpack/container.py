@@ -16,6 +16,8 @@ the IEEE polynomial over each blob's payload bytes.
 from __future__ import annotations
 
 import json
+import os
+import secrets
 import struct
 import zlib
 
@@ -45,13 +47,27 @@ def layout_blobs(blobs: list[bytes]) -> tuple[bytes, list[dict]]:
 
 
 def write_container(path, magic: bytes, version: int, header: dict, payload: bytes) -> None:
+    """Write atomically: a temp file in the target's directory, then `os.replace`.
+
+    A failed write leaves any previous file at `path` untouched and removes
+    the temp file. There is no fsync: the rename is atomic against other
+    readers and failed writes, not against a power loss.
+    """
     header_bytes = json.dumps(header, ensure_ascii=False).encode("utf-8")
     pad = _align(_PREFIX.size + len(header_bytes)) - (_PREFIX.size + len(header_bytes))
     header_bytes += b" " * pad
-    with open(path, "wb") as fh:
-        fh.write(_PREFIX.pack(magic, version, len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(payload)
+    target = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, "xb")  # unlike mkstemp, keeps the umask's file mode
+    try:
+        with fh:
+            fh.write(_PREFIX.pack(magic, version, len(header_bytes)))
+            fh.write(header_bytes)
+            fh.write(payload)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_container(path, magic: bytes, version: int) -> tuple[dict, bytes]:

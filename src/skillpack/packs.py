@@ -161,7 +161,7 @@ def _index_bits(n_elements: int) -> int:
 
 def _prune_line(shape, retained: int, value_bits: int) -> StatLine:
     rows = shape[0]
-    n = int(np.prod(shape))
+    n = math.prod(shape)
     return StatLine(
         original_bits=16 * n,
         stored_value_bits=retained * value_bits,
@@ -180,7 +180,7 @@ def _svd_line(shape, rank: int, groups: tuple[BitGroup, ...]) -> StatLine:
 
 
 def _dense_line(shape) -> StatLine:
-    n = int(np.prod(shape))
+    n = math.prod(shape)
     return StatLine(original_bits=16 * n, stored_value_bits=32 * n, stored_overhead_bits=0)
 
 
@@ -196,7 +196,7 @@ def storage_ratio(shape: tuple[int, ...], strategy: Strategy) -> StatLine:
     if isinstance(strategy, PruneStrategy):
         if len(shape) != 2:
             raise ValueError("prune strategy applies to 2-D shapes")
-        n = int(np.prod(shape))
+        n = math.prod(shape)
         return _prune_line(shape, retained_count(strategy.alpha, n), strategy.value_bits)
     if isinstance(strategy, SvdQuantStrategy):
         if len(shape) != 2:
@@ -229,19 +229,21 @@ def pack_stats(entries: dict[str, CompressedEntry]) -> StorageStats:
     return _accumulate((entry.mclass, entry_stats(entry)) for entry in entries.values())
 
 
+def _predict_classified(classified: Iterable[tuple[ModuleClass, tuple[int, ...]]], plan) -> StorageStats:
+    """`predict_stats` over already classified (class, shape) pairs."""
+    return _accumulate(
+        (mclass, storage_ratio(shape, plan.strategies[mclass] if len(shape) == 2 else DenseStrategy()))
+        for mclass, shape in classified
+    )
+
+
 def predict_stats(shapes: dict[str, tuple[int, ...]], manifest, plan) -> StorageStats:
     """Closed-form stats a plan would produce on the given named shapes.
 
     Mirrors the compressor's dispatch: names are classified by the
     manifest, non-2-D tensors fall back to dense storage.
     """
-
-    def line(name: str, shape: tuple[int, ...]) -> tuple[ModuleClass, StatLine]:
-        mclass = classify(name, manifest)
-        strategy = plan.strategies[mclass] if len(shape) == 2 else DenseStrategy()
-        return mclass, storage_ratio(shape, strategy)
-
-    return _accumulate(line(name, shape) for name, shape in shapes.items())
+    return _predict_classified(((classify(name, manifest), shape) for name, shape in shapes.items()), plan)
 
 
 # --------------------------------------------------------------------------

