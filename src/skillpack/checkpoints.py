@@ -7,13 +7,14 @@ convention tuned - base, computed in float32.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import container
-from .errors import FormatError
+from .errors import FormatError, IntegrityError
 from .tensors import ensure_finite
 
 MAGIC = b"GLTC"
@@ -63,23 +64,30 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def _read_tensors(header: dict, payload: bytes) -> dict[str, np.ndarray]:
+    """Tensors from the header's entries; every field is checked before use."""
+    metas = header.get("tensors", [])
+    if not isinstance(metas, list):
+        raise FormatError("header field 'tensors' must be a list")
     tensors: dict[str, np.ndarray] = {}
-    for meta in header.get("tensors", []):
-        name = meta["name"]
+    for index, meta in enumerate(metas):
+        ctx = container.entry_context("tensor", index, meta)
+        name = container.header_field(meta, "name", str, ctx)
         if name in tensors:
             raise FormatError(f"duplicate tensor name {name!r}")
-        tag = meta["dtype"]
+        tag = container.header_field(meta, "dtype", str, ctx)
         if tag not in _DTYPE_TAGS:
-            raise FormatError(f"tensor {name!r} has unknown dtype tag {tag!r}")
+            raise FormatError(f"{ctx} has unknown dtype tag {tag!r}")
         dtype = _DTYPE_TAGS[tag]
-        shape = tuple(int(d) for d in meta["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        shape = container.shape_field(meta, ctx)
+        container.check_blob_meta(meta, ctx)
+        count = math.prod(shape)
         if count * dtype.itemsize != meta["byte_len"]:
-            raise FormatError(f"tensor {name!r}: byte length does not match shape")
-        blob = container.fetch_blob(payload, meta, f"tensor {name!r}")
+            raise FormatError(f"{ctx}: byte length does not match shape")
+        blob = container.fetch_blob(payload, meta, ctx)
         arr = np.frombuffer(blob, dtype=dtype, count=count).reshape(shape)
         arr = arr.astype(arr.dtype.newbyteorder("="), copy=True)
-        ensure_finite(arr, f"tensor {name!r}")
+        if not np.all(np.isfinite(arr)):
+            raise IntegrityError(f"{ctx}: non-finite values")
         tensors[name] = arr
     return tensors
 
@@ -135,10 +143,15 @@ def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) ->
     checked against the base before anything is reconstructed; errors name
     the pack by its id, or as <untagged> when the id is empty. Updates
     are summed in float32 in the given order; packs of weight 0 add
-    nothing. The base is never mutated and untouched names are copied
-    bit-exact. Elements whose update is zero keep the base bit pattern
+    nothing. Elements whose update is zero keep the base bit pattern
     (adding 0.0 would flip -0.0 to +0.0), which is what makes zero-delta
     grafts and empty fusions exact identities.
+
+    The base is never mutated. Names no selected pack touches are
+    read-only views of the base's arrays, not copies, so writing to them
+    raises and a later in-place change to the base shows through them.
+    Touched names are fresh arrays that share memory with neither the base
+    nor any pack.
     """
     for pack_id, pack, _ in selected:
         label = repr(pack_id) if pack_id else "<untagged>"
@@ -159,7 +172,9 @@ def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) ->
         if weight == 0.0:
             continue
         for name, entry in pack.entries.items():
-            contribution = np.float32(weight) * entry.reconstruct()
+            contribution = entry.reconstruct()  # a fresh float32 array, so scaled in place
+            if weight != 1.0:
+                contribution *= np.float32(weight)
             if name in updates:
                 updates[name] += contribution
             else:
@@ -169,12 +184,19 @@ def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) ->
     for name, arr in base.tensors.items():
         update = updates.get(name)
         if update is None:
-            out[name] = arr.copy()
+            view = arr.view()
+            view.flags.writeable = False
+            out[name] = view
             continue
-        shifted = np.add(arr, update, dtype=np.float32)
-        if shifted.dtype != arr.dtype:
-            shifted = shifted.astype(arr.dtype)
-        np.copyto(shifted, arr, where=update == 0.0)
+        # base - (0 - update) is base + update, except that a zero update is
+        # negated to +0.0 and base - (+0.0) is base bit for bit, -0.0 included.
+        np.subtract(np.float32(0), update, out=update)
+        if update.dtype == arr.dtype == np.float32:
+            out[name] = np.subtract(arr, update, out=update)
+            continue
+        shifted = np.subtract(arr, update, dtype=np.float32).astype(arr.dtype)
+        if not np.can_cast(arr.dtype, np.float32):  # e.g. float64: the float32 round trip drops bits
+            np.copyto(shifted, arr, where=update == 0.0)
         out[name] = shifted
     return Checkpoint(model_id=base.model_id, tensors=out)
 

@@ -10,7 +10,9 @@ Layout (all integers little-endian):
     payload     blobs at 64-byte-aligned offsets relative to payload start
 
 Blob metadata ({offset, byte_len, crc32}) lives in the JSON header; CRC32 is
-the IEEE polynomial over each blob's payload bytes.
+the IEEE polynomial over each blob's payload bytes. Header fields come from
+the file, so both formats read them through the checkers below, which raise
+FormatError naming the entry instead of leaking KeyError or TypeError.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import os
 import secrets
 import struct
 import zlib
+from typing import Iterable
 
 from .errors import FormatError, IntegrityError
 
@@ -46,28 +49,32 @@ def layout_blobs(blobs: list[bytes]) -> tuple[bytes, list[dict]]:
     return b"".join(chunks), metas
 
 
-def write_container(path, magic: bytes, version: int, header: dict, payload: bytes) -> None:
-    """Write atomically: a temp file in the target's directory, then `os.replace`.
+def write_atomic(path, parts: Iterable[bytes]) -> None:
+    """Write `parts` atomically: a temp file in the target's directory, then `os.replace`.
 
     A failed write leaves any previous file at `path` untouched and removes
     the temp file. There is no fsync: the rename is atomic against other
     readers and failed writes, not against a power loss.
     """
-    header_bytes = json.dumps(header, ensure_ascii=False).encode("utf-8")
-    pad = _align(_PREFIX.size + len(header_bytes)) - (_PREFIX.size + len(header_bytes))
-    header_bytes += b" " * pad
     target = os.fspath(path)
     tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{secrets.token_hex(8)}.tmp")
     fh = open(tmp, "xb")  # unlike mkstemp, keeps the umask's file mode
     try:
         with fh:
-            fh.write(_PREFIX.pack(magic, version, len(header_bytes)))
-            fh.write(header_bytes)
-            fh.write(payload)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_container(path, magic: bytes, version: int, header: dict, payload: bytes) -> None:
+    """Write a container atomically, as `write_atomic` does."""
+    header_bytes = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    pad = _align(_PREFIX.size + len(header_bytes)) - (_PREFIX.size + len(header_bytes))
+    header_bytes += b" " * pad
+    write_atomic(path, (_PREFIX.pack(magic, version, len(header_bytes)), header_bytes, payload))
 
 
 def read_container(path, magic: bytes, version: int) -> tuple[dict, bytes]:
@@ -102,3 +109,43 @@ def fetch_blob(payload: bytes, meta: dict, context: str) -> bytes:
     if zlib.crc32(blob) != crc:
         raise IntegrityError(f"checksum mismatch for {context}")
     return blob
+
+
+# --------------------------------------------------------------------------
+# Header schema checks, shared by .gltc tensors and .skpk entries
+# --------------------------------------------------------------------------
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def entry_context(what: str, index: int, head) -> str:
+    """The error context of an entry: <what> 'name', or <what> #index while
+    the name is unknown. `head`, the entry's header, must be a JSON object."""
+    if not isinstance(head, dict):
+        raise FormatError(f"{what} #{index}: header must be a JSON object")
+    name = head.get("name")
+    return f"{what} {name!r}" if isinstance(name, str) else f"{what} #{index}"
+
+
+def header_field(head: dict, key: str, kind: type, ctx: str):
+    """head[key], which must be present and a `kind` (a bool is never an int)."""
+    value = head.get(key)
+    if not isinstance(value, kind) or (kind is int and not is_int(value)):
+        got = "missing" if key not in head else type(value).__name__
+        raise FormatError(f"{ctx}: header field {key!r} must be {kind.__name__}, got {got}")
+    return value
+
+
+def shape_field(head: dict, ctx: str, ndim: int | None = None) -> tuple[int, ...]:
+    shape = header_field(head, "shape", list, ctx)
+    if (ndim is not None and len(shape) != ndim) or not all(is_int(d) and d >= 0 for d in shape):
+        raise FormatError(f"{ctx}: header field 'shape' must be {ndim or 'some'} non-negative ints")
+    return tuple(shape)
+
+
+def check_blob_meta(meta, ctx: str) -> None:
+    """Blob metadata must be an object whose offset, byte_len and crc32 are non-negative ints."""
+    keys = ("offset", "byte_len", "crc32")
+    if not isinstance(meta, dict) or not all(is_int(meta.get(k)) and meta[k] >= 0 for k in keys):
+        raise FormatError(f"{ctx}: malformed blob metadata")

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import container
 from .classify import ModuleClass, classify
+from .container import check_blob_meta, entry_context, header_field, is_int, shape_field
 from .errors import FormatError, IntegrityError
 from .plans import DenseStrategy, PruneStrategy, Strategy, SvdQuantStrategy, clip_groups
 from .quantize import MAX_BITS, MIN_BITS, BitGroup, check_groups, pack_codes, packed_size, qmax, unpack_codes
@@ -349,37 +350,17 @@ def save_pack(pack: SkillPack, path) -> None:
     container.write_container(path, MAGIC, VERSION, header, payload)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _field(head: dict, key: str, kind: type, ctx: str):
-    """head[key], which must be present and a `kind` (a bool is never an int)."""
-    value = head.get(key)
-    if not isinstance(value, kind) or (kind is int and not _is_int(value)):
-        got = "missing" if key not in head else type(value).__name__
-        raise FormatError(f"{ctx}: header field {key!r} must be {kind.__name__}, got {got}")
-    return value
-
-
 def _int_field(head: dict, key: str, ctx: str, low: int, high: int) -> int:
-    value = _field(head, key, int, ctx)
+    value = header_field(head, key, int, ctx)
     if not low <= value <= high:
         raise FormatError(f"{ctx}: header field {key!r} = {value} is outside [{low}, {high}]")
     return value
 
 
-def _shape_field(head: dict, ctx: str, ndim: int | None) -> tuple[int, ...]:
-    shape = _field(head, "shape", list, ctx)
-    if (ndim is not None and len(shape) != ndim) or not all(_is_int(d) and d >= 0 for d in shape):
-        raise FormatError(f"{ctx}: header field 'shape' must be {ndim or 'some'} non-negative ints")
-    return tuple(shape)
-
-
 def _groups_field(head: dict, ctx: str, rank: int) -> tuple[BitGroup, ...]:
-    raw = _field(head, "groups", list, ctx)
+    raw = header_field(head, "groups", list, ctx)
     try:
-        if not all(isinstance(g, list) and len(g) == 3 and all(_is_int(v) for v in g) for g in raw):
+        if not all(isinstance(g, list) and len(g) == 3 and all(is_int(v) for v in g) for g in raw):
             raise ValueError("each group must be [begin, end, bits] ints")
         groups = tuple(BitGroup(*g) for g in raw)
         check_groups(groups, rank)
@@ -389,12 +370,10 @@ def _groups_field(head: dict, ctx: str, rank: int) -> tuple[BitGroup, ...]:
 
 
 def _require_roles(head: dict, roles: tuple[str, ...], ctx: str) -> dict[str, dict]:
-    blobs = _field(head, "blobs", list, ctx)
-    keys = ("offset", "byte_len", "crc32")
+    blobs = header_field(head, "blobs", list, ctx)
     for b in blobs:
-        if not isinstance(b, dict) or not isinstance(b.get("role"), str) or not all(
-            _is_int(b.get(k)) and b[k] >= 0 for k in keys
-        ):
+        check_blob_meta(b, ctx)
+        if not isinstance(b.get("role"), str):
             raise FormatError(f"{ctx}: malformed blob metadata")
     by_role = {b["role"]: b for b in blobs}
     for role in roles:
@@ -435,31 +414,28 @@ def _construct(cls, ctx: str, **fields) -> CompressedEntry:
 
 def _load_entry(index: int, head, payload: bytes) -> tuple[str, CompressedEntry]:
     """One entry from its header; every header field is checked before use."""
-    if not isinstance(head, dict):
-        raise FormatError(f"entry #{index}: header must be a JSON object")
-    name = head.get("name")
-    ctx = f"entry {name!r}" if isinstance(name, str) else f"entry #{index}"
-    name = _field(head, "name", str, ctx)
-    kind = _field(head, "kind", str, ctx)
+    ctx = entry_context("entry", index, head)
+    name = header_field(head, "name", str, ctx)
+    kind = header_field(head, "kind", str, ctx)
     try:
-        mclass = ModuleClass(_field(head, "class", str, ctx))
+        mclass = ModuleClass(header_field(head, "class", str, ctx))
     except ValueError:
         raise FormatError(f"{ctx}: unknown module class {head['class']!r}") from None
 
     if kind == "dense":
-        shape = _shape_field(head, ctx, None)
+        shape = shape_field(head, ctx)
         by_role = _require_roles(head, ("dense",), ctx)
         n = math.prod(shape)
         values = _read_f32(payload, by_role["dense"], f"{ctx} blob 'dense'", n).reshape(shape)
         return name, DenseEntry(shape=shape, mclass=mclass, values=values)
 
     if kind == "pruned_sparse":
-        shape = _shape_field(head, ctx, 2)
+        shape = shape_field(head, ctx, 2)
         by_role = _require_roles(head, ("indices", "values", "scales"), ctx)
         n = math.prod(shape)
         value_bits = _int_field(head, "value_bits", ctx, MIN_BITS, MAX_BITS)
         width = head.get("index_width", 32)
-        if not _is_int(width) or width not in (32, 64):
+        if not is_int(width) or width not in (32, 64):
             raise FormatError(f"{ctx}: bad index width {width!r}")
         alpha = head.get("alpha", 0.0)
         if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
@@ -488,7 +464,7 @@ def _load_entry(index: int, head, payload: bytes) -> tuple[str, CompressedEntry]
         )
 
     if kind == "quantized_svd":
-        shape = _shape_field(head, ctx, 2)
+        shape = shape_field(head, ctx, 2)
         rows, cols = shape
         by_role = _require_roles(head, ("sigma", "codes_u", "scales_u", "codes_v", "scales_v"), ctx)
         rank = _int_field(head, "rank", ctx, 1, min(rows, cols))

@@ -11,12 +11,15 @@ switching tasks leaves no residue from previously active packs.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 import numpy as np
 
+from . import container
 from .checkpoints import Checkpoint, compose
+from .errors import FormatError
 from .packs import SkillPack
 
 
@@ -227,10 +230,19 @@ def router_from_dict(d: dict) -> Router:
 
 
 def save_router(router: Router, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(router_to_dict(router), fh, indent=2)
+    """Write the router as JSON, atomically (see `container.write_atomic`)."""
+    container.write_atomic(path, [json.dumps(router_to_dict(router), indent=2).encode("utf-8")])
 
 
 def load_router(path) -> Router:
-    with open(path, "r", encoding="utf-8") as fh:
-        return router_from_dict(json.load(fh))
+    """Read a router file; malformed JSON or fields raise FormatError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        data = json.loads(raw.decode("utf-8"))
+        if not isinstance(data, dict):
+            raise TypeError("top level must be a JSON object")
+        return router_from_dict(data)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise FormatError(f"router file {os.fspath(path)!r} is malformed: {detail}") from None

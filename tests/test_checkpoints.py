@@ -4,6 +4,7 @@ import pytest
 from skillpack.checkpoints import (
     Checkpoint,
     apply_pack,
+    compose,
     diff,
     load_checkpoint,
     load_delta,
@@ -12,7 +13,7 @@ from skillpack.checkpoints import (
 )
 from skillpack.classify import ModuleClass, classify, default_manifest, ClassificationManifest
 from skillpack.errors import FormatError, IntegrityError
-from skillpack.packs import DenseEntry, SkillPack
+from skillpack.packs import DenseEntry, PrunedSparseEntry, SkillPack
 
 
 def small_checkpoint(seed=0, model_id="m") -> Checkpoint:
@@ -94,18 +95,60 @@ def test_truncated_file(tmp_path):
 
 
 def test_duplicate_names_rejected(tmp_path):
+    path = tmp_path / "d.gltc"
+    save_checkpoint(Checkpoint(model_id="m", tensors={"x": np.zeros((2,), np.float32)}), path)
+    rewrite_header(path, lambda header: header["tensors"].append(dict(header["tensors"][0])))
+    with pytest.raises(FormatError, match="duplicate"):
+        load_checkpoint(path)
+
+
+def rewrite_header(path, mutate) -> None:
+    """Re-encode a .gltc header after `mutate(header)`; payload offsets are relative, so they stay valid."""
     import json
     import struct
 
-    path = tmp_path / "d.gltc"
-    save_checkpoint(Checkpoint(model_id="m", tensors={"x": np.zeros((2,), np.float32)}), path)
     raw = open(path, "rb").read()
     _, version, header_len = struct.unpack_from("<4sIQ", raw)
     header = json.loads(raw[16 : 16 + header_len])
-    header["tensors"].append(dict(header["tensors"][0]))
+    mutate(header)
     blob = json.dumps(header).encode()
     open(path, "wb").write(struct.pack("<4sIQ", b"GLTC", version, len(blob)) + blob + raw[16 + header_len :])
-    with pytest.raises(FormatError, match="duplicate"):
+
+
+def _set_first(key, value):
+    return lambda header: header["tensors"][0].__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "mutate, match",
+    [
+        (lambda header: header["tensors"][0].pop("name"), r"tensor #0: header field 'name' must be str, got missing"),
+        (_set_first("shape", "ab"), r"tensor 'a.weight': header field 'shape' must be list, got str"),
+        (_set_first("shape", [-2, -3]), r"tensor 'a.weight': header field 'shape' must be some non-negative ints"),
+        (lambda header: header.__setitem__("tensors", [1]), r"tensor #0: header must be a JSON object"),
+        (_set_first("offset", "0"), r"tensor 'a.weight': malformed blob metadata"),
+        (lambda header: header.__setitem__("tensors", {}), r"header field 'tensors' must be a list"),
+    ],
+    ids=["missing-name", "string-shape", "negative-shape", "non-object-entry", "string-offset", "non-list-tensors"],
+)
+def test_malformed_tensor_header_is_format_error(tmp_path, mutate, match):
+    path = tmp_path / "h.gltc"
+    save_checkpoint(small_checkpoint(), path)
+    rewrite_header(path, mutate)
+    with pytest.raises(FormatError, match=match):
+        load_checkpoint(path)
+
+
+def test_nonfinite_tensor_on_load_is_integrity_error(tmp_path):
+    import zlib
+
+    path = tmp_path / "n.gltc"
+    save_checkpoint(Checkpoint(model_id="m", tensors={"x": np.zeros(2, np.float32)}), path)
+    raw = bytearray(path.read_bytes())
+    raw[-4:] = np.array([np.nan], "<f4").tobytes()  # the payload is x's 8 bytes, at the end
+    path.write_bytes(bytes(raw))
+    rewrite_header(path, _set_first("crc32", zlib.crc32(bytes(raw[-8:]))))
+    with pytest.raises(IntegrityError, match="tensor 'x': non-finite"):
         load_checkpoint(path)
 
 
@@ -261,6 +304,170 @@ def test_untagged_pack_labelled_in_errors():
     pack.task_tag = "math"
     with pytest.raises(ValueError, match=r"^pack 'math' entry 'a.weight'"):
         apply_pack(base, pack)
+
+
+def reference_compose(base: Checkpoint, selected) -> Checkpoint:
+    """compose's apply loop as it was when untouched names were copied and
+    each summed update was added, then masked back to the base where zero."""
+    updates = {}
+    for _, pack, weight in selected:
+        if weight == 0.0:
+            continue
+        for name, entry in pack.entries.items():
+            contribution = np.float32(weight) * entry.reconstruct()
+            if name in updates:
+                updates[name] += contribution
+            else:
+                updates[name] = contribution
+    out = {}
+    for name, arr in base.tensors.items():
+        update = updates.get(name)
+        if update is None:
+            out[name] = arr.copy()
+            continue
+        shifted = np.add(arr, update, dtype=np.float32)
+        if shifted.dtype != arr.dtype:
+            shifted = shifted.astype(arr.dtype)
+        np.copyto(shifted, arr, where=update == 0.0)
+        out[name] = shifted
+    return Checkpoint(model_id=base.model_id, tensors=out)
+
+
+TOUCHED = ("a.weight", "b.weight", "e.weight")
+UNTOUCHED = ("c.weight", "d.weight")
+
+
+def signed_zero_base() -> Checkpoint:
+    """float32, float16 and float64 touched tensors seeded with -0.0 and +0.0."""
+    rng = np.random.default_rng(5)
+    tensors = {
+        "a.weight": rng.standard_normal((4, 6)).astype(np.float32),
+        "b.weight": rng.standard_normal((3, 5)).astype(np.float16),
+        "c.weight": rng.standard_normal((5,)).astype(np.float32),
+        "d.weight": rng.standard_normal((2, 2)).astype(np.float16),
+        "e.weight": rng.standard_normal((2, 3)),
+    }
+    for name in TOUCHED:
+        flat = tensors[name].reshape(-1)
+        flat[:3] = -0.0
+        flat[3:5] = 0.0
+    return Checkpoint(model_id="m", tensors=tensors)
+
+
+def dense_pack(base: Checkpoint, names, seed: int, scale: float = 1.0) -> SkillPack:
+    """Random dense updates with +0.0 and -0.0 at fixed positions; scale 0 gives an all-zero pack."""
+    rng = np.random.default_rng(seed)
+    pack = zero_pack(base, names=names)
+    for entry in pack.entries.values():
+        values = (scale * rng.standard_normal(entry.shape)).astype(np.float32)
+        values.reshape(-1)[1::4] = 0.0
+        values.reshape(-1)[2::4] = -0.0
+        entry.values = values
+    return pack
+
+
+def negated(pack: SkillPack) -> SkillPack:
+    out = zero_pack(Checkpoint(model_id=pack.base_model_id))
+    out.entries = {
+        name: DenseEntry(shape=e.shape, mclass=e.mclass, values=-e.values) for name, e in pack.entries.items()
+    }
+    return out
+
+
+def sparse_pack(base: Checkpoint) -> SkillPack:
+    pack = zero_pack(base, names=[])
+    pack.entries["a.weight"] = PrunedSparseEntry(
+        shape=(4, 6),
+        mclass=ModuleClass.MLP,
+        alpha=0.25,
+        value_bits=4,
+        indices=np.array([0, 1, 5, 7, 20, 23], dtype=np.int64),
+        codes=np.array([1, -3, 7, 0, -7, 2], dtype=np.int32),
+        scales=np.array([0.5, 0.25, 1.0, 0.125], dtype=np.float32),
+    )
+    return pack
+
+
+def compose_cases():
+    base = signed_zero_base()
+    p = dense_pack(base, TOUCHED, seed=1)
+    q = dense_pack(base, ["a.weight", "e.weight"], seed=2)
+    zero = dense_pack(base, TOUCHED, seed=3, scale=0.0)
+    return base, {
+        "empty": [],
+        "weight 1": [("p", p, 1.0)],
+        "weight 0.5": [("p", p, 0.5)],
+        "weight -2": [("p", p, -2.0)],
+        "weight 0": [("p", p, 0.0)],
+        "all-zero updates": [("z", zero, 1.0)],
+        "all-zero updates, weight -2": [("z", zero, -2.0)],
+        "overlapping": [("p", p, 1.0), ("q", q, 0.5)],
+        "overlapping, mixed weights": [("p", p, -2.0), ("q", q, 1.0), ("z", zero, 0.5), ("s", sparse_pack(base), 1.0)],
+        "cancelling": [("p", p, 1.0), ("n", negated(p), 1.0)],
+        "cancelling, scaled": [("p", p, 0.5), ("n", negated(p), 0.5)],
+        "sparse": [("s", sparse_pack(base), -2.0)],
+    }
+
+
+@pytest.mark.parametrize("case", list(compose_cases()[1]))
+def test_compose_bit_identical_to_reference(case):
+    base, cases = compose_cases()
+    before = {name: arr.copy() for name, arr in base.tensors.items()}
+    got = compose(base, cases[case])
+    assert bit_equal(got, reference_compose(base, cases[case]))
+    assert bit_equal(base, Checkpoint(model_id="m", tensors=before))
+
+
+def test_compose_cancelling_packs_keep_negative_zeros():
+    base, cases = compose_cases()
+    got = compose(base, cases["cancelling"])
+    for name in TOUCHED:
+        assert np.signbit(got.tensors[name].reshape(-1)[:3]).all()
+        assert bit_equal(Checkpoint("m", {name: got.tensors[name]}), Checkpoint("m", {name: base.tensors[name]}))
+
+
+def test_compose_untouched_names_are_read_only_views_of_the_base():
+    base, cases = compose_cases()
+    everything = tuple(base.tensors)
+    for case, untouched in (("empty", everything), ("weight 0", everything), ("overlapping, mixed weights", UNTOUCHED)):
+        out = compose(base, cases[case])
+        for name in untouched:
+            view = out.tensors[name]
+            assert np.shares_memory(view, base.tensors[name])
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[...] = 1.0
+        assert all(arr.flags.writeable for arr in base.tensors.values())
+    out = compose(base, [])
+    base.tensors["c.weight"][0] = 7.0  # the view aliases the base, so a later base change shows
+    assert out.tensors["c.weight"][0] == 7.0
+
+
+def test_compose_touched_names_are_fresh_arrays():
+    base, cases = compose_cases()
+    for case in ("weight 1", "weight 0.5", "overlapping", "cancelling", "sparse"):
+        selected = cases[case]
+        owned = list(base.tensors.values())
+        for _, pack, _ in selected:
+            for entry in pack.entries.values():
+                owned += [v for v in vars(entry).values() if isinstance(v, np.ndarray)]
+        out = compose(base, selected)
+        touched = {name for _, pack, _ in selected for name in pack.entries}
+        for name in touched:
+            arr = out.tensors[name]
+            assert arr.flags.writeable
+            assert not any(np.shares_memory(arr, other) for other in owned), (case, name)
+
+
+@pytest.mark.parametrize("weight", [1.0, 0.5, -2.0])
+def test_compose_leaves_dense_entry_values_unchanged(weight):
+    base = signed_zero_base()
+    pack = dense_pack(base, TOUCHED, seed=1)
+    before = {name: e.values.copy() for name, e in pack.entries.items()}
+    apply_pack(base, pack, scale=weight)
+    compose(base, [("p", pack, weight), ("q", pack, weight)])
+    for name, entry in pack.entries.items():
+        assert entry.values.tobytes() == before[name].tobytes()
 
 
 def test_failed_write_keeps_previous_file(tmp_path):

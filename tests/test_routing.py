@@ -3,6 +3,7 @@ import pytest
 
 from skillpack.checkpoints import Checkpoint, apply_pack
 from skillpack.classify import ModuleClass
+from skillpack.errors import FormatError
 from skillpack.packs import DenseEntry, SkillPack
 from skillpack.routing import (
     Features,
@@ -240,3 +241,36 @@ def test_router_json_roundtrip(tmp_path):
     with pytest.raises(ValueError, match="unknown router"):
         router_from_dict({"kind": "nope"})
     assert router_to_dict(table)["kind"] == "task_table"
+
+
+def test_failed_router_save_keeps_previous_file(tmp_path):
+    path = tmp_path / "r.json"
+    save_router(TaskTable(table={"math": ["a"]}), path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        save_router(TaskTable(table={"math": [np.int64(1)]}), path)  # not JSON-serializable
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+    assert load_router(path).table == {"math": ["a"]}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"kind": "task_table", "table": {"math": ["a"',  # truncated JSON
+        "\xff\xfe",
+        "[1, 2]",
+        '{"kind": "task_table"}',
+        '{"kind": "task_table", "table": ["a"]}',
+        '{"kind": "linear_classifier", "weights": [1.0], "bias": [0.0], "class_to_pack": ["a"]}',
+        '{"kind": "linear_classifier", "d": 2, "weights": [1.0], "bias": [0.0], "class_to_pack": ["a"]}',
+        '{"kind": "linear_classifier", "d": 1, "weights": ["x"], "bias": [0.0], "class_to_pack": ["a"]}',
+        '{"kind": "nope"}',
+    ],
+    ids=["truncated", "not-utf8", "not-object", "no-table", "table-list", "no-d", "bad-d", "string-weight", "bad-kind"],
+)
+def test_malformed_router_file_is_format_error(tmp_path, text):
+    path = tmp_path / "r.json"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(FormatError, match="r.json"):
+        load_router(path)
