@@ -172,7 +172,7 @@ def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) ->
         if weight == 0.0:
             continue
         for name, entry in pack.entries.items():
-            contribution = entry.reconstruct()  # a fresh float32 array, so scaled in place
+            contribution = entry.reconstruct()  # fresh and writable by contract, so scaled in place
             if weight != 1.0:
                 contribution *= np.float32(weight)
             if name in updates:
@@ -188,15 +188,14 @@ def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) ->
             view.flags.writeable = False
             out[name] = view
             continue
-        # base - (0 - update) is base + update, except that a zero update is
-        # negated to +0.0 and base - (+0.0) is base bit for bit, -0.0 included.
-        np.subtract(np.float32(0), update, out=update)
-        if update.dtype == arr.dtype == np.float32:
+        if arr.dtype == np.float32:
+            # base - (0 - update) is base + update, except that a zero update is
+            # negated to +0.0 and base - (+0.0) is base bit for bit, -0.0 included.
+            np.subtract(np.float32(0), update, out=update)
             out[name] = np.subtract(arr, update, out=update)
             continue
-        shifted = np.subtract(arr, update, dtype=np.float32).astype(arr.dtype)
-        if not np.can_cast(arr.dtype, np.float32):  # e.g. float64: the float32 round trip drops bits
-            np.copyto(shifted, arr, where=update == 0.0)
+        shifted = np.add(arr, update, dtype=np.float32).astype(arr.dtype)
+        np.copyto(shifted, arr, where=update == 0.0)
         out[name] = shifted
     return Checkpoint(model_id=base.model_id, tensors=out)
 

@@ -46,7 +46,8 @@ class DenseEntry:
     kind = "dense"
 
     def reconstruct(self) -> np.ndarray:
-        return self.values.astype(np.float32)
+        """A fresh, writable float32 array; callers may modify it in place."""
+        return self.values.astype(np.float32)  # copies even from float32: never copy=False
 
 
 @dataclass(eq=False)
@@ -65,6 +66,7 @@ class PrunedSparseEntry:
         _check_code_range(self.codes, self.value_bits, "values")
 
     def reconstruct(self) -> np.ndarray:
+        """A fresh, writable float32 array; callers may modify it in place."""
         dense = np.zeros(int(np.prod(self.shape)), dtype=np.float32)
         rows = self.indices // self.shape[1]
         dense[self.indices] = self.codes.astype(np.float32) * self.scales[rows]
@@ -96,6 +98,7 @@ class QuantizedSvdEntry:
             _check_code_range(self.v_codes[g.begin : g.end, :], g.bits, f"V {group}")
 
     def reconstruct(self) -> np.ndarray:
+        """A fresh, writable float32 array; callers may modify it in place."""
         u = self.u_codes.astype(np.float32) * self.u_scales[None, :]
         vt = self.v_codes.astype(np.float32) * self.v_scales[:, None]
         return (u * self.sigma[None, :]) @ vt
