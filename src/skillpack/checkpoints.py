@@ -7,14 +7,13 @@ convention tuned - base, computed in float32.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import container
-from .errors import FormatError, IntegrityError
+from .errors import FormatError
 from .tensors import ensure_finite
 
 MAGIC = b"GLTC"
@@ -45,25 +44,22 @@ def _dtype_tag(arr: np.ndarray, name: str) -> str:
 
 
 def _write_tensor_container(path, model_id: str, tensors: dict[str, np.ndarray], extra: dict | None = None) -> None:
-    blobs = []
+    payload = container.Payload()
+    entries = []
     for name, arr in tensors.items():
         tag = _dtype_tag(arr, name)
         ensure_finite(arr, f"tensor {name!r}")
-        blobs.append(np.ascontiguousarray(arr, dtype=_DTYPE_TAGS[tag]).tobytes())
-    payload, metas = container.layout_blobs(blobs)
-    entries = [
-        {"name": name, "dtype": _dtype_tag(arr, name), "shape": list(arr.shape), **meta}
-        for (name, arr), meta in zip(tensors.items(), metas)
-    ]
+        blob = np.ascontiguousarray(arr, dtype=_DTYPE_TAGS[tag]).tobytes()
+        entries.append({"name": name, "dtype": tag, "shape": list(arr.shape), **payload.add(blob)})
     header = {"model_id": model_id, **(extra or {}), "tensors": entries}
-    container.write_container(path, MAGIC, VERSION, header, payload)
+    container.write_container(path, MAGIC, VERSION, header, payload.parts)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     _write_tensor_container(path, ckpt.model_id, ckpt.tensors)
 
 
-def _read_tensors(header: dict, payload: bytes) -> dict[str, np.ndarray]:
+def _read_tensors(header: dict, payload: memoryview) -> dict[str, np.ndarray]:
     """Tensors from the header's entries; every field is checked before use."""
     metas = header.get("tensors", [])
     if not isinstance(metas, list):
@@ -77,18 +73,9 @@ def _read_tensors(header: dict, payload: bytes) -> dict[str, np.ndarray]:
         tag = container.header_field(meta, "dtype", str, ctx)
         if tag not in _DTYPE_TAGS:
             raise FormatError(f"{ctx} has unknown dtype tag {tag!r}")
-        dtype = _DTYPE_TAGS[tag]
         shape = container.shape_field(meta, ctx)
         container.check_blob_meta(meta, ctx)
-        count = math.prod(shape)
-        if count * dtype.itemsize != meta["byte_len"]:
-            raise FormatError(f"{ctx}: byte length does not match shape")
-        blob = container.fetch_blob(payload, meta, ctx)
-        arr = np.frombuffer(blob, dtype=dtype, count=count).reshape(shape)
-        arr = arr.astype(arr.dtype.newbyteorder("="), copy=True)
-        if not np.all(np.isfinite(arr)):
-            raise IntegrityError(f"{ctx}: non-finite values")
-        tensors[name] = arr
+        tensors[name] = container.read_array(payload, meta, ctx, _DTYPE_TAGS[tag], shape)
     return tensors
 
 

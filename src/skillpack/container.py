@@ -18,11 +18,14 @@ FormatError naming the entry instead of leaking KeyError or TypeError.
 from __future__ import annotations
 
 import json
+import math
 import os
 import secrets
 import struct
 import zlib
 from typing import Iterable
+
+import numpy as np
 
 from .errors import FormatError, IntegrityError
 
@@ -34,19 +37,21 @@ def _align(n: int) -> int:
     return (n + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
-def layout_blobs(blobs: list[bytes]) -> tuple[bytes, list[dict]]:
-    """Concatenate blobs at aligned offsets; return payload and metadata."""
-    metas = []
-    chunks = []
-    offset = 0
-    for blob in blobs:
-        aligned = _align(offset)
-        if aligned > offset:
-            chunks.append(b"\x00" * (aligned - offset))
-        metas.append({"offset": aligned, "byte_len": len(blob), "crc32": zlib.crc32(blob)})
-        chunks.append(blob)
-        offset = aligned + len(blob)
-    return b"".join(chunks), metas
+class Payload:
+    """Blobs at 64-byte-aligned offsets, kept as the list of parts to write."""
+
+    def __init__(self):
+        self.parts: list[bytes] = []
+        self.size = 0
+
+    def add(self, blob: bytes) -> dict:
+        """Append `blob` at the next aligned offset; return its {offset, byte_len, crc32}."""
+        offset = _align(self.size)
+        if offset > self.size:
+            self.parts.append(b"\x00" * (offset - self.size))
+        self.parts.append(blob)
+        self.size = offset + len(blob)
+        return {"offset": offset, "byte_len": len(blob), "crc32": zlib.crc32(blob)}
 
 
 def write_atomic(path, parts: Iterable[bytes]) -> None:
@@ -69,15 +74,16 @@ def write_atomic(path, parts: Iterable[bytes]) -> None:
         raise
 
 
-def write_container(path, magic: bytes, version: int, header: dict, payload: bytes) -> None:
-    """Write a container atomically, as `write_atomic` does."""
+def write_container(path, magic: bytes, version: int, header: dict, parts: Iterable[bytes]) -> None:
+    """Write a container whose payload is `parts` (a `Payload`'s), atomically, as `write_atomic` does."""
     header_bytes = json.dumps(header, ensure_ascii=False).encode("utf-8")
     pad = _align(_PREFIX.size + len(header_bytes)) - (_PREFIX.size + len(header_bytes))
     header_bytes += b" " * pad
-    write_atomic(path, (_PREFIX.pack(magic, version, len(header_bytes)), header_bytes, payload))
+    write_atomic(path, (_PREFIX.pack(magic, version, len(header_bytes)), header_bytes, *parts))
 
 
-def read_container(path, magic: bytes, version: int) -> tuple[dict, bytes]:
+def read_container(path, magic: bytes, version: int) -> tuple[dict, memoryview]:
+    """The JSON header and a view of the payload bytes, which are read once and never sliced."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _PREFIX.size:
@@ -89,19 +95,18 @@ def read_container(path, magic: bytes, version: int) -> tuple[dict, bytes]:
         raise FormatError(f"unsupported version {got_version}, expected {version}")
     if _PREFIX.size + header_len > len(raw):
         raise FormatError("truncated file: header extends past end of file")
-    header_bytes = raw[_PREFIX.size : _PREFIX.size + header_len]
+    view = memoryview(raw)
     try:
-        header = json.loads(header_bytes.decode("utf-8"))
+        header = json.loads(str(view[_PREFIX.size : _PREFIX.size + header_len], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"header is not valid JSON: {exc}") from None
     if not isinstance(header, dict):
         raise FormatError("header must be a JSON object")
-    payload = raw[_PREFIX.size + header_len :]
-    return header, payload
+    return header, view[_PREFIX.size + header_len :]
 
 
-def fetch_blob(payload: bytes, meta: dict, context: str) -> bytes:
-    """Slice one blob out of the payload, verifying bounds and checksum."""
+def fetch_blob(payload: memoryview, meta: dict, context: str) -> memoryview:
+    """A view of one blob in the payload, after checking its bounds and checksum."""
     offset, byte_len, crc = meta["offset"], meta["byte_len"], meta["crc32"]
     if offset < 0 or offset + byte_len > len(payload):
         raise FormatError(f"truncated file: blob for {context} extends past end of payload")
@@ -109,6 +114,27 @@ def fetch_blob(payload: bytes, meta: dict, context: str) -> bytes:
     if zlib.crc32(blob) != crc:
         raise IntegrityError(f"checksum mismatch for {context}")
     return blob
+
+
+def read_array(payload: memoryview, meta: dict, ctx: str, dtype, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """One blob as a fresh, writable, native-order array of `dtype` that owns its data.
+
+    The blob must hold exactly the values of `shape`, or, when `shape` is
+    None, a whole number of values, returned 1-D. Its bounds and CRC are
+    checked by `fetch_blob`, and float values must be finite
+    (IntegrityError otherwise). The array is the only copy made of the
+    blob's bytes.
+    """
+    dtype = np.dtype(dtype)
+    byte_len = meta["byte_len"]
+    shape = (byte_len // dtype.itemsize,) if shape is None else shape
+    if byte_len != math.prod(shape) * dtype.itemsize:
+        raise FormatError(f"{ctx}: byte length {byte_len} does not hold {dtype.name} values of shape {shape}")
+    blob = fetch_blob(payload, meta, ctx)
+    values = np.frombuffer(blob, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
+    if values.dtype.kind == "f" and not np.all(np.isfinite(values)):
+        raise IntegrityError(f"{ctx}: non-finite values")
+    return values
 
 
 # --------------------------------------------------------------------------

@@ -283,64 +283,37 @@ def _packed_group_codes(codes: np.ndarray, groups, take) -> bytes:
     return b"".join(parts)
 
 
-def _entry_blobs(entry: CompressedEntry) -> list[tuple[str, bytes]]:
+def _encode_entry(name: str, entry: CompressedEntry, payload: container.Payload) -> dict:
+    """The entry's header; its blobs go into `payload` in role order."""
+    head = {"name": name, "kind": entry.kind, "class": entry.mclass.value, "shape": list(entry.shape)}
     if isinstance(entry, DenseEntry):
-        return [("dense", _f32_bytes(entry.values))]
-    if isinstance(entry, PrunedSparseEntry):
-        n = int(np.prod(entry.shape))
-        index_dtype = "<u8" if n >= 2**32 else "<u4"
-        return [
-            ("indices", entry.indices.astype(index_dtype).tobytes()),
+        blobs = [("dense", _f32_bytes(entry.values))]
+    elif isinstance(entry, PrunedSparseEntry):
+        width = 64 if math.prod(entry.shape) >= 2**32 else 32
+        head.update(alpha=entry.alpha, value_bits=entry.value_bits, index_width=width)
+        blobs = [
+            ("indices", entry.indices.astype(f"<u{width // 8}").tobytes()),
             ("values", pack_codes(entry.codes, entry.value_bits)),
             ("scales", _f32_bytes(entry.scales)),
         ]
-    if isinstance(entry, QuantizedSvdEntry):
-        codes_u = _packed_group_codes(entry.u_codes, entry.groups, lambda c, g: c[:, g.begin : g.end])
-        codes_v = _packed_group_codes(entry.v_codes, entry.groups, lambda c, g: c[g.begin : g.end, :])
-        return [
+    elif isinstance(entry, QuantizedSvdEntry):
+        head.update(rank=entry.rank, groups=[[g.begin, g.end, g.bits] for g in entry.groups])
+        blobs = [
             ("sigma", _f32_bytes(entry.sigma)),
-            ("codes_u", codes_u),
+            ("codes_u", _packed_group_codes(entry.u_codes, entry.groups, lambda c, g: c[:, g.begin : g.end])),
             ("scales_u", _f32_bytes(entry.u_scales)),
-            ("codes_v", codes_v),
+            ("codes_v", _packed_group_codes(entry.v_codes, entry.groups, lambda c, g: c[g.begin : g.end, :])),
             ("scales_v", _f32_bytes(entry.v_scales)),
         ]
-    raise TypeError(f"unknown entry {entry!r}")
-
-
-def _entry_header(name: str, entry: CompressedEntry, blob_metas: list[dict]) -> dict:
-    head = {
-        "name": name,
-        "kind": entry.kind,
-        "class": entry.mclass.value,
-        "shape": list(entry.shape),
-    }
-    if isinstance(entry, PrunedSparseEntry):
-        n = int(np.prod(entry.shape))
-        head["alpha"] = entry.alpha
-        head["value_bits"] = entry.value_bits
-        head["index_width"] = 64 if n >= 2**32 else 32
-    elif isinstance(entry, QuantizedSvdEntry):
-        head["rank"] = entry.rank
-        head["groups"] = [[g.begin, g.end, g.bits] for g in entry.groups]
-    head["blobs"] = blob_metas
+    else:
+        raise TypeError(f"unknown entry {entry!r}")
+    head["blobs"] = [{"role": role, **payload.add(blob)} for role, blob in blobs]
     return head
 
 
 def save_pack(pack: SkillPack, path) -> None:
-    all_blobs: list[bytes] = []
-    roles_per_entry: list[list[str]] = []
-    for entry in pack.entries.values():
-        named = _entry_blobs(entry)
-        roles_per_entry.append([role for role, _ in named])
-        all_blobs.extend(blob for _, blob in named)
-    payload, metas = container.layout_blobs(all_blobs)
-
-    meta_iter = iter(metas)
-    entry_headers = []
-    for (name, entry), roles in zip(pack.entries.items(), roles_per_entry):
-        blob_metas = [{"role": role, **next(meta_iter)} for role in roles]
-        entry_headers.append(_entry_header(name, entry, blob_metas))
-
+    payload = container.Payload()
+    entries = [_encode_entry(name, entry, payload) for name, entry in pack.entries.items()]
     header = {
         "format_version": pack.format_version,
         "base_model_id": pack.base_model_id,
@@ -348,9 +321,9 @@ def save_pack(pack: SkillPack, path) -> None:
         "task_tag": pack.task_tag,
         "plan": pack.plan_snapshot,
         "stats": pack_stats(pack.entries).to_dict(),
-        "entries": entry_headers,
+        "entries": entries,
     }
-    container.write_container(path, MAGIC, VERSION, header, payload)
+    container.write_container(path, MAGIC, VERSION, header, payload.parts)
 
 
 def _int_field(head: dict, key: str, ctx: str, low: int, high: int) -> int:
@@ -385,17 +358,7 @@ def _require_roles(head: dict, roles: tuple[str, ...], ctx: str) -> dict[str, di
     return by_role
 
 
-def _read_f32(payload, meta, context, expect_len) -> np.ndarray:
-    blob = container.fetch_blob(payload, meta, context)
-    if len(blob) != 4 * expect_len:
-        raise FormatError(f"{context}: expected {expect_len} float32 values")
-    values = np.frombuffer(blob, dtype="<f4").astype(np.float32)
-    if not np.all(np.isfinite(values)):
-        raise IntegrityError(f"{context}: non-finite float32 values")
-    return values
-
-
-def _unpack_group_codes(blob: bytes, groups, counts: list[int], context: str) -> list[np.ndarray]:
+def _unpack_group_codes(blob: memoryview, groups, counts: list[int], context: str) -> list[np.ndarray]:
     out = []
     offset = 0
     for g, count in zip(groups, counts):
@@ -415,7 +378,14 @@ def _construct(cls, ctx: str, **fields) -> CompressedEntry:
         raise IntegrityError(f"{ctx}: {exc}") from None
 
 
-def _load_entry(index: int, head, payload: bytes) -> tuple[str, CompressedEntry]:
+_ROLES = {
+    "dense": ("dense",),
+    "pruned_sparse": ("indices", "values", "scales"),
+    "quantized_svd": ("sigma", "codes_u", "scales_u", "codes_v", "scales_v"),
+}
+
+
+def _load_entry(index: int, head, payload: memoryview) -> tuple[str, CompressedEntry]:
     """One entry from its header; every header field is checked before use."""
     ctx = entry_context("entry", index, head)
     name = header_field(head, "name", str, ctx)
@@ -424,17 +394,22 @@ def _load_entry(index: int, head, payload: bytes) -> tuple[str, CompressedEntry]
         mclass = ModuleClass(header_field(head, "class", str, ctx))
     except ValueError:
         raise FormatError(f"{ctx}: unknown module class {head['class']!r}") from None
+    if kind not in _ROLES:
+        raise FormatError(f"{ctx}: unknown entry kind {kind!r}")
+    by_role = _require_roles(head, _ROLES[kind], ctx)
+
+    def array(role: str, dtype="<f4", shape: tuple[int, ...] | None = None) -> np.ndarray:
+        return container.read_array(payload, by_role[role], f"{ctx} blob {role!r}", dtype, shape)
+
+    def packed(role: str) -> memoryview:
+        return container.fetch_blob(payload, by_role[role], f"{ctx} blob {role!r}")
 
     if kind == "dense":
         shape = shape_field(head, ctx)
-        by_role = _require_roles(head, ("dense",), ctx)
-        n = math.prod(shape)
-        values = _read_f32(payload, by_role["dense"], f"{ctx} blob 'dense'", n).reshape(shape)
-        return name, DenseEntry(shape=shape, mclass=mclass, values=values)
+        return name, DenseEntry(shape=shape, mclass=mclass, values=array("dense", shape=shape))
 
     if kind == "pruned_sparse":
         shape = shape_field(head, ctx, 2)
-        by_role = _require_roles(head, ("indices", "values", "scales"), ctx)
         n = math.prod(shape)
         value_bits = _int_field(head, "value_bits", ctx, MIN_BITS, MAX_BITS)
         width = head.get("index_width", 32)
@@ -443,17 +418,12 @@ def _load_entry(index: int, head, payload: bytes) -> tuple[str, CompressedEntry]
         alpha = head.get("alpha", 0.0)
         if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
             raise FormatError(f"{ctx}: header field 'alpha' must be a number")
-        idx_blob = container.fetch_blob(payload, by_role["indices"], f"{ctx} blob 'indices'")
-        if len(idx_blob) % (width // 8):
-            raise FormatError(f"{ctx} blob 'indices': length is not a whole number of {width}-bit indices")
-        indices = np.frombuffer(idx_blob, dtype="<u8" if width == 64 else "<u4").astype(np.int64)
+        indices = array("indices", f"<u{width // 8}").astype(np.int64)
         if indices.size and (np.any(np.diff(indices) <= 0) or indices[0] < 0 or indices[-1] >= n):
             raise FormatError(f"{ctx}: indices must be strictly increasing and in range")
-        val_blob = container.fetch_blob(payload, by_role["values"], f"{ctx} blob 'values'")
+        val_blob = packed("values")
         if len(val_blob) < packed_size(len(indices), value_bits):
             raise FormatError(f"{ctx} blob 'values': shorter than {len(indices)} {value_bits}-bit codes")
-        codes = unpack_codes(val_blob, len(indices), value_bits)
-        scales = _read_f32(payload, by_role["scales"], f"{ctx} blob 'scales'", shape[0])
         return name, _construct(
             PrunedSparseEntry,
             ctx,
@@ -462,45 +432,32 @@ def _load_entry(index: int, head, payload: bytes) -> tuple[str, CompressedEntry]
             alpha=float(alpha),
             value_bits=value_bits,
             indices=indices,
-            codes=codes,
-            scales=scales,
+            codes=unpack_codes(val_blob, len(indices), value_bits),
+            scales=array("scales", shape=shape[:1]),
         )
 
-    if kind == "quantized_svd":
-        shape = shape_field(head, ctx, 2)
-        rows, cols = shape
-        by_role = _require_roles(head, ("sigma", "codes_u", "scales_u", "codes_v", "scales_v"), ctx)
-        rank = _int_field(head, "rank", ctx, 1, min(rows, cols))
-        groups = _groups_field(head, ctx, rank)
-        sigma = _read_f32(payload, by_role["sigma"], f"{ctx} blob 'sigma'", rank)
-        u_scales = _read_f32(payload, by_role["scales_u"], f"{ctx} blob 'scales_u'", rank)
-        v_scales = _read_f32(payload, by_role["scales_v"], f"{ctx} blob 'scales_v'", rank)
-
-        u_blob = container.fetch_blob(payload, by_role["codes_u"], f"{ctx} blob 'codes_u'")
-        v_blob = container.fetch_blob(payload, by_role["codes_v"], f"{ctx} blob 'codes_v'")
-        u_parts = _unpack_group_codes(u_blob, groups, [rows * g.length for g in groups], f"{ctx} codes_u")
-        v_parts = _unpack_group_codes(v_blob, groups, [g.length * cols for g in groups], f"{ctx} codes_v")
-        u_codes = np.concatenate(
-            [part.reshape(rows, g.length) for part, g in zip(u_parts, groups)], axis=1
-        )
-        v_codes = np.concatenate(
-            [part.reshape(g.length, cols) for part, g in zip(v_parts, groups)], axis=0
-        )
-        return name, _construct(
-            QuantizedSvdEntry,
-            ctx,
-            shape=shape,
-            mclass=mclass,
-            rank=rank,
-            groups=groups,
-            sigma=sigma,
-            u_codes=u_codes,
-            u_scales=u_scales,
-            v_codes=v_codes,
-            v_scales=v_scales,
-        )
-
-    raise FormatError(f"{ctx}: unknown entry kind {kind!r}")
+    shape = shape_field(head, ctx, 2)  # kind == "quantized_svd"
+    rows, cols = shape
+    rank = _int_field(head, "rank", ctx, 1, min(rows, cols))
+    groups = _groups_field(head, ctx, rank)
+    sigma, u_scales, v_scales = (array(role, shape=(rank,)) for role in ("sigma", "scales_u", "scales_v"))
+    u_parts = _unpack_group_codes(packed("codes_u"), groups, [rows * g.length for g in groups], f"{ctx} codes_u")
+    v_parts = _unpack_group_codes(packed("codes_v"), groups, [g.length * cols for g in groups], f"{ctx} codes_v")
+    u_codes = np.concatenate([part.reshape(rows, g.length) for part, g in zip(u_parts, groups)], axis=1)
+    v_codes = np.concatenate([part.reshape(g.length, cols) for part, g in zip(v_parts, groups)], axis=0)
+    return name, _construct(
+        QuantizedSvdEntry,
+        ctx,
+        shape=shape,
+        mclass=mclass,
+        rank=rank,
+        groups=groups,
+        sigma=sigma,
+        u_codes=u_codes,
+        u_scales=u_scales,
+        v_codes=v_codes,
+        v_scales=v_scales,
+    )
 
 
 def load_pack(path) -> SkillPack:
