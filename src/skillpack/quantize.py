@@ -83,20 +83,16 @@ class QuantizedMatrix:
     """Integer codes with one float32 scale per quantized vector.
 
     `axis` says which way the scales attach: "row" means scales[i] covers
-    codes[i, :], "column" means scales[j] covers codes[:, j]. `groups`
-    partition the scale axis into ranges of equal bit width.
+    codes[i, :], "column" means scales[j] covers codes[:, j].
     """
 
     codes: np.ndarray  # int32, same shape as the source matrix
     scales: np.ndarray  # float32, length = size of the scale axis
-    groups: tuple[BitGroup, ...]
     axis: str  # "row" | "column"
 
     def __post_init__(self):
         if self.axis not in ("row", "column"):
             raise ValueError(f"unknown scale axis {self.axis!r}")
-        n_vectors = self.codes.shape[0] if self.axis == "row" else self.codes.shape[1]
-        check_groups(self.groups, n_vectors)
 
     def dequantize(self, dtype=np.float64) -> np.ndarray:
         scales = self.scales.astype(dtype)
@@ -143,9 +139,7 @@ def quantize_rtn(m: np.ndarray, bits: int, axis: str = "row") -> QuantizedMatrix
     s64 = scales.astype(np.float64)
     broadcast = s64[:, None] if axis == "row" else s64[None, :]
     codes = encode(m.astype(np.float64), broadcast, bits)
-    n_vectors = m.shape[0] if axis == "row" else m.shape[1]
-    group = BitGroup(0, n_vectors, bits)
-    return QuantizedMatrix(codes=codes, scales=scales, groups=(group,), axis=axis)
+    return QuantizedMatrix(codes=codes, scales=scales, axis=axis)
 
 
 def _reverse(a: np.ndarray) -> None:
@@ -249,21 +243,13 @@ def quantize_gptq(
     if scale_axis not in ("row", "column"):
         raise ValueError(f"unknown scale axis {scale_axis!r}")
 
-    rows, cols = m.shape
-    scales = rtn_scales(m, bits, scale_axis)
-    s64 = scales.astype(np.float64)
-    n_vectors = rows if scale_axis == "row" else cols
-    group = (BitGroup(0, n_vectors, bits),)
     if factor is None:
         factor = hessian_factor(x, damping)
-
-    w = np.asarray(m, dtype=np.float64)
     if factor is None:  # no calibration signal: plain RTN
-        broadcast = s64[:, None] if scale_axis == "row" else s64[None, :]
-        codes = encode(w, broadcast, bits)
-    else:
-        codes = _sweep(w, factor, s64, bits, scale_axis)
-    return QuantizedMatrix(codes=codes, scales=scales, groups=group, axis=scale_axis)
+        return quantize_rtn(m, bits, scale_axis)
+    scales = rtn_scales(m, bits, scale_axis)
+    codes = _sweep(np.asarray(m, dtype=np.float64), factor, scales.astype(np.float64), bits, scale_axis)
+    return QuantizedMatrix(codes=codes, scales=scales, axis=scale_axis)
 
 
 def calibration_error(m: np.ndarray, dequantized: np.ndarray, x: np.ndarray) -> float:
