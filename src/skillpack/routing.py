@@ -217,15 +217,22 @@ def router_to_dict(router: Router) -> dict:
     raise TypeError(f"unknown router {router!r}")
 
 
+def _pack_ids(value, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{what} must be a list of pack id strings")
+    return list(value)
+
+
 def router_from_dict(d: dict) -> Router:
     kind = d.get("kind")
     if kind == "task_table":
-        return TaskTable(table={tag: list(ids) for tag, ids in d["table"].items()})
+        return TaskTable(table={tag: _pack_ids(ids, f"task {tag!r}") for tag, ids in d["table"].items()})
     if kind == "linear_classifier":
         dim = int(d["d"])
         bias = np.asarray(d["bias"], dtype=np.float64)
         weights = np.asarray(d["weights"], dtype=np.float64).reshape(len(bias), dim)
-        return LinearClassifier(weights=weights, bias=bias, class_to_pack=list(d["class_to_pack"]))
+        class_to_pack = _pack_ids(d["class_to_pack"], "class_to_pack")
+        return LinearClassifier(weights=weights, bias=bias, class_to_pack=class_to_pack)
     raise ValueError(f"unknown router kind {kind!r}")
 
 

@@ -266,8 +266,14 @@ def test_failed_router_save_keeps_previous_file(tmp_path):
         '{"kind": "linear_classifier", "d": 2, "weights": [1.0], "bias": [0.0], "class_to_pack": ["a"]}',
         '{"kind": "linear_classifier", "d": 1, "weights": ["x"], "bias": [0.0], "class_to_pack": ["a"]}',
         '{"kind": "nope"}',
+        '{"kind": "task_table", "table": {"t": "abc"}}',
+        '{"kind": "task_table", "table": {"t": [1, null]}}',
+        '{"kind": "linear_classifier", "d": 1, "weights": [1.0], "bias": [0.0], "class_to_pack": [5]}',
     ],
-    ids=["truncated", "not-utf8", "not-object", "no-table", "table-list", "no-d", "bad-d", "string-weight", "bad-kind"],
+    ids=[
+        "truncated", "not-utf8", "not-object", "no-table", "table-list", "no-d", "bad-d", "string-weight", "bad-kind",
+        "table-string-ids", "table-non-string-ids", "int-class-to-pack",
+    ],
 )
 def test_malformed_router_file_is_format_error(tmp_path, text):
     path = tmp_path / "r.json"
