@@ -81,7 +81,8 @@ def _read_tensors(header: dict, payload: memoryview) -> dict[str, np.ndarray]:
 
 def load_checkpoint(path) -> Checkpoint:
     header, payload = container.read_container(path, MAGIC, VERSION)
-    return Checkpoint(model_id=header.get("model_id", ""), tensors=_read_tensors(header, payload))
+    model_id = container.header_field(header, "model_id", str, "checkpoint")
+    return Checkpoint(model_id=model_id, tensors=_read_tensors(header, payload))
 
 
 def diff(base: Checkpoint, tuned: Checkpoint) -> DeltaMap:
@@ -113,11 +114,9 @@ def save_delta(dm: DeltaMap, path) -> None:
 
 def load_delta(path) -> DeltaMap:
     header, payload = container.read_container(path, MAGIC, VERSION)
-    if "delta_base_id" not in header or "delta_tuned_id" not in header:
-        raise FormatError("not a delta container: missing delta_base_id/delta_tuned_id")
     return DeltaMap(
-        base_id=header["delta_base_id"],
-        tuned_id=header["delta_tuned_id"],
+        base_id=container.header_field(header, "delta_base_id", str, "delta"),
+        tuned_id=container.header_field(header, "delta_tuned_id", str, "delta"),
         deltas=_read_tensors(header, payload),
     )
 

@@ -462,25 +462,24 @@ def _load_entry(index: int, head, payload: memoryview) -> tuple[str, CompressedE
 
 def load_pack(path) -> SkillPack:
     header, payload = container.read_container(path, MAGIC, VERSION)
-    entries: dict[str, CompressedEntry] = {}
+    pack = SkillPack(
+        base_model_id=header_field(header, "base_model_id", str, "pack"),
+        tuned_model_id=header_field(header, "tuned_model_id", str, "pack"),
+        task_tag=header_field(header, "task_tag", str, "pack"),
+        plan_snapshot=header_field(header, "plan", dict, "pack"),
+        format_version=header_field(header, "format_version", int, "pack"),
+    )
     heads = header.get("entries", [])
     if not isinstance(heads, list):
         raise FormatError("header field 'entries' must be a list")
     for index, head in enumerate(heads):
         name, entry = _load_entry(index, head, payload)
-        if name in entries:
+        if name in pack.entries:
             raise FormatError(f"duplicate entry name {name!r}")
-        entries[name] = entry
-    if pack_stats(entries).to_dict() != header.get("stats"):
+        pack.entries[name] = entry
+    if pack.stats.to_dict() != header.get("stats"):
         raise IntegrityError("stats mismatch: stored storage stats do not match the entries")
-    return SkillPack(
-        base_model_id=header.get("base_model_id", ""),
-        tuned_model_id=header.get("tuned_model_id", ""),
-        task_tag=header.get("task_tag", ""),
-        plan_snapshot=header.get("plan", {}),
-        entries=entries,
-        format_version=header.get("format_version", VERSION),
-    )
+    return pack
 
 
 # --------------------------------------------------------------------------

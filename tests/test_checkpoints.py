@@ -128,8 +128,13 @@ def _set_first(key, value):
         (lambda header: header.__setitem__("tensors", [1]), r"tensor #0: header must be a JSON object"),
         (_set_first("offset", "0"), r"tensor 'a.weight': malformed blob metadata"),
         (lambda header: header.__setitem__("tensors", {}), r"header field 'tensors' must be a list"),
+        (lambda header: header.__setitem__("model_id", [1, 2]), r"header field 'model_id' must be str, got list"),
+        (lambda header: header.pop("model_id"), r"header field 'model_id' must be str, got missing"),
     ],
-    ids=["missing-name", "string-shape", "negative-shape", "non-object-entry", "string-offset", "non-list-tensors"],
+    ids=[
+        "missing-name", "string-shape", "negative-shape", "non-object-entry", "string-offset", "non-list-tensors",
+        "list-model-id", "missing-model-id",
+    ],
 )
 def test_malformed_tensor_header_is_format_error(tmp_path, mutate, match):
     path = tmp_path / "h.gltc"
@@ -137,6 +142,25 @@ def test_malformed_tensor_header_is_format_error(tmp_path, mutate, match):
     rewrite_header(path, mutate)
     with pytest.raises(FormatError, match=match):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, value", [("delta_base_id", {"x": 1}), ("delta_tuned_id", 5), ("delta_base_id", None)])
+def test_ill_typed_delta_id_is_format_error(tmp_path, field, value):
+    path = tmp_path / "d.gltc"
+    save_delta(diff(small_checkpoint(), small_checkpoint(seed=1, model_id="m2")), path)
+    rewrite_header(path, lambda header: header.__setitem__(field, value))
+    with pytest.raises(FormatError, match=f"header field '{field}' must be str"):
+        load_delta(path)
+
+
+def test_loaded_tensors_are_writable_and_own_their_data(tmp_path):
+    base, tuned = small_checkpoint(), small_checkpoint(seed=1, model_id="m2")
+    save_checkpoint(base, tmp_path / "c.gltc")
+    save_delta(diff(base, tuned), tmp_path / "d.gltc")
+    loaded = [*load_checkpoint(tmp_path / "c.gltc").tensors.values(), *load_delta(tmp_path / "d.gltc").deltas.values()]
+    assert len(loaded) == 4
+    for arr in loaded:
+        assert arr.flags.writeable and arr.flags.owndata
 
 
 def test_nonfinite_tensor_on_load_is_integrity_error(tmp_path):

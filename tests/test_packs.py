@@ -159,6 +159,39 @@ def test_ill_typed_header_field_is_format_error(tmp_path, field, value):
         load_pack(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("base_model_id", 7), ("tuned_model_id", None), ("task_tag", ["x"]), ("plan", "zzz"),
+    ("format_version", "one"), ("format_version", True), ("task_tag", "<missing>"), ("plan", "<missing>"),
+])
+def test_ill_typed_top_level_field_is_format_error(tmp_path, field, value):
+    path = _svd_pack_file(tmp_path)
+
+    def mutate(header):
+        if value == "<missing>":
+            del header[field]
+        else:
+            header[field] = value
+
+    _rewrite_header(path, mutate)
+    with pytest.raises(FormatError, match=f"header field '{field}'"):
+        load_pack(path)
+
+
+def test_loaded_entry_arrays_are_writable_and_own_their_data(tmp_path):
+    rng = np.random.default_rng(5)
+    entries = {kind: random_entry(rng, kind) for kind in ("dense", "pruned", "svd")}
+    save_pack(SkillPack("b", "t", "", {}, entries), tmp_path / "p.skpk")
+    loaded = load_pack(tmp_path / "p.skpk").entries
+    arrays = [
+        loaded["dense"].values,
+        loaded["pruned"].indices, loaded["pruned"].codes, loaded["pruned"].scales,
+        loaded["svd"].sigma, loaded["svd"].u_codes, loaded["svd"].u_scales,
+        loaded["svd"].v_codes, loaded["svd"].v_scales,
+    ]
+    for arr in arrays:
+        assert arr.flags.writeable and arr.flags.owndata
+
+
 def _overwrite_blob_start(path, role, data: bytes):
     """Overwrite the first bytes of the first entry's `role` blob and recompute its CRC."""
     raw = path.read_bytes()
