@@ -10,9 +10,16 @@ Layout (all integers little-endian):
     payload     blobs at 64-byte-aligned offsets relative to payload start
 
 Blob metadata ({offset, byte_len, crc32}) lives in the JSON header; CRC32 is
-the IEEE polynomial over each blob's payload bytes. Header fields come from
-the file, so both formats read them through the checkers below, which raise
-FormatError naming the entry instead of leaking KeyError or TypeError.
+the IEEE polynomial over each blob's payload bytes. A saver adds each blob to
+a `Payload`, which returns that metadata and keeps the blobs and their
+padding as the parts `write_container` writes, so the payload is never
+joined into one buffer. A load reads the file once, into one buffer;
+`read_container` returns a view of its payload, and `read_array`, the one
+blob-to-array decoder, copies each blob once, from that view, into a fresh
+native-order array after checking bounds, CRC and byte length (and that
+float values are finite). Header fields come from the file, so both
+formats read them through the checkers below, which raise FormatError
+naming the entry instead of leaking KeyError or TypeError.
 """
 
 from __future__ import annotations
@@ -83,7 +90,7 @@ def write_container(path, magic: bytes, version: int, header: dict, parts: Itera
 
 
 def read_container(path, magic: bytes, version: int) -> tuple[dict, memoryview]:
-    """The JSON header and a view of the payload bytes, which are read once and never sliced."""
+    """The JSON header and a memoryview of the payload; the file is read once and not copied again."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _PREFIX.size:
