@@ -20,7 +20,7 @@ from .checkpoints import (
 )
 from .classify import ClassificationManifest, ModuleClass, classify, default_manifest
 from .compress import compress_delta, compress_entry, synthetic_calibration
-from .errors import FormatError, IntegrityError, SkillPackError
+from .errors import CompatibilityError, FormatError, IntegrityError, SkillPackError
 from .losses import PreferenceScores, dpo_loss, sft_nll
 from .packs import (
     DenseEntry,

@@ -13,8 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import container
-from .errors import FormatError
-from .tensors import ensure_finite
+from .errors import CompatibilityError, FormatError
 
 MAGIC = b"GLTC"
 VERSION = 1
@@ -48,9 +47,8 @@ def _write_tensor_container(path, model_id: str, tensors: dict[str, np.ndarray],
     entries = []
     for name, arr in tensors.items():
         tag = _dtype_tag(arr, name)
-        ensure_finite(arr, f"tensor {name!r}")
-        blob = np.ascontiguousarray(arr, dtype=_DTYPE_TAGS[tag]).tobytes()
-        entries.append({"name": name, "dtype": tag, "shape": list(arr.shape), **payload.add(blob)})
+        meta = payload.add_array(arr, _DTYPE_TAGS[tag], f"tensor {name!r}")
+        entries.append({"name": name, "dtype": tag, "shape": list(arr.shape), **meta})
     header = {"model_id": model_id, **(extra or {}), "tensors": entries}
     container.write_container(path, MAGIC, VERSION, header, payload.parts)
 
@@ -66,22 +64,22 @@ def _read_tensors(header: dict, payload: memoryview) -> dict[str, np.ndarray]:
         raise FormatError("header field 'tensors' must be a list")
     tensors: dict[str, np.ndarray] = {}
     for index, meta in enumerate(metas):
-        ctx = container.entry_context("tensor", index, meta)
-        name = container.header_field(meta, "name", str, ctx)
-        if name in tensors:
-            raise FormatError(f"duplicate tensor name {name!r}")
-        tag = container.header_field(meta, "dtype", str, ctx)
-        if tag not in _DTYPE_TAGS:
-            raise FormatError(f"{ctx} has unknown dtype tag {tag!r}")
-        shape = container.shape_field(meta, ctx)
-        container.check_blob_meta(meta, ctx)
-        tensors[name] = container.read_array(payload, meta, ctx, _DTYPE_TAGS[tag], shape)
+        with container.naming(container.entry_context("tensor", index, meta)):
+            name = container.header_field(meta, "name", str)
+            if name in tensors:
+                raise FormatError("duplicate tensor name")
+            tag = container.header_field(meta, "dtype", str)
+            if tag not in _DTYPE_TAGS:
+                raise FormatError(f"unknown dtype tag {tag!r}")
+            shape = container.shape_field(meta)
+            container.check_blob_meta(meta)
+            tensors[name] = container.read_array(payload, meta, _DTYPE_TAGS[tag], shape)
     return tensors
 
 
 def load_checkpoint(path) -> Checkpoint:
     header, payload = container.read_container(path, MAGIC, VERSION)
-    model_id = container.header_field(header, "model_id", str, "checkpoint")
+    model_id = container.header_field(header, "model_id", str)
     return Checkpoint(model_id=model_id, tensors=_read_tensors(header, payload))
 
 
@@ -115,8 +113,8 @@ def save_delta(dm: DeltaMap, path) -> None:
 def load_delta(path) -> DeltaMap:
     header, payload = container.read_container(path, MAGIC, VERSION)
     return DeltaMap(
-        base_id=container.header_field(header, "delta_base_id", str, "delta"),
-        tuned_id=container.header_field(header, "delta_tuned_id", str, "delta"),
+        base_id=container.header_field(header, "delta_base_id", str),
+        tuned_id=container.header_field(header, "delta_tuned_id", str),
         deltas=_read_tensors(header, payload),
     )
 
@@ -126,12 +124,12 @@ def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) ->
 
     `selected` is an ordered sequence of (pack id, pack, weight). Every
     pack's base id (unless `force`) and every entry's name and shape are
-    checked against the base before anything is reconstructed; errors name
-    the pack by its id, or as <untagged> when the id is empty. Updates
-    are summed in float32 in the given order; packs of weight 0 add
-    nothing. Elements whose update is zero keep the base bit pattern
-    (adding 0.0 would flip -0.0 to +0.0), which is what makes zero-delta
-    grafts and empty fusions exact identities.
+    checked against the base before anything is reconstructed; a mismatch
+    raises CompatibilityError, naming the pack by its id, or as <untagged>
+    when the id is empty. Updates are summed in float32 in the given order;
+    packs of weight 0 add nothing. Elements whose update is zero keep the
+    base bit pattern (adding 0.0 would flip -0.0 to +0.0), which is what
+    makes zero-delta grafts and empty fusions exact identities.
 
     The base is never mutated. Names no selected pack touches are
     read-only views of the base's arrays, not copies, so writing to them
@@ -142,16 +140,18 @@ def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) ->
     for pack_id, pack, _ in selected:
         label = repr(pack_id) if pack_id else "<untagged>"
         if pack.base_model_id != base.model_id and not force:
-            raise ValueError(
+            raise CompatibilityError(
                 f"pack {label} was built against {pack.base_model_id!r}, base is {base.model_id!r}"
                 " (use force to override)"
             )
         for name, entry in pack.entries.items():
             arr = base.tensors.get(name)
             if arr is None:
-                raise ValueError(f"pack {label} entry {name!r} has no matching tensor in the base checkpoint")
+                raise CompatibilityError(f"pack {label} entry {name!r} has no matching tensor in the base checkpoint")
             if tuple(entry.shape) != arr.shape:
-                raise ValueError(f"pack {label} entry {name!r} shape {entry.shape} does not match base {arr.shape}")
+                raise CompatibilityError(
+                    f"pack {label} entry {name!r} shape {entry.shape} does not match base {arr.shape}"
+                )
 
     updates: dict[str, np.ndarray] = {}
     for _, pack, weight in selected:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .checkpoints import apply_pack, diff, load_checkpoint, load_delta, save_checkpoint, save_delta
 from .classify import ClassificationManifest, default_manifest
 from .compress import compress_delta
@@ -37,13 +38,11 @@ from .routing import (
 from .toy import DeltaRecipe, ToySpec, eval_retention, gen_toy
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise ValueError("top level must be a JSON object")
     return config
 
 
@@ -87,9 +86,10 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_compress(args) -> int:
-    config = _load_config(args.plan)
-    plan = _plan_from_config(config, args.seed)
-    manifest = _manifest_from_config(config)
+    with container.naming(f"config file {args.plan!r}"):
+        config = _load_config(args.plan)
+        plan = _plan_from_config(config, args.seed)
+        manifest = _manifest_from_config(config)
     deltas = load_delta(args.delta)
     pack = compress_delta(deltas, manifest, plan, task_tag=args.tag)
     save_pack(pack, args.out)
@@ -150,10 +150,11 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_route_train(args) -> int:
-    with open(args.data, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    pack_ids = raw.get("pack_ids") or [f"pack{i}" for i in range(len(raw["losses"][0]))]
-    data = RouterTrainingSet(features=raw["features"], losses=raw["losses"], pack_ids=pack_ids)
+    with container.naming(f"training file {args.data!r}"):
+        with open(args.data, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        pack_ids = raw.get("pack_ids") or [f"pack{i}" for i in range(len(raw["losses"][0]))]
+        data = RouterTrainingSet(features=raw["features"], losses=raw["losses"], pack_ids=pack_ids)
     classifier, accuracy = train_router(data, epochs=args.epochs, learning_rate=args.lr)
     save_router(classifier, args.out)
     print(f"wrote {args.out}  training_accuracy={accuracy:.4f}")

@@ -10,16 +10,14 @@ Layout (all integers little-endian):
     payload     blobs at 64-byte-aligned offsets relative to payload start
 
 Blob metadata ({offset, byte_len, crc32}) lives in the JSON header; CRC32 is
-the IEEE polynomial over each blob's payload bytes. A saver adds each blob to
-a `Payload`, which returns that metadata and keeps the blobs and their
-padding as the parts `write_container` writes, so the payload is never
-joined into one buffer. A load reads the file once, into one buffer;
-`read_container` returns a view of its payload, and `read_array`, the one
-blob-to-array decoder, copies each blob once, from that view, into a fresh
-native-order array after checking bounds, CRC and byte length (and that
-float values are finite). Header fields come from the file, so both
-formats read them through the checkers below, which raise FormatError
-naming the entry instead of leaking KeyError or TypeError.
+the IEEE polynomial over each blob's payload bytes. Savers add blobs to a
+`Payload`, whose `add_array` is the one array encoder, and its parts are
+written unjoined. A load reads the file once; `read_array`, the one decoder
+and the inverse of `add_array`, copies each checked blob once into a fresh
+native-order array. Both sides refuse non-finite floats. Header fields come
+from the file and are read through the checkers below, and each loader reads
+every entry inside `naming`, its one error boundary, which names the entry
+in any error and turns KeyError, TypeError and the like into FormatError.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ import os
 import secrets
 import struct
 import zlib
+from contextlib import contextmanager
 from typing import Iterable
 
 import numpy as np
@@ -48,20 +47,32 @@ class Payload:
     """Blobs at 64-byte-aligned offsets, kept as the list of parts to write."""
 
     def __init__(self):
-        self.parts: list[bytes] = []
+        self.parts: list = []
         self.size = 0
 
-    def add(self, blob: bytes) -> dict:
-        """Append `blob` at the next aligned offset; return its {offset, byte_len, crc32}."""
+    def add(self, blob) -> dict:
+        """Append `blob`, any C-contiguous buffer, at the next aligned offset; return its {offset, byte_len, crc32}."""
+        view = memoryview(blob)
         offset = _align(self.size)
         if offset > self.size:
             self.parts.append(b"\x00" * (offset - self.size))
-        self.parts.append(blob)
-        self.size = offset + len(blob)
-        return {"offset": offset, "byte_len": len(blob), "crc32": zlib.crc32(blob)}
+        self.parts.append(view)
+        self.size = offset + view.nbytes
+        return {"offset": offset, "byte_len": view.nbytes, "crc32": zlib.crc32(view)}
+
+    def add_array(self, arr, dtype, ctx: str) -> dict:
+        """Add `arr` as little-endian `dtype` values, the inverse of `read_array`, copying only
+        an array that is not one already. Non-finite floats raise ValueError naming `ctx`."""
+        values = np.ascontiguousarray(arr, dtype=np.dtype(dtype).newbyteorder("<"))
+        # A float64 sum of float32 or float16 values cannot overflow, so it is
+        # finite exactly when every value is, and needs no per-value temporary.
+        with np.errstate(invalid="ignore"):
+            if values.dtype.kind == "f" and not np.isfinite(values.sum(dtype=np.float64)):
+                raise ValueError(f"{ctx}: non-finite values")
+        return self.add(values)
 
 
-def write_atomic(path, parts: Iterable[bytes]) -> None:
+def write_atomic(path, parts: Iterable) -> None:
     """Write `parts` atomically: a temp file in the target's directory, then `os.replace`.
 
     A failed write leaves any previous file at `path` untouched and removes
@@ -81,7 +92,7 @@ def write_atomic(path, parts: Iterable[bytes]) -> None:
         raise
 
 
-def write_container(path, magic: bytes, version: int, header: dict, parts: Iterable[bytes]) -> None:
+def write_container(path, magic: bytes, version: int, header: dict, parts: Iterable) -> None:
     """Write a container whose payload is `parts` (a `Payload`'s), atomically, as `write_atomic` does."""
     header_bytes = json.dumps(header, ensure_ascii=False).encode("utf-8")
     pad = _align(_PREFIX.size + len(header_bytes)) - (_PREFIX.size + len(header_bytes))
@@ -112,18 +123,18 @@ def read_container(path, magic: bytes, version: int) -> tuple[dict, memoryview]:
     return header, view[_PREFIX.size + header_len :]
 
 
-def fetch_blob(payload: memoryview, meta: dict, context: str) -> memoryview:
+def fetch_blob(payload: memoryview, meta: dict) -> memoryview:
     """A view of one blob in the payload, after checking its bounds and checksum."""
     offset, byte_len, crc = meta["offset"], meta["byte_len"], meta["crc32"]
     if offset < 0 or offset + byte_len > len(payload):
-        raise FormatError(f"truncated file: blob for {context} extends past end of payload")
+        raise FormatError("truncated file: blob extends past end of payload")
     blob = payload[offset : offset + byte_len]
     if zlib.crc32(blob) != crc:
-        raise IntegrityError(f"checksum mismatch for {context}")
+        raise IntegrityError("checksum mismatch")
     return blob
 
 
-def read_array(payload: memoryview, meta: dict, ctx: str, dtype, shape: tuple[int, ...] | None = None) -> np.ndarray:
+def read_array(payload: memoryview, meta: dict, dtype, shape: tuple[int, ...] | None = None) -> np.ndarray:
     """One blob as a fresh, writable, native-order array of `dtype` that owns its data.
 
     The blob must hold exactly the values of `shape`, or, when `shape` is
@@ -136,12 +147,26 @@ def read_array(payload: memoryview, meta: dict, ctx: str, dtype, shape: tuple[in
     byte_len = meta["byte_len"]
     shape = (byte_len // dtype.itemsize,) if shape is None else shape
     if byte_len != math.prod(shape) * dtype.itemsize:
-        raise FormatError(f"{ctx}: byte length {byte_len} does not hold {dtype.name} values of shape {shape}")
-    blob = fetch_blob(payload, meta, ctx)
+        raise FormatError(f"byte length {byte_len} does not hold {dtype.name} values of shape {shape}")
+    blob = fetch_blob(payload, meta)
     values = np.frombuffer(blob, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
     if values.dtype.kind == "f" and not np.all(np.isfinite(values)):
-        raise IntegrityError(f"{ctx}: non-finite values")
+        raise IntegrityError("non-finite values")
     return values
+
+
+@contextmanager
+def naming(ctx: str):
+    """A loader's one error boundary: put `ctx` in front of any error raised inside.
+    IntegrityError stays one; FormatError and what parsing bad fields raises
+    (ValueError, TypeError, KeyError, IndexError, AttributeError) become FormatError."""
+    try:
+        yield
+    except IntegrityError as exc:
+        raise IntegrityError(f"{ctx}: {exc}") from None
+    except (FormatError, ValueError, TypeError, KeyError, IndexError, AttributeError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise FormatError(f"{ctx}: {detail}") from None
 
 
 # --------------------------------------------------------------------------
@@ -161,24 +186,24 @@ def entry_context(what: str, index: int, head) -> str:
     return f"{what} {name!r}" if isinstance(name, str) else f"{what} #{index}"
 
 
-def header_field(head: dict, key: str, kind: type, ctx: str):
+def header_field(head: dict, key: str, kind: type):
     """head[key], which must be present and a `kind` (a bool is never an int)."""
     value = head.get(key)
     if not isinstance(value, kind) or (kind is int and not is_int(value)):
         got = "missing" if key not in head else type(value).__name__
-        raise FormatError(f"{ctx}: header field {key!r} must be {kind.__name__}, got {got}")
+        raise FormatError(f"header field {key!r} must be {kind.__name__}, got {got}")
     return value
 
 
-def shape_field(head: dict, ctx: str, ndim: int | None = None) -> tuple[int, ...]:
-    shape = header_field(head, "shape", list, ctx)
+def shape_field(head: dict, ndim: int | None = None) -> tuple[int, ...]:
+    shape = header_field(head, "shape", list)
     if (ndim is not None and len(shape) != ndim) or not all(is_int(d) and d >= 0 for d in shape):
-        raise FormatError(f"{ctx}: header field 'shape' must be {ndim or 'some'} non-negative ints")
+        raise FormatError(f"header field 'shape' must be {ndim or 'some'} non-negative ints")
     return tuple(shape)
 
 
-def check_blob_meta(meta, ctx: str) -> None:
+def check_blob_meta(meta) -> None:
     """Blob metadata must be an object whose offset, byte_len and crc32 are non-negative ints."""
     keys = ("offset", "byte_len", "crc32")
     if not isinstance(meta, dict) or not all(is_int(meta.get(k)) and meta[k] >= 0 for k in keys):
-        raise FormatError(f"{ctx}: malformed blob metadata")
+        raise FormatError("malformed blob metadata")

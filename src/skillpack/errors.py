@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
 Precondition violations (bad ranks, alpha out of range, shape mismatches)
-raise plain ValueError; these classes cover problems with serialized
-artifacts, where the caller needs to distinguish "the file is malformed"
-from "the file was damaged or tampered with".
+raise plain ValueError. FormatError and IntegrityError cover problems with
+serialized artifacts, where the caller needs to distinguish "the file is
+malformed" from "the file was damaged or tampered with"; CompatibilityError
+covers a pack that does not fit the base it is composed onto.
 """
 
 
@@ -17,3 +18,7 @@ class FormatError(SkillPackError):
 
 class IntegrityError(SkillPackError):
     """Container parsed but its contents fail verification (CRC, stats, code ranges)."""
+
+
+class CompatibilityError(SkillPackError, ValueError):
+    """A pack does not fit its base: another base model id, a missing tensor name or another shape."""

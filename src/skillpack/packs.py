@@ -21,7 +21,7 @@ from .classify import ModuleClass, classify
 from .container import check_blob_meta, entry_context, header_field, is_int, shape_field
 from .errors import FormatError, IntegrityError
 from .plans import DenseStrategy, PruneStrategy, Strategy, SvdQuantStrategy, clip_groups
-from .quantize import MAX_BITS, MIN_BITS, BitGroup, check_groups, pack_codes, packed_size, qmax, unpack_codes
+from .quantize import BitGroup, check_bits, check_groups, pack_codes, packed_size, qmax, unpack_codes
 from .tensors import retained_count
 
 MAGIC = b"SKPK"
@@ -29,7 +29,8 @@ VERSION = 1
 
 
 # --------------------------------------------------------------------------
-# Compressed entries
+# Compressed entries. Each checks how its fields relate when it is built, so
+# compressed, hand-built and loaded entries pass the same checks.
 # --------------------------------------------------------------------------
 
 def _check_code_range(codes: np.ndarray, bits: int, what: str) -> None:
@@ -44,6 +45,10 @@ class DenseEntry:
     values: np.ndarray  # float32
 
     kind = "dense"
+
+    def __post_init__(self):
+        if self.values.shape != tuple(self.shape):
+            raise ValueError(f"dense values of shape {self.values.shape} do not match the entry shape {self.shape}")
 
     def reconstruct(self) -> np.ndarray:
         """A fresh, writable float32 array; callers may modify it in place."""
@@ -63,6 +68,12 @@ class PrunedSparseEntry:
     kind = "pruned_sparse"
 
     def __post_init__(self):
+        check_bits(self.value_bits)
+        idx = self.indices
+        if idx.size and (np.any(idx[1:] <= idx[:-1]) or idx[0] < 0 or idx[-1] >= math.prod(self.shape)):
+            raise ValueError("indices must be strictly increasing and in range")
+        if len(self.codes) != len(idx) or len(self.scales) != self.shape[0]:
+            raise ValueError("a pruned entry needs one code per index and one scale per row")
         _check_code_range(self.codes, self.value_bits, "values")
 
     def reconstruct(self) -> np.ndarray:
@@ -89,9 +100,14 @@ class QuantizedSvdEntry:
 
     def __post_init__(self):
         self.groups = tuple(self.groups)
+        rows, cols = self.shape
+        if not 1 <= self.rank <= min(rows, cols):
+            raise ValueError(f"rank {self.rank} is outside [1, {min(rows, cols)}]")
         check_groups(self.groups, self.rank)
         if len(self.sigma) != self.rank or len(self.u_scales) != self.rank or len(self.v_scales) != self.rank:
             raise ValueError("sigma and scale lengths must equal the rank")
+        if self.u_codes.shape != (rows, self.rank) or self.v_codes.shape != (self.rank, cols):
+            raise ValueError(f"U codes must be {rows}x{self.rank} and V codes {self.rank}x{cols}")
         for g in self.groups:
             group = f"group [{g.begin}, {g.end})"
             _check_code_range(self.u_codes[:, g.begin : g.end], g.bits, f"U {group}")
@@ -273,41 +289,34 @@ class SkillPack:
 # Serialization
 # --------------------------------------------------------------------------
 
-def _f32_bytes(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f4").tobytes()
-
-
-def _packed_group_codes(codes: np.ndarray, groups, take) -> bytes:
-    """Concatenate per-group packed segments, each padded to a byte boundary."""
-    parts = [pack_codes(take(codes, g), g.bits) for g in groups]
-    return b"".join(parts)
-
-
 def _encode_entry(name: str, entry: CompressedEntry, payload: container.Payload) -> dict:
     """The entry's header; its blobs go into `payload` in role order."""
     head = {"name": name, "kind": entry.kind, "class": entry.mclass.value, "shape": list(entry.shape)}
+    blobs = []
+
+    def add(role: str, data, dtype=None) -> None:
+        ctx = f"entry {name!r} blob {role!r}"
+        blobs.append({"role": role, **(payload.add(data) if dtype is None else payload.add_array(data, dtype, ctx))})
+
     if isinstance(entry, DenseEntry):
-        blobs = [("dense", _f32_bytes(entry.values))]
+        add("dense", entry.values, "<f4")
     elif isinstance(entry, PrunedSparseEntry):
         width = 64 if math.prod(entry.shape) >= 2**32 else 32
         head.update(alpha=entry.alpha, value_bits=entry.value_bits, index_width=width)
-        blobs = [
-            ("indices", entry.indices.astype(f"<u{width // 8}").tobytes()),
-            ("values", pack_codes(entry.codes, entry.value_bits)),
-            ("scales", _f32_bytes(entry.scales)),
-        ]
+        codes = pack_codes(entry.codes, entry.value_bits)  # first: its temporaries dwarf the indices copy
+        add("indices", entry.indices, f"<u{width // 8}")
+        add("values", codes)
+        add("scales", entry.scales, "<f4")
     elif isinstance(entry, QuantizedSvdEntry):
         head.update(rank=entry.rank, groups=[[g.begin, g.end, g.bits] for g in entry.groups])
-        blobs = [
-            ("sigma", _f32_bytes(entry.sigma)),
-            ("codes_u", _packed_group_codes(entry.u_codes, entry.groups, lambda c, g: c[:, g.begin : g.end])),
-            ("scales_u", _f32_bytes(entry.u_scales)),
-            ("codes_v", _packed_group_codes(entry.v_codes, entry.groups, lambda c, g: c[g.begin : g.end, :])),
-            ("scales_v", _f32_bytes(entry.v_scales)),
-        ]
+        add("sigma", entry.sigma, "<f4")
+        add("codes_u", b"".join(pack_codes(entry.u_codes[:, g.begin : g.end], g.bits) for g in entry.groups))
+        add("scales_u", entry.u_scales, "<f4")
+        add("codes_v", b"".join(pack_codes(entry.v_codes[g.begin : g.end, :], g.bits) for g in entry.groups))
+        add("scales_v", entry.v_scales, "<f4")
     else:
         raise TypeError(f"unknown entry {entry!r}")
-    head["blobs"] = [{"role": role, **payload.add(blob)} for role, blob in blobs]
+    head["blobs"] = blobs
     return head
 
 
@@ -326,56 +335,17 @@ def save_pack(pack: SkillPack, path) -> None:
     container.write_container(path, MAGIC, VERSION, header, payload.parts)
 
 
-def _int_field(head: dict, key: str, ctx: str, low: int, high: int) -> int:
-    value = header_field(head, key, int, ctx)
-    if not low <= value <= high:
-        raise FormatError(f"{ctx}: header field {key!r} = {value} is outside [{low}, {high}]")
-    return value
-
-
-def _groups_field(head: dict, ctx: str, rank: int) -> tuple[BitGroup, ...]:
-    raw = header_field(head, "groups", list, ctx)
-    try:
-        if not all(isinstance(g, list) and len(g) == 3 and all(is_int(v) for v in g) for g in raw):
-            raise ValueError("each group must be [begin, end, bits] ints")
-        groups = tuple(BitGroup(*g) for g in raw)
-        check_groups(groups, rank)
-    except ValueError as exc:
-        raise FormatError(f"{ctx}: bad header field 'groups': {exc}") from None
-    return groups
-
-
-def _require_roles(head: dict, roles: tuple[str, ...], ctx: str) -> dict[str, dict]:
-    blobs = header_field(head, "blobs", list, ctx)
+def _require_roles(head: dict, roles: tuple[str, ...]) -> dict[str, dict]:
+    blobs = header_field(head, "blobs", list)
     for b in blobs:
-        check_blob_meta(b, ctx)
+        check_blob_meta(b)
         if not isinstance(b.get("role"), str):
-            raise FormatError(f"{ctx}: malformed blob metadata")
+            raise FormatError("malformed blob metadata")
     by_role = {b["role"]: b for b in blobs}
     for role in roles:
         if role not in by_role:
-            raise FormatError(f"{ctx} is missing blob {role!r}")
+            raise FormatError(f"missing blob {role!r}")
     return by_role
-
-
-def _unpack_group_codes(blob: memoryview, groups, counts: list[int], context: str) -> list[np.ndarray]:
-    out = []
-    offset = 0
-    for g, count in zip(groups, counts):
-        seg = packed_size(count, g.bits)
-        if offset + seg > len(blob):
-            raise FormatError(f"{context}: packed codes shorter than declared groups")
-        out.append(unpack_codes(blob[offset : offset + seg], count, g.bits))
-        offset += seg
-    return out
-
-
-def _construct(cls, ctx: str, **fields) -> CompressedEntry:
-    """cls(**fields), with the entry's code-range IntegrityError naming it."""
-    try:
-        return cls(**fields)
-    except IntegrityError as exc:
-        raise IntegrityError(f"{ctx}: {exc}") from None
 
 
 _ROLES = {
@@ -385,77 +355,71 @@ _ROLES = {
 }
 
 
-def _load_entry(index: int, head, payload: memoryview) -> tuple[str, CompressedEntry]:
-    """One entry from its header; every header field is checked before use."""
-    ctx = entry_context("entry", index, head)
-    name = header_field(head, "name", str, ctx)
-    kind = header_field(head, "kind", str, ctx)
-    try:
-        mclass = ModuleClass(header_field(head, "class", str, ctx))
-    except ValueError:
-        raise FormatError(f"{ctx}: unknown module class {head['class']!r}") from None
+def _load_entry(head: dict, payload: memoryview) -> tuple[str, CompressedEntry]:
+    """One entry from its header. Fields are parsed here; the entry's constructor checks how they relate."""
+    name = header_field(head, "name", str)
+    kind = header_field(head, "kind", str)
+    mclass = ModuleClass(header_field(head, "class", str))
     if kind not in _ROLES:
-        raise FormatError(f"{ctx}: unknown entry kind {kind!r}")
-    by_role = _require_roles(head, _ROLES[kind], ctx)
+        raise FormatError(f"unknown entry kind {kind!r}")
+    by_role = _require_roles(head, _ROLES[kind])
 
     def array(role: str, dtype="<f4", shape: tuple[int, ...] | None = None) -> np.ndarray:
-        return container.read_array(payload, by_role[role], f"{ctx} blob {role!r}", dtype, shape)
+        with container.naming(f"blob {role!r}"):
+            return container.read_array(payload, by_role[role], dtype, shape)
 
-    def packed(role: str) -> memoryview:
-        return container.fetch_blob(payload, by_role[role], f"{ctx} blob {role!r}")
+    def codes(role: str, fields: list[tuple[int, int]]) -> list[np.ndarray]:
+        """The blob's (count, bits) code segments, each padded to a byte boundary."""
+        with container.naming(f"blob {role!r}"):
+            blob = container.fetch_blob(payload, by_role[role])
+            out, offset = [], 0
+            for count, bits in fields:
+                out.append(unpack_codes(blob[offset:], count, bits))
+                offset += packed_size(count, bits)
+            return out
 
     if kind == "dense":
-        shape = shape_field(head, ctx)
+        shape = shape_field(head)
         return name, DenseEntry(shape=shape, mclass=mclass, values=array("dense", shape=shape))
 
     if kind == "pruned_sparse":
-        shape = shape_field(head, ctx, 2)
-        n = math.prod(shape)
-        value_bits = _int_field(head, "value_bits", ctx, MIN_BITS, MAX_BITS)
+        shape = shape_field(head, 2)
+        value_bits = header_field(head, "value_bits", int)
         width = head.get("index_width", 32)
         if not is_int(width) or width not in (32, 64):
-            raise FormatError(f"{ctx}: bad index width {width!r}")
+            raise FormatError(f"bad index width {width!r}")
         alpha = head.get("alpha", 0.0)
         if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
-            raise FormatError(f"{ctx}: header field 'alpha' must be a number")
+            raise FormatError("header field 'alpha' must be a number")
         indices = array("indices", f"<u{width // 8}").astype(np.int64)
-        if indices.size and (np.any(np.diff(indices) <= 0) or indices[0] < 0 or indices[-1] >= n):
-            raise FormatError(f"{ctx}: indices must be strictly increasing and in range")
-        val_blob = packed("values")
-        if len(val_blob) < packed_size(len(indices), value_bits):
-            raise FormatError(f"{ctx} blob 'values': shorter than {len(indices)} {value_bits}-bit codes")
-        return name, _construct(
-            PrunedSparseEntry,
-            ctx,
+        return name, PrunedSparseEntry(
             shape=shape,
             mclass=mclass,
             alpha=float(alpha),
             value_bits=value_bits,
             indices=indices,
-            codes=unpack_codes(val_blob, len(indices), value_bits),
-            scales=array("scales", shape=shape[:1]),
+            codes=codes("values", [(len(indices), value_bits)])[0],
+            scales=array("scales"),
         )
 
-    shape = shape_field(head, ctx, 2)  # kind == "quantized_svd"
+    shape = shape_field(head, 2)  # kind == "quantized_svd"
     rows, cols = shape
-    rank = _int_field(head, "rank", ctx, 1, min(rows, cols))
-    groups = _groups_field(head, ctx, rank)
-    sigma, u_scales, v_scales = (array(role, shape=(rank,)) for role in ("sigma", "scales_u", "scales_v"))
-    u_parts = _unpack_group_codes(packed("codes_u"), groups, [rows * g.length for g in groups], f"{ctx} codes_u")
-    v_parts = _unpack_group_codes(packed("codes_v"), groups, [g.length * cols for g in groups], f"{ctx} codes_v")
-    u_codes = np.concatenate([part.reshape(rows, g.length) for part, g in zip(u_parts, groups)], axis=1)
-    v_codes = np.concatenate([part.reshape(g.length, cols) for part, g in zip(v_parts, groups)], axis=0)
-    return name, _construct(
-        QuantizedSvdEntry,
-        ctx,
+    raw_groups = header_field(head, "groups", list)
+    if not all(isinstance(g, list) and len(g) == 3 and all(is_int(v) for v in g) for g in raw_groups):
+        raise FormatError("header field 'groups' must hold [begin, end, bits] ints")
+    groups = tuple(BitGroup(*g) for g in raw_groups)
+    sigma, u_scales, v_scales = (array(role) for role in ("sigma", "scales_u", "scales_v"))
+    u_parts = codes("codes_u", [(rows * g.length, g.bits) for g in groups])
+    v_parts = codes("codes_v", [(g.length * cols, g.bits) for g in groups])
+    return name, QuantizedSvdEntry(
         shape=shape,
         mclass=mclass,
-        rank=rank,
+        rank=header_field(head, "rank", int),
         groups=groups,
         sigma=sigma,
-        u_codes=u_codes,
+        u_codes=np.concatenate([part.reshape(rows, g.length) for part, g in zip(u_parts, groups)], axis=1),
         u_scales=u_scales,
-        v_codes=v_codes,
+        v_codes=np.concatenate([part.reshape(g.length, cols) for part, g in zip(v_parts, groups)], axis=0),
         v_scales=v_scales,
     )
 
@@ -463,19 +427,20 @@ def _load_entry(index: int, head, payload: memoryview) -> tuple[str, CompressedE
 def load_pack(path) -> SkillPack:
     header, payload = container.read_container(path, MAGIC, VERSION)
     pack = SkillPack(
-        base_model_id=header_field(header, "base_model_id", str, "pack"),
-        tuned_model_id=header_field(header, "tuned_model_id", str, "pack"),
-        task_tag=header_field(header, "task_tag", str, "pack"),
-        plan_snapshot=header_field(header, "plan", dict, "pack"),
-        format_version=header_field(header, "format_version", int, "pack"),
+        base_model_id=header_field(header, "base_model_id", str),
+        tuned_model_id=header_field(header, "tuned_model_id", str),
+        task_tag=header_field(header, "task_tag", str),
+        plan_snapshot=header_field(header, "plan", dict),
+        format_version=header_field(header, "format_version", int),
     )
     heads = header.get("entries", [])
     if not isinstance(heads, list):
         raise FormatError("header field 'entries' must be a list")
     for index, head in enumerate(heads):
-        name, entry = _load_entry(index, head, payload)
-        if name in pack.entries:
-            raise FormatError(f"duplicate entry name {name!r}")
+        with container.naming(entry_context("entry", index, head)):
+            name, entry = _load_entry(head, payload)
+            if name in pack.entries:
+                raise FormatError("duplicate entry name")
         pack.entries[name] = entry
     if pack.stats.to_dict() != header.get("stats"):
         raise IntegrityError("stats mismatch: stored storage stats do not match the entries")

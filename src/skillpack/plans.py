@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .classify import ModuleClass
-from .quantize import BitGroup, check_groups
+from .quantize import BitGroup, check_bits, check_groups
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,7 @@ class PruneStrategy:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"retention ratio must be in (0, 1], got {self.alpha}")
-        if self.value_bits < 2:
-            raise ValueError("pruned values need a width of at least 2 bits")
+        check_bits(self.value_bits)
 
 
 @dataclass(frozen=True)

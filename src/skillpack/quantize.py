@@ -40,7 +40,7 @@ def qmax(bits: int) -> int:
     return (1 << (bits - 1)) - 1
 
 
-def _check_bits(bits: int) -> None:
+def check_bits(bits: int) -> None:
     if bits < MIN_BITS:
         raise ValueError(f"quantizer width must be > 1 bit, got {bits}")
     if bits > MAX_BITS:
@@ -58,7 +58,7 @@ class BitGroup:
     def __post_init__(self):
         if self.begin < 0 or self.end <= self.begin:
             raise ValueError(f"empty or negative bit group [{self.begin}, {self.end})")
-        _check_bits(self.bits)
+        check_bits(self.bits)
 
     @property
     def length(self) -> int:
@@ -131,7 +131,7 @@ def encode(values: np.ndarray, scales64, bits: int) -> np.ndarray:
 
 def quantize_rtn(m: np.ndarray, bits: int, axis: str = "row") -> QuantizedMatrix:
     """Uncalibrated symmetric quantization with per-vector scales."""
-    _check_bits(bits)
+    check_bits(bits)
     m = np.asarray(m)
     if m.ndim != 2:
         raise ValueError(f"quantize_rtn requires a 2-D matrix, got shape {m.shape}")
@@ -229,7 +229,7 @@ def quantize_gptq(
     `factor` is `hessian_factor(x, damping)` when the caller already has
     it; it is computed here when None.
     """
-    _check_bits(bits)
+    check_bits(bits)
     m = np.asarray(m)
     x = np.asarray(x)
     if m.ndim != 2 or x.ndim != 2:
@@ -260,7 +260,7 @@ def calibration_error(m: np.ndarray, dequantized: np.ndarray, x: np.ndarray) -> 
 
 def pack_codes(codes: np.ndarray, bits: int) -> bytes:
     """Pack signed codes at `bits` per value, LSB-first, zero-padded to a byte."""
-    _check_bits(bits)
+    check_bits(bits)
     flat = np.asarray(codes, dtype=np.int64).reshape(-1)
     limit = qmax(bits)
     if flat.size and (flat.min() < -limit or flat.max() > limit):
@@ -272,7 +272,7 @@ def pack_codes(codes: np.ndarray, bits: int) -> bytes:
 
 def unpack_codes(buf: bytes, count: int, bits: int) -> np.ndarray:
     """Inverse of pack_codes; sign-extends each field. Range is NOT validated."""
-    _check_bits(bits)
+    check_bits(bits)
     needed = (count * bits + 7) // 8
     if len(buf) < needed:
         raise ValueError(f"code buffer too short: {len(buf)} bytes for {count} x {bits}-bit")

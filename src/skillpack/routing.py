@@ -50,6 +50,8 @@ class LinearClassifier:
             raise ValueError("classifier weights must be (n_classes x dim) with dim > 0")
         if len(self.bias) != self.weights.shape[0] or len(self.class_to_pack) != self.weights.shape[0]:
             raise ValueError("bias and class_to_pack must have one entry per class")
+        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
+            raise ValueError("classifier weights and bias must be finite")
 
 
 Router = Union[TaskTable, LinearClassifier]
@@ -228,7 +230,9 @@ def router_from_dict(d: dict) -> Router:
     if kind == "task_table":
         return TaskTable(table={tag: _pack_ids(ids, f"task {tag!r}") for tag, ids in d["table"].items()})
     if kind == "linear_classifier":
-        dim = int(d["d"])
+        dim = d["d"]
+        if not container.is_int(dim) or dim < 1:
+            raise ValueError(f"field 'd' must be a positive int, got {dim!r}")
         bias = np.asarray(d["bias"], dtype=np.float64)
         weights = np.asarray(d["weights"], dtype=np.float64).reshape(len(bias), dim)
         class_to_pack = _pack_ids(d["class_to_pack"], "class_to_pack")
@@ -242,14 +246,11 @@ def save_router(router: Router, path) -> None:
 
 
 def load_router(path) -> Router:
-    """Read a router file; malformed JSON or fields raise FormatError."""
+    """Read a router file; malformed JSON or fields raise FormatError naming the file."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    try:
+    with container.naming(f"router file {os.fspath(path)!r} is malformed"):
         data = json.loads(raw.decode("utf-8"))
         if not isinstance(data, dict):
-            raise TypeError("top level must be a JSON object")
+            raise FormatError("top level must be a JSON object")
         return router_from_dict(data)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise FormatError(f"router file {os.fspath(path)!r} is malformed: {detail}") from None

@@ -12,7 +12,7 @@ from skillpack.checkpoints import (
     save_delta,
 )
 from skillpack.classify import ModuleClass, classify, default_manifest, ClassificationManifest
-from skillpack.errors import FormatError, IntegrityError
+from skillpack.errors import CompatibilityError, FormatError, IntegrityError, SkillPackError
 from skillpack.packs import DenseEntry, PrunedSparseEntry, SkillPack
 
 
@@ -182,6 +182,20 @@ def test_nonfinite_rejected_on_save(tmp_path):
         save_checkpoint(bad, tmp_path / "x.gltc")
 
 
+def test_save_checkpoint_does_not_copy_the_tensor(tmp_path):
+    import tracemalloc
+
+    ckpt = Checkpoint(model_id="m", tensors={"w": np.ones((2048, 2048), np.float32)})  # 16 MB
+    tracemalloc.start()
+    try:
+        save_checkpoint(ckpt, tmp_path / "big.gltc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert np.array_equal(load_checkpoint(tmp_path / "big.gltc").tensors["w"], ckpt.tensors["w"])
+
+
 def test_diff_identity():
     ckpt = small_checkpoint()
     d = diff(ckpt, ckpt)
@@ -308,6 +322,18 @@ def test_apply_model_id_checked_and_forced():
         apply_pack(base, pack)
     out = apply_pack(base, pack, force=True)
     assert bit_equal(out, base)
+
+
+def test_compose_mismatch_is_compatibility_error():
+    base = small_checkpoint()
+    wrong_base, missing, wrong_shape = zero_pack(base), zero_pack(base), zero_pack(base)
+    wrong_base.base_model_id = "other"
+    missing.entries["z.weight"] = missing.entries.pop("a.weight")
+    wrong_shape.entries["a.weight"] = DenseEntry((2, 2), ModuleClass.MLP, np.zeros((2, 2), np.float32))
+    for pack in (wrong_base, missing, wrong_shape):
+        with pytest.raises(SkillPackError) as excinfo:
+            apply_pack(base, pack)
+        assert isinstance(excinfo.value, CompatibilityError) and isinstance(excinfo.value, ValueError)
 
 
 def test_apply_shape_mismatch():

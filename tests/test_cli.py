@@ -100,6 +100,28 @@ def test_error_is_single_line(tmp_path, capsys):
     assert err.strip().count("\n") == 0
 
 
+@pytest.mark.parametrize("command, text", [
+    ("compress", '{"plan": [1]}'),
+    ("compress", '{"plan": {"strategies": {"mlp": {"kind": "prune"}}}}'),
+    ("compress", "[1]"),
+    ("compress", '{"plan": '),
+    ("route-train", '{"features": [], "losses": []}'),
+    ("route-train", "[1]"),
+    ("route-train", '{"features": [[1.0]], "losses": [[1.0, "x"]]}'),
+], ids=["plan-list", "prune-no-alpha", "config-list", "config-truncated", "no-rows", "data-list", "string-loss"])
+def test_bad_json_input_is_one_error_line_naming_the_file(tmp_path, capsys, command, text):
+    bad = tmp_path / "bad_input.json"
+    bad.write_text(text)
+    if command == "compress":
+        argv = ["compress", str(tmp_path / "d.gltc"), "--plan", str(bad), "-o", str(tmp_path / "p.skpk")]
+    else:
+        argv = ["route-train", str(bad), "-o", str(tmp_path / "r.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.strip().count("\n") == 0
+    assert "bad_input.json" in err
+
+
 def test_compress_seed_override_changes_pack(tmp_path):
     base, tuned = gen_pair(tmp_path)
     delta = tmp_path / "d.gltc"

@@ -36,6 +36,11 @@ def calib_for(delta, seed=0, samples=64):
     return synthetic_calibration(seed, delta.shape[1], samples)
 
 
+def test_prune_strategy_checks_value_width():
+    with pytest.raises(ValueError, match="above 16 bits"):
+        PruneStrategy(alpha=0.5, value_bits=17)
+
+
 def test_plan_validation():
     with pytest.raises(ValueError, match="missing a strategy"):
         CompressionPlan(strategies={ModuleClass.PASSTHROUGH: DenseStrategy()})

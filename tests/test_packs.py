@@ -438,3 +438,57 @@ def test_inspect_report_pinned():
         "total: original_bits=1040  value_bits=378  overhead_bits=360"
         "  ratio_value=36.3462%  ratio_total=70.9615%",
     ])
+
+
+def _pruned(**change):
+    fields = dict(
+        shape=(2, 3), mclass=ModuleClass.EMBEDDING_OR_HEAD, alpha=0.5, value_bits=4,
+        indices=np.array([1, 5], dtype=np.int64), codes=np.array([7, -3], dtype=np.int32),
+        scales=np.ones(2, dtype=np.float32),
+    )
+    return PrunedSparseEntry(**{**fields, **change})
+
+
+def _svd(**change):
+    fields = dict(
+        shape=(3, 2), mclass=ModuleClass.MLP, rank=2, groups=(BitGroup(0, 2, 8),),
+        sigma=np.ones(2, np.float32), u_codes=np.zeros((3, 2), np.int32), u_scales=np.ones(2, np.float32),
+        v_codes=np.zeros((2, 2), np.int32), v_scales=np.ones(2, np.float32),
+    )
+    return QuantizedSvdEntry(**{**fields, **change})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DenseEntry(shape=(4, 4), mclass=ModuleClass.PASSTHROUGH, values=np.ones((1, 4), np.float32)),
+    lambda: _pruned(indices=np.array([5, 1], dtype=np.int64)),
+    lambda: _pruned(indices=np.array([1, 1], dtype=np.int64)),
+    lambda: _pruned(indices=np.array([1, 6], dtype=np.int64)),
+    lambda: _pruned(indices=np.array([-1, 5], dtype=np.int64)),
+    lambda: _pruned(codes=np.array([7], dtype=np.int32)),
+    lambda: _pruned(scales=np.ones(3, dtype=np.float32)),
+    lambda: _pruned(value_bits=17),
+    lambda: _svd(rank=3, groups=(BitGroup(0, 3, 8),), sigma=np.ones(3, np.float32),
+                 u_codes=np.zeros((3, 3), np.int32), u_scales=np.ones(3, np.float32),
+                 v_codes=np.zeros((3, 2), np.int32), v_scales=np.ones(3, np.float32)),
+    lambda: _svd(u_codes=np.zeros((2, 2), np.int32)),
+    lambda: _svd(v_codes=np.zeros((2, 3), np.int32)),
+], ids=[
+    "dense-values-shape", "pruned-unsorted", "pruned-repeated", "pruned-past-end", "pruned-negative",
+    "pruned-codes-per-index", "pruned-scales-per-row", "pruned-value-bits-17",
+    "svd-rank-above-min-shape", "svd-u-codes-shape", "svd-v-codes-shape",
+])
+def test_broken_entry_is_rejected_when_built(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_nonfinite_entry_is_refused_on_save_and_keeps_previous_file(tmp_path):
+    path = tmp_path / "p.skpk"
+    save_pack(random_pack(1), path)
+    before = path.read_bytes()
+    entry = _svd()
+    entry.sigma[1] = np.nan
+    with pytest.raises(ValueError, match=r"entry 'mlp.weight' blob 'sigma': non-finite"):
+        save_pack(SkillPack("b", "t", "", {}, {"mlp.weight": entry}), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["p.skpk"]

@@ -162,6 +162,22 @@ def test_fuse_checks_every_pack_before_reconstructing(monkeypatch):
                            router=router, selector=Tag("t")))
 
 
+def test_fuse_refuses_dense_entry_with_too_few_rows():
+    # Built, the one row of this entry would broadcast to all four rows of the fused x.weight.
+    with pytest.raises(ValueError, match="shape"):
+        short = DenseEntry(shape=(4, 4), mclass=ModuleClass.PASSTHROUGH, values=np.ones((1, 4), np.float32))
+        packs = {"a": dense_pack("x.weight", 1.0), "b": SkillPack("base", "t", "", {}, {"x.weight": short})}
+        fuse(FusionRequest(base=make_base(), packs=packs, router=TaskTable(table={"t": ["a", "b"]}),
+                           selector=Tag("t")))
+
+
+def test_classifier_weights_must_be_finite():
+    with pytest.raises(ValueError, match="finite"):
+        LinearClassifier(weights=np.array([[np.inf]]), bias=np.zeros(1), class_to_pack=["a"])
+    with pytest.raises(ValueError, match="finite"):
+        LinearClassifier(weights=np.ones((1, 1)), bias=np.array([np.nan]), class_to_pack=["a"])
+
+
 def test_instantiate_task_history_independent():
     base = make_base()
     packs = {"code": dense_pack("x.weight", 0.5), "math": dense_pack("y.weight", -0.5)}
@@ -269,10 +285,12 @@ def test_failed_router_save_keeps_previous_file(tmp_path):
         '{"kind": "task_table", "table": {"t": "abc"}}',
         '{"kind": "task_table", "table": {"t": [1, null]}}',
         '{"kind": "linear_classifier", "d": 1, "weights": [1.0], "bias": [0.0], "class_to_pack": [5]}',
+        '{"kind": "linear_classifier", "d": 1, "weights": [NaN], "bias": [0.0], "class_to_pack": ["a"]}',
+        '{"kind": "linear_classifier", "d": true, "weights": [1.0], "bias": [0.0], "class_to_pack": ["a"]}',
     ],
     ids=[
         "truncated", "not-utf8", "not-object", "no-table", "table-list", "no-d", "bad-d", "string-weight", "bad-kind",
-        "table-string-ids", "table-non-string-ids", "int-class-to-pack",
+        "table-string-ids", "table-non-string-ids", "int-class-to-pack", "nan-weight", "bool-d",
     ],
 )
 def test_malformed_router_file_is_format_error(tmp_path, text):
