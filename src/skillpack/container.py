@@ -12,9 +12,12 @@ Layout (all integers little-endian):
 Blob metadata ({offset, byte_len, crc32}) lives in the JSON header; CRC32 is
 the IEEE polynomial over each blob's payload bytes. Savers add blobs to a
 `Payload`, whose `add_array` is the one array encoder, and its parts are
-written unjoined. A load reads the file once; `read_array`, the one decoder
-and the inverse of `add_array`, copies each checked blob once into a fresh
-native-order array. Both sides refuse non-finite floats. Header fields come
+written unjoined. A load maps the file read-only and copies none of it:
+`read_array`, the one decoder and the inverse of `add_array`, returns each
+checked blob as a read-only view of the mapping (a copy only on big-endian
+hosts), and the mapping lives as long as any such view. Savers replace a
+file and never rewrite it in place, so a mapped file never changes under
+its views. Both sides refuse non-finite floats. Header fields come
 from the file and are read through the checkers below, and each loader reads
 every entry inside `naming`, its one error boundary, which names the entry
 in any error and turns KeyError, TypeError and the like into FormatError.
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import secrets
 import struct
@@ -64,12 +68,18 @@ class Payload:
         """Add `arr` as little-endian `dtype` values, the inverse of `read_array`, copying only
         an array that is not one already. Non-finite floats raise ValueError naming `ctx`."""
         values = np.ascontiguousarray(arr, dtype=np.dtype(dtype).newbyteorder("<"))
-        # A float64 sum of float32 or float16 values cannot overflow, so it is
-        # finite exactly when every value is, and needs no per-value temporary.
-        with np.errstate(invalid="ignore"):
-            if values.dtype.kind == "f" and not np.isfinite(values.sum(dtype=np.float64)):
-                raise ValueError(f"{ctx}: non-finite values")
+        if not _all_finite(values):
+            raise ValueError(f"{ctx}: non-finite values")
         return self.add(values)
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """Whether every float in the contiguous `values` is finite, tested a slice at a
+    time so that no temporary grows with the array."""
+    if values.dtype.kind != "f":
+        return True
+    flat, step = values.reshape(-1), 1 << 16
+    return all(np.isfinite(flat[i : i + step]).all() for i in range(0, flat.size, step))
 
 
 def write_atomic(path, parts: Iterable) -> None:
@@ -101,9 +111,13 @@ def write_container(path, magic: bytes, version: int, header: dict, parts: Itera
 
 
 def read_container(path, magic: bytes, version: int) -> tuple[dict, memoryview]:
-    """The JSON header and a memoryview of the payload; the file is read once and not copied again."""
+    """The JSON header and a memoryview of the payload, from a read-only map of the
+    file that is never closed here: it lives as long as any view of it."""
     with open(path, "rb") as fh:
-        raw = fh.read()
+        try:
+            raw = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
+        except ValueError:  # an empty file cannot be mapped
+            raw = memoryview(b"")
     if len(raw) < _PREFIX.size:
         raise FormatError(f"file too short to be a {magic.decode()} container")
     got_magic, got_version, header_len = _PREFIX.unpack_from(raw)
@@ -113,14 +127,13 @@ def read_container(path, magic: bytes, version: int) -> tuple[dict, memoryview]:
         raise FormatError(f"unsupported version {got_version}, expected {version}")
     if _PREFIX.size + header_len > len(raw):
         raise FormatError("truncated file: header extends past end of file")
-    view = memoryview(raw)
     try:
-        header = json.loads(str(view[_PREFIX.size : _PREFIX.size + header_len], "utf-8"))
+        header = json.loads(str(raw[_PREFIX.size : _PREFIX.size + header_len], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"header is not valid JSON: {exc}") from None
     if not isinstance(header, dict):
         raise FormatError("header must be a JSON object")
-    return header, view[_PREFIX.size + header_len :]
+    return header, raw[_PREFIX.size + header_len :]
 
 
 def fetch_blob(payload: memoryview, meta: dict) -> memoryview:
@@ -135,13 +148,13 @@ def fetch_blob(payload: memoryview, meta: dict) -> memoryview:
 
 
 def read_array(payload: memoryview, meta: dict, dtype, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """One blob as a fresh, writable, native-order array of `dtype` that owns its data.
+    """One blob as a read-only, native-order array of `dtype`: on a little-endian
+    host a view of the payload, and so of the mapped file, with no copy.
 
     The blob must hold exactly the values of `shape`, or, when `shape` is
     None, a whole number of values, returned 1-D. Its bounds and CRC are
     checked by `fetch_blob`, and float values must be finite
-    (IntegrityError otherwise). The array is the only copy made of the
-    blob's bytes.
+    (IntegrityError otherwise). A big-endian host gets a read-only copy.
     """
     dtype = np.dtype(dtype)
     byte_len = meta["byte_len"]
@@ -149,8 +162,11 @@ def read_array(payload: memoryview, meta: dict, dtype, shape: tuple[int, ...] | 
     if byte_len != math.prod(shape) * dtype.itemsize:
         raise FormatError(f"byte length {byte_len} does not hold {dtype.name} values of shape {shape}")
     blob = fetch_blob(payload, meta)
-    values = np.frombuffer(blob, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
-    if values.dtype.kind == "f" and not np.all(np.isfinite(values)):
+    values = np.frombuffer(blob, dtype=dtype).reshape(shape)
+    if not values.dtype.isnative:
+        values = values.astype(dtype.newbyteorder("="))
+        values.flags.writeable = False
+    if not _all_finite(values):
         raise IntegrityError("non-finite values")
     return values
 

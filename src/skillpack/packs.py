@@ -68,6 +68,8 @@ class PrunedSparseEntry:
     kind = "pruned_sparse"
 
     def __post_init__(self):
+        if len(self.shape) != 2:
+            raise ValueError(f"a pruned entry must be 2-D, got shape {tuple(self.shape)}")
         check_bits(self.value_bits)
         idx = self.indices
         if idx.size and (np.any(idx[1:] <= idx[:-1]) or idx[0] < 0 or idx[-1] >= math.prod(self.shape)):
@@ -355,8 +357,14 @@ _ROLES = {
 }
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def _load_entry(head: dict, payload: memoryview) -> tuple[str, CompressedEntry]:
-    """One entry from its header. Fields are parsed here; the entry's constructor checks how they relate."""
+    """One entry from its header. Fields are parsed here; the entry's constructor checks how they relate.
+    Decoded codes and indices are frozen like the file's views, so the entry cannot change after its checks."""
     name = header_field(head, "name", str)
     kind = header_field(head, "kind", str)
     mclass = ModuleClass(header_field(head, "class", str))
@@ -391,14 +399,14 @@ def _load_entry(head: dict, payload: memoryview) -> tuple[str, CompressedEntry]:
         alpha = head.get("alpha", 0.0)
         if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
             raise FormatError("header field 'alpha' must be a number")
-        indices = array("indices", f"<u{width // 8}").astype(np.int64)
+        indices = _frozen(array("indices", f"<u{width // 8}").astype(np.int64))
         return name, PrunedSparseEntry(
             shape=shape,
             mclass=mclass,
             alpha=float(alpha),
             value_bits=value_bits,
             indices=indices,
-            codes=codes("values", [(len(indices), value_bits)])[0],
+            codes=_frozen(codes("values", [(len(indices), value_bits)])[0]),
             scales=array("scales"),
         )
 
@@ -417,9 +425,9 @@ def _load_entry(head: dict, payload: memoryview) -> tuple[str, CompressedEntry]:
         rank=header_field(head, "rank", int),
         groups=groups,
         sigma=sigma,
-        u_codes=np.concatenate([part.reshape(rows, g.length) for part, g in zip(u_parts, groups)], axis=1),
+        u_codes=_frozen(np.concatenate([part.reshape(rows, g.length) for part, g in zip(u_parts, groups)], axis=1)),
         u_scales=u_scales,
-        v_codes=np.concatenate([part.reshape(g.length, cols) for part, g in zip(v_parts, groups)], axis=0),
+        v_codes=_frozen(np.concatenate([part.reshape(g.length, cols) for part, g in zip(v_parts, groups)], axis=0)),
         v_scales=v_scales,
     )
 

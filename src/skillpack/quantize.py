@@ -259,29 +259,41 @@ def calibration_error(m: np.ndarray, dequantized: np.ndarray, x: np.ndarray) -> 
 
 
 def pack_codes(codes: np.ndarray, bits: int) -> bytes:
-    """Pack signed codes at `bits` per value, LSB-first, zero-padded to a byte."""
+    """Pack signed codes at `bits` per value, LSB-first, zero-padded to a byte. Eight fields
+    fill `bits` bytes, so each field position of every group of eight is shifted in at once."""
     check_bits(bits)
     flat = np.asarray(codes, dtype=np.int64).reshape(-1)
     limit = qmax(bits)
     if flat.size and (flat.min() < -limit or flat.max() > limit):
         raise ValueError(f"codes out of range for {bits}-bit packing")
-    unsigned = (flat & ((1 << bits) - 1)).astype(np.uint32)
-    bit_matrix = ((unsigned[:, None] >> np.arange(bits, dtype=np.uint32)) & 1).astype(np.uint8)
-    return np.packbits(bit_matrix.reshape(-1), bitorder="little").tobytes()
+    fields = np.zeros((-(-flat.size // 8), 8), dtype=np.uint32)
+    fields.reshape(-1)[: flat.size] = flat & ((1 << bits) - 1)
+    out = np.zeros((len(fields), bits), dtype=np.uint8)
+    for k in range(8):
+        first, shift = divmod(k * bits, 8)
+        word = fields[:, k] << shift
+        for j in range((shift + bits + 7) // 8):
+            out[:, first + j] |= (word >> 8 * j).astype(np.uint8)  # keeps the low byte
+    return out.reshape(-1)[: packed_size(flat.size, bits)].tobytes()
 
 
 def unpack_codes(buf: bytes, count: int, bits: int) -> np.ndarray:
     """Inverse of pack_codes; sign-extends each field. Range is NOT validated."""
     check_bits(bits)
-    needed = (count * bits + 7) // 8
+    needed = packed_size(count, bits)
     if len(buf) < needed:
         raise ValueError(f"code buffer too short: {len(buf)} bytes for {count} x {bits}-bit")
-    raw = np.frombuffer(buf, dtype=np.uint8, count=needed)
-    flat_bits = np.unpackbits(raw, bitorder="little")[: count * bits]
-    weights = (1 << np.arange(bits, dtype=np.int64))
-    unsigned = flat_bits.reshape(count, bits).astype(np.int64) @ weights
-    unsigned[unsigned >= (1 << (bits - 1))] -= 1 << bits
-    return unsigned.astype(np.int32)
+    raw = np.zeros((-(-count // 8), bits), dtype=np.uint8)
+    raw.reshape(-1)[:needed] = np.frombuffer(buf, dtype=np.uint8, count=needed)
+    fields = np.empty((len(raw), 8), dtype=np.int32)
+    half = 1 << (bits - 1)
+    for k in range(8):
+        first, shift = divmod(k * bits, 8)
+        word = raw[:, first].astype(np.int32)
+        for j in range(1, (shift + bits + 7) // 8):
+            word |= raw[:, first + j].astype(np.int32) << 8 * j
+        fields[:, k] = (((word >> shift) & ((1 << bits) - 1)) ^ half) - half
+    return fields.reshape(-1)[:count]
 
 
 def packed_size(count: int, bits: int) -> int:

@@ -13,7 +13,7 @@ from skillpack.checkpoints import (
 )
 from skillpack.classify import ModuleClass, classify, default_manifest, ClassificationManifest
 from skillpack.errors import CompatibilityError, FormatError, IntegrityError, SkillPackError
-from skillpack.packs import DenseEntry, PrunedSparseEntry, SkillPack
+from skillpack.packs import DenseEntry, PrunedSparseEntry, SkillPack, load_pack
 
 
 def small_checkpoint(seed=0, model_id="m") -> Checkpoint:
@@ -153,14 +153,56 @@ def test_ill_typed_delta_id_is_format_error(tmp_path, field, value):
         load_delta(path)
 
 
-def test_loaded_tensors_are_writable_and_own_their_data(tmp_path):
+def test_loaded_tensors_are_read_only_and_bit_equal(tmp_path):
     base, tuned = small_checkpoint(), small_checkpoint(seed=1, model_id="m2")
+    delta = diff(base, tuned)
     save_checkpoint(base, tmp_path / "c.gltc")
-    save_delta(diff(base, tuned), tmp_path / "d.gltc")
-    loaded = [*load_checkpoint(tmp_path / "c.gltc").tensors.values(), *load_delta(tmp_path / "d.gltc").deltas.values()]
-    assert len(loaded) == 4
-    for arr in loaded:
-        assert arr.flags.writeable and arr.flags.owndata
+    save_delta(delta, tmp_path / "d.gltc")
+    pairs = [(load_checkpoint(tmp_path / "c.gltc").tensors, base.tensors),
+             (load_delta(tmp_path / "d.gltc").deltas, delta.deltas)]
+    for loaded, saved in pairs:
+        assert list(loaded) == list(saved)
+        for name, arr in loaded.items():
+            assert arr.dtype == saved[name].dtype and arr.shape == saved[name].shape
+            assert arr.tobytes() == saved[name].tobytes()
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+
+def test_loaded_tensors_outlive_their_file(tmp_path):
+    path = tmp_path / "c.gltc"
+    saved = small_checkpoint()
+    save_checkpoint(saved, path)
+    old = load_checkpoint(path)
+    save_checkpoint(small_checkpoint(seed=1, model_id="other"), path)  # replaces the file
+    assert load_checkpoint(path).model_id == "other"
+    path.unlink()
+    for name, arr in old.tensors.items():
+        assert arr.tobytes() == saved.tensors[name].tobytes()
+
+
+@pytest.mark.parametrize("loader", [load_checkpoint, load_delta, load_pack])
+def test_empty_file_is_format_error(tmp_path, loader):
+    path = tmp_path / "empty"
+    path.write_bytes(b"")
+    with pytest.raises(FormatError, match="file too short"):
+        loader(path)
+
+
+def test_load_maps_the_file_instead_of_copying_it(tmp_path):
+    import tracemalloc
+
+    ckpt = Checkpoint(model_id="m", tensors={"w": np.arange(2048 * 2048, dtype=np.float32).reshape(2048, 2048)})
+    save_checkpoint(ckpt, tmp_path / "big.gltc")  # 16 MB
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(tmp_path / "big.gltc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert np.array_equal(loaded.tensors["w"], ckpt.tensors["w"])
 
 
 def test_nonfinite_tensor_on_load_is_integrity_error(tmp_path):

@@ -177,19 +177,66 @@ def test_ill_typed_top_level_field_is_format_error(tmp_path, field, value):
         load_pack(path)
 
 
-def test_loaded_entry_arrays_are_writable_and_own_their_data(tmp_path):
-    rng = np.random.default_rng(5)
-    entries = {kind: random_entry(rng, kind) for kind in ("dense", "pruned", "svd")}
+def _entry_arrays(entries) -> list[np.ndarray]:
+    return [
+        entries["dense"].values,
+        entries["pruned"].indices, entries["pruned"].codes, entries["pruned"].scales,
+        entries["svd"].sigma, entries["svd"].u_codes, entries["svd"].u_scales,
+        entries["svd"].v_codes, entries["svd"].v_scales,
+    ]
+
+
+def _three_kinds(seed=5) -> dict:
+    rng = np.random.default_rng(seed)
+    return {kind: random_entry(rng, kind) for kind in ("dense", "pruned", "svd")}
+
+
+def test_loaded_entry_arrays_are_read_only_and_bit_equal(tmp_path):
+    entries = _three_kinds()
     save_pack(SkillPack("b", "t", "", {}, entries), tmp_path / "p.skpk")
     loaded = load_pack(tmp_path / "p.skpk").entries
-    arrays = [
-        loaded["dense"].values,
-        loaded["pruned"].indices, loaded["pruned"].codes, loaded["pruned"].scales,
-        loaded["svd"].sigma, loaded["svd"].u_codes, loaded["svd"].u_scales,
-        loaded["svd"].v_codes, loaded["svd"].v_scales,
-    ]
-    for arr in arrays:
-        assert arr.flags.writeable and arr.flags.owndata
+    for arr, saved in zip(_entry_arrays(loaded), _entry_arrays(entries)):
+        assert arr.dtype == saved.dtype and arr.shape == saved.shape
+        assert arr.tobytes() == saved.tobytes()
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        loaded["pruned"].codes[0] = 100  # codes stay as their range check at load saw them
+
+
+def test_loaded_pack_outlives_its_file(tmp_path):
+    path = tmp_path / "p.skpk"
+    entries = _three_kinds()
+    save_pack(SkillPack("b", "t", "", {}, entries), path)
+    old = load_pack(path).entries
+    save_pack(SkillPack("b", "t", "other", {}, _three_kinds(seed=6)), path)  # replaces the file
+    assert load_pack(path).task_tag == "other"
+    path.unlink()
+    for arr, saved in zip(_entry_arrays(old), _entry_arrays(entries)):
+        assert arr.tobytes() == saved.tobytes()
+
+
+def test_dense_pack_load_maps_the_file_instead_of_copying_it(tmp_path):
+    import tracemalloc
+
+    values = np.arange(2048 * 2048, dtype=np.float32).reshape(2048, 2048)
+    entry = DenseEntry(shape=values.shape, mclass=ModuleClass.PASSTHROUGH, values=values)
+    save_pack(SkillPack("b", "t", "", {}, {"w": entry}), tmp_path / "big.skpk")  # 16 MB
+    tracemalloc.start()
+    try:
+        loaded = load_pack(tmp_path / "big.skpk")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert np.array_equal(loaded.entries["w"].values, values)
+
+
+def test_pruned_entry_must_be_2d():
+    with pytest.raises(ValueError, match="2-D"):
+        PrunedSparseEntry(shape=(6,), mclass=ModuleClass.MLP, alpha=0.5, value_bits=4,
+                          indices=np.array([1, 3]), codes=np.array([1, -1], np.int32), scales=np.ones(6, np.float32))
 
 
 def _overwrite_blob_start(path, role, data: bytes):

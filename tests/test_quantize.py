@@ -167,6 +167,61 @@ def test_unpack_surfaces_reserved_code():
     assert back[0] == -8
 
 
+def _reference_pack(codes, bits) -> bytes:
+    """The bit-matrix codec the word-level one replaced: one row of `bits` bits per code."""
+    unsigned = (np.asarray(codes, dtype=np.int64).reshape(-1) & ((1 << bits) - 1)).astype(np.uint32)
+    bit_matrix = ((unsigned[:, None] >> np.arange(bits, dtype=np.uint32)) & 1).astype(np.uint8)
+    return np.packbits(bit_matrix.reshape(-1), bitorder="little").tobytes()
+
+
+def _reference_unpack(buf, count, bits) -> np.ndarray:
+    raw = np.frombuffer(buf, dtype=np.uint8, count=(count * bits + 7) // 8)
+    flat_bits = np.unpackbits(raw, bitorder="little")[: count * bits]
+    unsigned = flat_bits.reshape(count, bits).astype(np.int64) @ (1 << np.arange(bits, dtype=np.int64))
+    unsigned[unsigned >= (1 << (bits - 1))] -= 1 << bits
+    return unsigned.astype(np.int32)
+
+
+@pytest.mark.parametrize("bits", range(2, 17))
+def test_codec_matches_the_bit_matrix_reference(bits):
+    rng = np.random.default_rng(100 + bits)
+    limit = qmax(bits)
+    for count in [*range(18), 3001]:
+        codes = rng.integers(-limit, limit + 1, size=count).astype(np.int32)
+        buf = pack_codes(codes, bits)
+        assert buf == _reference_pack(codes, bits)
+        assert np.array_equal(unpack_codes(buf, count, bits), codes)
+        # arbitrary bytes, reserved code -2^(bits-1) included, with trailing bytes after the codes
+        noise = rng.integers(0, 256, size=len(buf) + 3, dtype=np.uint8).tobytes()
+        got = unpack_codes(noise, count, bits)
+        assert got.dtype == np.int32 and np.array_equal(got, _reference_unpack(noise, count, bits))
+
+
+def test_pack_codes_pinned_bytes():
+    codes = np.array([-2047, 2047, -1, 0, 1, 5, -300, 300, 1000])
+    assert pack_codes(codes, 12).hex() == "01f87fff0f00015000d4ce12e803"
+
+
+def test_unpack_codes_has_no_per_bit_temporaries():
+    import tracemalloc
+
+    count = 720_896  # a 1408 x 512 factor's codes
+    buf = pack_codes(np.arange(count) % 255 - 127, 8)
+    tracemalloc.start()
+    try:
+        codes = unpack_codes(buf, count, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * codes.nbytes
+    assert np.array_equal(codes, np.arange(count) % 255 - 127)
+
+
+def test_unpack_rejects_short_buffer():
+    with pytest.raises(ValueError, match="too short"):
+        unpack_codes(b"\x00" * 4, 3, 11)
+
+
 def test_bit_groups_validate():
     with pytest.raises(ValueError):
         BitGroup(3, 3, 4)
