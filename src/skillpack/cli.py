@@ -43,6 +43,9 @@ def _load_config(path: str) -> dict:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError("top level must be a JSON object")
+    unknown = sorted(set(config) - {"plan", "manifest"})
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}")
     return config
 
 
@@ -168,8 +171,7 @@ def _cmd_eval(args) -> int:
     report = eval_retention(base, tuned, pack, probe_count=args.probes, seed=args.seed, seq_len=args.seq_len)
     text = json.dumps(report.to_dict(), indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        container.write_atomic(args.out, [(text + "\n").encode("utf-8")])
         print(f"wrote {args.out}")
     else:
         print(text)

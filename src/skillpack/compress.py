@@ -3,8 +3,8 @@
 Dispatch by module class: embedding/head deltas are magnitude-pruned and
 their values quantized with per-row scales; MLP and attention deltas are
 truncated-SVD factorized and the factors quantized group-wise with
-calibrated (GPTQ-style) quantization; everything else, and every 1-D
-tensor, is stored dense and exact.
+calibrated (GPTQ-style) quantization; everything else, and every tensor
+that is not 2-D, is stored dense and exact.
 
 For a factorized delta U diag(sigma) V^T, the V^T rows of each group are
 quantized against the calibration activations x, then the U columns of the
@@ -37,6 +37,7 @@ from .plans import (
     SyntheticCalibration,
     clip_groups,
     plan_to_dict,
+    strategy_for,
 )
 from .quantize import encode, hessian_factor, quantize_gptq, rtn_scales
 from .tensors import magnitude_prune, svd, truncate
@@ -157,16 +158,16 @@ def compress_entry(
 ) -> CompressedEntry:
     """Compress one delta tensor according to its class strategy.
 
-    1-D tensors are stored dense regardless of class. Float16 deltas are
-    promoted to float32 before any decomposition. `factor` is
+    Tensors that are not 2-D are stored dense (`strategy_for`). Float16
+    deltas are promoted to float32 before any decomposition. `factor` is
     `hessian_factor(calibration, plan.damping)` when the caller already
     has it; otherwise each quantizer call computes its own.
     """
     delta = np.asarray(delta)
     if delta.dtype == np.float16:
         delta = delta.astype(np.float32)
-    strategy = plan.strategies[mclass]
-    if delta.ndim != 2 or isinstance(strategy, DenseStrategy):
+    strategy = strategy_for(plan, mclass, delta.shape)
+    if isinstance(strategy, DenseStrategy):
         return DenseEntry(shape=tuple(delta.shape), mclass=mclass, values=delta.astype(np.float32))
     if isinstance(strategy, PruneStrategy):
         return _compress_prune(delta, mclass, strategy)
@@ -192,10 +193,9 @@ def compress_delta(
     entries: dict[str, CompressedEntry] = {}
     for name, delta in deltas.deltas.items():
         mclass = classify(name, manifest)
-        needs_calibration = (
-            isinstance(plan.strategies[mclass], SvdQuantStrategy) and np.asarray(delta).ndim == 2
-        )
-        x, factor = calib.activations(name, np.asarray(delta).shape[1]) if needs_calibration else (None, None)
+        shape = np.shape(delta)
+        needs_calibration = isinstance(strategy_for(plan, mclass, shape), SvdQuantStrategy)
+        x, factor = calib.activations(name, shape[1]) if needs_calibration else (None, None)
         entries[name] = compress_entry(name, delta, mclass, plan, x, factor)
     return SkillPack(
         base_model_id=deltas.base_id,

@@ -17,10 +17,11 @@ written unjoined. A load maps the file read-only and copies none of it:
 checked blob as a read-only view of the mapping (a copy only on big-endian
 hosts), and the mapping lives as long as any such view. Savers replace a
 file and never rewrite it in place, so a mapped file never changes under
-its views. Both sides refuse non-finite floats. Header fields come
-from the file and are read through the checkers below, and each loader reads
-every entry inside `naming`, its one error boundary, which names the entry
-in any error and turns KeyError, TypeError and the like into FormatError.
+its views. Both sides refuse non-finite floats, in blobs and, as strict
+JSON, in headers. Header fields come from the file and are read through the
+checkers below, and each loader reads every entry inside `naming`, its one
+error boundary, which names the entry in any error and turns KeyError,
+TypeError and the like into FormatError.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import FormatError, IntegrityError
+from .tensors import all_finite, is_int
 
 _PREFIX = struct.Struct("<4sIQ")
 _ALIGN = 64
@@ -68,18 +70,9 @@ class Payload:
         """Add `arr` as little-endian `dtype` values, the inverse of `read_array`, copying only
         an array that is not one already. Non-finite floats raise ValueError naming `ctx`."""
         values = np.ascontiguousarray(arr, dtype=np.dtype(dtype).newbyteorder("<"))
-        if not _all_finite(values):
+        if not all_finite(values):
             raise ValueError(f"{ctx}: non-finite values")
         return self.add(values)
-
-
-def _all_finite(values: np.ndarray) -> bool:
-    """Whether every float in the contiguous `values` is finite, tested a slice at a
-    time so that no temporary grows with the array."""
-    if values.dtype.kind != "f":
-        return True
-    flat, step = values.reshape(-1), 1 << 16
-    return all(np.isfinite(flat[i : i + step]).all() for i in range(0, flat.size, step))
 
 
 def write_atomic(path, parts: Iterable) -> None:
@@ -102,9 +95,20 @@ def write_atomic(path, parts: Iterable) -> None:
         raise
 
 
+def _reject_constant(name: str):
+    raise FormatError(f"{name} is not valid JSON")
+
+
+def parse_json(text: str):
+    """`json.loads`, but the NaN and Infinity constants that Python's json accepts
+    and no other JSON reader does raise FormatError."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def write_container(path, magic: bytes, version: int, header: dict, parts: Iterable) -> None:
-    """Write a container whose payload is `parts` (a `Payload`'s), atomically, as `write_atomic` does."""
-    header_bytes = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    """Write a container whose payload is `parts` (a `Payload`'s), atomically, as `write_atomic` does.
+    A header holding a non-finite float raises ValueError before anything is written."""
+    header_bytes = json.dumps(header, ensure_ascii=False, allow_nan=False).encode("utf-8")
     pad = _align(_PREFIX.size + len(header_bytes)) - (_PREFIX.size + len(header_bytes))
     header_bytes += b" " * pad
     write_atomic(path, (_PREFIX.pack(magic, version, len(header_bytes)), header_bytes, *parts))
@@ -128,7 +132,7 @@ def read_container(path, magic: bytes, version: int) -> tuple[dict, memoryview]:
     if _PREFIX.size + header_len > len(raw):
         raise FormatError("truncated file: header extends past end of file")
     try:
-        header = json.loads(str(raw[_PREFIX.size : _PREFIX.size + header_len], "utf-8"))
+        header = parse_json(str(raw[_PREFIX.size : _PREFIX.size + header_len], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"header is not valid JSON: {exc}") from None
     if not isinstance(header, dict):
@@ -166,7 +170,7 @@ def read_array(payload: memoryview, meta: dict, dtype, shape: tuple[int, ...] | 
     if not values.dtype.isnative:
         values = values.astype(dtype.newbyteorder("="))
         values.flags.writeable = False
-    if not _all_finite(values):
+    if not all_finite(values):
         raise IntegrityError("non-finite values")
     return values
 
@@ -188,10 +192,6 @@ def naming(ctx: str):
 # --------------------------------------------------------------------------
 # Header schema checks, shared by .gltc tensors and .skpk entries
 # --------------------------------------------------------------------------
-
-def is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
 
 def entry_context(what: str, index: int, head) -> str:
     """The error context of an entry: <what> 'name', or <what> #index while

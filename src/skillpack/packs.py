@@ -18,11 +18,11 @@ import numpy as np
 
 from . import container
 from .classify import ModuleClass, classify
-from .container import check_blob_meta, entry_context, header_field, is_int, shape_field
+from .container import check_blob_meta, entry_context, header_field, shape_field
 from .errors import FormatError, IntegrityError
-from .plans import DenseStrategy, PruneStrategy, Strategy, SvdQuantStrategy, clip_groups
+from .plans import DenseStrategy, PruneStrategy, Strategy, SvdQuantStrategy, clip_groups, strategy_for
 from .quantize import BitGroup, check_bits, check_groups, pack_codes, packed_size, qmax, unpack_codes
-from .tensors import retained_count
+from .tensors import check_alpha, check_rank, is_int, retained_count
 
 MAGIC = b"SKPK"
 VERSION = 1
@@ -70,6 +70,7 @@ class PrunedSparseEntry:
     def __post_init__(self):
         if len(self.shape) != 2:
             raise ValueError(f"a pruned entry must be 2-D, got shape {tuple(self.shape)}")
+        check_alpha(self.alpha)
         check_bits(self.value_bits)
         idx = self.indices
         if idx.size and (np.any(idx[1:] <= idx[:-1]) or idx[0] < 0 or idx[-1] >= math.prod(self.shape)):
@@ -103,8 +104,7 @@ class QuantizedSvdEntry:
     def __post_init__(self):
         self.groups = tuple(self.groups)
         rows, cols = self.shape
-        if not 1 <= self.rank <= min(rows, cols):
-            raise ValueError(f"rank {self.rank} is outside [1, {min(rows, cols)}]")
+        check_rank(self.rank, min(rows, cols))
         check_groups(self.groups, self.rank)
         if len(self.sigma) != self.rank or len(self.u_scales) != self.rank or len(self.v_scales) != self.rank:
             raise ValueError("sigma and scale lengths must equal the rank")
@@ -253,10 +253,7 @@ def pack_stats(entries: dict[str, CompressedEntry]) -> StorageStats:
 
 def _predict_classified(classified: Iterable[tuple[ModuleClass, tuple[int, ...]]], plan) -> StorageStats:
     """`predict_stats` over already classified (class, shape) pairs."""
-    return _accumulate(
-        (mclass, storage_ratio(shape, plan.strategies[mclass] if len(shape) == 2 else DenseStrategy()))
-        for mclass, shape in classified
-    )
+    return _accumulate((cls, storage_ratio(shape, strategy_for(plan, cls, shape))) for cls, shape in classified)
 
 
 def predict_stats(shapes: dict[str, tuple[int, ...]], manifest, plan) -> StorageStats:
@@ -392,18 +389,15 @@ def _load_entry(head: dict, payload: memoryview) -> tuple[str, CompressedEntry]:
 
     if kind == "pruned_sparse":
         shape = shape_field(head, 2)
-        value_bits = header_field(head, "value_bits", int)
+        value_bits = head["value_bits"]
         width = head.get("index_width", 32)
         if not is_int(width) or width not in (32, 64):
             raise FormatError(f"bad index width {width!r}")
-        alpha = head.get("alpha", 0.0)
-        if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
-            raise FormatError("header field 'alpha' must be a number")
         indices = _frozen(array("indices", f"<u{width // 8}").astype(np.int64))
         return name, PrunedSparseEntry(
             shape=shape,
             mclass=mclass,
-            alpha=float(alpha),
+            alpha=head["alpha"],
             value_bits=value_bits,
             indices=indices,
             codes=_frozen(codes("values", [(len(indices), value_bits)])[0]),
@@ -412,17 +406,14 @@ def _load_entry(head: dict, payload: memoryview) -> tuple[str, CompressedEntry]:
 
     shape = shape_field(head, 2)  # kind == "quantized_svd"
     rows, cols = shape
-    raw_groups = header_field(head, "groups", list)
-    if not all(isinstance(g, list) and len(g) == 3 and all(is_int(v) for v in g) for g in raw_groups):
-        raise FormatError("header field 'groups' must hold [begin, end, bits] ints")
-    groups = tuple(BitGroup(*g) for g in raw_groups)
+    groups = tuple(BitGroup(*g) for g in head["groups"])
     sigma, u_scales, v_scales = (array(role) for role in ("sigma", "scales_u", "scales_v"))
     u_parts = codes("codes_u", [(rows * g.length, g.bits) for g in groups])
     v_parts = codes("codes_v", [(g.length * cols, g.bits) for g in groups])
     return name, QuantizedSvdEntry(
         shape=shape,
         mclass=mclass,
-        rank=header_field(head, "rank", int),
+        rank=head["rank"],
         groups=groups,
         sigma=sigma,
         u_codes=_frozen(np.concatenate([part.reshape(rows, g.length) for part, g in zip(u_parts, groups)], axis=1)),

@@ -9,11 +9,13 @@ bits over [0,20)/[20,1000) for attention. Ranks clamp on small matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+import math
+from dataclasses import dataclass, fields
+from typing import Union, get_args
 
 from .classify import ModuleClass
 from .quantize import BitGroup, check_bits, check_groups
+from .tensors import check_alpha, check_rank, is_int
 
 
 @dataclass(frozen=True)
@@ -22,8 +24,7 @@ class PruneStrategy:
     value_bits: int = 4
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"retention ratio must be in (0, 1], got {self.alpha}")
+        check_alpha(self.alpha)
         check_bits(self.value_bits)
 
 
@@ -33,8 +34,7 @@ class SvdQuantStrategy:
     groups: tuple[BitGroup, ...]
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be at least 1")
+        check_rank(self.rank)
         object.__setattr__(self, "groups", tuple(self.groups))
         check_groups(self.groups, self.rank)
 
@@ -55,8 +55,10 @@ class SyntheticCalibration:
     samples: int = 128
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("calibration needs at least one sample")
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"calibration seed must be an int >= 0, got {self.seed!r}")
+        if not (is_int(self.samples) and self.samples >= 1):
+            raise ValueError(f"calibration samples must be an int >= 1, got {self.samples!r}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,10 @@ class FileCalibration:
     """Checkpoint container of per-parameter activation matrices (h_in x s)."""
 
     path: str
+
+    def __post_init__(self):
+        if not isinstance(self.path, str):
+            raise ValueError(f"calibration path must be a string, got {self.path!r}")
 
 
 CalibrationSpec = Union[SyntheticCalibration, FileCalibration]
@@ -82,8 +88,14 @@ class CompressionPlan:
                 raise ValueError(f"plan is missing a strategy for module class {cls.value!r}")
         if not isinstance(self.strategies[ModuleClass.PASSTHROUGH], DenseStrategy):
             raise ValueError("the passthrough class must map to the dense strategy")
-        if self.damping < 0:
-            raise ValueError("damping must be nonnegative")
+        damping = self.damping
+        if isinstance(damping, bool) or not isinstance(damping, (int, float)) or not 0 <= damping < math.inf:
+            raise ValueError(f"damping must be a finite number >= 0, got {damping!r}")
+
+
+def strategy_for(plan: CompressionPlan, mclass: ModuleClass, shape: tuple[int, ...]) -> Strategy:
+    """The strategy for a tensor of `shape` in `mclass`: the class's own, or dense when it is not 2-D."""
+    return plan.strategies[mclass] if len(shape) == 2 else DenseStrategy()
 
 
 def clip_groups(groups: tuple[BitGroup, ...], rank: int) -> tuple[BitGroup, ...]:
@@ -92,11 +104,11 @@ def clip_groups(groups: tuple[BitGroup, ...], rank: int) -> tuple[BitGroup, ...]
     for g in groups:
         if g.begin >= rank:
             break
-        out.append(BitGroup(g.begin, min(g.end, rank), g.bits))
+        out.append(g if g.end <= rank else BitGroup(g.begin, rank, g.bits))
     return tuple(out)
 
 
-def default_plan(calibration: CalibrationSpec | None = None, damping: float = 0.01) -> CompressionPlan:
+def default_plan() -> CompressionPlan:
     strategies = {
         ModuleClass.EMBEDDING_OR_HEAD: PruneStrategy(alpha=0.5, value_bits=4),
         ModuleClass.MLP: SvdQuantStrategy(
@@ -109,64 +121,51 @@ def default_plan(calibration: CalibrationSpec | None = None, damping: float = 0.
         ),
         ModuleClass.PASSTHROUGH: DenseStrategy(),
     }
-    return CompressionPlan(
-        strategies=strategies,
-        calibration=calibration if calibration is not None else SyntheticCalibration(),
-        damping=damping,
-    )
+    return CompressionPlan(strategies=strategies)
 
 
-def strategy_to_dict(s: Strategy) -> dict:
-    if isinstance(s, PruneStrategy):
-        return {"kind": "prune", "alpha": s.alpha, "value_bits": s.value_bits}
-    if isinstance(s, SvdQuantStrategy):
-        return {"kind": "svd_quant", "rank": s.rank, "groups": [[g.begin, g.end, g.bits] for g in s.groups]}
-    if isinstance(s, DenseStrategy):
-        return {"kind": "dense"}
-    raise TypeError(f"unknown strategy {s!r}")
+# Strategies and calibration specs serialize as {"kind": ..., <field>: <value>, ...}.
+_KINDS = {
+    "prune": PruneStrategy,
+    "svd_quant": SvdQuantStrategy,
+    "dense": DenseStrategy,
+    "synthetic": SyntheticCalibration,
+    "file": FileCalibration,
+}
+_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
 
 
-def strategy_from_dict(d: dict) -> Strategy:
+def _part_to_dict(part) -> dict:
+    out = {"kind": _KIND_OF[type(part)]}
+    for f in fields(part):
+        value = getattr(part, f.name)
+        out[f.name] = [[g.begin, g.end, g.bits] for g in value] if f.name == "groups" else value
+    return out
+
+
+def _part_from_dict(d: dict, union):
+    """The `union` member that `d` describes; an unknown or missing key is an error."""
     kind = d.get("kind")
-    if kind == "prune":
-        return PruneStrategy(alpha=d["alpha"], value_bits=d.get("value_bits", 4))
-    if kind == "svd_quant":
-        groups = tuple(BitGroup(b, e, k) for b, e, k in d["groups"])
-        return SvdQuantStrategy(rank=d["rank"], groups=groups)
-    if kind == "dense":
-        return DenseStrategy()
-    raise ValueError(f"unknown strategy kind {kind!r}")
-
-
-def calibration_to_dict(c: CalibrationSpec) -> dict:
-    if isinstance(c, SyntheticCalibration):
-        return {"kind": "synthetic", "seed": c.seed, "samples": c.samples}
-    if isinstance(c, FileCalibration):
-        return {"kind": "file", "path": c.path}
-    raise TypeError(f"unknown calibration spec {c!r}")
-
-
-def calibration_from_dict(d: dict) -> CalibrationSpec:
-    kind = d.get("kind")
-    if kind == "synthetic":
-        return SyntheticCalibration(seed=d.get("seed", 0), samples=d.get("samples", 128))
-    if kind == "file":
-        return FileCalibration(path=d["path"])
-    raise ValueError(f"unknown calibration kind {kind!r}")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls not in get_args(union):
+        raise ValueError(f"unknown kind {kind!r}")
+    values = {key: value for key, value in d.items() if key != "kind"}
+    if "groups" in values:
+        values["groups"] = tuple(BitGroup(*g) for g in values["groups"])
+    return cls(**values)
 
 
 def plan_to_dict(plan: CompressionPlan) -> dict:
     return {
-        "strategies": {cls.value: strategy_to_dict(s) for cls, s in plan.strategies.items()},
-        "calibration": calibration_to_dict(plan.calibration),
+        "strategies": {cls.value: _part_to_dict(s) for cls, s in plan.strategies.items()},
+        "calibration": _part_to_dict(plan.calibration),
         "damping": plan.damping,
     }
 
 
 def plan_from_dict(d: dict) -> CompressionPlan:
-    strategies = {ModuleClass(cls): strategy_from_dict(s) for cls, s in d["strategies"].items()}
-    return CompressionPlan(
-        strategies=strategies,
-        calibration=calibration_from_dict(d.get("calibration", {"kind": "synthetic"})),
-        damping=d.get("damping", 0.01),
-    )
+    strategies = {ModuleClass(cls): _part_from_dict(s, Strategy) for cls, s in d["strategies"].items()}
+    values = {**d, "strategies": strategies}
+    if "calibration" in d:
+        values["calibration"] = _part_from_dict(d["calibration"], CalibrationSpec)
+    return CompressionPlan(**values)

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
+from .tensors import is_int
+
 MIN_BITS = 2
 MAX_BITS = 16
 # Columns per lazy batch of the GPTQ sweep.
@@ -41,8 +43,8 @@ def qmax(bits: int) -> int:
 
 
 def check_bits(bits: int) -> None:
-    if bits < MIN_BITS:
-        raise ValueError(f"quantizer width must be > 1 bit, got {bits}")
+    if not is_int(bits) or bits < MIN_BITS:
+        raise ValueError(f"quantizer width must be an int of at least {MIN_BITS} bits, got {bits!r}")
     if bits > MAX_BITS:
         raise ValueError(f"quantizer width above {MAX_BITS} bits is not supported, got {bits}")
 
@@ -56,8 +58,8 @@ class BitGroup:
     bits: int
 
     def __post_init__(self):
-        if self.begin < 0 or self.end <= self.begin:
-            raise ValueError(f"empty or negative bit group [{self.begin}, {self.end})")
+        if not (is_int(self.begin) and is_int(self.end) and 0 <= self.begin < self.end):
+            raise ValueError(f"bit group [{self.begin!r}, {self.end!r}) needs int bounds 0 <= begin < end")
         check_bits(self.bits)
 
     @property

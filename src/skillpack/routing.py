@@ -21,6 +21,7 @@ from . import container
 from .checkpoints import Checkpoint, compose
 from .errors import FormatError
 from .packs import SkillPack
+from .tensors import all_finite, is_int
 
 
 @dataclass
@@ -50,7 +51,7 @@ class LinearClassifier:
             raise ValueError("classifier weights must be (n_classes x dim) with dim > 0")
         if len(self.bias) != self.weights.shape[0] or len(self.class_to_pack) != self.weights.shape[0]:
             raise ValueError("bias and class_to_pack must have one entry per class")
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
+        if not (all_finite(self.weights) and all_finite(self.bias)):
             raise ValueError("classifier weights and bias must be finite")
 
 
@@ -154,7 +155,7 @@ class RouterTrainingSet:
             raise ValueError("features and losses must have the same number of rows")
         if len(self.pack_ids) != self.losses.shape[1]:
             raise ValueError("pack_ids must have one entry per loss column")
-        if not np.all(np.isfinite(self.losses)) or not np.all(np.isfinite(self.features)):
+        if not (all_finite(self.losses) and all_finite(self.features)):
             raise ValueError("training data contains non-finite values")
 
 
@@ -231,7 +232,7 @@ def router_from_dict(d: dict) -> Router:
         return TaskTable(table={tag: _pack_ids(ids, f"task {tag!r}") for tag, ids in d["table"].items()})
     if kind == "linear_classifier":
         dim = d["d"]
-        if not container.is_int(dim) or dim < 1:
+        if not is_int(dim) or dim < 1:
             raise ValueError(f"field 'd' must be a positive int, got {dim!r}")
         bias = np.asarray(d["bias"], dtype=np.float64)
         weights = np.asarray(d["weights"], dtype=np.float64).reshape(len(bias), dim)
@@ -241,8 +242,9 @@ def router_from_dict(d: dict) -> Router:
 
 
 def save_router(router: Router, path) -> None:
-    """Write the router as JSON, atomically (see `container.write_atomic`)."""
-    container.write_atomic(path, [json.dumps(router_to_dict(router), indent=2).encode("utf-8")])
+    """Write the router as JSON, atomically (see `container.write_atomic`); a
+    non-finite weight raises ValueError before anything is written."""
+    container.write_atomic(path, [json.dumps(router_to_dict(router), indent=2, allow_nan=False).encode("utf-8")])
 
 
 def load_router(path) -> Router:
@@ -250,7 +252,7 @@ def load_router(path) -> Router:
     with open(path, "rb") as fh:
         raw = fh.read()
     with container.naming(f"router file {os.fspath(path)!r} is malformed"):
-        data = json.loads(raw.decode("utf-8"))
+        data = container.parse_json(raw.decode("utf-8"))
         if not isinstance(data, dict):
             raise FormatError("top level must be a JSON object")
         return router_from_dict(data)

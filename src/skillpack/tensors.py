@@ -1,4 +1,5 @@
-"""Dense-tensor numerical kernels: SVD, truncation, magnitude pruning, norms.
+"""Dense-tensor numerical kernels: SVD, truncation, magnitude pruning, norms;
+and the value checks that plans and entries share with them.
 
 Tensors are plain numpy arrays. Checkpoint payloads are float32/float16;
 factorizations run in float64 intermediates and the factors are kept in
@@ -14,10 +15,30 @@ import numpy as np
 import scipy.linalg
 
 
-def ensure_finite(arr: np.ndarray, name: str = "tensor") -> None:
-    """Reject NaN/Inf coming in from external data."""
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
+def is_int(value) -> bool:
+    """Whether `value` is an int; a bool, like any other subclass of int, is not."""
+    return type(value) is int
+
+
+def check_rank(rank, limit: float = math.inf) -> None:
+    """A rank is an int in [1, limit]."""
+    if not is_int(rank) or not 1 <= rank <= limit:
+        raise ValueError(f"rank must be an int in [1, {limit}], got {rank!r}")
+
+
+def check_alpha(alpha) -> None:
+    """A retention ratio is a number in (0, 1]; NaN and bools are not."""
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0.0 < alpha <= 1.0:
+        raise ValueError(f"retention ratio must be in (0, 1], got {alpha!r}")
+
+
+def all_finite(values: np.ndarray) -> bool:
+    """Whether every float in `values` is finite, tested a slice at a time so
+    that no temporary grows with a C- or Fortran-contiguous array."""
+    if values.dtype.kind != "f":
+        return True
+    flat, step = values.ravel(order="K"), 1 << 16
+    return all(np.isfinite(flat[i : i + step]).all() for i in range(0, flat.size, step))
 
 
 def retained_count(alpha: float, n: int) -> int:
@@ -84,7 +105,8 @@ def svd(a: np.ndarray) -> SvdFactors:
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"svd requires a 2-D matrix, got shape {a.shape}")
-    ensure_finite(a, "svd input")
+    if not all_finite(a):
+        raise ValueError("svd input contains non-finite values")
     # LAPACK overwrites this Fortran-ordered float64 copy instead of making its own.
     u, sigma, vt = scipy.linalg.svd(
         np.array(a, dtype=np.float64, order="F"),
@@ -103,8 +125,7 @@ def svd(a: np.ndarray) -> SvdFactors:
 
 def truncate(factors: SvdFactors, rank: int) -> SvdFactors:
     """Keep the top-`rank` singular triplets; rank clamps at the full rank."""
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
+    check_rank(rank)
     if rank >= factors.rank:
         return factors
     return SvdFactors(
@@ -120,12 +141,12 @@ def magnitude_prune(a: np.ndarray, alpha: float) -> SparseEntries:
     Ties broken toward the smaller flat row-major index, so the output is
     deterministic.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"retention ratio must be in (0, 1], got {alpha}")
+    check_alpha(alpha)
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"magnitude_prune requires a 2-D matrix, got shape {a.shape}")
-    ensure_finite(a, "prune input")
+    if not all_finite(a):
+        raise ValueError("prune input contains non-finite values")
     flat = a.reshape(-1)
     keep = retained_count(alpha, flat.size)
     order = np.argsort(-np.abs(flat), kind="stable")

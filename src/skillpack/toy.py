@@ -36,14 +36,7 @@ from .checkpoints import Checkpoint, apply_pack
 from .classify import ModuleClass, classify, default_manifest
 # predict_stats stays bound here: perfbench's tracer wraps skillpack.toy.predict_stats.
 from .packs import SkillPack, _predict_classified, predict_stats  # noqa: F401
-from .plans import (
-    CalibrationSpec,
-    CompressionPlan,
-    DenseStrategy,
-    PruneStrategy,
-    SvdQuantStrategy,
-    SyntheticCalibration,
-)
+from .plans import CompressionPlan, DenseStrategy, PruneStrategy, SvdQuantStrategy
 from .quantize import BitGroup
 
 # Every toy value lives on a power-of-two grid: base weights, sparse spikes
@@ -261,7 +254,7 @@ def _step(t: float, thresholds: tuple[tuple[float, int], ...], top: int) -> int:
     return top
 
 
-def _knob_plan(t: float, min_dims: dict[ModuleClass, int], calibration, damping) -> CompressionPlan:
+def _knob_plan(t: float, min_dims: dict[ModuleClass, int]) -> CompressionPlan:
     """One member of the budget family.
 
     Every knob (retention ratio, SVD rank, factor bits, value bits) is
@@ -284,38 +277,24 @@ def _knob_plan(t: float, min_dims: dict[ModuleClass, int], calibration, damping)
             ModuleClass.ATTENTION: svd_strategy(min_dims[ModuleClass.ATTENTION]),
             ModuleClass.PASSTHROUGH: DenseStrategy(),
         },
-        calibration=calibration,
-        damping=damping,
     )
 
 
-def budget_plan(
-    budget: float,
-    shapes: dict[str, tuple[int, ...]],
-    calibration: CalibrationSpec | None = None,
-    damping: float = 0.01,
-) -> CompressionPlan:
+def budget_plan(budget: float, shapes: dict[str, tuple[int, ...]]) -> CompressionPlan:
     """Plan from a one-knob family whose predicted total ratio best matches `budget`.
 
     The knob scales retention ratio, SVD ranks, and group bit widths
     together, so larger budgets always buy strictly gentler compression.
+    Of equally close plans the one with the smallest knob wins. Set the
+    calibration or damping with `dataclasses.replace`.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    calibration = calibration if calibration is not None else SyntheticCalibration()
     manifest = default_manifest()
     classified = [(classify(name, manifest), shape) for name, shape in shapes.items()]
     min_dims = {ModuleClass.ATTENTION: 1, ModuleClass.MLP: 1}
     for cls, shape in classified:
         if len(shape) == 2 and cls in min_dims:
             min_dims[cls] = max(min_dims[cls], min(shape))
-    best_plan = None
-    best_gap = np.inf
-    for t in np.linspace(0.004, 1.0, 500):
-        plan = _knob_plan(float(t), min_dims, calibration, damping)
-        predicted = _predict_classified(classified, plan).total.ratio_total
-        gap = abs(predicted - budget)
-        if gap < best_gap:
-            best_gap = gap
-            best_plan = plan
-    return best_plan
+    plans = (_knob_plan(float(t), min_dims) for t in np.linspace(0.004, 1.0, 500))
+    return min(plans, key=lambda plan: abs(_predict_classified(classified, plan).total.ratio_total - budget))

@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -100,6 +101,13 @@ def test_error_is_single_line(tmp_path, capsys):
     assert err.strip().count("\n") == 0
 
 
+def default_plan_text(edit) -> str:
+    """A config holding the default plan after `edit(plan_dict)`."""
+    plan = plan_to_dict(default_plan())
+    edit(plan)
+    return json.dumps({"plan": plan})
+
+
 @pytest.mark.parametrize("command, text", [
     ("compress", '{"plan": [1]}'),
     ("compress", '{"plan": {"strategies": {"mlp": {"kind": "prune"}}}}'),
@@ -108,7 +116,15 @@ def test_error_is_single_line(tmp_path, capsys):
     ("route-train", '{"features": [], "losses": []}'),
     ("route-train", "[1]"),
     ("route-train", '{"features": [[1.0]], "losses": [[1.0, "x"]]}'),
-], ids=["plan-list", "prune-no-alpha", "config-list", "config-truncated", "no-rows", "data-list", "string-loss"])
+    ("compress", default_plan_text(lambda p: p["calibration"].update(seed=1.5))),
+    ("compress", default_plan_text(lambda p: p["calibration"].update(samples=2.5))),
+    ("compress", default_plan_text(lambda p: p["strategies"]["embedding_or_head"].update(value_bits=4.0))),
+    ("compress", default_plan_text(
+        lambda p: p["strategies"].update(mlp={"kind": "svd_quant", "rank": 8.0, "groups": [[0, 8, 4]]}))),
+    ("compress", default_plan_text(lambda p: p.update(damping=float("nan")))),
+    ("compress", '{"plna": {}}'),
+], ids=["plan-list", "prune-no-alpha", "config-list", "config-truncated", "no-rows", "data-list", "string-loss",
+        "float-seed", "float-samples", "float-value-bits", "float-rank", "nan-damping", "misspelt-config-key"])
 def test_bad_json_input_is_one_error_line_naming_the_file(tmp_path, capsys, command, text):
     bad = tmp_path / "bad_input.json"
     bad.write_text(text)
@@ -220,3 +236,19 @@ def test_eval_writes_report(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["mean_deviation"] == 0.0
     assert len(report["deviations"]) == 4
+
+
+def test_eval_out_replaces_the_file_instead_of_rewriting_it(tmp_path):
+    base, tuned = gen_pair(tmp_path)
+    delta = tmp_path / "d.gltc"
+    main(["diff", str(base), str(tuned), "-o", str(delta)])
+    pack = tmp_path / "p.skpk"
+    main(["compress", str(delta), "--plan", dense_plan_config(tmp_path), "-o", str(pack)])
+    report_path = tmp_path / "report.json"
+    report_path.write_text("old report")
+    os.link(report_path, tmp_path / "old.json")
+    assert main(["eval", "--base", str(base), "--tuned", str(tuned), "--pack", str(pack),
+                 "--probes", "2", "--seed", "0", "--out", str(report_path)]) == 0
+    assert json.loads(report_path.read_text())["deviations"] == [0.0, 0.0]
+    assert (tmp_path / "old.json").read_text() == "old report"
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]

@@ -519,10 +519,13 @@ def _svd(**change):
                  v_codes=np.zeros((3, 2), np.int32), v_scales=np.ones(3, np.float32)),
     lambda: _svd(u_codes=np.zeros((2, 2), np.int32)),
     lambda: _svd(v_codes=np.zeros((2, 3), np.int32)),
+    lambda: _pruned(alpha=7.0),
+    lambda: _pruned(alpha=float("nan")),
 ], ids=[
     "dense-values-shape", "pruned-unsorted", "pruned-repeated", "pruned-past-end", "pruned-negative",
     "pruned-codes-per-index", "pruned-scales-per-row", "pruned-value-bits-17",
     "svd-rank-above-min-shape", "svd-u-codes-shape", "svd-v-codes-shape",
+    "pruned-alpha-7", "pruned-alpha-nan",
 ])
 def test_broken_entry_is_rejected_when_built(build):
     with pytest.raises(ValueError):
@@ -539,3 +542,21 @@ def test_nonfinite_entry_is_refused_on_save_and_keeps_previous_file(tmp_path):
         save_pack(SkillPack("b", "t", "", {}, {"mlp.weight": entry}), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["p.skpk"]
+
+
+def test_nonfinite_plan_snapshot_is_refused_on_save_and_keeps_previous_file(tmp_path):
+    path = tmp_path / "p.skpk"
+    save_pack(random_pack(1), path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        save_pack(SkillPack("b", "t", "", {"damping": float("nan")}, {"mlp.weight": _svd()}), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["p.skpk"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_nonfinite_json_constant_in_header_is_format_error(tmp_path, value):
+    path = _svd_pack_file(tmp_path)
+    _rewrite_header(path, lambda header: header["plan"].update(damping=value))
+    with pytest.raises(FormatError, match="not valid JSON"):
+        load_pack(path)

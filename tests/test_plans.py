@@ -1,0 +1,200 @@
+import io
+import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skillpack.checkpoints import Checkpoint, diff, save_checkpoint, save_delta
+from skillpack.classify import ModuleClass
+from skillpack.cli import main
+from skillpack.packs import load_pack
+from skillpack.plans import (
+    CompressionPlan,
+    DenseStrategy,
+    FileCalibration,
+    PruneStrategy,
+    SvdQuantStrategy,
+    SyntheticCalibration,
+    default_plan,
+    plan_from_dict,
+    plan_to_dict,
+    strategy_for,
+)
+from skillpack.quantize import BitGroup, check_bits
+from skillpack.toy import ToySpec, budget_plan, gen_toy, toy_param_shapes
+
+VALUES = [math.nan, math.inf, -math.inf, -1, 0, 1, 1.5, 3, True, "x", None, [], {}]
+
+
+def test_plan_dict_round_trips():
+    calibrated = replace(default_plan(), calibration=FileCalibration(path="calib.gltc"), damping=0.5)
+    plans = [default_plan(), calibrated, budget_plan(0.05, toy_param_shapes(ToySpec()))]
+    for plan in plans:
+        assert plan_from_dict(json.loads(json.dumps(plan_to_dict(plan)))) == plan
+
+
+def test_plan_dict_pinned():
+    assert plan_to_dict(default_plan()) == {
+        "strategies": {
+            "embedding_or_head": {"kind": "prune", "alpha": 0.5, "value_bits": 4},
+            "mlp": {"kind": "svd_quant", "rank": 1400, "groups": [[0, 20, 8], [20, 200, 3], [200, 1400, 2]]},
+            "attention": {"kind": "svd_quant", "rank": 1000, "groups": [[0, 20, 8], [20, 1000, 2]]},
+            "passthrough": {"kind": "dense"},
+        },
+        "calibration": {"kind": "synthetic", "seed": 0, "samples": 128},
+        "damping": 0.01,
+    }
+
+
+def test_missing_optional_keys_take_the_defaults():
+    d = plan_to_dict(default_plan())
+    del d["calibration"], d["damping"], d["strategies"]["embedding_or_head"]["value_bits"]
+    assert plan_from_dict(d) == default_plan()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["strategies"]["embedding_or_head"].update(value_bit=8),
+    lambda d: d["strategies"]["passthrough"].update(rank=3),
+    lambda d: d["calibration"].update(path="x"),
+    lambda d: d.update(dampening=0.1),
+], ids=["misspelt-strategy-key", "dense-with-field", "synthetic-with-path", "misspelt-plan-key"])
+def test_unknown_key_is_an_error_not_dropped(edit):
+    d = plan_to_dict(default_plan())
+    edit(d)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        plan_from_dict(d)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["strategies"]["mlp"].update(kind="synthetic"),
+    lambda d: d["calibration"].update(kind="prune"),
+    lambda d: d["calibration"].update(kind=["x"]),
+    lambda d: d["strategies"]["mlp"].pop("kind"),
+], ids=["calibration-as-strategy", "strategy-as-calibration", "list-kind", "no-kind"])
+def test_kind_must_name_a_part_of_the_right_sort(edit):
+    d = plan_to_dict(default_plan())
+    edit(d)
+    with pytest.raises(ValueError, match="unknown kind"):
+        plan_from_dict(d)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SyntheticCalibration(seed=1.5),
+    lambda: SyntheticCalibration(seed=-1),
+    lambda: SyntheticCalibration(seed=True),
+    lambda: SyntheticCalibration(samples=2.5),
+    lambda: SyntheticCalibration(samples=0),
+    lambda: FileCalibration(path=3),
+    lambda: PruneStrategy(alpha=0.5, value_bits=4.0),
+    lambda: PruneStrategy(alpha=0.5, value_bits=True),
+    lambda: PruneStrategy(alpha=math.nan),
+    lambda: SvdQuantStrategy(rank=8.0, groups=(BitGroup(0, 8, 4),)),
+    lambda: BitGroup(0.0, 8, 4),
+    lambda: BitGroup(0, 8.0, 4),
+    lambda: replace(default_plan(), damping=math.nan),
+    lambda: replace(default_plan(), damping=math.inf),
+    lambda: replace(default_plan(), damping=-0.1),
+    lambda: replace(default_plan(), damping=True),
+    lambda: replace(default_plan(), damping="0.1"),
+], ids=[
+    "float-seed", "negative-seed", "bool-seed", "float-samples", "zero-samples", "int-path", "float-value-bits",
+    "bool-value-bits", "nan-alpha", "float-rank", "float-begin", "float-end", "nan-damping", "inf-damping",
+    "negative-damping", "bool-damping", "string-damping",
+])
+def test_plan_part_is_checked_when_built(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_check_bits_takes_ints_only():
+    check_bits(4)
+    for bits in (4.0, True, "4", None):
+        with pytest.raises(ValueError, match="must be an int"):
+            check_bits(bits)
+
+
+def test_strategy_for_stores_tensors_that_are_not_2d_dense():
+    plan = default_plan()
+    assert strategy_for(plan, ModuleClass.MLP, (4, 4)) is plan.strategies[ModuleClass.MLP]
+    for shape in [(4,), (2, 2, 2), ()]:
+        assert strategy_for(plan, ModuleClass.MLP, shape) == DenseStrategy()
+    dense = CompressionPlan(strategies={cls: DenseStrategy() for cls in ModuleClass})
+    assert strategy_for(dense, ModuleClass.MLP, (4, 4)) == DenseStrategy()
+
+
+# --------------------------------------------------------------------------
+# Property: any edit of a valid plan config either compresses or fails with
+# one "error:" line; nothing escapes the CLI.
+# --------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def toy_files(tmp_path_factory):
+    """A hidden-8 toy delta, a calibration file for it, and two valid configs."""
+    root = tmp_path_factory.mktemp("plans")
+    base, tuned = gen_toy(ToySpec(seed=0, layers=1, hidden=8, mlp_width=12, vocab=16))
+    deltas = diff(base, tuned)
+    save_delta(deltas, root / "delta.gltc")
+    rng = np.random.default_rng(0)
+    acts = {n: rng.standard_normal((d.shape[1], 16)).astype(np.float32) for n, d in deltas.deltas.items() if d.ndim == 2}
+    save_checkpoint(Checkpoint(model_id="calibration", tensors=acts), root / "calib.gltc")
+    configs = [
+        {"plan": plan_to_dict(default_plan())},
+        {"plan": plan_to_dict(replace(default_plan(), calibration=FileCalibration(path=str(root / "calib.gltc"))))},
+    ]
+    return root, configs
+
+
+def _paths(node, prefix=()):
+    """The path of every value below `node`, a JSON tree."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@st.composite
+def mutated_configs(draw, configs):
+    config = json.loads(json.dumps(draw(st.sampled_from(configs))))
+    op = draw(st.sampled_from(["delete", "add", "set"]))
+    if op == "add":
+        dicts = [()] + [p for p in _paths(config) if isinstance(_at(config, p), dict)]
+        _at(config, draw(st.sampled_from(dicts)))["extra"] = draw(st.sampled_from(VALUES))
+        return config
+    *parent, key = draw(st.sampled_from(list(_paths(config))))
+    if op == "delete":
+        del _at(config, parent)[key]
+    else:
+        _at(config, parent)[key] = draw(st.sampled_from(VALUES))
+    return config
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_plan_config_compresses_or_fails_with_one_error_line(toy_files, data):
+    root, configs = toy_files
+    config = data.draw(mutated_configs(configs))
+    config_path, out = root / "config.json", root / "out.skpk"
+    config_path.write_text(json.dumps(config))
+    out.unlink(missing_ok=True)
+    stderr = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        rc = main(["compress", str(root / "delta.gltc"), "--plan", str(config_path), "-o", str(out)])
+    err = stderr.getvalue()
+    if rc == 0:
+        assert err == ""
+        snapshot = load_pack(out).plan_snapshot
+        assert plan_to_dict(plan_from_dict(snapshot)) == snapshot
+    else:
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1

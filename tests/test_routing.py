@@ -287,10 +287,13 @@ def test_failed_router_save_keeps_previous_file(tmp_path):
         '{"kind": "linear_classifier", "d": 1, "weights": [1.0], "bias": [0.0], "class_to_pack": [5]}',
         '{"kind": "linear_classifier", "d": 1, "weights": [NaN], "bias": [0.0], "class_to_pack": ["a"]}',
         '{"kind": "linear_classifier", "d": true, "weights": [1.0], "bias": [0.0], "class_to_pack": ["a"]}',
+        '{"kind": "task_table", "table": {"t": ["a"]}, "note": NaN}',
+        '{"kind": "task_table", "table": {"t": ["a"]}, "note": -Infinity}',
     ],
     ids=[
         "truncated", "not-utf8", "not-object", "no-table", "table-list", "no-d", "bad-d", "string-weight", "bad-kind",
         "table-string-ids", "table-non-string-ids", "int-class-to-pack", "nan-weight", "bool-d",
+        "nan-constant", "infinity-constant",
     ],
 )
 def test_malformed_router_file_is_format_error(tmp_path, text):
@@ -298,3 +301,15 @@ def test_malformed_router_file_is_format_error(tmp_path, text):
     path.write_bytes(text.encode("latin-1"))
     with pytest.raises(FormatError, match="r.json"):
         load_router(path)
+
+
+def test_router_with_nonfinite_weight_is_refused_on_save_and_keeps_previous_file(tmp_path):
+    path = tmp_path / "r.json"
+    save_router(TaskTable(table={"math": ["a"]}), path)
+    before = path.read_bytes()
+    clf = LinearClassifier(weights=np.ones((2, 1)), bias=np.zeros(2), class_to_pack=["a", "b"])
+    clf.weights[0, 0] = np.inf  # after the constructor's finite check
+    with pytest.raises(ValueError):
+        save_router(clf, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]

@@ -3,6 +3,9 @@ import pytest
 
 from skillpack.tensors import (
     SparseEntries,
+    all_finite,
+    check_alpha,
+    check_rank,
     frobenius_rel_err,
     magnitude_prune,
     retained_count,
@@ -165,3 +168,32 @@ def test_sparse_entries_densify():
     assert dense.shape == (2, 3)
     assert dense[0, 1] == 2.0 and dense[1, 1] == -1.0
     assert np.count_nonzero(dense) == 2
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_all_finite_checks_every_slice_in_either_order(order):
+    a = np.zeros((300, 500), dtype=np.float32, order=order)
+    assert all_finite(a) and all_finite(a[:, ::3]) and all_finite(np.arange(5))
+    a[299, 499] = np.nan  # the last element in memory of either order, past the first slice
+    assert not all_finite(a)
+    a[299, 499] = -np.inf
+    assert not all_finite(a[1:, 1:])
+
+
+@pytest.mark.parametrize("rank, limit", [(0, 5), (6, 5), (2.0, 5), (True, 5), ("2", 5), (-1, np.inf)])
+def test_rank_rule_rejects(rank, limit):
+    with pytest.raises(ValueError, match="rank"):
+        check_rank(rank, limit)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, 7.0, float("nan"), float("inf"), True, "0.5", None])
+def test_alpha_rule_rejects(alpha):
+    with pytest.raises(ValueError, match="retention ratio"):
+        check_alpha(alpha)
+
+
+def test_truncate_takes_an_int_rank():
+    factors = svd(np.eye(3))
+    with pytest.raises(ValueError, match="rank"):
+        truncate(factors, 2.0)
+    assert truncate(factors, 2).rank == 2
