@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -169,7 +169,7 @@ def _cmd_eval(args) -> int:
     tuned = load_checkpoint(args.tuned)
     pack = load_pack(args.pack)
     report = eval_retention(base, tuned, pack, probe_count=args.probes, seed=args.seed, seq_len=args.seq_len)
-    text = json.dumps(report.to_dict(), indent=2)
+    text = json.dumps(asdict(report), indent=2)
     if args.out:
         container.write_atomic(args.out, [(text + "\n").encode("utf-8")])
         print(f"wrote {args.out}")

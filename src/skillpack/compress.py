@@ -34,7 +34,6 @@ from .plans import (
     FileCalibration,
     PruneStrategy,
     SvdQuantStrategy,
-    SyntheticCalibration,
     clip_groups,
     plan_to_dict,
     strategy_for,
@@ -49,44 +48,36 @@ def synthetic_calibration(seed: int, width: int, samples: int) -> np.ndarray:
     return rng.standard_normal((width, samples))
 
 
-class _Calibration:
-    """Resolves per-tensor calibration activations for one compression run.
+def _calibration(plan: CompressionPlan):
+    """`(name, width) -> (x, factor)`: a tensor's calibration activations
+    (width x samples) and their V-side `hessian_factor`.
 
-    Each activation matrix is cached beside its V-side `hessian_factor`,
-    which depends only on the activations and the plan's damping. Synthetic
-    activations are shared per input width, so their factors are too. File
-    activations are per tensor name; only the latest is kept, since no
-    other tensor reuses it.
+    Synthetic activations are shared per input width, so each width's pair
+    is computed once. File activations are per tensor name, and the names
+    of a delta map are unique, so nothing is kept.
     """
+    spec = plan.calibration
+    if isinstance(spec, FileCalibration):
+        tensors = load_checkpoint(spec.path).tensors
 
-    def __init__(self, plan: CompressionPlan):
-        self.plan = plan
-        self._cache: dict[object, tuple[np.ndarray, np.ndarray | None]] = {}
-        self._file_tensors = None
-        if isinstance(plan.calibration, FileCalibration):
-            self._file_tensors = load_checkpoint(plan.calibration.path).tensors
+        def from_file(name: str, width: int) -> tuple[np.ndarray, np.ndarray | None]:
+            if name not in tensors:
+                raise KeyError(f"calibration file has no activations for {name!r}")
+            x = np.asarray(tensors[name], dtype=np.float64)
+            if x.ndim != 2 or x.shape[0] != width:
+                raise ValueError(f"calibration for {name!r} must be ({width} x samples), got {x.shape}")
+            return x, hessian_factor(x, plan.damping)
 
-    def activations(self, name: str, width: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """(x, factor): activations (width x samples) and their Hessian factor."""
-        spec = self.plan.calibration
-        key = width if isinstance(spec, SyntheticCalibration) else name
-        if key not in self._cache:
-            if isinstance(spec, SyntheticCalibration):
-                x = synthetic_calibration(spec.seed, width, spec.samples)
-            else:
-                x = self._file_activations(name, width)
-                self._cache.clear()
-            self._cache[key] = (x, hessian_factor(x, self.plan.damping))
-        return self._cache[key]
+        return from_file
+    by_width: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
 
-    def _file_activations(self, name: str, width: int) -> np.ndarray:
-        x = self._file_tensors.get(name)
-        if x is None:
-            raise KeyError(f"calibration file has no activations for {name!r}")
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != width:
-            raise ValueError(f"calibration for {name!r} must be ({width} x samples), got {x.shape}")
-        return x
+    def synthetic(name: str, width: int) -> tuple[np.ndarray, np.ndarray | None]:
+        if width not in by_width:
+            x = synthetic_calibration(spec.seed, width, spec.samples)
+            by_width[width] = (x, hessian_factor(x, plan.damping))
+        return by_width[width]
+
+    return synthetic
 
 
 def _compress_prune(delta: np.ndarray, mclass: ModuleClass, strategy: PruneStrategy) -> PrunedSparseEntry:
@@ -158,14 +149,13 @@ def compress_entry(
 ) -> CompressedEntry:
     """Compress one delta tensor according to its class strategy.
 
-    Tensors that are not 2-D are stored dense (`strategy_for`). Float16
-    deltas are promoted to float32 before any decomposition. `factor` is
+    Tensors that are not 2-D are stored dense (`strategy_for`). A float16
+    delta needs no promotion: the dense path stores float32, and the SVD
+    and the quantizers compute in float64. `factor` is
     `hessian_factor(calibration, plan.damping)` when the caller already
     has it; otherwise each quantizer call computes its own.
     """
     delta = np.asarray(delta)
-    if delta.dtype == np.float16:
-        delta = delta.astype(np.float32)
     strategy = strategy_for(plan, mclass, delta.shape)
     if isinstance(strategy, DenseStrategy):
         return DenseEntry(shape=tuple(delta.shape), mclass=mclass, values=delta.astype(np.float32))
@@ -189,13 +179,13 @@ def compress_delta(
     Deterministic given (deltas, manifest, plan): each entry depends only
     on its own tensor, the plan, and the calibration seed or file.
     """
-    calib = _Calibration(plan)
+    calibration = _calibration(plan)
     entries: dict[str, CompressedEntry] = {}
     for name, delta in deltas.deltas.items():
         mclass = classify(name, manifest)
         shape = np.shape(delta)
         needs_calibration = isinstance(strategy_for(plan, mclass, shape), SvdQuantStrategy)
-        x, factor = calib.activations(name, shape[1]) if needs_calibration else (None, None)
+        x, factor = calibration(name, shape[1]) if needs_calibration else (None, None)
         entries[name] = compress_entry(name, delta, mclass, plan, x, factor)
     return SkillPack(
         base_model_id=deltas.base_id,

@@ -251,18 +251,14 @@ def pack_stats(entries: dict[str, CompressedEntry]) -> StorageStats:
     return _accumulate((entry.mclass, entry_stats(entry)) for entry in entries.values())
 
 
-def _predict_classified(classified: Iterable[tuple[ModuleClass, tuple[int, ...]]], plan) -> StorageStats:
-    """`predict_stats` over already classified (class, shape) pairs."""
-    return _accumulate((cls, storage_ratio(shape, strategy_for(plan, cls, shape))) for cls, shape in classified)
-
-
 def predict_stats(shapes: dict[str, tuple[int, ...]], manifest, plan) -> StorageStats:
     """Closed-form stats a plan would produce on the given named shapes.
 
     Mirrors the compressor's dispatch: names are classified by the
     manifest, non-2-D tensors fall back to dense storage.
     """
-    return _predict_classified(((classify(name, manifest), shape) for name, shape in shapes.items()), plan)
+    classified = ((classify(name, manifest), shape) for name, shape in shapes.items())
+    return _accumulate((cls, storage_ratio(shape, strategy_for(plan, cls, shape))) for cls, shape in classified)
 
 
 # --------------------------------------------------------------------------
@@ -334,26 +330,6 @@ def save_pack(pack: SkillPack, path) -> None:
     container.write_container(path, MAGIC, VERSION, header, payload.parts)
 
 
-def _require_roles(head: dict, roles: tuple[str, ...]) -> dict[str, dict]:
-    blobs = header_field(head, "blobs", list)
-    for b in blobs:
-        check_blob_meta(b)
-        if not isinstance(b.get("role"), str):
-            raise FormatError("malformed blob metadata")
-    by_role = {b["role"]: b for b in blobs}
-    for role in roles:
-        if role not in by_role:
-            raise FormatError(f"missing blob {role!r}")
-    return by_role
-
-
-_ROLES = {
-    "dense": ("dense",),
-    "pruned_sparse": ("indices", "values", "scales"),
-    "quantized_svd": ("sigma", "codes_u", "scales_u", "codes_v", "scales_v"),
-}
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -365,18 +341,27 @@ def _load_entry(head: dict, payload: memoryview) -> tuple[str, CompressedEntry]:
     name = header_field(head, "name", str)
     kind = header_field(head, "kind", str)
     mclass = ModuleClass(header_field(head, "class", str))
-    if kind not in _ROLES:
-        raise FormatError(f"unknown entry kind {kind!r}")
-    by_role = _require_roles(head, _ROLES[kind])
+    by_role = {}
+    for meta in header_field(head, "blobs", list):
+        check_blob_meta(meta)
+        if not isinstance(meta.get("role"), str):
+            raise FormatError("malformed blob metadata")
+        by_role[meta["role"]] = meta
+
+    def blob_meta(role: str) -> dict:
+        """The `role` blob's metadata; looked up inside that blob's `naming`, so an error names both."""
+        if role not in by_role:
+            raise FormatError("missing blob")
+        return by_role[role]
 
     def array(role: str, dtype="<f4", shape: tuple[int, ...] | None = None) -> np.ndarray:
         with container.naming(f"blob {role!r}"):
-            return container.read_array(payload, by_role[role], dtype, shape)
+            return container.read_array(payload, blob_meta(role), dtype, shape)
 
     def codes(role: str, fields: list[tuple[int, int]]) -> list[np.ndarray]:
         """The blob's (count, bits) code segments, each padded to a byte boundary."""
         with container.naming(f"blob {role!r}"):
-            blob = container.fetch_blob(payload, by_role[role])
+            blob = container.fetch_blob(payload, blob_meta(role))
             out, offset = [], 0
             for count, bits in fields:
                 out.append(unpack_codes(blob[offset:], count, bits))
@@ -404,7 +389,9 @@ def _load_entry(head: dict, payload: memoryview) -> tuple[str, CompressedEntry]:
             scales=array("scales"),
         )
 
-    shape = shape_field(head, 2)  # kind == "quantized_svd"
+    if kind != "quantized_svd":
+        raise FormatError(f"unknown entry kind {kind!r}")
+    shape = shape_field(head, 2)
     rows, cols = shape
     groups = tuple(BitGroup(*g) for g in head["groups"])
     sigma, u_scales, v_scales = (array(role) for role in ("sigma", "scales_u", "scales_v"))

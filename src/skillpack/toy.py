@@ -35,8 +35,8 @@ import numpy as np
 from .checkpoints import Checkpoint, apply_pack
 from .classify import ModuleClass, classify, default_manifest
 # predict_stats stays bound here: perfbench's tracer wraps skillpack.toy.predict_stats.
-from .packs import SkillPack, _predict_classified, predict_stats  # noqa: F401
-from .plans import CompressionPlan, DenseStrategy, PruneStrategy, SvdQuantStrategy
+from .packs import SkillPack, StatLine, predict_stats, storage_ratio  # noqa: F401
+from .plans import CompressionPlan, DenseStrategy, PruneStrategy, SvdQuantStrategy, strategy_for
 from .quantize import BitGroup
 
 # Every toy value lives on a power-of-two grid: base weights, sparse spikes
@@ -93,14 +93,6 @@ def toy_param_shapes(spec: ToySpec) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _is_sparse_target(name: str) -> bool:
-    return "embed" in name or "lm_head" in name
-
-
-def _is_lowrank_target(name: str, shape) -> bool:
-    return len(shape) == 2 and not _is_sparse_target(name)
-
-
 def _snap(values: np.ndarray, grid: float) -> np.ndarray:
     return np.round(values / grid) * grid
 
@@ -116,6 +108,7 @@ def gen_toy(spec: ToySpec) -> tuple[Checkpoint, Checkpoint]:
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x70F]))
     scale = 1.0 / np.sqrt(spec.hidden)
     recipe = spec.recipe
+    manifest = default_manifest()
 
     base_tensors: dict[str, np.ndarray] = {}
     tuned_tensors: dict[str, np.ndarray] = {}
@@ -127,14 +120,15 @@ def gen_toy(spec: ToySpec) -> tuple[Checkpoint, Checkpoint]:
             base = _snap(rng.standard_normal(shape) * scale, _GRID) + 0.0
 
         delta = np.zeros(shape, dtype=np.float64)
-        if _is_sparse_target(name) and recipe.sparse_nnz > 0:
+        sparse = classify(name, manifest) is ModuleClass.EMBEDDING_OR_HEAD
+        if sparse and recipe.sparse_nnz > 0:
             flat = delta.reshape(-1)
             positions = rng.choice(flat.size, size=min(recipe.sparse_nnz, flat.size), replace=False)
             spikes = rng.normal(0.0, _SPARSE_STD, size=len(positions))
             codes = np.round(spikes / _GRID)
             codes = np.where(codes == 0, np.where(spikes >= 0, 1, -1), codes)  # keep every spike nonzero
             flat[positions] = codes * _GRID
-        elif _is_lowrank_target(name, shape) and recipe.rank > 0:
+        elif not sparse and len(shape) == 2 and recipe.rank > 0:
             left = _snap(rng.standard_normal((shape[0], recipe.rank)) * _FACTOR_STD, _FACTOR_GRID)
             right = _snap(rng.standard_normal((recipe.rank, shape[1])) * _FACTOR_STD, _FACTOR_GRID)
             delta += left @ right
@@ -197,14 +191,6 @@ class RetentionReport:
     mean_deviation: float
     max_deviation: float
     storage_ratio_total: float
-
-    def to_dict(self) -> dict:
-        return {
-            "deviations": self.deviations,
-            "mean_deviation": self.mean_deviation,
-            "max_deviation": self.max_deviation,
-            "storage_ratio_total": self.storage_ratio_total,
-        }
 
 
 def eval_retention(
@@ -296,5 +282,10 @@ def budget_plan(budget: float, shapes: dict[str, tuple[int, ...]]) -> Compressio
     for cls, shape in classified:
         if len(shape) == 2 and cls in min_dims:
             min_dims[cls] = max(min_dims[cls], min(shape))
+
+    def predicted(plan: CompressionPlan) -> float:
+        lines = (storage_ratio(shape, strategy_for(plan, cls, shape)) for cls, shape in classified)
+        return sum(lines, StatLine(0, 0, 0)).ratio_total
+
     plans = (_knob_plan(float(t), min_dims) for t in np.linspace(0.004, 1.0, 500))
-    return min(plans, key=lambda plan: abs(_predict_classified(classified, plan).total.ratio_total - budget))
+    return min(plans, key=lambda plan: abs(predicted(plan) - budget))
