@@ -29,16 +29,18 @@ class ClassificationManifest:
     rules: tuple[tuple[str, ModuleClass], ...] = ()
     default: ModuleClass = ModuleClass.PASSTHROUGH
 
-    def to_dict(self) -> dict:
-        return {
-            "rules": [[pattern, cls.value] for pattern, cls in self.rules],
-            "default": self.default.value,
-        }
+    def __post_init__(self):
+        rules = tuple(self.rules)
+        if not all(isinstance(rule, (tuple, list)) and len(rule) == 2 and isinstance(rule[0], str) for rule in rules):
+            raise ValueError(f"manifest rules must be [pattern string, class] pairs, got {self.rules!r}")
+        object.__setattr__(self, "rules", tuple((pattern, ModuleClass(cls)) for pattern, cls in rules))
+        object.__setattr__(self, "default", ModuleClass(self.default))
 
     @staticmethod
     def from_dict(d: dict) -> "ClassificationManifest":
-        rules = tuple((pattern, ModuleClass(cls)) for pattern, cls in d.get("rules", []))
-        return ClassificationManifest(rules=rules, default=ModuleClass(d.get("default", "passthrough")))
+        """The manifest that `{"rules": [[pattern, class], ...], "default": class}` describes;
+        both keys are optional, and any other key is an error."""
+        return ClassificationManifest(**d)
 
 
 def _matches(pattern: str, name: str) -> bool:

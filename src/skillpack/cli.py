@@ -40,7 +40,7 @@ from .toy import DeltaRecipe, ToySpec, eval_retention, gen_toy
 
 def _load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+        config = container.parse_json(fh.read())
     if not isinstance(config, dict):
         raise ValueError("top level must be a JSON object")
     unknown = sorted(set(config) - {"plan", "manifest"})
@@ -56,12 +56,6 @@ def _plan_from_config(config: dict, seed_override: int | None):
             raise ValueError("--seed only overrides synthetic calibration")
         plan = replace(plan, calibration=replace(plan.calibration, seed=seed_override))
     return plan
-
-
-def _manifest_from_config(config: dict) -> ClassificationManifest:
-    if "manifest" in config:
-        return ClassificationManifest.from_dict(config["manifest"])
-    return default_manifest()
 
 
 def _cmd_gen_toy(args) -> int:
@@ -92,7 +86,8 @@ def _cmd_compress(args) -> int:
     with container.naming(f"config file {args.plan!r}"):
         config = _load_config(args.plan)
         plan = _plan_from_config(config, args.seed)
-        manifest = _manifest_from_config(config)
+        manifest = (ClassificationManifest.from_dict(config["manifest"]) if "manifest" in config
+                    else default_manifest())
     deltas = load_delta(args.delta)
     pack = compress_delta(deltas, manifest, plan, task_tag=args.tag)
     save_pack(pack, args.out)
@@ -155,7 +150,7 @@ def _cmd_route(args) -> int:
 def _cmd_route_train(args) -> int:
     with container.naming(f"training file {args.data!r}"):
         with open(args.data, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = container.parse_json(fh.read())
         pack_ids = raw.get("pack_ids") or [f"pack{i}" for i in range(len(raw["losses"][0]))]
         data = RouterTrainingSet(features=raw["features"], losses=raw["losses"], pack_ids=pack_ids)
     classifier, accuracy = train_router(data, epochs=args.epochs, learning_rate=args.lr)

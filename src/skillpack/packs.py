@@ -21,7 +21,8 @@ from .classify import ModuleClass, classify
 from .container import check_blob_meta, entry_context, header_field, shape_field
 from .errors import FormatError, IntegrityError
 from .plans import DenseStrategy, PruneStrategy, Strategy, SvdQuantStrategy, clip_groups, strategy_for
-from .quantize import BitGroup, check_bits, check_groups, pack_codes, packed_size, qmax, unpack_codes
+from .quantize import BitGroup, check_bits, check_groups, groups_from_json, groups_to_json, pack_codes, packed_size
+from .quantize import qmax, unpack_codes
 from .tensors import check_alpha, check_rank, is_int, retained_count
 
 MAGIC = b"SKPK"
@@ -272,7 +273,6 @@ class SkillPack:
     task_tag: str
     plan_snapshot: dict
     entries: dict[str, CompressedEntry] = field(default_factory=dict)
-    format_version: int = VERSION
 
     @property
     def stats(self) -> StorageStats:
@@ -303,7 +303,7 @@ def _encode_entry(name: str, entry: CompressedEntry, payload: container.Payload)
         add("values", codes)
         add("scales", entry.scales, "<f4")
     elif isinstance(entry, QuantizedSvdEntry):
-        head.update(rank=entry.rank, groups=[[g.begin, g.end, g.bits] for g in entry.groups])
+        head.update(rank=entry.rank, groups=groups_to_json(entry.groups))
         add("sigma", entry.sigma, "<f4")
         add("codes_u", b"".join(pack_codes(entry.u_codes[:, g.begin : g.end], g.bits) for g in entry.groups))
         add("scales_u", entry.u_scales, "<f4")
@@ -319,7 +319,7 @@ def save_pack(pack: SkillPack, path) -> None:
     payload = container.Payload()
     entries = [_encode_entry(name, entry, payload) for name, entry in pack.entries.items()]
     header = {
-        "format_version": pack.format_version,
+        "format_version": VERSION,
         "base_model_id": pack.base_model_id,
         "tuned_model_id": pack.tuned_model_id,
         "task_tag": pack.task_tag,
@@ -393,7 +393,7 @@ def _load_entry(head: dict, payload: memoryview) -> tuple[str, CompressedEntry]:
         raise FormatError(f"unknown entry kind {kind!r}")
     shape = shape_field(head, 2)
     rows, cols = shape
-    groups = tuple(BitGroup(*g) for g in head["groups"])
+    groups = groups_from_json(head["groups"])
     sigma, u_scales, v_scales = (array(role) for role in ("sigma", "scales_u", "scales_v"))
     u_parts = codes("codes_u", [(rows * g.length, g.bits) for g in groups])
     v_parts = codes("codes_v", [(g.length * cols, g.bits) for g in groups])
@@ -412,12 +412,14 @@ def _load_entry(head: dict, payload: memoryview) -> tuple[str, CompressedEntry]:
 
 def load_pack(path) -> SkillPack:
     header, payload = container.read_container(path, MAGIC, VERSION)
+    version = header_field(header, "format_version", int)
+    if version != VERSION:
+        raise FormatError(f"header field 'format_version' must be {VERSION}, got {version}")
     pack = SkillPack(
         base_model_id=header_field(header, "base_model_id", str),
         tuned_model_id=header_field(header, "tuned_model_id", str),
         task_tag=header_field(header, "task_tag", str),
         plan_snapshot=header_field(header, "plan", dict),
-        format_version=header_field(header, "format_version", int),
     )
     heads = header.get("entries", [])
     if not isinstance(heads, list):

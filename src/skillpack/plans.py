@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from typing import Union, get_args
 
 from .classify import ModuleClass
-from .quantize import BitGroup, check_bits, check_groups
+from .quantize import BitGroup, check_bits, check_groups, groups_from_json, groups_to_json
 from .tensors import check_alpha, check_rank, is_int
 
 
@@ -139,7 +139,7 @@ def _part_to_dict(part) -> dict:
     out = {"kind": _KIND_OF[type(part)]}
     for f in fields(part):
         value = getattr(part, f.name)
-        out[f.name] = [[g.begin, g.end, g.bits] for g in value] if f.name == "groups" else value
+        out[f.name] = groups_to_json(value) if f.name == "groups" else value
     return out
 
 
@@ -151,7 +151,7 @@ def _part_from_dict(d: dict, union):
         raise ValueError(f"unknown kind {kind!r}")
     values = {key: value for key, value in d.items() if key != "kind"}
     if "groups" in values:
-        values["groups"] = tuple(BitGroup(*g) for g in values["groups"])
+        values["groups"] = groups_from_json(values["groups"])
     return cls(**values)
 
 

@@ -67,6 +67,18 @@ class BitGroup:
         return self.end - self.begin
 
 
+def groups_to_json(groups) -> list[list[int]]:
+    """Bit groups as the `[begin, end, bits]` lists that plan files and pack headers hold."""
+    return [[g.begin, g.end, g.bits] for g in groups]
+
+
+def groups_from_json(value) -> tuple[BitGroup, ...]:
+    """The inverse of `groups_to_json`; anything but a list of three-element lists is an error naming `groups`."""
+    if not isinstance(value, list) or not all(isinstance(g, list) and len(g) == 3 for g in value):
+        raise ValueError(f"groups must be a list of [begin, end, bits] lists, got {value!r}")
+    return tuple(BitGroup(*g) for g in value)
+
+
 def check_groups(groups, rank: int) -> None:
     """Groups must be contiguous, start at 0 and cover [0, rank) exactly."""
     if not groups:

@@ -300,6 +300,25 @@ def test_classify_empty_manifest_uses_default():
     assert classify("whatever", manifest) is ModuleClass.ATTENTION
 
 
+@pytest.mark.parametrize("fields", [
+    {"rules": ((5, ModuleClass.MLP),)}, {"rules": (("mlp",),)}, {"rules": (("mlp", "nonsense"),)},
+    {"default": "nonsense"},
+])
+def test_manifest_is_checked_when_built(fields):
+    with pytest.raises(ValueError):
+        ClassificationManifest(**fields)
+
+
+def test_manifest_from_dict_reads_its_json_form():
+    manifest = ClassificationManifest.from_dict({"rules": [["*.bias", "passthrough"], ["attn", "attention"]],
+                                                 "default": "mlp"})
+    assert manifest == ClassificationManifest(
+        rules=(("*.bias", ModuleClass.PASSTHROUGH), ("attn", ModuleClass.ATTENTION)), default=ModuleClass.MLP)
+    assert ClassificationManifest.from_dict({}) == ClassificationManifest()
+    with pytest.raises(TypeError):
+        ClassificationManifest.from_dict({"rules": [], "defualt": "mlp"})
+
+
 def zero_pack(base: Checkpoint, names=None) -> SkillPack:
     entries = {}
     for name, arr in base.tensors.items():

@@ -123,8 +123,17 @@ def default_plan_text(edit) -> str:
         lambda p: p["strategies"].update(mlp={"kind": "svd_quant", "rank": 8.0, "groups": [[0, 8, 4]]}))),
     ("compress", default_plan_text(lambda p: p.update(damping=float("nan")))),
     ("compress", '{"plna": {}}'),
+    ("compress", '{"manifest": {"rule": [["mlp", "mlp"]]}}'),
+    ("compress", '{"manifest": {"rules": [["mlp", "mlp"]], "defualt": "mlp"}}'),
+    ("compress", '{"manifest": {"rules": [[5, "mlp"]]}}'),
+    ("compress", default_plan_text(lambda p: p["strategies"]["mlp"].update(groups=1.5))),
+    ("compress", default_plan_text(lambda p: p["strategies"]["mlp"].update(groups=[[0, 8]]))),
+    ("compress", default_plan_text(lambda p: p["strategies"]["mlp"].update(groups=[[0, 8, 4, 1]]))),
+    ("compress", default_plan_text(lambda p: p["strategies"]["mlp"].update(groups="x"))),
 ], ids=["plan-list", "prune-no-alpha", "config-list", "config-truncated", "no-rows", "data-list", "string-loss",
-        "float-seed", "float-samples", "float-value-bits", "float-rank", "nan-damping", "misspelt-config-key"])
+        "float-seed", "float-samples", "float-value-bits", "float-rank", "nan-damping", "misspelt-config-key",
+        "misspelt-manifest-rules", "misspelt-manifest-default", "int-manifest-pattern",
+        "float-groups", "short-group", "long-group", "string-groups"])
 def test_bad_json_input_is_one_error_line_naming_the_file(tmp_path, capsys, command, text):
     bad = tmp_path / "bad_input.json"
     bad.write_text(text)
@@ -136,6 +145,22 @@ def test_bad_json_input_is_one_error_line_naming_the_file(tmp_path, capsys, comm
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.strip().count("\n") == 0
     assert "bad_input.json" in err
+
+
+def test_compress_with_a_custom_manifest(tmp_path):
+    base, tuned = gen_pair(tmp_path)
+    delta = tmp_path / "d.gltc"
+    main(["diff", str(base), str(tuned), "-o", str(delta)])
+    manifest = {"rules": [["*.mlp.*", "mlp"], ["embed", "embedding_or_head"]], "default": "passthrough"}
+    plan = write_plan(tmp_path / "plan.json", manifest=manifest)
+    assert main(["compress", str(delta), "--plan", plan, "-o", str(tmp_path / "p.skpk")]) == 0
+    from skillpack.packs import load_pack
+
+    kinds = {name: entry.kind for name, entry in load_pack(tmp_path / "p.skpk").entries.items()}
+    assert kinds["model.layers.0.mlp.up_proj.weight"] == "quantized_svd"
+    assert kinds["model.embed_tokens.weight"] == "pruned_sparse"
+    assert kinds["model.layers.0.self_attn.q_proj.weight"] == "dense"
+    assert kinds["lm_head.weight"] == "dense"
 
 
 def test_compress_seed_override_changes_pack(tmp_path):

@@ -146,7 +146,7 @@ def test_missing_header_field_names_entry(tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("rank", "3"), ("rank", 10**6), ("shape", [2]), ("shape", None),
-    ("groups", [[0, 1]]), ("groups", 7), ("class", "nonsense"), ("blobs", [{"role": 1}]),
+    ("groups", [[0, 1]]), ("groups", 7), ("class", "nonsense"), ("blobs", [{"role": 1}]), ("groups", [[0, 8]]),
 ])
 def test_ill_typed_header_field_is_format_error(tmp_path, field, value):
     path = _svd_pack_file(tmp_path)
@@ -174,6 +174,26 @@ def test_ill_typed_top_level_field_is_format_error(tmp_path, field, value):
 
     _rewrite_header(path, mutate)
     with pytest.raises(FormatError, match=f"header field '{field}'"):
+        load_pack(path)
+
+
+def test_other_format_version_is_format_error(tmp_path):
+    path = _svd_pack_file(tmp_path)
+    _rewrite_header(path, lambda header: header.update(format_version=99))
+    with pytest.raises(FormatError, match="format_version"):
+        load_pack(path)
+
+
+@pytest.mark.parametrize("drop", ["sigma", "codes_v"])
+def test_missing_blob_names_entry_and_blob(tmp_path, drop):
+    path = _svd_pack_file(tmp_path)
+
+    def mutate(header):
+        blobs = header["entries"][0]["blobs"]
+        blobs[:] = [b for b in blobs if b["role"] != drop]
+
+    _rewrite_header(path, mutate)
+    with pytest.raises(FormatError, match=f"entry 'mlp.weight': blob '{drop}': missing"):
         load_pack(path)
 
 

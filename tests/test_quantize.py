@@ -7,6 +7,8 @@ from skillpack.quantize import (
     BitGroup,
     calibration_error,
     check_groups,
+    groups_from_json,
+    groups_to_json,
     hessian_factor,
     pack_codes,
     packed_size,
@@ -232,6 +234,18 @@ def test_bit_groups_validate():
     with pytest.raises(ValueError):
         check_groups((BitGroup(0, 2, 4),), 5)
     check_groups((BitGroup(0, 2, 8), BitGroup(2, 5, 2)), 5)
+
+
+def test_groups_json_round_trips():
+    groups = (BitGroup(0, 2, 8), BitGroup(2, 5, 2))
+    assert groups_to_json(groups) == [[0, 2, 8], [2, 5, 2]]
+    assert groups_from_json(groups_to_json(groups)) == groups
+
+
+@pytest.mark.parametrize("value", [1.5, [[0, 8]], [[0, 8, 4, 1]], "x", [(0, 8, 4)], None])
+def test_groups_from_json_names_groups(value):
+    with pytest.raises(ValueError, match="groups must be a list of"):
+        groups_from_json(value)
 
 
 def chained_factor(x, damping=0.01):
