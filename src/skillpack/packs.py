@@ -351,7 +351,7 @@ def _load_entry(head: dict, payload: memoryview) -> tuple[str, CompressedEntry]:
     def blob_meta(role: str) -> dict:
         """The `role` blob's metadata; looked up inside that blob's `naming`, so an error names both."""
         if role not in by_role:
-            raise FormatError("missing blob")
+            raise FormatError("missing")
         return by_role[role]
 
     def array(role: str, dtype="<f4", shape: tuple[int, ...] | None = None) -> np.ndarray:
