@@ -59,22 +59,14 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 def _read_tensors(header: dict, payload: memoryview) -> dict[str, np.ndarray]:
     """Tensors from the header's entries; every field is checked before use."""
-    metas = header.get("tensors", [])
-    if not isinstance(metas, list):
-        raise FormatError("header field 'tensors' must be a list")
-    tensors: dict[str, np.ndarray] = {}
-    for index, meta in enumerate(metas):
-        with container.naming(container.entry_context("tensor", index, meta)):
-            name = container.header_field(meta, "name", str)
-            if name in tensors:
-                raise FormatError("duplicate tensor name")
-            tag = container.header_field(meta, "dtype", str)
-            if tag not in _DTYPE_TAGS:
-                raise FormatError(f"unknown dtype tag {tag!r}")
-            shape = container.shape_field(meta)
-            container.check_blob_meta(meta)
-            tensors[name] = container.read_array(payload, meta, _DTYPE_TAGS[tag], shape)
-    return tensors
+
+    def tensor(meta: dict) -> np.ndarray:
+        tag = container.header_field(meta, "dtype", str)
+        if tag not in _DTYPE_TAGS:
+            raise FormatError(f"unknown dtype tag {tag!r}")
+        return container.read_array(payload, meta, _DTYPE_TAGS[tag], container.shape_field(meta))
+
+    return container.read_entries(header, "tensors", "tensor", tensor)
 
 
 def load_checkpoint(path) -> Checkpoint:

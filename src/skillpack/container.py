@@ -19,9 +19,9 @@ hosts), and the mapping lives as long as any such view. Savers replace a
 file and never rewrite it in place, so a mapped file never changes under
 its views. Both sides refuse non-finite floats, in blobs and, as strict
 JSON, in headers. Header fields come from the file and are read through the
-checkers below, and each loader reads every entry inside `naming`, its one
-error boundary, which names the entry in any error and turns KeyError,
-TypeError and the like into FormatError.
+checkers below; `read_entries` reads each loader's entries inside `naming`,
+the one error boundary, which names the entry in any error and turns
+KeyError, TypeError and the like into FormatError.
 """
 
 from __future__ import annotations
@@ -141,9 +141,12 @@ def read_container(path, magic: bytes, version: int) -> tuple[dict, memoryview]:
 
 
 def fetch_blob(payload: memoryview, meta: dict) -> memoryview:
-    """A view of one blob in the payload, after checking its bounds and checksum."""
-    offset, byte_len, crc = meta["offset"], meta["byte_len"], meta["crc32"]
-    if offset < 0 or offset + byte_len > len(payload):
+    """A view of one blob in the payload, after checking its metadata ({offset,
+    byte_len, crc32}, non-negative ints), its bounds and its checksum."""
+    offset, byte_len, crc = (meta.get(key) for key in ("offset", "byte_len", "crc32"))
+    if not all(is_int(v) and v >= 0 for v in (offset, byte_len, crc)):
+        raise FormatError("malformed blob metadata")
+    if offset + byte_len > len(payload):
         raise FormatError("truncated file: blob extends past end of payload")
     blob = payload[offset : offset + byte_len]
     if zlib.crc32(blob) != crc:
@@ -161,11 +164,10 @@ def read_array(payload: memoryview, meta: dict, dtype, shape: tuple[int, ...] | 
     (IntegrityError otherwise). A big-endian host gets a read-only copy.
     """
     dtype = np.dtype(dtype)
-    byte_len = meta["byte_len"]
-    shape = (byte_len // dtype.itemsize,) if shape is None else shape
-    if byte_len != math.prod(shape) * dtype.itemsize:
-        raise FormatError(f"byte length {byte_len} does not hold {dtype.name} values of shape {shape}")
     blob = fetch_blob(payload, meta)
+    shape = (len(blob) // dtype.itemsize,) if shape is None else shape
+    if len(blob) != math.prod(shape) * dtype.itemsize:
+        raise FormatError(f"byte length {len(blob)} does not hold {dtype.name} values of shape {shape}")
     values = np.frombuffer(blob, dtype=dtype).reshape(shape)
     if not values.dtype.isnative:
         values = values.astype(dtype.newbyteorder("="))
@@ -193,13 +195,24 @@ def naming(ctx: str):
 # Header schema checks, shared by .gltc tensors and .skpk entries
 # --------------------------------------------------------------------------
 
-def entry_context(what: str, index: int, head) -> str:
-    """The error context of an entry: <what> 'name', or <what> #index while
-    the name is unknown. `head`, the entry's header, must be a JSON object."""
-    if not isinstance(head, dict):
-        raise FormatError(f"{what} #{index}: header must be a JSON object")
-    name = head.get("name")
-    return f"{what} {name!r}" if isinstance(name, str) else f"{what} #{index}"
+def read_entries(header: dict, key: str, what: str, parse) -> dict:
+    """name -> parse(item) for each item of the header's `key` list, in order.
+    Each item is read inside `naming` as <what> 'name', or <what> #index while
+    the name is unknown; it must be a JSON object with a unique string name."""
+    items = header.get(key)
+    if not isinstance(items, list):
+        raise FormatError(f"header field {key!r} must be a list")
+    out = {}
+    for index, item in enumerate(items):
+        name = item.get("name") if isinstance(item, dict) else None
+        with naming(f"{what} {name!r}" if isinstance(name, str) else f"{what} #{index}"):
+            if not isinstance(item, dict):
+                raise FormatError("header must be a JSON object")
+            name = header_field(item, "name", str)
+            if name in out:
+                raise FormatError(f"duplicate {what} name")
+            out[name] = parse(item)
+    return out
 
 
 def header_field(head: dict, key: str, kind: type):
@@ -216,10 +229,3 @@ def shape_field(head: dict, ndim: int | None = None) -> tuple[int, ...]:
     if (ndim is not None and len(shape) != ndim) or not all(is_int(d) and d >= 0 for d in shape):
         raise FormatError(f"header field 'shape' must be {ndim or 'some'} non-negative ints")
     return tuple(shape)
-
-
-def check_blob_meta(meta) -> None:
-    """Blob metadata must be an object whose offset, byte_len and crc32 are non-negative ints."""
-    keys = ("offset", "byte_len", "crc32")
-    if not isinstance(meta, dict) or not all(is_int(meta.get(k)) and meta[k] >= 0 for k in keys):
-        raise FormatError("malformed blob metadata")

@@ -18,12 +18,11 @@ import numpy as np
 
 from . import container
 from .classify import ModuleClass, classify
-from .container import check_blob_meta, entry_context, header_field, shape_field
+from .container import header_field, shape_field
 from .errors import FormatError, IntegrityError
 from .plans import DenseStrategy, PruneStrategy, Strategy, SvdQuantStrategy, clip_groups, strategy_for
-from .quantize import BitGroup, check_bits, check_groups, groups_from_json, groups_to_json, pack_codes, packed_size
-from .quantize import qmax, unpack_codes
-from .tensors import check_alpha, check_rank, is_int, retained_count
+from .quantize import BitGroup, groups_from_json, groups_to_json, pack_codes, packed_size, qmax, unpack_codes
+from .tensors import check_rank, retained_count
 
 MAGIC = b"SKPK"
 VERSION = 1
@@ -51,6 +50,10 @@ class DenseEntry:
         if self.values.shape != tuple(self.shape):
             raise ValueError(f"dense values of shape {self.values.shape} do not match the entry shape {self.shape}")
 
+    @property
+    def strategy(self) -> DenseStrategy:
+        return DenseStrategy()
+
     def reconstruct(self) -> np.ndarray:
         """A fresh, writable float32 array; callers may modify it in place."""
         return self.values.astype(np.float32)  # copies even from float32: never copy=False
@@ -71,14 +74,20 @@ class PrunedSparseEntry:
     def __post_init__(self):
         if len(self.shape) != 2:
             raise ValueError(f"a pruned entry must be 2-D, got shape {tuple(self.shape)}")
-        check_alpha(self.alpha)
-        check_bits(self.value_bits)
+        n = math.prod(self.shape)
+        keep = retained_count(self.strategy.alpha, n)  # building the strategy checks alpha and value_bits
         idx = self.indices
-        if idx.size and (np.any(idx[1:] <= idx[:-1]) or idx[0] < 0 or idx[-1] >= math.prod(self.shape)):
+        if idx.size and (np.any(idx[1:] <= idx[:-1]) or idx[0] < 0 or idx[-1] >= n):
             raise ValueError("indices must be strictly increasing and in range")
         if len(self.codes) != len(idx) or len(self.scales) != self.shape[0]:
             raise ValueError("a pruned entry needs one code per index and one scale per row")
+        if len(idx) != keep:
+            raise ValueError(f"alpha={self.alpha!r} keeps {keep} of {n} values, got {len(idx)}")
         _check_code_range(self.codes, self.value_bits, "values")
+
+    @property
+    def strategy(self) -> PruneStrategy:
+        return PruneStrategy(alpha=self.alpha, value_bits=self.value_bits)
 
     def reconstruct(self) -> np.ndarray:
         """A fresh, writable float32 array; callers may modify it in place."""
@@ -103,10 +112,9 @@ class QuantizedSvdEntry:
     kind = "quantized_svd"
 
     def __post_init__(self):
-        self.groups = tuple(self.groups)
         rows, cols = self.shape
         check_rank(self.rank, min(rows, cols))
-        check_groups(self.groups, self.rank)
+        self.groups = self.strategy.groups  # a tuple, checked to cover [0, rank)
         if len(self.sigma) != self.rank or len(self.u_scales) != self.rank or len(self.v_scales) != self.rank:
             raise ValueError("sigma and scale lengths must equal the rank")
         if self.u_codes.shape != (rows, self.rank) or self.v_codes.shape != (self.rank, cols):
@@ -115,6 +123,10 @@ class QuantizedSvdEntry:
             group = f"group [{g.begin}, {g.end})"
             _check_code_range(self.u_codes[:, g.begin : g.end], g.bits, f"U {group}")
             _check_code_range(self.v_codes[g.begin : g.end, :], g.bits, f"V {group}")
+
+    @property
+    def strategy(self) -> SvdQuantStrategy:
+        return SvdQuantStrategy(rank=self.rank, groups=self.groups)
 
     def reconstruct(self) -> np.ndarray:
         """A fresh, writable float32 array; callers may modify it in place."""
@@ -178,65 +190,37 @@ class StorageStats:
 _ZERO = StatLine(0, 0, 0)
 
 
-def _index_bits(n_elements: int) -> int:
-    return 0 if n_elements <= 1 else math.ceil(math.log2(n_elements))
-
-
-def _prune_line(shape, retained: int, value_bits: int) -> StatLine:
-    rows = shape[0]
-    n = math.prod(shape)
-    return StatLine(
-        original_bits=16 * n,
-        stored_value_bits=retained * value_bits,
-        stored_overhead_bits=retained * _index_bits(n) + 32 * rows,
-    )
-
-
-def _svd_line(shape, rank: int, groups: tuple[BitGroup, ...]) -> StatLine:
-    rows, cols = shape
-    value = sum((rows + cols) * g.length * g.bits for g in groups) + 32 * rank
-    return StatLine(
-        original_bits=16 * rows * cols,
-        stored_value_bits=value,
-        stored_overhead_bits=32 * 2 * rank,
-    )
-
-
-def _dense_line(shape) -> StatLine:
-    n = math.prod(shape)
-    return StatLine(original_bits=16 * n, stored_value_bits=32 * n, stored_overhead_bits=0)
-
-
 def storage_ratio(shape: tuple[int, ...], strategy: Strategy) -> StatLine:
     """Closed-form storage line for compressing `shape` with `strategy`.
 
     Needs no data: pruning keeps ceil(alpha*N) values, SVD ranks clamp to
-    min(shape), groups clip accordingly. Pack stats use the same formulas,
-    so predictions and realized accounting agree exactly.
+    min(shape), groups clip accordingly. An entry's stats are this line for
+    its own shape and strategy, so predictions and pack stats agree exactly.
     """
+    n = math.prod(shape)
     if isinstance(strategy, DenseStrategy):
-        return _dense_line(shape)
+        return StatLine(original_bits=16 * n, stored_value_bits=32 * n, stored_overhead_bits=0)
     if isinstance(strategy, PruneStrategy):
         if len(shape) != 2:
             raise ValueError("prune strategy applies to 2-D shapes")
-        n = math.prod(shape)
-        return _prune_line(shape, retained_count(strategy.alpha, n), strategy.value_bits)
+        retained = retained_count(strategy.alpha, n)
+        index_bits = math.ceil(math.log2(n)) if n > 1 else 0
+        return StatLine(
+            original_bits=16 * n,
+            stored_value_bits=retained * strategy.value_bits,
+            stored_overhead_bits=retained * index_bits + 32 * shape[0],
+        )
     if isinstance(strategy, SvdQuantStrategy):
         if len(shape) != 2:
             raise ValueError("svd strategy applies to 2-D shapes")
-        eff = min(strategy.rank, shape[0], shape[1])
-        return _svd_line(shape, eff, clip_groups(strategy.groups, eff))
+        rank = min(strategy.rank, *shape)
+        codes = sum((shape[0] + shape[1]) * g.length * g.bits for g in clip_groups(strategy.groups, rank))
+        return StatLine(original_bits=16 * n, stored_value_bits=codes + 32 * rank, stored_overhead_bits=32 * 2 * rank)
     raise TypeError(f"unknown strategy {strategy!r}")
 
 
 def entry_stats(entry: CompressedEntry) -> StatLine:
-    if isinstance(entry, DenseEntry):
-        return _dense_line(entry.shape)
-    if isinstance(entry, PrunedSparseEntry):
-        return _prune_line(entry.shape, len(entry.indices), entry.value_bits)
-    if isinstance(entry, QuantizedSvdEntry):
-        return _svd_line(entry.shape, entry.rank, entry.groups)
-    raise TypeError(f"unknown entry {entry!r}")
+    return storage_ratio(entry.shape, entry.strategy)
 
 
 def _accumulate(lines: Iterable[tuple[ModuleClass, StatLine]]) -> StorageStats:
@@ -335,16 +319,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _load_entry(head: dict, payload: memoryview) -> tuple[str, CompressedEntry]:
+def _load_entry(head: dict, payload: memoryview) -> CompressedEntry:
     """One entry from its header. Fields are parsed here; the entry's constructor checks how they relate.
     Decoded codes and indices are frozen like the file's views, so the entry cannot change after its checks."""
-    name = header_field(head, "name", str)
     kind = header_field(head, "kind", str)
     mclass = ModuleClass(header_field(head, "class", str))
     by_role = {}
     for meta in header_field(head, "blobs", list):
-        check_blob_meta(meta)
-        if not isinstance(meta.get("role"), str):
+        if not isinstance(meta, dict) or not isinstance(meta.get("role"), str):
             raise FormatError("malformed blob metadata")
         by_role[meta["role"]] = meta
 
@@ -370,16 +352,16 @@ def _load_entry(head: dict, payload: memoryview) -> tuple[str, CompressedEntry]:
 
     if kind == "dense":
         shape = shape_field(head)
-        return name, DenseEntry(shape=shape, mclass=mclass, values=array("dense", shape=shape))
+        return DenseEntry(shape=shape, mclass=mclass, values=array("dense", shape=shape))
 
     if kind == "pruned_sparse":
         shape = shape_field(head, 2)
         value_bits = head["value_bits"]
-        width = head.get("index_width", 32)
-        if not is_int(width) or width not in (32, 64):
+        width = header_field(head, "index_width", int)
+        if width not in (32, 64):
             raise FormatError(f"bad index width {width!r}")
         indices = _frozen(array("indices", f"<u{width // 8}").astype(np.int64))
-        return name, PrunedSparseEntry(
+        return PrunedSparseEntry(
             shape=shape,
             mclass=mclass,
             alpha=head["alpha"],
@@ -397,7 +379,7 @@ def _load_entry(head: dict, payload: memoryview) -> tuple[str, CompressedEntry]:
     sigma, u_scales, v_scales = (array(role) for role in ("sigma", "scales_u", "scales_v"))
     u_parts = codes("codes_u", [(rows * g.length, g.bits) for g in groups])
     v_parts = codes("codes_v", [(g.length * cols, g.bits) for g in groups])
-    return name, QuantizedSvdEntry(
+    return QuantizedSvdEntry(
         shape=shape,
         mclass=mclass,
         rank=head["rank"],
@@ -420,16 +402,8 @@ def load_pack(path) -> SkillPack:
         tuned_model_id=header_field(header, "tuned_model_id", str),
         task_tag=header_field(header, "task_tag", str),
         plan_snapshot=header_field(header, "plan", dict),
+        entries=container.read_entries(header, "entries", "entry", lambda head: _load_entry(head, payload)),
     )
-    heads = header.get("entries", [])
-    if not isinstance(heads, list):
-        raise FormatError("header field 'entries' must be a list")
-    for index, head in enumerate(heads):
-        with container.naming(entry_context("entry", index, head)):
-            name, entry = _load_entry(head, payload)
-            if name in pack.entries:
-                raise FormatError("duplicate entry name")
-        pack.entries[name] = entry
     if pack.stats.to_dict() != header.get("stats"):
         raise IntegrityError("stats mismatch: stored storage stats do not match the entries")
     return pack

@@ -31,7 +31,11 @@ class TaskTable:
     table: dict[str, list[str]] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.table, dict):
+            raise ValueError("the table must map task tags to lists of pack ids")
         for tag, pack_ids in self.table.items():
+            if not (isinstance(tag, str) and isinstance(pack_ids, list) and all(isinstance(p, str) for p in pack_ids)):
+                raise ValueError(f"task {tag!r} must be a string tag with a list of pack id strings")
             if len(set(pack_ids)) != len(pack_ids):
                 raise ValueError(f"duplicate pack ids under tag {tag!r}")
 
@@ -47,6 +51,9 @@ class LinearClassifier:
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
+        ids = self.class_to_pack
+        if not (isinstance(ids, list) and all(isinstance(p, str) for p in ids)):
+            raise ValueError("class_to_pack must be a list of pack id strings")
         if self.weights.ndim != 2 or self.weights.shape[1] < 1:
             raise ValueError("classifier weights must be (n_classes x dim) with dim > 0")
         if len(self.bias) != self.weights.shape[0] or len(self.class_to_pack) != self.weights.shape[0]:
@@ -220,24 +227,18 @@ def router_to_dict(router: Router) -> dict:
     raise TypeError(f"unknown router {router!r}")
 
 
-def _pack_ids(value, what: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValueError(f"{what} must be a list of pack id strings")
-    return list(value)
-
-
 def router_from_dict(d: dict) -> Router:
+    """The router `d` describes, built by its constructor; an unknown or missing key is an error."""
+    fields = {key: value for key, value in d.items() if key != "kind"}
     kind = d.get("kind")
     if kind == "task_table":
-        return TaskTable(table={tag: _pack_ids(ids, f"task {tag!r}") for tag, ids in d["table"].items()})
+        return TaskTable(table=fields.pop("table"), **fields)
     if kind == "linear_classifier":
-        dim = d["d"]
+        dim = fields.pop("d")
         if not is_int(dim) or dim < 1:
             raise ValueError(f"field 'd' must be a positive int, got {dim!r}")
-        bias = np.asarray(d["bias"], dtype=np.float64)
-        weights = np.asarray(d["weights"], dtype=np.float64).reshape(len(bias), dim)
-        class_to_pack = _pack_ids(d["class_to_pack"], "class_to_pack")
-        return LinearClassifier(weights=weights, bias=bias, class_to_pack=class_to_pack)
+        fields["weights"] = np.asarray(fields["weights"], dtype=np.float64).reshape(len(fields["bias"]), dim)
+        return LinearClassifier(**fields)
     raise ValueError(f"unknown router kind {kind!r}")
 
 

@@ -130,10 +130,11 @@ def _set_first(key, value):
         (lambda header: header.__setitem__("tensors", {}), r"header field 'tensors' must be a list"),
         (lambda header: header.__setitem__("model_id", [1, 2]), r"header field 'model_id' must be str, got list"),
         (lambda header: header.pop("model_id"), r"header field 'model_id' must be str, got missing"),
+        (lambda header: header.pop("tensors"), r"header field 'tensors' must be a list"),
     ],
     ids=[
         "missing-name", "string-shape", "negative-shape", "non-object-entry", "string-offset", "non-list-tensors",
-        "list-model-id", "missing-model-id",
+        "list-model-id", "missing-model-id", "missing-tensors",
     ],
 )
 def test_malformed_tensor_header_is_format_error(tmp_path, mutate, match):

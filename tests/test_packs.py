@@ -177,6 +177,18 @@ def test_ill_typed_top_level_field_is_format_error(tmp_path, field, value):
         load_pack(path)
 
 
+def test_pack_without_entries_is_format_error(tmp_path):
+    path = _svd_pack_file(tmp_path)
+
+    def mutate(header):
+        del header["entries"]
+        header["stats"] = pack_stats({}).to_dict()  # the stats of the empty pack it would otherwise load as
+
+    _rewrite_header(path, mutate)
+    with pytest.raises(FormatError, match="header field 'entries' must be a list"):
+        load_pack(path)
+
+
 def test_other_format_version_is_format_error(tmp_path):
     path = _svd_pack_file(tmp_path)
     _rewrite_header(path, lambda header: header.update(format_version=99))
@@ -195,6 +207,69 @@ def test_missing_blob_names_entry_and_blob(tmp_path, drop):
     _rewrite_header(path, mutate)
     with pytest.raises(FormatError, match=f"entry 'mlp.weight': blob '{drop}': missing"):
         load_pack(path)
+
+
+def _pruned_pack_file(tmp_path):
+    entry = PrunedSparseEntry(
+        shape=(4, 6), mclass=ModuleClass.EMBEDDING_OR_HEAD, alpha=0.25, value_bits=4,
+        indices=np.array([0, 1, 5, 7, 20, 23], dtype=np.int64), codes=np.array([1, -3, 7, 0, -7, 2], np.int32),
+        scales=np.array([0.5, 0.25, 1.0, 0.125], np.float32),
+    )
+    path = tmp_path / "p.skpk"
+    save_pack(SkillPack("b", "t", "", {}, {"e.weight": entry}), path)
+    return path
+
+
+def test_pruned_entry_keeps_exactly_retained_count_values():
+    def entry(shape, alpha, indices):
+        return PrunedSparseEntry(
+            shape=shape, mclass=ModuleClass.EMBEDDING_OR_HEAD, alpha=alpha, value_bits=4,
+            indices=np.array(indices, dtype=np.int64), codes=np.ones(len(indices), np.int32),
+            scales=np.ones(shape[0], np.float32),
+        )
+
+    assert entry((2, 3), 1 / 3, [1, 5]).strategy.alpha == 1 / 3  # ceil(6 / 3) = 2 values
+    for shape, alpha, indices in [((2, 3), 0.5, [1, 5]), ((2, 3), 0.1, [1, 5]), ((4, 4), 0.5, [3])]:
+        with pytest.raises(ValueError, match=f"alpha={alpha} keeps"):
+            entry(shape, alpha, indices)
+
+
+def test_edited_alpha_is_format_error_naming_the_entry(tmp_path):
+    path = _pruned_pack_file(tmp_path)
+    _rewrite_header(path, lambda header: header["entries"][0].update(alpha=0.9))
+    with pytest.raises(FormatError, match=r"entry 'e.weight': alpha=0.9 keeps 22 of 24 values, got 6"):
+        load_pack(path)
+
+
+def test_missing_index_width_names_the_entry(tmp_path):
+    path = _pruned_pack_file(tmp_path)
+    _rewrite_header(path, lambda header: header["entries"][0].pop("index_width"))
+    with pytest.raises(FormatError, match=r"entry 'e.weight': header field 'index_width' must be int, got missing"):
+        load_pack(path)
+
+
+def test_u64_indices_load_like_u32(tmp_path):
+    path = _pruned_pack_file(tmp_path)
+    wide = tmp_path / "wide.skpk"
+    raw = path.read_bytes()
+    magic, version, header_len = struct.unpack_from("<4sIQ", raw)
+    header = json.loads(raw[16 : 16 + header_len])
+    payload = bytearray(raw[16 + header_len :])
+    assert header["entries"][0]["index_width"] == 32
+    meta = next(b for b in header["entries"][0]["blobs"] if b["role"] == "indices")
+    u32 = bytes(payload[meta["offset"] : meta["offset"] + meta["byte_len"]])
+    u64 = np.frombuffer(u32, "<u4").astype("<u8").tobytes()
+    payload += bytes(-len(payload) % 64)  # the u64 blob goes at the next aligned offset
+    meta.update(offset=len(payload), byte_len=len(u64), crc32=zlib.crc32(u64))
+    header["entries"][0]["index_width"] = 64
+    blob = json.dumps(header).encode()
+    wide.write_bytes(struct.pack("<4sIQ", magic, version, len(blob)) + blob + bytes(payload) + u64)
+
+    narrow_entry, wide_entry = load_pack(path).entries["e.weight"], load_pack(wide).entries["e.weight"]
+    assert wide_entry.indices.tolist() == [0, 1, 5, 7, 20, 23]
+    for name in ("indices", "codes", "scales"):
+        a, b = getattr(narrow_entry, name), getattr(wide_entry, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def _entry_arrays(entries) -> list[np.ndarray]:
@@ -288,9 +363,9 @@ def test_corrupt_svd_code_range_names_entry(tmp_path):
 
 
 def test_forged_sparse_shape_is_rejected_before_reconstruct(tmp_path, monkeypatch):
-    def entry(shape):
+    def entry(shape, alpha=0.5):
         return PrunedSparseEntry(
-            shape=shape, mclass=ModuleClass.EMBEDDING_OR_HEAD, alpha=0.5, value_bits=4,
+            shape=shape, mclass=ModuleClass.EMBEDDING_OR_HEAD, alpha=alpha, value_bits=4,
             indices=np.array([0, 3], dtype=np.int64), codes=np.array([1, 2], dtype=np.int32),
             scales=np.ones(1, dtype=np.float32),
         )
@@ -298,10 +373,12 @@ def test_forged_sparse_shape_is_rejected_before_reconstruct(tmp_path, monkeypatc
     path = tmp_path / "p.skpk"
     save_pack(SkillPack("b", "t", "", {}, {"e.weight": entry((1, 4))}), path)
     forged = (1, 2**40)
+    forged_alpha = 2 / 2**40  # keeps the same two values of the forged shape
 
     def mutate(header):
         header["entries"][0]["shape"] = list(forged)
-        header["stats"] = pack_stats({"e.weight": entry(forged)}).to_dict()
+        header["entries"][0]["alpha"] = forged_alpha
+        header["stats"] = pack_stats({"e.weight": entry(forged, forged_alpha)}).to_dict()
 
     _rewrite_header(path, mutate)
     pack = load_pack(path)
@@ -459,7 +536,7 @@ def test_reconstruct_dense_exact():
 
 def test_reconstruct_pruned_places_values():
     entry = PrunedSparseEntry(
-        shape=(2, 3), mclass=ModuleClass.EMBEDDING_OR_HEAD, alpha=0.5, value_bits=4,
+        shape=(2, 3), mclass=ModuleClass.EMBEDDING_OR_HEAD, alpha=1 / 3, value_bits=4,
         indices=np.array([1, 5], dtype=np.int64),
         codes=np.array([7, -3], dtype=np.int32),
         scales=np.array([0.5, 2.0], dtype=np.float32),

@@ -263,8 +263,10 @@ def test_failed_router_save_keeps_previous_file(tmp_path):
     path = tmp_path / "r.json"
     save_router(TaskTable(table={"math": ["a"]}), path)
     before = path.read_bytes()
+    table = TaskTable(table={"math": ["a"]})
+    table.table["math"] = [np.int64(1)]  # after the constructor's check; not JSON-serializable
     with pytest.raises(TypeError):
-        save_router(TaskTable(table={"math": [np.int64(1)]}), path)  # not JSON-serializable
+        save_router(table, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
     assert load_router(path).table == {"math": ["a"]}
@@ -289,11 +291,14 @@ def test_failed_router_save_keeps_previous_file(tmp_path):
         '{"kind": "linear_classifier", "d": true, "weights": [1.0], "bias": [0.0], "class_to_pack": ["a"]}',
         '{"kind": "task_table", "table": {"t": ["a"]}, "note": NaN}',
         '{"kind": "task_table", "table": {"t": ["a"]}, "note": -Infinity}',
+        '{"kind": "task_table", "table": {"t": ["a"]}, "tabel": {"t": ["b"]}}',
+        '{"kind": "linear_classifier", "d": 1, "weights": [1.0], "bias": [0.0], "class_to_pack": ["a"],'
+        ' "temperature": 2}',
     ],
     ids=[
         "truncated", "not-utf8", "not-object", "no-table", "table-list", "no-d", "bad-d", "string-weight", "bad-kind",
         "table-string-ids", "table-non-string-ids", "int-class-to-pack", "nan-weight", "bool-d",
-        "nan-constant", "infinity-constant",
+        "nan-constant", "infinity-constant", "misspelt-table-key", "unknown-classifier-key",
     ],
 )
 def test_malformed_router_file_is_format_error(tmp_path, text):
@@ -301,6 +306,17 @@ def test_malformed_router_file_is_format_error(tmp_path, text):
     path.write_bytes(text.encode("latin-1"))
     with pytest.raises(FormatError, match="r.json"):
         load_router(path)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TaskTable(table={"a": [1, None]}),
+    lambda: TaskTable(table={1: ["a"]}),
+    lambda: TaskTable(table={"a": "ab"}),
+    lambda: LinearClassifier(weights=np.ones((2, 1)), bias=np.zeros(2), class_to_pack=[1, 2]),
+], ids=["table-non-string-ids", "table-int-tag", "table-string-ids", "classifier-int-ids"])
+def test_router_pack_ids_are_checked_when_built(build):
+    with pytest.raises(ValueError, match="pack id strings"):
+        build()
 
 
 def test_router_with_nonfinite_weight_is_refused_on_save_and_keeps_previous_file(tmp_path):
