@@ -118,8 +118,9 @@ def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) ->
     pack's base id (unless `force`) and every entry's name and shape are
     checked against the base before anything is reconstructed; a mismatch
     raises CompatibilityError, naming the pack by its id, or as <untagged>
-    when the id is empty. Updates are summed in float32 in the given order;
-    packs of weight 0 add nothing. Elements whose update is zero keep the
+    when the id is empty; a weight that is not finite in float32 raises
+    ValueError. Updates are summed in float32 in the given order; packs of
+    weight 0 add nothing. Elements whose update is zero keep the
     base bit pattern (adding 0.0 would flip -0.0 to +0.0), which is what
     makes zero-delta grafts and empty fusions exact identities.
 
@@ -129,8 +130,11 @@ def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) ->
     Touched names are fresh arrays that share memory with neither the base
     nor any pack.
     """
-    for pack_id, pack, _ in selected:
+    for pack_id, pack, weight in selected:
         label = repr(pack_id) if pack_id else "<untagged>"
+        with np.errstate(over="ignore"):  # a weight past the float32 range is refused, not warned about
+            if not np.isfinite(np.float32(weight)):
+                raise ValueError(f"pack {label} weight {weight!r} is not a finite float32")
         if pack.base_model_id != base.model_id and not force:
             raise CompatibilityError(
                 f"pack {label} was built against {pack.base_model_id!r}, base is {base.model_id!r}"

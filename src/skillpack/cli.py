@@ -38,14 +38,15 @@ from .routing import (
 from .toy import DeltaRecipe, ToySpec, eval_retention, gen_toy
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, keys: set[str]) -> dict:
+    """A JSON object file whose keys are all among `keys`."""
     with open(path, "r", encoding="utf-8") as fh:
         config = container.parse_json(fh.read())
     if not isinstance(config, dict):
         raise ValueError("top level must be a JSON object")
-    unknown = sorted(set(config) - {"plan", "manifest"})
+    unknown = sorted(set(config) - keys)
     if unknown:
-        raise ValueError(f"unknown config keys {unknown}")
+        raise ValueError(f"unknown keys {unknown}")
     return config
 
 
@@ -84,7 +85,7 @@ def _cmd_diff(args) -> int:
 
 def _cmd_compress(args) -> int:
     with container.naming(f"config file {args.plan!r}"):
-        config = _load_config(args.plan)
+        config = _load_config(args.plan, {"plan", "manifest"})
         plan = _plan_from_config(config, args.seed)
         manifest = (ClassificationManifest.from_dict(config["manifest"]) if "manifest" in config
                     else default_manifest())
@@ -149,9 +150,8 @@ def _cmd_route(args) -> int:
 
 def _cmd_route_train(args) -> int:
     with container.naming(f"training file {args.data!r}"):
-        with open(args.data, "r", encoding="utf-8") as fh:
-            raw = container.parse_json(fh.read())
-        pack_ids = raw.get("pack_ids") or [f"pack{i}" for i in range(len(raw["losses"][0]))]
+        raw = _load_config(args.data, {"features", "losses", "pack_ids"})
+        pack_ids = raw["pack_ids"] if "pack_ids" in raw else [f"pack{i}" for i in range(len(raw["losses"][0]))]
         data = RouterTrainingSet(features=raw["features"], losses=raw["losses"], pack_ids=pack_ids)
     classifier, accuracy = train_router(data, epochs=args.epochs, learning_rate=args.lr)
     save_router(classifier, args.out)

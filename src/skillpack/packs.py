@@ -328,13 +328,15 @@ def _load_entry(head: dict, payload: memoryview) -> CompressedEntry:
     for meta in header_field(head, "blobs", list):
         if not isinstance(meta, dict) or not isinstance(meta.get("role"), str):
             raise FormatError("malformed blob metadata")
+        if meta["role"] in by_role:
+            raise FormatError(f"blob {meta['role']!r}: repeated")
         by_role[meta["role"]] = meta
 
     def blob_meta(role: str) -> dict:
-        """The `role` blob's metadata; looked up inside that blob's `naming`, so an error names both."""
+        """Pop the `role` blob's metadata, so a role is read once; called in the blob's `naming`, to name both."""
         if role not in by_role:
             raise FormatError("missing")
-        return by_role[role]
+        return by_role.pop(role)
 
     def array(role: str, dtype="<f4", shape: tuple[int, ...] | None = None) -> np.ndarray:
         with container.naming(f"blob {role!r}"):
@@ -352,16 +354,15 @@ def _load_entry(head: dict, payload: memoryview) -> CompressedEntry:
 
     if kind == "dense":
         shape = shape_field(head)
-        return DenseEntry(shape=shape, mclass=mclass, values=array("dense", shape=shape))
-
-    if kind == "pruned_sparse":
+        entry = DenseEntry(shape=shape, mclass=mclass, values=array("dense", shape=shape))
+    elif kind == "pruned_sparse":
         shape = shape_field(head, 2)
         value_bits = head["value_bits"]
         width = header_field(head, "index_width", int)
         if width not in (32, 64):
             raise FormatError(f"bad index width {width!r}")
         indices = _frozen(array("indices", f"<u{width // 8}").astype(np.int64))
-        return PrunedSparseEntry(
+        entry = PrunedSparseEntry(
             shape=shape,
             mclass=mclass,
             alpha=head["alpha"],
@@ -370,26 +371,29 @@ def _load_entry(head: dict, payload: memoryview) -> CompressedEntry:
             codes=_frozen(codes("values", [(len(indices), value_bits)])[0]),
             scales=array("scales"),
         )
-
-    if kind != "quantized_svd":
+    elif kind == "quantized_svd":
+        shape = shape_field(head, 2)
+        rows, cols = shape
+        groups = groups_from_json(head["groups"])
+        sigma, u_scales, v_scales = (array(role) for role in ("sigma", "scales_u", "scales_v"))
+        u_parts = codes("codes_u", [(rows * g.length, g.bits) for g in groups])
+        v_parts = codes("codes_v", [(g.length * cols, g.bits) for g in groups])
+        entry = QuantizedSvdEntry(
+            shape=shape,
+            mclass=mclass,
+            rank=head["rank"],
+            groups=groups,
+            sigma=sigma,
+            u_codes=_frozen(np.concatenate([part.reshape(rows, g.length) for part, g in zip(u_parts, groups)], 1)),
+            u_scales=u_scales,
+            v_codes=_frozen(np.concatenate([part.reshape(g.length, cols) for part, g in zip(v_parts, groups)], 0)),
+            v_scales=v_scales,
+        )
+    else:
         raise FormatError(f"unknown entry kind {kind!r}")
-    shape = shape_field(head, 2)
-    rows, cols = shape
-    groups = groups_from_json(head["groups"])
-    sigma, u_scales, v_scales = (array(role) for role in ("sigma", "scales_u", "scales_v"))
-    u_parts = codes("codes_u", [(rows * g.length, g.bits) for g in groups])
-    v_parts = codes("codes_v", [(g.length * cols, g.bits) for g in groups])
-    return QuantizedSvdEntry(
-        shape=shape,
-        mclass=mclass,
-        rank=head["rank"],
-        groups=groups,
-        sigma=sigma,
-        u_codes=_frozen(np.concatenate([part.reshape(rows, g.length) for part, g in zip(u_parts, groups)], axis=1)),
-        u_scales=u_scales,
-        v_codes=_frozen(np.concatenate([part.reshape(g.length, cols) for part, g in zip(v_parts, groups)], axis=0)),
-        v_scales=v_scales,
-    )
+    if by_role:
+        raise FormatError(f"blob {next(iter(by_role))!r}: not read by a {kind} entry")
+    return entry
 
 
 def load_pack(path) -> SkillPack:

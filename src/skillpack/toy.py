@@ -28,15 +28,15 @@ the token-by-token map up to floating-point rounding.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .checkpoints import Checkpoint, apply_pack
 from .classify import ModuleClass, classify, default_manifest
-# predict_stats stays bound here: perfbench's tracer wraps skillpack.toy.predict_stats.
-from .packs import SkillPack, StatLine, predict_stats, storage_ratio  # noqa: F401
-from .plans import CompressionPlan, DenseStrategy, PruneStrategy, SvdQuantStrategy, strategy_for
+from .packs import SkillPack, predict_stats
+from .plans import CompressionPlan, DenseStrategy, PruneStrategy, SvdQuantStrategy
 from .quantize import BitGroup
 
 # Every toy value lives on a power-of-two grid: base weights, sparse spikes
@@ -233,13 +233,6 @@ def eval_retention(
 # Budgeted plans
 # --------------------------------------------------------------------------
 
-def _step(t: float, thresholds: tuple[tuple[float, int], ...], top: int) -> int:
-    for limit, value in thresholds:
-        if t < limit:
-            return value
-    return top
-
-
 def _knob_plan(t: float, min_dims: dict[ModuleClass, int]) -> CompressionPlan:
     """One member of the budget family.
 
@@ -248,8 +241,8 @@ def _knob_plan(t: float, min_dims: dict[ModuleClass, int]) -> CompressionPlan:
     anywhere and retention improves monotonically with spend. SVD ranks
     scale the largest min(shape) of each class's 2-D tensors, `min_dims`.
     """
-    svd_bits = _step(t, ((0.04, 2), (0.065, 3), (0.09, 4), (0.12, 6), (0.2, 8)), 10)
-    value_bits = _step(t, ((0.15, 4), (0.25, 6)), 8)
+    svd_bits = (2, 3, 4, 6, 8, 10)[bisect_right((0.04, 0.065, 0.09, 0.12, 0.2), t)]
+    value_bits = (4, 6, 8)[bisect_right((0.15, 0.25), t)]
     alpha = float(min(1.0, max(0.004, 0.5 * t * t)))
 
     def svd_strategy(limit: int) -> SvdQuantStrategy:
@@ -269,23 +262,27 @@ def _knob_plan(t: float, min_dims: dict[ModuleClass, int]) -> CompressionPlan:
 def budget_plan(budget: float, shapes: dict[str, tuple[int, ...]]) -> CompressionPlan:
     """Plan from a one-knob family whose predicted total ratio best matches `budget`.
 
-    The knob scales retention ratio, SVD ranks, and group bit widths
-    together, so larger budgets always buy strictly gentler compression.
-    Of equally close plans the one with the smallest knob wins. Set the
-    calibration or damping with `dataclasses.replace`.
+    The family is `_knob_plan` at 500 knobs t from 0.004 to 1; of equally close
+    plans the smallest knob wins. Bisection through `predict_stats` finds it:
+    alpha, the SVD ranks and both bit widths are nondecreasing in t, and so are
+    the retained count, clamped rank and bits per value they give, so the
+    predicted ratio is nondecreasing in t for any shapes. Set the calibration
+    or damping with `dataclasses.replace`.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    if isinstance(budget, bool) or not (np.isfinite(budget) and budget > 0):
+        raise ValueError(f"budget must be a finite number greater than 0, got {budget!r}")
     manifest = default_manifest()
-    classified = [(classify(name, manifest), shape) for name, shape in shapes.items()]
     min_dims = {ModuleClass.ATTENTION: 1, ModuleClass.MLP: 1}
-    for cls, shape in classified:
+    for name, shape in shapes.items():
+        cls = classify(name, manifest)
         if len(shape) == 2 and cls in min_dims:
             min_dims[cls] = max(min_dims[cls], min(shape))
+    grid = np.linspace(0.004, 1.0, 500)
 
-    def predicted(plan: CompressionPlan) -> float:
-        lines = (storage_ratio(shape, strategy_for(plan, cls, shape)) for cls, shape in classified)
-        return sum(lines, StatLine(0, 0, 0)).ratio_total
+    def ratio(i: int) -> float:
+        return predict_stats(shapes, manifest, _knob_plan(float(grid[i]), min_dims)).total.ratio_total
 
-    plans = (_knob_plan(float(t), min_dims) for t in np.linspace(0.004, 1.0, 500))
-    return min(plans, key=lambda plan: abs(predicted(plan) - budget))
+    above = bisect_left(range(len(grid)), budget, key=ratio)  # the first knob reaching the budget, or len(grid)
+    below = bisect_left(range(above), ratio(above - 1), key=ratio) if above else 0  # first knob of the plateau under it
+    best = min((below, min(above, len(grid) - 1)), key=lambda i: abs(ratio(i) - budget))
+    return _knob_plan(float(grid[best]), min_dims)

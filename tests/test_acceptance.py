@@ -149,7 +149,7 @@ def _flip_random_blob_bit(path, rng):
     import json
     import struct
 
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(path.read_bytes())
     _, _, header_len = struct.unpack_from("<4sIQ", bytes(raw))
     header = json.loads(bytes(raw[16 : 16 + header_len]))
     payload_start = 16 + header_len
@@ -165,7 +165,7 @@ def _flip_random_blob_bit(path, rng):
     off, ln = blobs[int(rng.integers(len(blobs)))]
     byte_index = payload_start + off + int(rng.integers(ln))
     raw[byte_index] ^= 1 << int(rng.integers(8))
-    open(path, "wb").write(bytes(raw))
+    path.write_bytes(bytes(raw))
     return True
 
 
@@ -180,7 +180,7 @@ def test_criterion_5_round_trips_and_corruption(tmp_path):
             assert bit_equal(loaded, ckpt)
             path2 = tmp_path / f"c{i}b.gltc"
             save_checkpoint(loaded, path2)
-            assert open(path, "rb").read() == open(path2, "rb").read()
+            assert path.read_bytes() == path2.read_bytes()
             if _flip_random_blob_bit(path, rng):
                 with pytest.raises(IntegrityError):
                     load_checkpoint(path)
@@ -191,7 +191,7 @@ def test_criterion_5_round_trips_and_corruption(tmp_path):
             loaded = load_pack(path)
             path2 = tmp_path / f"p{i}b.skpk"
             save_pack(loaded, path2)
-            assert open(path, "rb").read() == open(path2, "rb").read()
+            assert path.read_bytes() == path2.read_bytes()
             assert _flip_random_blob_bit(path, rng)
             with pytest.raises(IntegrityError):
                 load_pack(path)

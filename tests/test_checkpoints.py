@@ -30,7 +30,7 @@ def small_checkpoint(seed=0, model_id="m") -> Checkpoint:
 def payload_bytes(path) -> bytes:
     import struct
 
-    raw = open(path, "rb").read()
+    raw = path.read_bytes()
     _, _, header_len = struct.unpack_from("<4sIQ", raw)
     return raw[16 + header_len :]
 
@@ -60,9 +60,9 @@ def test_empty_checkpoint(tmp_path):
 def test_flipped_payload_bit_names_tensor(tmp_path):
     path = tmp_path / "c.gltc"
     save_checkpoint(small_checkpoint(), path)
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(path.read_bytes())
     raw[-1] ^= 0x01
-    open(path, "wb").write(bytes(raw))
+    path.write_bytes(bytes(raw))
     with pytest.raises(IntegrityError, match="b.weight"):
         load_checkpoint(path)
 
@@ -70,17 +70,17 @@ def test_flipped_payload_bit_names_tensor(tmp_path):
 def test_bad_magic_and_version(tmp_path):
     path = tmp_path / "bad.gltc"
     save_checkpoint(small_checkpoint(), path)
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(path.read_bytes())
     good = bytes(raw)
 
     raw[0] = ord("X")
-    open(path, "wb").write(bytes(raw))
+    path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="magic"):
         load_checkpoint(path)
 
     raw = bytearray(good)
     raw[4] = 9
-    open(path, "wb").write(bytes(raw))
+    path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="version"):
         load_checkpoint(path)
 
@@ -88,8 +88,8 @@ def test_bad_magic_and_version(tmp_path):
 def test_truncated_file(tmp_path):
     path = tmp_path / "t.gltc"
     save_checkpoint(small_checkpoint(), path)
-    raw = open(path, "rb").read()
-    open(path, "wb").write(raw[: len(raw) - 7])
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) - 7])
     with pytest.raises((FormatError, IntegrityError)):
         load_checkpoint(path)
 
@@ -107,12 +107,12 @@ def rewrite_header(path, mutate) -> None:
     import json
     import struct
 
-    raw = open(path, "rb").read()
+    raw = path.read_bytes()
     _, version, header_len = struct.unpack_from("<4sIQ", raw)
     header = json.loads(raw[16 : 16 + header_len])
     mutate(header)
     blob = json.dumps(header).encode()
-    open(path, "wb").write(struct.pack("<4sIQ", b"GLTC", version, len(blob)) + blob + raw[16 + header_len :])
+    path.write_bytes(struct.pack("<4sIQ", b"GLTC", version, len(blob)) + blob + raw[16 + header_len :])
 
 
 def _set_first(key, value):
@@ -356,6 +356,20 @@ def test_apply_scale_zero_is_identity():
     pack.entries["a.weight"].values += 5.0
     out = apply_pack(base, pack, scale=0.0)
     assert bit_equal(out, base)
+
+
+@pytest.mark.parametrize("weight", [float("inf"), -float("inf"), float("nan"), 1e39])
+def test_compose_refuses_a_weight_not_finite_in_float32(monkeypatch, weight):
+    base = small_checkpoint()
+    pack = zero_pack(base)
+    pack.task_tag = "skill"
+
+    def reconstruct(self):
+        raise AssertionError("reconstructed before the weight was checked")
+
+    monkeypatch.setattr(DenseEntry, "reconstruct", reconstruct)
+    with pytest.raises(ValueError, match="pack 'skill' weight .* is not a finite float32"):
+        apply_pack(base, pack, scale=weight)
 
 
 def test_apply_never_mutates_base():

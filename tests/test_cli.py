@@ -10,7 +10,7 @@ from skillpack.plans import default_plan, plan_to_dict
 
 
 def payload_bytes(path) -> bytes:
-    raw = open(path, "rb").read()
+    raw = path.read_bytes()
     _, _, header_len = struct.unpack_from("<4sIQ", raw)
     return raw[16 + header_len :]
 
@@ -130,10 +130,12 @@ def default_plan_text(edit) -> str:
     ("compress", default_plan_text(lambda p: p["strategies"]["mlp"].update(groups=[[0, 8]]))),
     ("compress", default_plan_text(lambda p: p["strategies"]["mlp"].update(groups=[[0, 8, 4, 1]]))),
     ("compress", default_plan_text(lambda p: p["strategies"]["mlp"].update(groups="x"))),
+    ("route-train", '{"features": [[1.0], [0.0]], "losses": [[0.0, 1.0], [1.0, 0.0]], "pack_id": ["alpha", "beta"]}'),
+    ("route-train", '{"features": [[1.0], [0.0]], "losses": [[0.0, 1.0], [1.0, 0.0]], "pack_ids": []}'),
 ], ids=["plan-list", "prune-no-alpha", "config-list", "config-truncated", "no-rows", "data-list", "string-loss",
         "float-seed", "float-samples", "float-value-bits", "float-rank", "nan-damping", "misspelt-config-key",
         "misspelt-manifest-rules", "misspelt-manifest-default", "int-manifest-pattern",
-        "float-groups", "short-group", "long-group", "string-groups"])
+        "float-groups", "short-group", "long-group", "string-groups", "misspelt-pack-ids", "empty-pack-ids"])
 def test_bad_json_input_is_one_error_line_naming_the_file(tmp_path, capsys, command, text):
     bad = tmp_path / "bad_input.json"
     bad.write_text(text)
@@ -172,8 +174,8 @@ def test_compress_seed_override_changes_pack(tmp_path):
     assert main(["compress", str(delta), "--plan", plan, "--seed", "1", "-o", str(p1)]) == 0
     assert main(["compress", str(delta), "--plan", plan, "--seed", "2", "-o", str(p2)]) == 0
     assert main(["compress", str(delta), "--plan", plan, "--seed", "1", "-o", str(p3)]) == 0
-    assert open(p1, "rb").read() == open(p3, "rb").read()
-    assert open(p1, "rb").read() != open(p2, "rb").read()
+    assert p1.read_bytes() == p3.read_bytes()
+    assert p1.read_bytes() != p2.read_bytes()
 
 
 def test_route_and_fuse_with_table(tmp_path, capsys):

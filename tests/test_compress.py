@@ -188,7 +188,7 @@ def test_compress_deterministic_bytes(tmp_path):
     p1, p2 = tmp_path / "a.skpk", tmp_path / "b.skpk"
     save_pack(compress_delta(deltas, default_manifest(), plan, task_tag="x"), p1)
     save_pack(compress_delta(deltas, default_manifest(), plan, task_tag="x"), p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_calibration_seed_changes_codes():

@@ -106,28 +106,28 @@ def test_roundtrip_randomized(tmp_path):
         # resave must be byte-identical
         path2 = tmp_path / f"p{seed}b.skpk"
         save_pack(loaded, path2)
-        assert open(path, "rb").read() == open(path2, "rb").read()
+        assert path.read_bytes() == path2.read_bytes()
 
 
 def test_bit_flip_names_entry(tmp_path):
     pack = random_pack(3)
     path = tmp_path / "p.skpk"
     save_pack(pack, path)
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(path.read_bytes())
     raw[-1] ^= 0x40
-    open(path, "wb").write(bytes(raw))
+    path.write_bytes(bytes(raw))
     last_entry = list(pack.entries)[-1]
     with pytest.raises(IntegrityError, match=last_entry):
         load_pack(path)
 
 
 def _rewrite_header(path, mutate):
-    raw = open(path, "rb").read()
+    raw = path.read_bytes()
     magic, version, header_len = struct.unpack_from("<4sIQ", raw)
     header = json.loads(raw[16 : 16 + header_len])
     mutate(header)
     blob = json.dumps(header).encode()
-    open(path, "wb").write(struct.pack("<4sIQ", magic, version, len(blob)) + blob + raw[16 + header_len :])
+    path.write_bytes(struct.pack("<4sIQ", magic, version, len(blob)) + blob + raw[16 + header_len :])
 
 
 def _svd_pack_file(tmp_path):
@@ -206,6 +206,32 @@ def test_missing_blob_names_entry_and_blob(tmp_path, drop):
 
     _rewrite_header(path, mutate)
     with pytest.raises(FormatError, match=f"entry 'mlp.weight': blob '{drop}': missing"):
+        load_pack(path)
+
+
+def test_repeated_blob_role_is_format_error(tmp_path):
+    """A second 'sigma' blob over the 'scales_v' bytes has a valid CRC and would replace the first."""
+    path = _svd_pack_file(tmp_path)
+
+    def mutate(header):
+        blobs = header["entries"][0]["blobs"]
+        blobs.append({**next(b for b in blobs if b["role"] == "scales_v"), "role": "sigma"})
+
+    _rewrite_header(path, mutate)
+    with pytest.raises(FormatError, match="entry 'mlp.weight': blob 'sigma': repeated"):
+        load_pack(path)
+
+
+@pytest.mark.parametrize("blob", [{"role": "extra", "offset": "x"}, {"role": "indices"}], ids=["malformed-extra", "indices"])
+def test_blob_role_the_kind_never_reads_is_format_error(tmp_path, blob):
+    path = _svd_pack_file(tmp_path)
+
+    def mutate(header):
+        blobs = header["entries"][0]["blobs"]
+        blobs.append({**blobs[0], **blob})
+
+    _rewrite_header(path, mutate)
+    with pytest.raises(FormatError, match=f"entry 'mlp.weight': blob '{blob['role']}': not read by a quantized_svd"):
         load_pack(path)
 
 
@@ -417,7 +443,7 @@ def test_corrupt_code_range_detected(tmp_path):
     pack = SkillPack("b", "t", "", {}, {"e.weight": entry})
     path = tmp_path / "p.skpk"
     save_pack(pack, path)
-    raw = open(path, "rb").read()
+    raw = path.read_bytes()
     magic, version, header_len = struct.unpack_from("<4sIQ", raw)
     header = json.loads(raw[16 : 16 + header_len])
     values_meta = next(b for b in header["entries"][0]["blobs"] if b["role"] == "values")
@@ -431,7 +457,7 @@ def test_corrupt_code_range_detected(tmp_path):
     blob = json.dumps(header).encode()
     # header length unchanged only if same size; rebuild the file to be safe
     rebuilt = struct.pack("<4sIQ", magic, version, len(blob)) + blob + bytes(raw[payload_start:])
-    open(path, "wb").write(rebuilt)
+    path.write_bytes(rebuilt)
     with pytest.raises(IntegrityError, match="corrupted codes"):
         load_pack(path)
 

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import skillpack.toy as toy_module
 from skillpack.checkpoints import apply_pack, diff
 from skillpack.classify import ModuleClass, classify, default_manifest
 from skillpack.compress import compress_delta
 from skillpack.packs import predict_stats
-from skillpack.plans import CompressionPlan, DenseStrategy
+from skillpack.plans import CompressionPlan, DenseStrategy, plan_to_dict
 from skillpack.quantize import BitGroup
 from skillpack.toy import (
     DeltaRecipe,
     ToySpec,
+    _knob_plan,
     budget_plan,
     eval_retention,
     gen_toy,
@@ -148,6 +152,70 @@ def test_budget_plan_rejects_nonpositive():
         budget_plan(0.0, toy_param_shapes(ToySpec()))
 
 
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf"), True])
+def test_budget_plan_rejects_a_budget_that_is_not_a_finite_positive_number(budget):
+    with pytest.raises(ValueError, match="finite number greater than 0"):
+        budget_plan(budget, toy_param_shapes(ToySpec()))
+
+
+KNOBS = np.linspace(0.004, 1.0, 500)
+
+
+def knob_ratios(shapes):
+    """min_dims and the predicted total ratio of every knob of the budget family."""
+    manifest = default_manifest()
+    min_dims = {ModuleClass.ATTENTION: 1, ModuleClass.MLP: 1}
+    for name, shape in shapes.items():
+        cls = classify(name, manifest)
+        if len(shape) == 2 and cls in min_dims:
+            min_dims[cls] = max(min_dims[cls], min(shape))
+    plans = (_knob_plan(float(t), min_dims) for t in KNOBS)
+    return min_dims, [predict_stats(shapes, manifest, plan).total.ratio_total for plan in plans]
+
+
+SEARCH_SPECS = {
+    "default": ToySpec(),
+    "small": ToySpec(layers=1, hidden=128, mlp_width=352, vocab=1024),
+    "mid": ToySpec(layers=1, hidden=512, mlp_width=1408, vocab=4096),
+    "three-layer": ToySpec(layers=3, hidden=32, mlp_width=64, vocab=128),
+}
+SEARCH_BUDGETS = [*np.logspace(-4, np.log10(3), 80), 0.02, 0.05, 0.10, 0.20, 0.35, 0.50]
+
+
+@pytest.mark.parametrize("key", sorted(SEARCH_SPECS))
+def test_budget_plan_equals_the_full_scan(key):
+    """The bisection returns the plan of a scan of all 500 knobs, the first of equally close ones."""
+    shapes = toy_param_shapes(SEARCH_SPECS[key])
+    min_dims, ratios = knob_ratios(shapes)
+    for budget in SEARCH_BUDGETS:
+        best = min(range(len(KNOBS)), key=lambda i: abs(ratios[i] - budget))
+        expected = _knob_plan(float(KNOBS[best]), min_dims)
+        assert plan_to_dict(budget_plan(float(budget), shapes)) == plan_to_dict(expected), budget
+
+
+NAMES = ["model.embed_tokens.weight", "lm_head.weight", "model.layers.0.self_attn.q_proj.weight",
+         "model.layers.1.self_attn.o_proj.weight", "model.layers.0.mlp.up_proj.weight",
+         "model.layers.0.mlp.down_proj.weight", "model.norm.weight", "other.weight"]
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.dictionaries(st.sampled_from(NAMES), st.lists(st.integers(1, 300), min_size=1, max_size=2).map(tuple),
+                       min_size=1))
+def test_predicted_ratio_is_nondecreasing_along_the_knob_grid(shapes):
+    _, ratios = knob_ratios(shapes)
+    assert all(a <= b for a, b in zip(ratios, ratios[1:]))
+
+
+def test_budget_plan_searches_through_predict_stats(monkeypatch):
+    calls = []
+    monkeypatch.setattr(toy_module, "predict_stats", lambda *args: calls.append(1) or predict_stats(*args))
+    shapes = toy_param_shapes(SEARCH_SPECS["small"])
+    for budget in SEARCH_BUDGETS:
+        calls.clear()
+        budget_plan(float(budget), shapes)
+        assert 1 <= len(calls) <= 25, budget
+
+
 def test_diff_of_grafted_reproduces_pack_deltas_bitwise():
     base, tuned = gen_toy(ToySpec(seed=6))
     pack = compress_delta(diff(base, tuned), default_manifest(), dense_plan())
@@ -188,7 +256,7 @@ def test_pipeline_end_to_end_deterministic(tmp_path):
         ckpt_path = tmp_path / f"g{run}.gltc"
         save_checkpoint(grafted, ckpt_path)
         report = eval_retention(base, tuned, pack, probe_count=8, seed=4)
-        outputs.append((open(pack_path, "rb").read(), open(ckpt_path, "rb").read(), report.deviations))
+        outputs.append((pack_path.read_bytes(), ckpt_path.read_bytes(), report.deviations))
     assert outputs[0] == outputs[1]
 
 
