@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import container
-from .errors import CompatibilityError, FormatError
+from .errors import CompatibilityError, FormatError, IntegrityError
 
 MAGIC = b"GLTC"
 VERSION = 1
@@ -120,7 +120,10 @@ def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) ->
     raises CompatibilityError, naming the pack by its id, or as <untagged>
     when the id is empty; a weight that is not finite in float32 raises
     ValueError. Updates are summed in float32 in the given order; packs of
-    weight 0 add nothing. Elements whose update is zero keep the
+    weight 0 add nothing. If reconstructing, scaling, summing or adding an
+    update overflows or gives NaN, IntegrityError names the pack(s) and the
+    entry, so a composed checkpoint is always finite where its base is.
+    Elements whose update is zero keep the
     base bit pattern (adding 0.0 would flip -0.0 to +0.0), which is what
     makes zero-delta grafts and empty fusions exact identities.
 
@@ -130,8 +133,8 @@ def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) ->
     Touched names are fresh arrays that share memory with neither the base
     nor any pack.
     """
-    for pack_id, pack, weight in selected:
-        label = repr(pack_id) if pack_id else "<untagged>"
+    labels = [repr(pack_id) if pack_id else "<untagged>" for pack_id, _, _ in selected]
+    for label, (_, pack, weight) in zip(labels, selected):
         with np.errstate(over="ignore"):  # a weight past the float32 range is refused, not warned about
             if not np.isfinite(np.float32(weight)):
                 raise ValueError(f"pack {label} weight {weight!r} is not a finite float32")
@@ -150,35 +153,45 @@ def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) ->
                 )
 
     updates: dict[str, np.ndarray] = {}
-    for _, pack, weight in selected:
-        if weight == 0.0:
-            continue
-        for name, entry in pack.entries.items():
-            contribution = entry.reconstruct()  # fresh and writable by contract, so scaled in place
-            if weight != 1.0:
-                contribution *= np.float32(weight)
-            if name in updates:
-                updates[name] += contribution
-            else:
-                updates[name] = contribution
-
+    sources: dict[str, list[str]] = {}
     out: dict[str, np.ndarray] = {}
-    for name, arr in base.tensors.items():
-        update = updates.get(name)
-        if update is None:
-            view = arr.view()
-            view.flags.writeable = False
-            out[name] = view
-            continue
-        if arr.dtype == np.float32:
-            # base - (0 - update) is base + update, except that a zero update is
-            # negated to +0.0 and base - (+0.0) is base bit for bit, -0.0 included.
-            np.subtract(np.float32(0), update, out=update)
-            out[name] = np.subtract(arr, update, out=update)
-            continue
-        shifted = np.add(arr, update, dtype=np.float32).astype(arr.dtype)
-        np.copyto(shifted, arr, where=update == 0.0)
-        out[name] = shifted
+    at = ([], "", "")  # the packs, entry and step being computed: named if they overflow
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for label, (_, pack, weight) in zip(labels, selected):
+                if weight == 0.0:
+                    continue
+                for name, entry in pack.entries.items():
+                    at = ([label], name, "")
+                    contribution = entry.reconstruct()  # fresh and writable by contract, so scaled in place
+                    if weight != 1.0:
+                        contribution *= np.float32(weight)
+                    if name in updates:
+                        updates[name] += contribution
+                    else:
+                        updates[name] = contribution
+                    sources.setdefault(name, []).append(label)
+
+            for name, arr in base.tensors.items():
+                update = updates.get(name)
+                if update is None:
+                    view = arr.view()
+                    view.flags.writeable = False
+                    out[name] = view
+                    continue
+                at = (sources[name], name, " on the base")
+                if arr.dtype == np.float32:
+                    # base - (0 - update) is base + update, except that a zero update is
+                    # negated to +0.0 and base - (+0.0) is base bit for bit, -0.0 included.
+                    np.subtract(np.float32(0), update, out=update)
+                    out[name] = np.subtract(arr, update, out=update)
+                    continue
+                shifted = np.add(arr, update, dtype=np.float32).astype(arr.dtype)
+                np.copyto(shifted, arr, where=update == 0.0)
+                out[name] = shifted
+    except FloatingPointError as exc:
+        packs, name, step = at
+        raise IntegrityError(f"pack {', '.join(packs)} entry {name!r}{step}: {exc}") from None
     return Checkpoint(model_id=base.model_id, tensors=out)
 
 

@@ -136,10 +136,14 @@ def truncate(factors: SvdFactors, rank: int) -> SvdFactors:
 
 
 def magnitude_prune(a: np.ndarray, alpha: float) -> SparseEntries:
-    """Keep the ceil(alpha*N) largest-|value| elements of a 2-D matrix.
+    """Keep the keep = ceil(alpha*N) largest-|value| elements of a 2-D matrix.
 
     Ties broken toward the smaller flat row-major index, so the output is
-    deterministic.
+    deterministic. One `np.partition` finds t, the keep-th largest |value|;
+    every element above t is kept, then the first keep - (count above t)
+    elements equal to t, in index order: the set a stable descending argsort
+    puts first. The kept set is a mask, so its indices come out ascending
+    with no sort.
     """
     check_alpha(alpha)
     a = np.asarray(a)
@@ -149,8 +153,14 @@ def magnitude_prune(a: np.ndarray, alpha: float) -> SparseEntries:
         raise ValueError("prune input contains non-finite values")
     flat = a.reshape(-1)
     keep = retained_count(alpha, flat.size)
-    order = np.argsort(-np.abs(flat), kind="stable")
-    indices = np.sort(order[:keep]).astype(np.int64, copy=False)
+    if keep == flat.size:  # also an empty matrix, which keeps 0 of 0
+        indices = np.arange(flat.size, dtype=np.int64)
+    else:
+        mag, cut = np.abs(flat), flat.size - keep
+        threshold = np.partition(mag, cut)[cut]
+        kept = mag > threshold
+        kept[np.flatnonzero(mag == threshold)[: keep - np.count_nonzero(kept)]] = True
+        indices = np.flatnonzero(kept).astype(np.int64, copy=False)
     return SparseEntries(shape=tuple(a.shape), indices=indices, values=flat[indices])
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from skillpack.checkpoints import (
 )
 from skillpack.classify import ModuleClass, classify, default_manifest, ClassificationManifest
 from skillpack.errors import CompatibilityError, FormatError, IntegrityError, SkillPackError
-from skillpack.packs import DenseEntry, PrunedSparseEntry, SkillPack, load_pack
+from skillpack.compress import compress_delta
+from skillpack.packs import DenseEntry, PrunedSparseEntry, SkillPack, load_pack, save_pack
+from skillpack.toy import ToySpec, budget_plan, gen_toy, toy_param_shapes
 
 
 def small_checkpoint(seed=0, model_id="m") -> Checkpoint:
@@ -594,6 +598,49 @@ def test_compose_leaves_dense_entry_values_unchanged(weight):
     compose(base, [("p", pack, weight), ("q", pack, weight)])
     for name, entry in pack.entries.items():
         assert entry.values.tobytes() == before[name].tobytes()
+
+
+def test_compose_refuses_a_pruned_entry_whose_scales_overflow(tmp_path):
+    """Huge but finite scales pass save and load, with valid CRCs; composing
+    them must raise, not return inf with an overflow warning."""
+    spec = ToySpec(seed=5)
+    base, tuned = gen_toy(spec)
+    pack = compress_delta(diff(base, tuned), default_manifest(), budget_plan(0.10, toy_param_shapes(spec)))
+    name = next(n for n, e in pack.entries.items() if isinstance(e, PrunedSparseEntry))
+    pack.entries[name].scales = np.full_like(pack.entries[name].scales, 3e38)
+    save_pack(pack, tmp_path / "p.skpk")
+    loaded = load_pack(tmp_path / "p.skpk")
+    with pytest.raises(IntegrityError, match=re.escape(f"pack <untagged> entry {name!r}: overflow")):
+        apply_pack(base, loaded)
+
+
+def _filled(base: Checkpoint, tag: str, a: float, b: float) -> SkillPack:
+    pack = zero_pack(base)
+    pack.task_tag = tag
+    pack.entries["a.weight"].values[...] = a
+    pack.entries["b.weight"].values[...] = b
+    return pack
+
+
+@pytest.mark.parametrize(
+    "base_a, base_b, selected, match",
+    [
+        (0.0, 0.0, [("p", 1e30, 0.0, 1e10)], r"pack 'p' entry 'a.weight': overflow"),
+        (0.0, 0.0, [("p", 3e38, 0.0, 1.0), ("q", 3e38, 0.0, 1.0)], r"pack 'q' entry 'a.weight': overflow"),
+        (3e38, 0.0, [("p", 3e38, 0.0, 1.0), ("q", 0.0, 0.0, 1.0)], r"pack 'p', 'q' entry 'a.weight' on the base: overflow"),
+        (0.0, 6e4, [("p", 0.0, 1e4, 1.0)], r"pack 'p' entry 'b.weight' on the base: overflow"),
+    ],
+    ids=["scale", "sum", "add-float32", "add-float16"],
+)
+def test_compose_raises_integrity_error_instead_of_a_non_finite_result(base_a, base_b, selected, match):
+    base = small_checkpoint()
+    base.tensors["a.weight"][...] = base_a
+    base.tensors["b.weight"][...] = base_b
+    before = {name: arr.copy() for name, arr in base.tensors.items()}
+    packs = [(tag, _filled(base, tag, a, b), weight) for tag, a, b, weight in selected]
+    with pytest.raises(IntegrityError, match=match):
+        compose(base, packs)
+    assert bit_equal(base, Checkpoint(model_id="m", tensors=before))
 
 
 def test_failed_write_keeps_previous_file(tmp_path):

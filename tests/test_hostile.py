@@ -5,11 +5,15 @@ file and base sizes.
 
 Mutations are byte flips, truncations, extensions and JSON header edits:
 delete a key, or set it to a value of another type, a huge or a negative int.
+A byte flip in the payload always fails its CRC, so pack mutations also
+rewrite float values of a blob (huge finite, subnormal or sign-flipped) and
+recompute its CRC: these files load, and must compose or raise.
 """
 
 import json
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -29,6 +33,9 @@ from skillpack.toy import ToySpec, gen_toy
 PREFIX = struct.Struct("<4sIQ")
 VALUES = [None, True, "x", 1.5, [], {}, -1, -(2**40), 2**40, 10**30]
 EXAMPLES = 500
+FLOAT_ROLES = ("sigma", "scales", "scales_u", "scales_v", "dense")
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+FLOAT32_TINY = float(np.finfo(np.float32).tiny)  # the smallest normal float32
 # Peak Python allocation of one load (and compose) per byte of file plus base.
 ALLOC_PER_BYTE = 16
 
@@ -97,6 +104,23 @@ def mutants(draw, raw: bytes, is_container: bool) -> bytes:
     return PREFIX.pack(magic, version, len(text)) + text + raw[PREFIX.size + header_len :]
 
 
+@st.composite
+def float_blob_edits(draw, raw: bytes) -> bytes:
+    """`raw`, a .skpk, with up to 4 float32 values of one float blob rewritten and its CRC recomputed."""
+    magic, version, header_len = PREFIX.unpack_from(raw)
+    header = json.loads(raw[PREFIX.size : PREFIX.size + header_len])
+    payload = bytearray(raw[PREFIX.size + header_len :])
+    blob = draw(st.sampled_from([b for e in header["entries"] for b in e["blobs"] if b["role"] in FLOAT_ROLES]))
+    values = np.frombuffer(payload, "<f4", blob["byte_len"] // 4, blob["offset"])  # writes go to `payload`
+    huge = st.floats(2.0**100, FLOAT32_MAX, width=32) | st.floats(-FLOAT32_MAX, -(2.0**100), width=32)
+    subnormal = st.floats(-FLOAT32_TINY, FLOAT32_TINY, width=32, exclude_min=True, exclude_max=True)
+    for i in draw(st.lists(st.integers(0, values.size - 1), min_size=1, max_size=4, unique=True)):
+        values[i] = draw(huge | subnormal | st.just(-values[i]))
+    blob["crc32"] = zlib.crc32(payload[blob["offset"] : blob["offset"] + blob["byte_len"]])
+    text = json.dumps(header).encode()
+    return PREFIX.pack(magic, version, len(text)) + text + bytes(payload)
+
+
 def _finite(arrays) -> bool:
     return all(np.isfinite(a).all() for a in arrays)
 
@@ -158,3 +182,9 @@ def test_mutated_pack(files, data):
 def test_mutated_router(files, data):
     name = data.draw(st.sampled_from(["classifier.json", "table.json"]))
     _check(files, "json", data.draw(mutants(files[2][name], False)))
+
+
+@settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_pack_with_rewritten_float_values(files, data):
+    _check(files, "skpk", data.draw(float_blob_edits(files[2]["pack.skpk"])))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skillpack.tensors import (
     SparseEntries,
@@ -144,6 +146,69 @@ def test_prune_idempotent_after_densify():
     twice = magnitude_prune(once.densify(dtype=np.float64), 0.5)
     assert once.indices.tolist() == twice.indices.tolist()
     assert np.array_equal(once.values, twice.values)
+
+
+def _argsort_prune(a: np.ndarray, alpha: float) -> SparseEntries:
+    """magnitude_prune as it was: a stable argsort of every -|value|."""
+    flat = a.reshape(-1)
+    order = np.argsort(-np.abs(flat), kind="stable")
+    indices = np.sort(order[: retained_count(alpha, flat.size)]).astype(np.int64, copy=False)
+    return SparseEntries(shape=tuple(a.shape), indices=indices, values=flat[indices])
+
+
+def _assert_same_prune(a: np.ndarray, alpha: float) -> None:
+    got, expected = magnitude_prune(a, alpha), _argsort_prune(a, alpha)
+    assert got.shape == expected.shape
+    assert got.indices.dtype == np.int64 and got.indices.tolist() == expected.indices.tolist()
+    assert got.values.dtype == expected.values.dtype
+    assert got.values.tobytes() == expected.values.tobytes()  # bit for bit: the signs of zeros too
+
+
+_TIE_SPLIT = np.array([[5.0, 1.0, 2.0], [2.0, 2.0, 1.0], [2.0, 0.0, 2.0]])  # at 4/9, 3 of the 5 twos are kept
+
+
+@pytest.mark.parametrize(
+    "a, alpha",
+    [
+        (np.ones((5, 7)), 0.5),
+        (np.ones((5, 7), dtype=np.float16), 0.3),
+        (np.arange(-6.0, 6.0).reshape(3, 4) // 3, 0.5),
+        (np.arange(-6.0, 6.0).reshape(4, 3) % 3 - 1, 0.25),
+        (_TIE_SPLIT, 4 / 9),
+        (-_TIE_SPLIT.T, 0.5),
+        (np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, 0.0]]), 0.5),
+        (np.array([[-0.0, 1.0], [0.0, -0.0]]), 0.75),
+        (np.random.default_rng(3).standard_normal((9, 11)).astype(np.float16), 0.2),
+        (np.zeros((0, 4), dtype=np.float32), 0.5),
+        (np.zeros((0, 4), dtype=np.float32), 1.0),
+        (np.random.default_rng(4).standard_normal((6, 5)), 1.0),
+        (np.random.default_rng(5).standard_normal((40, 50)), 1e-4),
+        (np.ones((40, 50)), 1e-4),
+    ],
+    ids=["ones", "ones-f16", "int-floor", "int-mod", "row-split", "row-split-neg-T", "signed-zeros",
+         "signed-zeros-and-one", "gauss-f16", "empty", "empty-alpha-1", "alpha-1", "keep-1", "keep-1-ties"],
+)
+def test_prune_equals_the_argsort_reference_on_forced_ties(a, alpha):
+    _assert_same_prune(a, alpha)
+
+
+def test_prune_split_tie_keeps_the_first_equal_magnitudes():
+    assert magnitude_prune(_TIE_SPLIT, 4 / 9).indices.tolist() == [0, 2, 3, 4]  # the tie spans all three rows
+    assert magnitude_prune(np.ones((40, 50)), 1e-4).indices.tolist() == [0]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    rows=st.integers(0, 12),
+    cols=st.integers(1, 12),
+    dtype=st.sampled_from([np.float16, np.float32, np.float64]),
+    alpha=st.one_of(st.sampled_from([1.0, 0.5, 0.125, 0.004]), st.floats(1e-3, 1.0, exclude_min=True)),
+    data=st.data(),
+)
+def test_prune_equals_the_argsort_reference(rows, cols, dtype, alpha, data):
+    values = data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 3.0]),
+                                min_size=rows * cols, max_size=rows * cols))
+    _assert_same_prune(np.array(values, dtype=dtype).reshape(rows, cols), alpha)
 
 
 def test_prune_rejects_bad_alpha():
