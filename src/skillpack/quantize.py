@@ -15,9 +15,10 @@ computes the factor once; it depends only on the activations, so callers
 quantizing several matrices against the same x (the V^T groups of one
 delta, or every delta of one input width) compute it once and pass it in.
 The column sweep then uses the "lazy batch" updates of GPTQ (Frantar et
-al., arXiv 2210.17323): inside a block of GPTQ_BLOCK columns each column's
-error updates only the rest of the block, and the block's errors reach the
-columns after it through one matrix product.
+al., arXiv 2210.17323), left-looking inside a block of GPTQ_BLOCK columns:
+just before it is rounded, a column gathers the errors of the block's
+earlier columns in one matrix-vector product, and the block's errors reach
+the columns after it through one matrix product.
 
 Codes are symmetric, zero-point free: c in [-(2^(k-1)-1), 2^(k-1)-1].
 An all-zero vector gets scale 0 and codes 0.
@@ -205,6 +206,8 @@ def _sweep(w: np.ndarray, factor: np.ndarray, s64: np.ndarray, bits: int, scale_
     """Quantize w (rows x cols) column by column, in lazy batches.
 
     Works on a copy of w transposed, so that each column is one contiguous row.
+    Left-looking in a block: column j first subtracts factor[b0:j, j] @ errs,
+    the errors of the block's earlier columns; later blocks are updated once.
     """
     cols = w.shape[1]
     wt = np.array(w.T, order="C")
@@ -213,14 +216,11 @@ def _sweep(w: np.ndarray, factor: np.ndarray, s64: np.ndarray, bits: int, scale_
         b1 = min(b0 + GPTQ_BLOCK, cols)
         errs = np.empty((b1 - b0, wt.shape[1]))
         for j in range(b0, b1):
-            col = wt[j]
+            col = wt[j] - factor[b0:j, j] @ errs[: j - b0]
             s_j = s64 if scale_axis == "row" else s64[j]
             c = encode(col, s_j, bits)
             codes[j] = c
-            err = (col - c * s_j) / factor[j, j]
-            errs[j - b0] = err
-            if j + 1 < b1:
-                wt[j + 1 : b1] -= np.outer(factor[j, j + 1 : b1], err)
+            errs[j - b0] = (col - c * s_j) / factor[j, j]
         if b1 < cols:
             wt[b1:] -= factor[b0:b1, b1:].T @ errs
     return np.ascontiguousarray(codes.T)

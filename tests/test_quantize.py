@@ -2,6 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from skillpack.checkpoints import diff
+from skillpack.classify import ModuleClass, default_manifest
+from skillpack.compress import compress_delta, synthetic_calibration
+from skillpack.packs import QuantizedSvdEntry
+from skillpack.plans import CompressionPlan, DenseStrategy, PruneStrategy, SvdQuantStrategy
 from skillpack.quantize import (
     GPTQ_BLOCK,
     BitGroup,
@@ -18,6 +23,8 @@ from skillpack.quantize import (
     rtn_scales,
     unpack_codes,
 )
+from skillpack.tensors import svd
+from skillpack.toy import DeltaRecipe, ToySpec, gen_toy
 
 
 def test_rtn_zero_matrix():
@@ -258,7 +265,8 @@ def chained_factor(x, damping=0.01):
 
 
 def per_column_gptq(m, x, bits, scale_axis):
-    """Reference GPTQ: one full-width rank-1 update per column, no lazy batches."""
+    """Reference GPTQ: one full-width rank-1 update per column, no lazy batches.
+    A zero scale gives codes 0, as in `encode`."""
     s64 = rtn_scales(m, bits, scale_axis).astype(np.float64)
     factor = chained_factor(x)
     w = m.astype(np.float64)
@@ -266,24 +274,80 @@ def per_column_gptq(m, x, bits, scale_axis):
     limit = qmax(bits)
     for j in range(m.shape[1]):
         s_j = s64 if scale_axis == "row" else s64[j]
-        ratio = w[:, j] / s_j
+        ratio = np.divide(w[:, j], s_j, out=np.zeros(m.shape[0]), where=s_j != 0)
         codes[:, j] = np.clip(np.trunc(ratio + np.copysign(0.5, ratio)), -limit, limit)
         err = (w[:, j] - codes[:, j] * s_j) / factor[j, j]
         w[:, j + 1 :] -= np.outer(err, factor[j, j + 1 :])
     return codes, s64.astype(np.float32)
 
 
-@pytest.mark.parametrize("cols", [1, GPTQ_BLOCK - 1, GPTQ_BLOCK, GPTQ_BLOCK + 1, 300])
+def assert_sweep_matches_per_column_loop(m, x, scale_axes=("row", "column")):
+    for scale_axis in scale_axes:
+        for bits in (2, 3, 8):
+            codes, scales = per_column_gptq(m, x, bits, scale_axis)
+            qm = quantize_gptq(m, x, bits, scale_axis=scale_axis)
+            np.testing.assert_array_equal(qm.codes, codes)
+            np.testing.assert_array_equal(qm.scales, scales)
+
+
+@pytest.mark.parametrize("cols", [1, GPTQ_BLOCK - 1, GPTQ_BLOCK, GPTQ_BLOCK + 1, 300, 3 * GPTQ_BLOCK + 5])
 @pytest.mark.parametrize("scale_axis", ["row", "column"])
 def test_lazy_batch_sweep_matches_per_column_loop(cols, scale_axis):
     rng = np.random.default_rng(cols)
     m = rng.standard_normal((9, cols))
     x = rng.standard_normal((cols, 64))
-    for bits in (2, 3, 8):
-        codes, scales = per_column_gptq(m, x, bits, scale_axis)
-        qm = quantize_gptq(m, x, bits, scale_axis=scale_axis)
-        np.testing.assert_array_equal(qm.codes, codes)
-        np.testing.assert_array_equal(qm.scales, scales)
+    assert_sweep_matches_per_column_loop(m, x, (scale_axis,))
+
+
+@pytest.mark.parametrize("cols", [GPTQ_BLOCK + 1, 3 * GPTQ_BLOCK + 5])
+def test_lazy_batch_sweep_matches_per_column_loop_on_long_vectors(cols):
+    """300 values per column, so the in-block products run on long rows."""
+    rng = np.random.default_rng([cols, 300])
+    assert_sweep_matches_per_column_loop(rng.standard_normal((300, cols)), rng.standard_normal((cols, 64)))
+
+
+def test_lazy_batch_sweep_matches_per_column_loop_with_zero_scales():
+    rng = np.random.default_rng(16)
+    m = rng.standard_normal((20, GPTQ_BLOCK + 7))
+    m[5] = 0.0  # a zero scale on the row axis
+    m[:, 3] = m[:, GPTQ_BLOCK + 2] = 0.0  # zero scales on the column axis, one per block
+    assert rtn_scales(m, 2, "row")[5] == 0.0
+    assert rtn_scales(m, 2, "column")[[3, GPTQ_BLOCK + 2]].tolist() == [0.0, 0.0]
+    assert_sweep_matches_per_column_loop(m, rng.standard_normal((GPTQ_BLOCK + 7, 64)))
+
+
+def test_pack_codes_match_per_column_loop():
+    """Every V-side and U-side code of a two-group pack equals the reference sweep's."""
+    spec = ToySpec(seed=3, layers=1, hidden=32, mlp_width=48, vocab=100,
+                   recipe=DeltaRecipe(rank=8, sparse_nnz=16, noise_std=2**-10))
+    deltas = diff(*gen_toy(spec))
+    svd_quant = SvdQuantStrategy(rank=32, groups=(BitGroup(0, 4, 8), BitGroup(4, 32, 2)))
+    plan = CompressionPlan(strategies={
+        ModuleClass.EMBEDDING_OR_HEAD: PruneStrategy(alpha=0.5),
+        ModuleClass.MLP: svd_quant,
+        ModuleClass.ATTENTION: svd_quant,
+        ModuleClass.PASSTHROUGH: DenseStrategy(),
+    })
+    pack = compress_delta(deltas, default_manifest(), plan)
+    checked = 0
+    for name, entry in pack.entries.items():
+        if not isinstance(entry, QuantizedSvdEntry):
+            continue
+        delta = deltas.deltas[name]
+        factors = svd(delta)
+        x = synthetic_calibration(plan.calibration.seed, delta.shape[1], plan.calibration.samples)
+        assert entry.rank == 32 and entry.groups == svd_quant.groups
+        for g in entry.groups:
+            v_codes, v_scales = per_column_gptq(factors.vt[g.begin : g.end], x, g.bits, "row")
+            np.testing.assert_array_equal(entry.v_codes[g.begin : g.end], v_codes)
+            np.testing.assert_array_equal(entry.v_scales[g.begin : g.end], v_scales)
+            vt_hat = v_codes * v_scales.astype(np.float64)[:, None]
+            u_inputs = factors.sigma[g.begin : g.end, None] * (vt_hat @ x)
+            u_codes, u_scales = per_column_gptq(factors.u[:, g.begin : g.end], u_inputs, g.bits, "column")
+            np.testing.assert_array_equal(entry.u_codes[:, g.begin : g.end], u_codes)
+            np.testing.assert_array_equal(entry.u_scales[g.begin : g.end], u_scales)
+        checked += 1
+    assert checked == 7  # four attention and three MLP matrices
 
 
 @pytest.mark.parametrize("cols", [1, 2, 7, 130, 400])
