@@ -119,13 +119,15 @@ def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) ->
     checked against the base before anything is reconstructed; a mismatch
     raises CompatibilityError, naming the pack by its id, or as <untagged>
     when the id is empty; a weight that is not finite in float32 raises
-    ValueError. Updates are summed in float32 in the given order; packs of
-    weight 0 add nothing. If reconstructing, scaling, summing or adding an
-    update overflows or gives NaN, IntegrityError names the pack(s) and the
-    entry, so a composed checkpoint is always finite where its base is.
-    Elements whose update is zero keep the
-    base bit pattern (adding 0.0 would flip -0.0 to +0.0), which is what
-    makes zero-delta grafts and empty fusions exact identities.
+    ValueError. Base tensors are composed one at a time, in base order: a
+    tensor's updates are summed in float32 in the given pack order, then
+    added to it; packs of weight 0 add nothing. If reconstructing, scaling,
+    summing or adding overflows or gives NaN, IntegrityError names the
+    pack(s) and entry at the first base tensor where that happens, so a
+    composed checkpoint is always finite where its base is. Elements whose
+    update is zero keep the base bit pattern (adding 0.0 would flip -0.0 to
+    +0.0), which is what makes zero-delta grafts and empty fusions exact
+    identities.
 
     The base is never mutated. Names no selected pack touches are
     read-only views of the base's arrays, not copies, so writing to them
@@ -152,34 +154,24 @@ def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) ->
                     f"pack {label} entry {name!r} shape {entry.shape} does not match base {arr.shape}"
                 )
 
-    updates: dict[str, np.ndarray] = {}
-    sources: dict[str, list[str]] = {}
+    active = [(label, pack.entries, weight) for label, (_, pack, weight) in zip(labels, selected) if weight != 0.0]
     out: dict[str, np.ndarray] = {}
-    at = ([], "", "")  # the packs, entry and step being computed: named if they overflow
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for label, (_, pack, weight) in zip(labels, selected):
-                if weight == 0.0:
-                    continue
-                for name, entry in pack.entries.items():
-                    at = ([label], name, "")
-                    contribution = entry.reconstruct()  # fresh and writable by contract, so scaled in place
-                    if weight != 1.0:
-                        contribution *= np.float32(weight)
-                    if name in updates:
-                        updates[name] += contribution
-                    else:
-                        updates[name] = contribution
-                    sources.setdefault(name, []).append(label)
-
             for name, arr in base.tensors.items():
-                update = updates.get(name)
-                if update is None:
+                parts = [(label, entries[name], weight) for label, entries, weight in active if name in entries]
+                if not parts:
                     view = arr.view()
                     view.flags.writeable = False
                     out[name] = view
                     continue
-                at = (sources[name], name, " on the base")
+                update, step = None, ""
+                for label, entry, weight in parts:
+                    contribution = entry.reconstruct()  # fresh and writable by contract, so scaled in place
+                    if weight != 1.0:
+                        contribution *= np.float32(weight)
+                    update = contribution if update is None else np.add(update, contribution, out=update)
+                label, step = ", ".join(part[0] for part in parts), " on the base"
                 if arr.dtype == np.float32:
                     # base - (0 - update) is base + update, except that a zero update is
                     # negated to +0.0 and base - (+0.0) is base bit for bit, -0.0 included.
@@ -190,8 +182,7 @@ def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) ->
                 np.copyto(shifted, arr, where=update == 0.0)
                 out[name] = shifted
     except FloatingPointError as exc:
-        packs, name, step = at
-        raise IntegrityError(f"pack {', '.join(packs)} entry {name!r}{step}: {exc}") from None
+        raise IntegrityError(f"pack {label} entry {name!r}{step}: {exc}") from None
     return Checkpoint(model_id=base.model_id, tensors=out)
 
 

@@ -108,6 +108,8 @@ def _compress_svd(
     factors = truncate(svd(delta), strategy.rank)
     rank = factors.rank
     groups = clip_groups(strategy.groups, rank)
+    if factor is None:
+        factor = hessian_factor(x, damping)  # shared by every group's V-side sweep
 
     u_codes = np.zeros((rows, rank), dtype=np.int32)
     v_codes = np.zeros((rank, cols), dtype=np.int32)
@@ -120,7 +122,7 @@ def _compress_svd(
         v_codes[g.begin : g.end, :] = qv.codes
         v_scales[g.begin : g.end] = qv.scales
 
-        vt_hat = qv.dequantize(np.float64)
+        vt_hat = qv.dequantize()
         u_inputs = factors.sigma[g.begin : g.end, None] * (vt_hat @ x)
         qu = quantize_gptq(factors.u[:, g.begin : g.end], u_inputs, g.bits, damping=damping, scale_axis="column")
         u_codes[:, g.begin : g.end] = qu.codes
@@ -153,7 +155,7 @@ def compress_entry(
     delta needs no promotion: the dense path stores float32, and the SVD
     and the quantizers compute in float64. `factor` is
     `hessian_factor(calibration, plan.damping)` when the caller already
-    has it; otherwise each quantizer call computes its own.
+    has it; otherwise it is computed once here for every bit group.
     """
     delta = np.asarray(delta)
     strategy = strategy_for(plan, mclass, delta.shape)

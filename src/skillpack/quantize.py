@@ -109,12 +109,9 @@ class QuantizedMatrix:
         if self.axis not in ("row", "column"):
             raise ValueError(f"unknown scale axis {self.axis!r}")
 
-    def dequantize(self, dtype=np.float64) -> np.ndarray:
-        scales = self.scales.astype(dtype)
-        codes = self.codes.astype(dtype)
-        if self.axis == "row":
-            return codes * scales[:, None]
-        return codes * scales[None, :]
+    def dequantize(self) -> np.ndarray:
+        scales = self.scales.astype(np.float64)
+        return self.codes * (scales[:, None] if self.axis == "row" else scales[None, :])
 
 
 def rtn_scales(m: np.ndarray, bits: int, axis: str = "row") -> np.ndarray:

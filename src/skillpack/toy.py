@@ -38,6 +38,7 @@ from .classify import ModuleClass, classify, default_manifest
 from .packs import SkillPack, predict_stats
 from .plans import CompressionPlan, DenseStrategy, PruneStrategy, SvdQuantStrategy
 from .quantize import BitGroup
+from .tensors import frobenius_rel_err
 
 # Every toy value lives on a power-of-two grid: base weights, sparse spikes
 # and noise are multiples of 2^-16, low-rank factors are multiples of 2^-8
@@ -217,10 +218,7 @@ def eval_retention(
         block = tokens[start : start + _PROBE_BLOCK]
         y_fulls = _mean_logits(tuned.tensors, block)
         y_comps = _mean_logits(compressed.tensors, block)
-        for y_full, y_comp in zip(y_fulls, y_comps):
-            denom = float(np.linalg.norm(y_full))
-            num = float(np.linalg.norm(y_comp - y_full))
-            deviations.append(0.0 if num == 0.0 else (np.inf if denom == 0.0 else num / denom))
+        deviations += [frobenius_rel_err(y_full, y_comp) for y_full, y_comp in zip(y_fulls, y_comps)]
     return RetentionReport(
         deviations=deviations,
         mean_deviation=float(np.mean(deviations)),

@@ -521,6 +521,8 @@ def sparse_pack(base: Checkpoint) -> SkillPack:
 def compose_cases():
     base = signed_zero_base()
     p = dense_pack(base, TOUCHED, seed=1)
+    reversed_p = dense_pack(base, TOUCHED, seed=4)
+    reversed_p.entries = dict(reversed(reversed_p.entries.items()))
     q = dense_pack(base, ["a.weight", "e.weight"], seed=2)
     zero = dense_pack(base, TOUCHED, seed=3, scale=0.0)
     return base, {
@@ -536,6 +538,7 @@ def compose_cases():
         "cancelling": [("p", p, 1.0), ("n", negated(p), 1.0)],
         "cancelling, scaled": [("p", p, 0.5), ("n", negated(p), 0.5)],
         "sparse": [("s", sparse_pack(base), -2.0)],
+        "entries in reverse base order": [("r", reversed_p, 0.5), ("p", p, 1.0)],
     }
 
 
@@ -629,8 +632,10 @@ def _filled(base: Checkpoint, tag: str, a: float, b: float) -> SkillPack:
         (0.0, 0.0, [("p", 3e38, 0.0, 1.0), ("q", 3e38, 0.0, 1.0)], r"pack 'q' entry 'a.weight': overflow"),
         (3e38, 0.0, [("p", 3e38, 0.0, 1.0), ("q", 0.0, 0.0, 1.0)], r"pack 'p', 'q' entry 'a.weight' on the base: overflow"),
         (0.0, 6e4, [("p", 0.0, 1e4, 1.0)], r"pack 'p' entry 'b.weight' on the base: overflow"),
+        # p overflows on b.weight and q on a.weight: the first base tensor to fail is named
+        (0.0, 0.0, [("p", 1.0, 1e30, 1e10), ("q", 1e30, 0.0, 1e10)], r"pack 'q' entry 'a.weight': overflow"),
     ],
-    ids=["scale", "sum", "add-float32", "add-float16"],
+    ids=["scale", "sum", "add-float32", "add-float16", "first-base-tensor"],
 )
 def test_compose_raises_integrity_error_instead_of_a_non_finite_result(base_a, base_b, selected, match):
     base = small_checkpoint()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import skillpack.compress as compress_module
+import skillpack.quantize as quantize_module
 from skillpack.checkpoints import DeltaMap
 from skillpack.classify import ModuleClass, classify, default_manifest
 from skillpack.compress import compress_delta, compress_entry, synthetic_calibration
@@ -13,9 +14,11 @@ from skillpack.plans import (
     PruneStrategy,
     SvdQuantStrategy,
     SyntheticCalibration,
+    clip_groups,
     default_plan,
     plan_from_dict,
     plan_to_dict,
+    strategy_for,
 )
 from skillpack.quantize import BitGroup, quantize_rtn
 
@@ -320,6 +323,32 @@ def test_cached_factor_gives_same_pack_bytes(tmp_path, monkeypatch):
     save_pack(cached, tmp_path / "cached.skpk")
     save_pack(fresh_pack, tmp_path / "fresh.skpk")
     assert (tmp_path / "cached.skpk").read_bytes() == (tmp_path / "fresh.skpk").read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(96, 64), (1408, 512)], ids=["96x64", "mlp-1408x512"])
+def test_entry_without_factor_computes_the_v_side_factor_once(monkeypatch, shape):
+    """compress_entry called without `factor` factors its calibration once,
+    not once per bit group, and gives the codes a precomputed factor gives."""
+    delta = np.random.default_rng(15).standard_normal(shape).astype(np.float32)
+    plan = default_plan()
+    x = calib_for(delta, samples=32)
+    assert len(clip_groups(strategy_for(plan, ModuleClass.MLP, shape).groups, min(shape))) > 1
+    factor = compress_module.hessian_factor(x, plan.damping)
+    with_factor = compress_entry("m", delta, ModuleClass.MLP, plan, x, factor)
+    v_side_calls = []
+    hessian_factor = quantize_module.hessian_factor
+
+    def counting_factor(inputs, *args, **kwargs):
+        if inputs is x:
+            v_side_calls.append(inputs)
+        return hessian_factor(inputs, *args, **kwargs)
+
+    monkeypatch.setattr(compress_module, "hessian_factor", counting_factor)
+    monkeypatch.setattr(quantize_module, "hessian_factor", counting_factor)
+    entry = compress_entry("m", delta, ModuleClass.MLP, plan, x)
+    assert len(v_side_calls) == 1
+    for field in ("sigma", "u_codes", "u_scales", "v_codes", "v_scales"):
+        assert np.array_equal(getattr(entry, field), getattr(with_factor, field)), field
 
 
 def test_full_retention_prune_codes_equal_rtn():

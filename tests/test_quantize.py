@@ -34,6 +34,17 @@ def test_rtn_zero_matrix():
     assert np.all(qm.dequantize() == 0)
 
 
+@pytest.mark.parametrize("axis", ["row", "column"])
+def test_dequantize_is_float64_codes_times_scales(axis):
+    m = np.random.default_rng(3).standard_normal((5, 7)).astype(np.float32)
+    qm = quantize_rtn(m, 4, axis)
+    scales = qm.scales.astype(np.float64)
+    expected = qm.codes * (scales[:, None] if axis == "row" else scales[None, :])
+    got = qm.dequantize()
+    assert got.dtype == np.float64
+    assert np.array_equal(got, expected)
+
+
 def test_rtn_row_example():
     qm = quantize_rtn(np.array([[-1.0, 1.0, 0.5]]), 8)
     assert qm.codes.tolist() == [[-127, 127, 64]]
