@@ -164,7 +164,7 @@ def _cmd_eval(args) -> int:
     tuned = load_checkpoint(args.tuned)
     pack = load_pack(args.pack)
     report = eval_retention(base, tuned, pack, probe_count=args.probes, seed=args.seed, seq_len=args.seq_len)
-    text = json.dumps(asdict(report), indent=2)
+    text = json.dumps(asdict(report), indent=2, allow_nan=False)
     if args.out:
         container.write_atomic(args.out, [(text + "\n").encode("utf-8")])
         print(f"wrote {args.out}")

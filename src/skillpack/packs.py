@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable, Union, get_args
 
 import numpy as np
 
@@ -30,12 +30,20 @@ VERSION = 1
 
 # --------------------------------------------------------------------------
 # Compressed entries. Each checks how its fields relate when it is built, so
-# compressed, hand-built and loaded entries pass the same checks.
+# compressed, hand-built and loaded entries pass the same checks. Each kind
+# owns its format: `roles` names its blobs in file order, `_encode` gives its
+# header fields and a (data, dtype) per role (dtype None: bytes already
+# packed), `_decode` is its part of `_load_entry`, `_detail` of `inspect`.
 # --------------------------------------------------------------------------
 
 def _check_code_range(codes: np.ndarray, bits: int, what: str) -> None:
     if codes.size and int(np.max(np.abs(codes))) > qmax(bits):
         raise IntegrityError(f"corrupted codes: {what} out of range for {bits}-bit values")
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(eq=False)
@@ -45,6 +53,7 @@ class DenseEntry:
     values: np.ndarray  # float32
 
     kind = "dense"
+    roles = ("dense",)
 
     def __post_init__(self):
         if self.values.shape != tuple(self.shape):
@@ -58,6 +67,17 @@ class DenseEntry:
         """A fresh, writable float32 array; callers may modify it in place."""
         return self.values.astype(np.float32)  # copies even from float32: never copy=False
 
+    def _encode(self) -> tuple[dict, list]:
+        return {}, [(self.values, "<f4")]
+
+    @classmethod
+    def _decode(cls, head: dict, mclass: ModuleClass, array, codes) -> DenseEntry:
+        shape = shape_field(head)
+        return cls(shape=shape, mclass=mclass, values=array("dense", shape=shape))
+
+    def _detail(self) -> str:
+        return ""
+
 
 @dataclass(eq=False)
 class PrunedSparseEntry:
@@ -70,6 +90,7 @@ class PrunedSparseEntry:
     scales: np.ndarray  # float32, one per matrix row
 
     kind = "pruned_sparse"
+    roles = ("indices", "values", "scales")
 
     def __post_init__(self):
         if len(self.shape) != 2:
@@ -96,6 +117,26 @@ class PrunedSparseEntry:
         dense[self.indices] = self.codes.astype(np.float32) * self.scales[rows]
         return dense.reshape(self.shape)
 
+    def _encode(self) -> tuple[dict, list]:
+        width = 64 if math.prod(self.shape) >= 2**32 else 32
+        codes = pack_codes(self.codes, self.value_bits)  # first: its temporaries dwarf the indices copy
+        fields = {"alpha": self.alpha, "value_bits": self.value_bits, "index_width": width}
+        return fields, [(self.indices, f"<u{width // 8}"), (codes, None), (self.scales, "<f4")]
+
+    @classmethod
+    def _decode(cls, head: dict, mclass: ModuleClass, array, codes) -> PrunedSparseEntry:
+        shape = shape_field(head, 2)
+        value_bits = head["value_bits"]
+        width = header_field(head, "index_width", int)
+        if width not in (32, 64):
+            raise FormatError(f"bad index width {width!r}")
+        indices = _frozen(array("indices", f"<u{width // 8}").astype(np.int64))
+        return cls(shape=shape, mclass=mclass, alpha=head["alpha"], value_bits=value_bits, indices=indices,
+                   codes=_frozen(codes("values", [(len(indices), value_bits)])[0]), scales=array("scales"))
+
+    def _detail(self) -> str:
+        return f"  alpha={self.alpha:g}  value_bits={self.value_bits}  retained={len(self.indices)}"
+
 
 @dataclass(eq=False)
 class QuantizedSvdEntry:
@@ -110,6 +151,7 @@ class QuantizedSvdEntry:
     v_scales: np.ndarray  # float32, one per right singular vector (rank,)
 
     kind = "quantized_svd"
+    roles = ("sigma", "codes_u", "scales_u", "codes_v", "scales_v")
 
     def __post_init__(self):
         rows, cols = self.shape
@@ -134,8 +176,34 @@ class QuantizedSvdEntry:
         vt = self.v_codes.astype(np.float32) * self.v_scales[:, None]
         return (u * self.sigma[None, :]) @ vt
 
+    def _encode(self) -> tuple[dict, list]:
+        u = b"".join(pack_codes(self.u_codes[:, g.begin : g.end], g.bits) for g in self.groups)
+        v = b"".join(pack_codes(self.v_codes[g.begin : g.end, :], g.bits) for g in self.groups)
+        fields = {"rank": self.rank, "groups": groups_to_json(self.groups)}
+        return fields, [(self.sigma, "<f4"), (u, None), (self.u_scales, "<f4"), (v, None), (self.v_scales, "<f4")]
+
+    @classmethod
+    def _decode(cls, head: dict, mclass: ModuleClass, array, codes) -> QuantizedSvdEntry:
+        shape = shape_field(head, 2)
+        rows, cols = shape
+        groups = groups_from_json(head["groups"])
+        sigma, u_scales, v_scales = (array(role) for role in ("sigma", "scales_u", "scales_v"))
+        u_parts = codes("codes_u", [(rows * g.length, g.bits) for g in groups])
+        v_parts = codes("codes_v", [(g.length * cols, g.bits) for g in groups])
+        return cls(
+            shape=shape, mclass=mclass, rank=head["rank"], groups=groups, sigma=sigma, u_scales=u_scales,
+            u_codes=_frozen(np.concatenate([part.reshape(rows, g.length) for part, g in zip(u_parts, groups)], 1)),
+            v_codes=_frozen(np.concatenate([part.reshape(g.length, cols) for part, g in zip(v_parts, groups)], 0)),
+            v_scales=v_scales,
+        )
+
+    def _detail(self) -> str:
+        groups = ", ".join(f"{g.begin}:{g.end}@{g.bits}b" for g in self.groups)
+        return f"  rank={self.rank}  groups=[{groups}]"
+
 
 CompressedEntry = Union[DenseEntry, PrunedSparseEntry, QuantizedSvdEntry]
+_KINDS = {cls.kind: cls for cls in get_args(CompressedEntry)}
 
 
 # --------------------------------------------------------------------------
@@ -271,32 +339,12 @@ class SkillPack:
 def _encode_entry(name: str, entry: CompressedEntry, payload: container.Payload) -> dict:
     """The entry's header; its blobs go into `payload` in role order."""
     head = {"name": name, "kind": entry.kind, "class": entry.mclass.value, "shape": list(entry.shape)}
+    fields, data = entry._encode()
     blobs = []
-
-    def add(role: str, data, dtype=None) -> None:
+    for role, (blob, dtype) in zip(entry.roles, data, strict=True):
         ctx = f"entry {name!r} blob {role!r}"
-        blobs.append({"role": role, **(payload.add(data) if dtype is None else payload.add_array(data, dtype, ctx))})
-
-    if isinstance(entry, DenseEntry):
-        add("dense", entry.values, "<f4")
-    elif isinstance(entry, PrunedSparseEntry):
-        width = 64 if math.prod(entry.shape) >= 2**32 else 32
-        head.update(alpha=entry.alpha, value_bits=entry.value_bits, index_width=width)
-        codes = pack_codes(entry.codes, entry.value_bits)  # first: its temporaries dwarf the indices copy
-        add("indices", entry.indices, f"<u{width // 8}")
-        add("values", codes)
-        add("scales", entry.scales, "<f4")
-    elif isinstance(entry, QuantizedSvdEntry):
-        head.update(rank=entry.rank, groups=groups_to_json(entry.groups))
-        add("sigma", entry.sigma, "<f4")
-        add("codes_u", b"".join(pack_codes(entry.u_codes[:, g.begin : g.end], g.bits) for g in entry.groups))
-        add("scales_u", entry.u_scales, "<f4")
-        add("codes_v", b"".join(pack_codes(entry.v_codes[g.begin : g.end, :], g.bits) for g in entry.groups))
-        add("scales_v", entry.v_scales, "<f4")
-    else:
-        raise TypeError(f"unknown entry {entry!r}")
-    head["blobs"] = blobs
-    return head
+        blobs.append({"role": role, **(payload.add(blob) if dtype is None else payload.add_array(blob, dtype, ctx))})
+    return {**head, **fields, "blobs": blobs}
 
 
 def save_pack(pack: SkillPack, path) -> None:
@@ -314,86 +362,35 @@ def save_pack(pack: SkillPack, path) -> None:
     container.write_container(path, MAGIC, VERSION, header, payload.parts)
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 def _load_entry(head: dict, payload: memoryview) -> CompressedEntry:
-    """One entry from its header. Fields are parsed here; the entry's constructor checks how they relate.
+    """One entry from its header. Its kind's `_decode` parses the fields; the constructor checks how they relate.
     Decoded codes and indices are frozen like the file's views, so the entry cannot change after its checks."""
     kind = header_field(head, "kind", str)
     mclass = ModuleClass(header_field(head, "class", str))
-    by_role = {}
-    for meta in header_field(head, "blobs", list):
-        if not isinstance(meta, dict) or not isinstance(meta.get("role"), str):
-            raise FormatError("malformed blob metadata")
-        if meta["role"] in by_role:
-            raise FormatError(f"blob {meta['role']!r}: repeated")
-        by_role[meta["role"]] = meta
-
-    def blob_meta(role: str) -> dict:
-        """Pop the `role` blob's metadata, so a role is read once; called in the blob's `naming`, to name both."""
-        if role not in by_role:
-            raise FormatError("missing")
-        return by_role.pop(role)
+    cls = _KINDS.get(kind)
+    if cls is None:
+        raise FormatError(f"unknown entry kind {kind!r}")
+    blobs = header_field(head, "blobs", list)
+    roles = tuple(meta.get("role") if isinstance(meta, dict) else None for meta in blobs)
+    if roles != cls.roles:
+        raise FormatError(f"{kind} blob roles must be {list(cls.roles)}, got {list(roles)}")
+    metas = dict(zip(roles, blobs))
 
     def array(role: str, dtype="<f4", shape: tuple[int, ...] | None = None) -> np.ndarray:
         with container.naming(f"blob {role!r}"):
-            return container.read_array(payload, blob_meta(role), dtype, shape)
+            return container.read_array(payload, metas[role], dtype, shape)
 
     def codes(role: str, fields: list[tuple[int, int]]) -> list[np.ndarray]:
         """The blob's (count, bits) code segments, each padded to a byte boundary."""
         with container.naming(f"blob {role!r}"):
-            blob = container.fetch_blob(payload, blob_meta(role))
+            blob = container.fetch_blob(payload, metas[role])
             out, offset = [], 0
             for count, bits in fields:
                 out.append(unpack_codes(blob[offset:], count, bits))
                 offset += packed_size(count, bits)
             return out
 
-    if kind == "dense":
-        shape = shape_field(head)
-        entry = DenseEntry(shape=shape, mclass=mclass, values=array("dense", shape=shape))
-    elif kind == "pruned_sparse":
-        shape = shape_field(head, 2)
-        value_bits = head["value_bits"]
-        width = header_field(head, "index_width", int)
-        if width not in (32, 64):
-            raise FormatError(f"bad index width {width!r}")
-        indices = _frozen(array("indices", f"<u{width // 8}").astype(np.int64))
-        entry = PrunedSparseEntry(
-            shape=shape,
-            mclass=mclass,
-            alpha=head["alpha"],
-            value_bits=value_bits,
-            indices=indices,
-            codes=_frozen(codes("values", [(len(indices), value_bits)])[0]),
-            scales=array("scales"),
-        )
-    elif kind == "quantized_svd":
-        shape = shape_field(head, 2)
-        rows, cols = shape
-        groups = groups_from_json(head["groups"])
-        sigma, u_scales, v_scales = (array(role) for role in ("sigma", "scales_u", "scales_v"))
-        u_parts = codes("codes_u", [(rows * g.length, g.bits) for g in groups])
-        v_parts = codes("codes_v", [(g.length * cols, g.bits) for g in groups])
-        entry = QuantizedSvdEntry(
-            shape=shape,
-            mclass=mclass,
-            rank=head["rank"],
-            groups=groups,
-            sigma=sigma,
-            u_codes=_frozen(np.concatenate([part.reshape(rows, g.length) for part, g in zip(u_parts, groups)], 1)),
-            u_scales=u_scales,
-            v_codes=_frozen(np.concatenate([part.reshape(g.length, cols) for part, g in zip(v_parts, groups)], 0)),
-            v_scales=v_scales,
-        )
-    else:
-        raise FormatError(f"unknown entry kind {kind!r}")
-    if by_role:
-        raise FormatError(f"blob {next(iter(by_role))!r}: not read by a {kind} entry")
-    return entry
+    return cls._decode(head, mclass, array, codes)
 
 
 def load_pack(path) -> SkillPack:
@@ -421,10 +418,6 @@ def _fmt_shape(shape) -> str:
     return "x".join(str(d) for d in shape)
 
 
-def _fmt_groups(groups) -> str:
-    return "[" + ", ".join(f"{g.begin}:{g.end}@{g.bits}b" for g in groups) + "]"
-
-
 def _fmt_ratios(line: StatLine) -> str:
     return f"ratio_value={100 * line.ratio_value_only:.4f}%  ratio_total={100 * line.ratio_total:.4f}%"
 
@@ -443,15 +436,9 @@ def inspect_pack(pack: SkillPack) -> str:
         f"entries: {len(pack.entries)}",
     ]
     for name, entry in pack.entries.items():
-        line = entry_stats(entry)
-        detail = ""
-        if isinstance(entry, PrunedSparseEntry):
-            detail = f"  alpha={entry.alpha:g}  value_bits={entry.value_bits}  retained={len(entry.indices)}"
-        elif isinstance(entry, QuantizedSvdEntry):
-            detail = f"  rank={entry.rank}  groups={_fmt_groups(entry.groups)}"
         lines.append(
             f"  {name}  kind={entry.kind}  class={entry.mclass.value}  shape={_fmt_shape(entry.shape)}"
-            f"{detail}  {_fmt_ratios(line)}"
+            f"{entry._detail()}  {_fmt_ratios(entry_stats(entry))}"
         )
     stats = pack.stats
     lines.append("per-class storage:")

@@ -76,6 +76,8 @@ class Features:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64).reshape(-1))
+        if not (self.values.size and all_finite(self.values)):
+            raise ValueError("features must be a non-empty vector of finite values")
 
 
 Selector = Union[Tag, Features]

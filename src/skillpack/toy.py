@@ -38,7 +38,7 @@ from .classify import ModuleClass, classify, default_manifest
 from .packs import SkillPack, predict_stats
 from .plans import CompressionPlan, DenseStrategy, PruneStrategy, SvdQuantStrategy
 from .quantize import BitGroup
-from .tensors import frobenius_rel_err
+from .tensors import frobenius_rel_err, is_int
 
 # Every toy value lives on a power-of-two grid: base weights, sparse spikes
 # and noise are multiples of 2^-16, low-rank factors are multiples of 2^-8
@@ -207,8 +207,8 @@ def eval_retention(
     Probes are random token sequences; each deviation is
     ||y_compressed - y_tuned||_2 / ||y_tuned||_2 on the mean logit vector.
     """
-    if probe_count < 1:
-        raise ValueError("probe_count must be at least 1")
+    if not (is_int(probe_count) and probe_count >= 1 and is_int(seq_len) and seq_len >= 1):
+        raise ValueError(f"probe_count and seq_len must be ints of at least 1, got {probe_count!r} and {seq_len!r}")
     compressed = apply_pack(base, pack, scale=1.0)
     vocab = base.tensors["model.embed_tokens.weight"].shape[0]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A]))

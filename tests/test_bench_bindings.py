@@ -35,3 +35,8 @@ def test_tracer_bindings_resolve_and_are_restored():
     finally:
         tracer.uninstall()
     assert [getattr(owner, attr) for owner, attr in names] == originals
+
+
+def test_tracer_wraps_reconstruct_of_every_entry_kind():
+    """A new entry kind cannot slip out of the packs.reconstruct span."""
+    assert set(load_tracer().RECONSTRUCT_CLASSES) == {cls.__name__ for cls in packs._KINDS.values()}

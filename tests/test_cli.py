@@ -5,8 +5,11 @@ import struct
 import numpy as np
 import pytest
 
+import skillpack.cli as cli
 from skillpack.cli import main
 from skillpack.plans import default_plan, plan_to_dict
+from skillpack.routing import LinearClassifier, save_router
+from skillpack.toy import RetentionReport
 
 
 def payload_bytes(path) -> bytes:
@@ -249,6 +252,49 @@ def test_eval_prints_report_to_stdout(tmp_path, capsys):
                  "--probes", "2", "--seed", "0"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["deviations"] == [0.0, 0.0]
+
+
+def test_eval_refuses_seq_len_zero_and_writes_nothing(tmp_path, capsys):
+    base, tuned = gen_pair(tmp_path)
+    delta = tmp_path / "d.gltc"
+    main(["diff", str(base), str(tuned), "-o", str(delta)])
+    pack = tmp_path / "p.skpk"
+    main(["compress", str(delta), "--plan", dense_plan_config(tmp_path), "-o", str(pack)])
+    report_path = tmp_path / "rep.json"
+    capsys.readouterr()
+    assert main(["eval", "--base", str(base), "--tuned", str(tuned), "--pack", str(pack),
+                 "--seed", "0", "--seq-len", "0", "--out", str(report_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "seq_len" in captured.err
+    assert not report_path.exists()
+
+
+def test_eval_refuses_to_write_a_non_finite_report(tmp_path, capsys, monkeypatch):
+    """The report is strict JSON, like headers and router files: a NaN is an error, not a `NaN` token."""
+    base, tuned = gen_pair(tmp_path)
+    delta = tmp_path / "d.gltc"
+    main(["diff", str(base), str(tuned), "-o", str(delta)])
+    pack = tmp_path / "p.skpk"
+    main(["compress", str(delta), "--plan", dense_plan_config(tmp_path), "-o", str(pack)])
+    monkeypatch.setattr(cli, "eval_retention", lambda *args, **kwargs: RetentionReport([np.nan], np.nan, np.nan, 1.0))
+    report_path = tmp_path / "rep.json"
+    capsys.readouterr()
+    assert main(["eval", "--base", str(base), "--tuned", str(tuned), "--pack", str(pack),
+                 "--seed", "0", "--out", str(report_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not report_path.exists()
+
+
+@pytest.mark.parametrize("features", ["nan,nan,nan", "inf,-inf,0"])
+def test_route_refuses_non_finite_features(tmp_path, capsys, features):
+    router = tmp_path / "clf.json"
+    save_router(LinearClassifier(np.eye(2, 3), np.zeros(2), ["math", "code"]), router)
+    assert main(["route", "--router", str(router), "--features", features]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: features must be a non-empty vector of finite values")
 
 
 def test_eval_writes_report(tmp_path):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import struct
 import zlib
 from fractions import Fraction
@@ -10,6 +12,7 @@ from skillpack.checkpoints import Checkpoint, apply_pack
 from skillpack.classify import ModuleClass
 from skillpack.errors import FormatError, IntegrityError
 from skillpack.packs import (
+    _KINDS,
     DenseEntry,
     PrunedSparseEntry,
     QuantizedSvdEntry,
@@ -196,6 +199,14 @@ def test_other_format_version_is_format_error(tmp_path):
         load_pack(path)
 
 
+SVD_ROLES = ["sigma", "codes_u", "scales_u", "codes_v", "scales_v"]
+
+
+def roles_error(got: list) -> str:
+    """The load error of the `_svd_pack_file` entry when its blob roles are `got`."""
+    return re.escape(f"entry 'mlp.weight': quantized_svd blob roles must be {SVD_ROLES}, got {got}")
+
+
 @pytest.mark.parametrize("drop", ["sigma", "codes_v"])
 def test_missing_blob_names_entry_and_blob(tmp_path, drop):
     path = _svd_pack_file(tmp_path)
@@ -205,7 +216,7 @@ def test_missing_blob_names_entry_and_blob(tmp_path, drop):
         blobs[:] = [b for b in blobs if b["role"] != drop]
 
     _rewrite_header(path, mutate)
-    with pytest.raises(FormatError, match=f"entry 'mlp.weight': blob '{drop}': missing"):
+    with pytest.raises(FormatError, match=roles_error([role for role in SVD_ROLES if role != drop])):
         load_pack(path)
 
 
@@ -218,7 +229,7 @@ def test_repeated_blob_role_is_format_error(tmp_path):
         blobs.append({**next(b for b in blobs if b["role"] == "scales_v"), "role": "sigma"})
 
     _rewrite_header(path, mutate)
-    with pytest.raises(FormatError, match="entry 'mlp.weight': blob 'sigma': repeated"):
+    with pytest.raises(FormatError, match=roles_error(SVD_ROLES + ["sigma"])):
         load_pack(path)
 
 
@@ -231,7 +242,20 @@ def test_blob_role_the_kind_never_reads_is_format_error(tmp_path, blob):
         blobs.append({**blobs[0], **blob})
 
     _rewrite_header(path, mutate)
-    with pytest.raises(FormatError, match=f"entry 'mlp.weight': blob '{blob['role']}': not read by a quantized_svd"):
+    with pytest.raises(FormatError, match=roles_error(SVD_ROLES + [blob["role"]])):
+        load_pack(path)
+
+
+def test_permuted_blob_roles_are_format_error(tmp_path):
+    """Every blob is there with a valid CRC, but not in the kind's role order."""
+    path = _svd_pack_file(tmp_path)
+
+    def mutate(header):
+        blobs = header["entries"][0]["blobs"]
+        blobs[1], blobs[2] = blobs[2], blobs[1]
+
+    _rewrite_header(path, mutate)
+    with pytest.raises(FormatError, match=roles_error(["sigma", "scales_u", "codes_u", "codes_v", "scales_v"])):
         load_pack(path)
 
 
@@ -608,6 +632,35 @@ def test_inspect_report_pinned():
         "total: original_bits=1040  value_bits=378  overhead_bits=360"
         "  ratio_value=36.3462%  ratio_total=70.9615%",
     ])
+
+
+def test_saved_pack_bytes_pinned(tmp_path):
+    """Header key order, blob order and bytes of a .skpk file, one entry of each kind, stay as first written."""
+    entries = {
+        "model.norm.weight": DenseEntry(shape=(2, 3), mclass=ModuleClass.PASSTHROUGH,
+                                        values=np.linspace(-1.0, 1.5, 6, dtype=np.float32).reshape(2, 3)),
+        "lm_head.weight": PrunedSparseEntry(
+            shape=(4, 6), mclass=ModuleClass.EMBEDDING_OR_HEAD, alpha=0.25, value_bits=4,
+            indices=np.array([0, 1, 5, 7, 20, 23], np.int64), codes=np.array([1, -3, 7, 0, -7, 2], np.int32),
+            scales=np.array([0.5, 0.25, 1.0, 0.125], np.float32)),
+        "mlp.up_proj.weight": QuantizedSvdEntry(
+            shape=(6, 5), mclass=ModuleClass.MLP, rank=3,
+            groups=(BitGroup(0, 1, 8), BitGroup(1, 3, 3)), sigma=np.array([4.0, 2.0, 0.5], np.float32),
+            u_codes=(np.arange(18, dtype=np.int32).reshape(6, 3) % 7 - 3) * np.array([30, 1, 1], np.int32),
+            u_scales=np.array([0.01, 0.2, 0.3], np.float32),
+            v_codes=(np.arange(15, dtype=np.int32).reshape(3, 5) % 5 - 2) * np.array([[50], [1], [1]], np.int32),
+            v_scales=np.array([0.02, 0.4, 0.6], np.float32)),
+    }
+    assert {entry.kind for entry in entries.values()} == set(_KINDS)
+    path = tmp_path / "k.skpk"
+    save_pack(SkillPack("base-m", "tuned-m", "math", {"damping": 0.01}, entries), path)
+    raw = path.read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == "e8652b5d127c9fa604152364ca3f45b8543d53d6963d93dbdc83b27e42960201"
+    header = json.loads(raw[16 : 16 + struct.unpack_from("<Q", raw, 8)[0]])
+    for head in header["entries"]:
+        assert [blob["role"] for blob in head["blobs"]] == list(_KINDS[head["kind"]].roles)
+    loaded = load_pack(path).entries
+    assert list(loaded) == list(entries) and all(entries_equal(loaded[name], e) for name, e in entries.items())
 
 
 def _pruned(**change):

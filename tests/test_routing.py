@@ -77,6 +77,13 @@ def test_route_dimension_mismatch():
         route(router, Features(np.zeros(5)))
 
 
+@pytest.mark.parametrize("values", [[], [np.nan] * 3, [np.inf, -np.inf, 0.0]], ids=["empty", "nan", "inf"])
+def test_features_refuse_empty_or_non_finite_values(values):
+    """NaN scores would route to class 0 through argmax."""
+    with pytest.raises(ValueError, match="non-empty vector of finite values"):
+        Features(np.array(values, dtype=np.float64))
+
+
 def test_route_rescaling_invariance():
     for seed in range(100):
         rng = np.random.default_rng(seed)

@@ -127,6 +127,15 @@ def test_eval_retention_validates_probe_count():
         eval_retention(base, tuned, pack, probe_count=0, seed=0)
 
 
+@pytest.mark.parametrize("probe_count, seq_len", [(4, 0), (4, -1), (4, 8.0), (4, True), (2.0, 8), (np.int64(4), 8)])
+def test_eval_retention_requires_int_probe_count_and_seq_len(probe_count, seq_len):
+    """seq_len 0 would average empty slices into NaN deviations."""
+    base, tuned = gen_toy(ToySpec(seed=0))
+    pack = compress_delta(diff(base, tuned), default_manifest(), dense_plan())
+    with pytest.raises(ValueError, match="probe_count and seq_len must be ints of at least 1"):
+        eval_retention(base, tuned, pack, probe_count=probe_count, seed=0, seq_len=seq_len)
+
+
 def test_eval_retention_deterministic():
     spec = ToySpec(seed=0)
     base, tuned = gen_toy(spec)
