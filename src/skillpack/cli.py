@@ -121,6 +121,8 @@ def _load_packs(paths: list[str]) -> dict:
 
 
 def _selector(args):
+    if args.tag is not None and args.features is not None:
+        raise ValueError("provide --tag or --features, not both")
     if args.tag is not None:
         return Tag(args.tag)
     if args.features is not None:
@@ -129,13 +131,14 @@ def _selector(args):
 
 
 def _cmd_fuse(args) -> int:
+    selector = _selector(args)
     base = load_checkpoint(args.base)
     packs = _load_packs(args.pack)
     router = load_router(args.router)
     overlaps = overlapping_names(packs)
     if overlaps:
         print(f"warning: {len(overlaps)} tensors touched by multiple packs; contributions are summed", file=sys.stderr)
-    fused = fuse(FusionRequest(base=base, packs=packs, router=router, selector=_selector(args)))
+    fused = fuse(FusionRequest(base=base, packs=packs, router=router, selector=selector))
     save_checkpoint(fused, args.out)
     print(f"wrote {args.out}")
     return 0

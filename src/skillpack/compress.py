@@ -108,8 +108,6 @@ def _compress_svd(
     factors = truncate(svd(delta), strategy.rank)
     rank = factors.rank
     groups = clip_groups(strategy.groups, rank)
-    if factor is None:
-        factor = hessian_factor(x, damping)  # shared by every group's V-side sweep
 
     u_codes = np.zeros((rows, rank), dtype=np.int32)
     v_codes = np.zeros((rank, cols), dtype=np.int32)
@@ -141,22 +139,8 @@ def _compress_svd(
     )
 
 
-def compress_entry(
-    name: str,
-    delta: np.ndarray,
-    mclass: ModuleClass,
-    plan: CompressionPlan,
-    calibration: np.ndarray | None = None,
-    factor: np.ndarray | None = None,
-) -> CompressedEntry:
-    """Compress one delta tensor according to its class strategy.
-
-    Tensors that are not 2-D are stored dense (`strategy_for`). A float16
-    delta needs no promotion: the dense path stores float32, and the SVD
-    and the quantizers compute in float64. `factor` is
-    `hessian_factor(calibration, plan.damping)` when the caller already
-    has it; otherwise it is computed once here for every bit group.
-    """
+def _compress(name: str, delta: np.ndarray, mclass: ModuleClass, plan: CompressionPlan, calibration) -> CompressedEntry:
+    """`compress_entry` with a `_calibration(plan)` lookup, which only an SVD strategy consults."""
     delta = np.asarray(delta)
     strategy = strategy_for(plan, mclass, delta.shape)
     if isinstance(strategy, DenseStrategy):
@@ -164,10 +148,21 @@ def compress_entry(
     if isinstance(strategy, PruneStrategy):
         return _compress_prune(delta, mclass, strategy)
     if isinstance(strategy, SvdQuantStrategy):
-        if calibration is None:
-            raise ValueError(f"entry {name!r} needs calibration activations for SVD quantization")
-        return _compress_svd(delta, mclass, strategy, calibration, plan.damping, factor)
+        x, factor = calibration(name, delta.shape[1])
+        return _compress_svd(delta, mclass, strategy, x, plan.damping, factor)
     raise TypeError(f"unknown strategy {strategy!r}")
+
+
+def compress_entry(name: str, delta: np.ndarray, mclass: ModuleClass, plan: CompressionPlan) -> CompressedEntry:
+    """Compress one delta tensor according to its class strategy.
+
+    Tensors that are not 2-D are stored dense (`strategy_for`). A float16
+    delta needs no promotion: the dense path stores float32, and the SVD
+    and the quantizers compute in float64. The entry calibrates from
+    `plan.calibration`, as `compress_delta` does; with a `FileCalibration`
+    plan the file is opened even for a dense or pruned tensor.
+    """
+    return _compress(name, delta, mclass, plan, _calibration(plan))
 
 
 def compress_delta(
@@ -182,13 +177,8 @@ def compress_delta(
     on its own tensor, the plan, and the calibration seed or file.
     """
     calibration = _calibration(plan)
-    entries: dict[str, CompressedEntry] = {}
-    for name, delta in deltas.deltas.items():
-        mclass = classify(name, manifest)
-        shape = np.shape(delta)
-        needs_calibration = isinstance(strategy_for(plan, mclass, shape), SvdQuantStrategy)
-        x, factor = calibration(name, shape[1]) if needs_calibration else (None, None)
-        entries[name] = compress_entry(name, delta, mclass, plan, x, factor)
+    entries = {name: _compress(name, delta, classify(name, manifest), plan, calibration)
+               for name, delta in deltas.deltas.items()}
     return SkillPack(
         base_model_id=deltas.base_id,
         tuned_model_id=deltas.tuned_id,

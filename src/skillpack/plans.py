@@ -9,13 +9,12 @@ bits over [0,20)/[20,1000) for attention. Ranks clamp on small matrices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Union, get_args
 
 from .classify import ModuleClass
 from .quantize import BitGroup, check_bits, check_groups, groups_from_json, groups_to_json
-from .tensors import check_alpha, check_rank, is_int
+from .tensors import check_alpha, check_nonnegative, check_rank, is_int
 
 
 @dataclass(frozen=True)
@@ -88,9 +87,7 @@ class CompressionPlan:
                 raise ValueError(f"plan is missing a strategy for module class {cls.value!r}")
         if not isinstance(self.strategies[ModuleClass.PASSTHROUGH], DenseStrategy):
             raise ValueError("the passthrough class must map to the dense strategy")
-        damping = self.damping
-        if isinstance(damping, bool) or not isinstance(damping, (int, float)) or not 0 <= damping < math.inf:
-            raise ValueError(f"damping must be a finite number >= 0, got {damping!r}")
+        check_nonnegative(self.damping, "damping")
 
 
 def strategy_for(plan: CompressionPlan, mclass: ModuleClass, shape: tuple[int, ...]) -> Strategy:

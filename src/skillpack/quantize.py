@@ -116,6 +116,8 @@ class QuantizedMatrix:
 
 def rtn_scales(m: np.ndarray, bits: int, axis: str = "row") -> np.ndarray:
     """Per-vector symmetric scales, rounded to their stored float32 values."""
+    if axis not in ("row", "column"):
+        raise ValueError(f"unknown scale axis {axis!r}")
     reduce_axis = 1 if axis == "row" else 0
     m = np.asarray(m)
     if not np.issubdtype(m.dtype, np.floating):

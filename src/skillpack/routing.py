@@ -21,7 +21,7 @@ from . import container
 from .checkpoints import Checkpoint, compose
 from .errors import FormatError
 from .packs import SkillPack
-from .tensors import all_finite, is_int
+from .tensors import all_finite, is_int, overflow_checked
 
 
 @dataclass
@@ -98,7 +98,8 @@ def route(router: Router, selector: Selector) -> list[tuple[str, float]]:
             raise ValueError(
                 f"feature dimension {selector.values.shape[0]} does not match classifier dim {router.weights.shape[1]}"
             )
-        scores = router.weights @ selector.values + router.bias
+        with overflow_checked("the classifier's scores overflow on these features"):
+            scores = router.weights @ selector.values + router.bias
         winner = int(np.argmax(scores))  # ties break to the lowest class index
         return [(router.class_to_pack[winner], 1.0)]
     raise TypeError(f"unknown router {router!r}")
@@ -199,13 +200,13 @@ def train_router(
     weights = np.zeros((n_classes, dim))
     bias = np.zeros(n_classes)
     x = data.features
-    for _ in range(epochs):
-        probs = _softmax(x @ weights.T + bias)
-        grad = probs - one_hot
-        weights -= learning_rate * (grad.T @ x) / n_rows
-        bias -= learning_rate * grad.mean(axis=0)
-
-    predicted = np.argmax(x @ weights.T + bias, axis=1)
+    with overflow_checked(f"router training overflows at learning rate {learning_rate!r}"):
+        for _ in range(epochs):
+            probs = _softmax(x @ weights.T + bias)
+            grad = probs - one_hot
+            weights -= learning_rate * (grad.T @ x) / n_rows
+            bias -= learning_rate * grad.mean(axis=0)
+        predicted = np.argmax(x @ weights.T + bias, axis=1)
     accuracy = float(np.mean(predicted == labels))
     classifier = LinearClassifier(weights=weights, bias=bias, class_to_pack=list(data.pack_ids))
     return classifier, accuracy

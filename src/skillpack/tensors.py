@@ -1,5 +1,5 @@
 """Dense-tensor numerical kernels: SVD, truncation, magnitude pruning, norms;
-and the value checks that plans and entries share with them.
+and the value checks and the overflow guard that other modules share.
 
 Tensors are plain numpy arrays. Checkpoint payloads are float32/float16;
 factorizations run in float64 intermediates and the factors are kept in
@@ -9,6 +9,7 @@ float64 until they are quantized or serialized.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,23 @@ def check_alpha(alpha) -> None:
     """A retention ratio is a number in (0, 1]; NaN and bools are not."""
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0.0 < alpha <= 1.0:
         raise ValueError(f"retention ratio must be in (0, 1], got {alpha!r}")
+
+
+def check_nonnegative(value, what: str) -> None:
+    """A finite number >= 0; NaN, infinities and bools are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
+        raise ValueError(f"{what} must be a finite number >= 0, got {value!r}")
+
+
+@contextmanager
+def overflow_checked(message: str):
+    """numpy overflow or an invalid result inside the block raises
+    `ValueError(message)` instead of warning and going on with inf or NaN."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(f"{message} ({exc})") from None
 
 
 def all_finite(values: np.ndarray) -> bool:

@@ -38,7 +38,7 @@ from .classify import ModuleClass, classify, default_manifest
 from .packs import SkillPack, predict_stats
 from .plans import CompressionPlan, DenseStrategy, PruneStrategy, SvdQuantStrategy
 from .quantize import BitGroup
-from .tensors import frobenius_rel_err, is_int
+from .tensors import check_nonnegative, frobenius_rel_err, is_int, overflow_checked
 
 # Every toy value lives on a power-of-two grid: base weights, sparse spikes
 # and noise are multiples of 2^-16, low-rank factors are multiples of 2^-8
@@ -58,6 +58,13 @@ class DeltaRecipe:
     rank: int = 8  # low-rank delta rank per attention/MLP matrix (0 = none)
     sparse_nnz: int = 16  # nonzeros per embedding/head matrix (0 = none)
     noise_std: float = 0.0  # dense Gaussian noise on every delta
+
+    def __post_init__(self):
+        for name in ("rank", "sparse_nnz"):
+            value = getattr(self, name)
+            if not (is_int(value) and value >= 0):
+                raise ValueError(f"recipe {name} must be an int >= 0, got {value!r}")
+        check_nonnegative(self.noise_std, "recipe noise_std")
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,7 @@ def _snap(values: np.ndarray, grid: float) -> np.ndarray:
     return np.round(values / grid) * grid
 
 
+@overflow_checked("the toy recipe's noise_std overflows the float32 weights")
 def gen_toy(spec: ToySpec) -> tuple[Checkpoint, Checkpoint]:
     """Deterministic (base, tuned) pair; tuned = base + the recipe's delta.
 

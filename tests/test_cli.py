@@ -325,3 +325,58 @@ def test_eval_out_replaces_the_file_instead_of_rewriting_it(tmp_path):
     assert json.loads(report_path.read_text())["deviations"] == [0.0, 0.0]
     assert (tmp_path / "old.json").read_text() == "old report"
     assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+def one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_route_refuses_features_that_overflow_the_scores(tmp_path, capsys):
+    router = tmp_path / "clf.json"
+    save_router(LinearClassifier(np.ones((2, 3)), np.zeros(2), ["math", "code"]), router)
+    assert main(["route", "--router", str(router), "--features", "1e308,1e308,1e308"]) == 1
+    assert "scores overflow" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("lr", ["1e308", "inf"])
+def test_route_train_refuses_a_learning_rate_that_overflows(tmp_path, capsys, lr):
+    rng = np.random.default_rng(0)
+    feats = np.vstack([np.tile([5.0, 0.0], (20, 1)), np.tile([0.0, 5.0], (20, 1))]) + rng.standard_normal((40, 2))
+    losses = np.vstack([np.tile([0.0, 1.0], (20, 1)), np.tile([1.0, 0.0], (20, 1))])
+    data = tmp_path / "train.json"
+    data.write_text(json.dumps({"features": feats.tolist(), "losses": losses.tolist()}))
+    router = tmp_path / "clf.json"
+    assert main(["route-train", str(data), "-o", str(router), "--lr", lr]) == 1
+    assert f"learning rate {float(lr)!r}" in one_error_line(capsys)
+    assert not router.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--noise", "1e308", "noise_std overflows"),
+    ("--noise", "nan", "noise_std must be a finite number >= 0, got nan"),
+    ("--noise", "-1", "noise_std must be a finite number >= 0, got -1.0"),
+    ("--rank", "-1", "rank must be an int >= 0, got -1"),
+    ("--nnz", "-1", "sparse_nnz must be an int >= 0, got -1"),
+])
+def test_gen_toy_refuses_a_recipe_it_would_ignore_or_overflow(tmp_path, capsys, flag, value, message):
+    base, tuned = tmp_path / "base.gltc", tmp_path / "tuned.gltc"
+    argv = ["gen-toy", "--seed", "0", "--base-out", str(base), "--tuned-out", str(tuned), flag, value]
+    assert main(argv) == 1
+    assert message in one_error_line(capsys)
+    assert not base.exists() and not tuned.exists()
+
+
+def test_route_and_fuse_refuse_both_selectors(tmp_path, capsys):
+    base, _ = gen_pair(tmp_path)
+    router = tmp_path / "r.json"
+    router.write_text(json.dumps({"kind": "task_table", "table": {"math": []}}))
+    capsys.readouterr()
+    assert main(["route", "--router", str(router), "--tag", "math", "--features", "nan"]) == 1
+    assert "not both" in one_error_line(capsys)
+    fused = tmp_path / "f.gltc"
+    assert main(["fuse", str(base), "--pack", str(tmp_path / "p.skpk"), "--router", str(router),
+                 "--tag", "math", "--features", "1", "-o", str(fused)]) == 1
+    assert "not both" in one_error_line(capsys)
+    assert not fused.exists()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import skillpack.compress as compress_module
 import skillpack.quantize as quantize_module
 from skillpack.checkpoints import DeltaMap
 from skillpack.classify import ModuleClass, classify, default_manifest
-from skillpack.compress import compress_delta, compress_entry, synthetic_calibration
+from skillpack.compress import compress_delta, compress_entry
 from skillpack.packs import DenseEntry, PrunedSparseEntry, QuantizedSvdEntry, SkillPack, predict_stats, save_pack
 from skillpack.plans import (
     CompressionPlan,
@@ -35,8 +37,7 @@ def simple_plan(rank=4, bits=8, alpha=0.5, value_bits=4, **kwargs):
     )
 
 
-def calib_for(delta, seed=0, samples=64):
-    return synthetic_calibration(seed, delta.shape[1], samples)
+CALIB_64 = SyntheticCalibration(seed=0, samples=64)
 
 
 def test_prune_strategy_checks_value_width():
@@ -73,8 +74,8 @@ def test_dispatch_prune():
 def test_dispatch_svd_rank_clamps():
     rng = np.random.default_rng(1)
     delta = rng.standard_normal((4, 6)).astype(np.float32)
-    plan = simple_plan(rank=10)
-    entry = compress_entry("m", delta, ModuleClass.MLP, plan, calib_for(delta))
+    plan = simple_plan(rank=10, calibration=CALIB_64)
+    entry = compress_entry("m", delta, ModuleClass.MLP, plan)
     assert isinstance(entry, QuantizedSvdEntry)
     assert entry.rank == 4
     assert entry.groups[-1].end == 4
@@ -89,7 +90,7 @@ def test_dispatch_1d_forced_dense():
 
 def test_dispatch_fidelity_random_manifests():
     rng = np.random.default_rng(7)
-    plan = simple_plan(rank=3, bits=4)
+    plan = simple_plan(rank=3, bits=4, calibration=CALIB_64)
     kind_for = {
         ModuleClass.EMBEDDING_OR_HEAD: PrunedSparseEntry,
         ModuleClass.MLP: QuantizedSvdEntry,
@@ -100,7 +101,7 @@ def test_dispatch_fidelity_random_manifests():
     for trial in range(20):
         mclass = classes[int(rng.integers(len(classes)))]
         delta = rng.standard_normal((5, 5)).astype(np.float32)
-        entry = compress_entry("x", delta, mclass, plan, calib_for(delta))
+        entry = compress_entry("x", delta, mclass, plan)
         assert isinstance(entry, kind_for[mclass])
         assert entry.mclass is mclass
         assert entry.shape == (5, 5)
@@ -140,8 +141,8 @@ def test_quantized_svd_rank1_bound():
     a = np.zeros((6, 6), dtype=np.float32)
     a[0, 0] = 2.0
     for bits in (2, 4, 8):
-        plan = simple_plan(rank=1, bits=bits)
-        entry = compress_entry("m", a, ModuleClass.MLP, plan, calib_for(a))
+        plan = simple_plan(rank=1, bits=bits, calibration=CALIB_64)
+        entry = compress_entry("m", a, ModuleClass.MLP, plan)
         err = float(np.linalg.norm(entry.reconstruct() - a))
         step_u = float(entry.u_scales[0])
         step_v = float(entry.v_scales[0])
@@ -199,8 +200,8 @@ def test_calibration_seed_changes_codes():
     delta = rng.standard_normal((16, 16)).astype(np.float32)
     plan_a = simple_plan(rank=8, bits=2, calibration=SyntheticCalibration(seed=0, samples=8))
     plan_b = simple_plan(rank=8, bits=2, calibration=SyntheticCalibration(seed=1, samples=8))
-    e_a = compress_entry("m", delta, ModuleClass.MLP, plan_a, synthetic_calibration(0, 16, 8))
-    e_b = compress_entry("m", delta, ModuleClass.MLP, plan_b, synthetic_calibration(1, 16, 8))
+    e_a = compress_entry("m", delta, ModuleClass.MLP, plan_a)
+    e_b = compress_entry("m", delta, ModuleClass.MLP, plan_b)
     assert not np.array_equal(e_a.u_codes, e_b.u_codes) or not np.array_equal(e_a.v_codes, e_b.v_codes)
 
 
@@ -241,10 +242,9 @@ def test_monotone_fidelity_in_bits():
     for seed in range(20):
         rng = np.random.default_rng(200 + seed)
         delta = rng.standard_normal((32, 48)).astype(np.float32)
-        x = calib_for(delta)
         errs = []
         for bits in (2, 3, 4, 6, 8):
-            entry = compress_entry("m", delta, ModuleClass.MLP, simple_plan(rank=12, bits=bits), x)
+            entry = compress_entry("m", delta, ModuleClass.MLP, simple_plan(rank=12, bits=bits, calibration=CALIB_64))
             errs.append(float(np.linalg.norm(entry.reconstruct().astype(np.float64) - delta)))
         assert all(errs[i + 1] <= errs[i] for i in range(len(errs) - 1))
 
@@ -253,9 +253,10 @@ def test_rank_sweep_tracks_tail_norm():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((32, 48))
     sigma = np.linalg.svd(a, compute_uv=False)
-    x = synthetic_calibration(0, 48, 128)
+    calibration = SyntheticCalibration(seed=0, samples=128)
     for r in range(1, 33):
-        entry = compress_entry("m", a.astype(np.float32), ModuleClass.MLP, simple_plan(rank=r, bits=16), x)
+        plan = simple_plan(rank=r, bits=16, calibration=calibration)
+        entry = compress_entry("m", a.astype(np.float32), ModuleClass.MLP, plan)
         err = float(np.linalg.norm(a - entry.reconstruct().astype(np.float64)))
         tail = float(np.sqrt(np.sum(sigma[r:] ** 2)))
         assert abs(err - tail) <= 0.05 * tail + 1e-3 * np.linalg.norm(a)
@@ -314,8 +315,7 @@ def test_cached_factor_gives_same_pack_bytes(tmp_path, monkeypatch):
     assert len(factorizations) == 2  # one per input width, 16 and 24
 
     fresh = {
-        name: compress_entry(name, d, classify(name, default_manifest()), plan,
-                             synthetic_calibration(3, d.shape[1], 32))
+        name: compress_entry(name, d, classify(name, default_manifest()), plan)
         for name, d in deltas.deltas.items()
     }
     fresh_pack = SkillPack(cached.base_model_id, cached.tuned_model_id, cached.task_tag,
@@ -327,28 +327,60 @@ def test_cached_factor_gives_same_pack_bytes(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("shape", [(96, 64), (1408, 512)], ids=["96x64", "mlp-1408x512"])
 def test_entry_without_factor_computes_the_v_side_factor_once(monkeypatch, shape):
-    """compress_entry called without `factor` factors its calibration once,
-    not once per bit group, and gives the codes a precomputed factor gives."""
+    """compress_entry factors its V-side calibration once per entry, not once
+    per bit group, and gives the entry compress_delta gives."""
+    name = "model.layers.0.mlp.gate_proj.weight"
     delta = np.random.default_rng(15).standard_normal(shape).astype(np.float32)
-    plan = default_plan()
-    x = calib_for(delta, samples=32)
+    plan = replace(default_plan(), calibration=SyntheticCalibration(seed=0, samples=32))
     assert len(clip_groups(strategy_for(plan, ModuleClass.MLP, shape).groups, min(shape))) > 1
-    factor = compress_module.hessian_factor(x, plan.damping)
-    with_factor = compress_entry("m", delta, ModuleClass.MLP, plan, x, factor)
-    v_side_calls = []
+    v_side_inputs, u_side_inputs = [], []
     hessian_factor = quantize_module.hessian_factor
 
-    def counting_factor(inputs, *args, **kwargs):
-        if inputs is x:
-            v_side_calls.append(inputs)
-        return hessian_factor(inputs, *args, **kwargs)
+    def counting(calls):
+        def counting_factor(inputs, *args, **kwargs):
+            calls.append(inputs)
+            return hessian_factor(inputs, *args, **kwargs)
+        return counting_factor
 
-    monkeypatch.setattr(compress_module, "hessian_factor", counting_factor)
-    monkeypatch.setattr(quantize_module, "hessian_factor", counting_factor)
-    entry = compress_entry("m", delta, ModuleClass.MLP, plan, x)
-    assert len(v_side_calls) == 1
+    monkeypatch.setattr(compress_module, "hessian_factor", counting(v_side_inputs))
+    monkeypatch.setattr(quantize_module, "hessian_factor", counting(u_side_inputs))
+    entry = compress_entry(name, delta, ModuleClass.MLP, plan)
+    assert [inputs.shape[0] for inputs in v_side_inputs] == [shape[1]]  # V-side factorizations by width
+    assert not any(inputs is v_side_inputs[0] for inputs in u_side_inputs)
+    packed = compress_delta(DeltaMap(base_id="b", tuned_id="t", deltas={name: delta}), default_manifest(), plan)
     for field in ("sigma", "u_codes", "u_scales", "v_codes", "v_scales"):
-        assert np.array_equal(getattr(entry, field), getattr(with_factor, field)), field
+        assert np.array_equal(getattr(entry, field), getattr(packed.entries[name], field)), field
+
+
+def test_entry_calibrates_on_its_named_file_activations(tmp_path):
+    from skillpack.checkpoints import Checkpoint, save_checkpoint
+
+    rng = np.random.default_rng(16)
+    names = ["model.layers.0.mlp.gate_proj.weight", "model.layers.0.mlp.up_proj.weight"]
+    calib_path = tmp_path / "calib.gltc"
+    save_checkpoint(
+        Checkpoint(model_id="calib", tensors={n: rng.standard_normal((8, 16)).astype(np.float32) for n in names}),
+        calib_path,
+    )
+    plan = simple_plan(rank=6, bits=2, calibration=FileCalibration(path=str(calib_path)))
+    delta = rng.standard_normal((12, 8)).astype(np.float32)
+    deltas = DeltaMap(base_id="b", tuned_id="t", deltas={n: delta for n in names})
+    pack = compress_delta(deltas, default_manifest(), plan)
+    entries = {n: compress_entry(n, delta, ModuleClass.MLP, plan) for n in names}
+    for n in names:
+        for field in ("sigma", "u_codes", "u_scales", "v_codes", "v_scales"):
+            assert np.array_equal(getattr(entries[n], field), getattr(pack.entries[n], field)), (n, field)
+    # the same delta under each name's own activations gives different codes
+    a, b = (entries[n] for n in names)
+    assert not (np.array_equal(a.u_codes, b.u_codes) and np.array_equal(a.v_codes, b.v_codes))
+
+    missing = "model.layers.1.mlp.gate_proj.weight"
+    with pytest.raises(KeyError) as from_entry:
+        compress_entry(missing, delta, ModuleClass.MLP, plan)
+    with pytest.raises(KeyError) as from_delta:
+        compress_delta(DeltaMap(base_id="b", tuned_id="t", deltas={missing: delta}), default_manifest(), plan)
+    assert str(from_entry.value) == str(from_delta.value)
+    assert "no activations for 'model.layers.1.mlp.gate_proj.weight'" in str(from_entry.value)
 
 
 def test_full_retention_prune_codes_equal_rtn():

@@ -79,6 +79,12 @@ def test_rtn_column_axis():
     assert np.max(np.abs(qm.dequantize() - m)) <= max(qm.scales) / 2 + 1e-12
 
 
+@pytest.mark.parametrize("axis", ["rows", "columns", "col", ""])
+def test_rtn_scales_refuse_an_unknown_axis(axis):
+    with pytest.raises(ValueError, match="unknown scale axis"):
+        rtn_scales(np.ones((2, 3)), 4, axis=axis)
+
+
 def test_rtn_rejects_small_bits():
     with pytest.raises(ValueError):
         quantize_rtn(np.ones((2, 2)), 1)

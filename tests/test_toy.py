@@ -96,6 +96,15 @@ def test_gen_toy_rejects_bad_dims():
         ToySpec(hidden=4, mlp_width=4, recipe=DeltaRecipe(rank=8))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rank", -1), ("rank", 2.0), ("rank", True), ("sparse_nnz", -1), ("sparse_nnz", 16.0),
+    ("noise_std", float("nan")), ("noise_std", float("inf")), ("noise_std", -1.0), ("noise_std", True),
+])
+def test_delta_recipe_refuses_values_gen_toy_would_ignore(field, value):
+    with pytest.raises(ValueError, match=f"recipe {field} must be"):
+        DeltaRecipe(**{field: value})
+
+
 def test_toy_forward_deterministic_and_uses_weights():
     base, tuned = gen_toy(ToySpec(seed=0))
     tokens = np.array([1, 2, 3])
