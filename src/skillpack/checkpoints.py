@@ -14,6 +14,7 @@ import numpy as np
 
 from . import container
 from .errors import CompatibilityError, FormatError, IntegrityError
+from .tensors import is_real
 
 MAGIC = b"GLTC"
 VERSION = 1
@@ -118,10 +119,11 @@ def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) ->
     pack's base id (unless `force`) and every entry's name and shape are
     checked against the base before anything is reconstructed; a mismatch
     raises CompatibilityError, naming the pack by its id, or as <untagged>
-    when the id is empty; a weight that is not finite in float32 raises
-    ValueError. Base tensors are composed one at a time, in base order: a
-    tensor's updates are summed in float32 in the given pack order, then
-    added to it; packs of weight 0 add nothing. If reconstructing, scaling,
+    when the id is empty; a weight that is not a real number finite in
+    float32 (a bool or a string is not a number here) raises ValueError.
+    Base tensors are composed one at a time, in base order: a tensor's
+    updates are summed in float32 in the given pack order, then added to
+    it; packs of weight 0 add nothing. If reconstructing, scaling,
     summing or adding overflows or gives NaN, IntegrityError names the
     pack(s) and entry at the first base tensor where that happens, so a
     composed checkpoint is always finite where its base is. Elements whose
@@ -138,7 +140,7 @@ def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) ->
     labels = [repr(pack_id) if pack_id else "<untagged>" for pack_id, _, _ in selected]
     for label, (_, pack, weight) in zip(labels, selected):
         with np.errstate(over="ignore"):  # a weight past the float32 range is refused, not warned about
-            if not np.isfinite(np.float32(weight)):
+            if not (is_real(weight) and np.isfinite(np.float32(weight))):
                 raise ValueError(f"pack {label} weight {weight!r} is not a finite float32")
         if pack.base_model_id != base.model_id and not force:
             raise CompatibilityError(

@@ -104,38 +104,25 @@ def _compress_svd(
     damping: float,
     factor: np.ndarray | None,
 ) -> QuantizedSvdEntry:
-    rows, cols = delta.shape
     factors = truncate(svd(delta), strategy.rank)
-    rank = factors.rank
-    groups = clip_groups(strategy.groups, rank)
-
-    u_codes = np.zeros((rows, rank), dtype=np.int32)
-    v_codes = np.zeros((rank, cols), dtype=np.int32)
-    u_scales = np.zeros(rank, dtype=np.float32)
-    v_scales = np.zeros(rank, dtype=np.float32)
-
+    groups = clip_groups(strategy.groups, factors.rank)
+    v_parts, u_parts = [], []
     for g in groups:
-        vt_block = factors.vt[g.begin : g.end, :]
-        qv = quantize_gptq(vt_block, x, g.bits, damping=damping, scale_axis="row", factor=factor)
-        v_codes[g.begin : g.end, :] = qv.codes
-        v_scales[g.begin : g.end] = qv.scales
-
-        vt_hat = qv.dequantize()
-        u_inputs = factors.sigma[g.begin : g.end, None] * (vt_hat @ x)
+        qv = quantize_gptq(factors.vt[g.begin : g.end, :], x, g.bits, damping=damping, scale_axis="row", factor=factor)
+        u_inputs = factors.sigma[g.begin : g.end, None] * (qv.dequantize() @ x)
         qu = quantize_gptq(factors.u[:, g.begin : g.end], u_inputs, g.bits, damping=damping, scale_axis="column")
-        u_codes[:, g.begin : g.end] = qu.codes
-        u_scales[g.begin : g.end] = qu.scales
-
+        v_parts.append(qv)
+        u_parts.append(qu)
     return QuantizedSvdEntry(
-        shape=(rows, cols),
+        shape=tuple(delta.shape),
         mclass=mclass,
-        rank=rank,
+        rank=factors.rank,
         groups=groups,
         sigma=factors.sigma.astype(np.float32),
-        u_codes=u_codes,
-        u_scales=u_scales,
-        v_codes=v_codes,
-        v_scales=v_scales,
+        u_codes=np.hstack([q.codes for q in u_parts]),
+        u_scales=np.concatenate([q.scales for q in u_parts]),
+        v_codes=np.vstack([q.codes for q in v_parts]),
+        v_scales=np.concatenate([q.scales for q in v_parts]),
     )
 
 

@@ -225,13 +225,17 @@ def _sweep(w: np.ndarray, factor: np.ndarray, s64: np.ndarray, bits: int, scale_
     return np.ascontiguousarray(codes.T)
 
 
+# `quantize_gptq`'s default factor: none was passed in, so it is computed from x.
+_FROM_X = object()
+
+
 def quantize_gptq(
     m: np.ndarray,
     x: np.ndarray,
     bits: int,
     damping: float = 0.01,
     scale_axis: str = "row",
-    factor: np.ndarray | None = None,
+    factor: np.ndarray | None | object = _FROM_X,
 ) -> QuantizedMatrix:
     """Calibrated quantization of m (out x in) against activations x (in x s).
 
@@ -240,7 +244,7 @@ def quantize_gptq(
     diagonal; a Hessian with an all-zero diagonal (no calibration signal)
     degrades to plain RTN, since every rounding is then cost-free.
     `factor` is `hessian_factor(x, damping)` when the caller already has
-    it; it is computed here when None.
+    it, None included; it is computed here only when not passed.
     """
     check_bits(bits)
     m = np.asarray(m)
@@ -256,7 +260,7 @@ def quantize_gptq(
     if scale_axis not in ("row", "column"):
         raise ValueError(f"unknown scale axis {scale_axis!r}")
 
-    if factor is None:
+    if factor is _FROM_X:
         factor = hessian_factor(x, damping)
     if factor is None:  # no calibration signal: plain RTN
         return quantize_rtn(m, bits, scale_axis)

@@ -21,7 +21,7 @@ from . import container
 from .checkpoints import Checkpoint, compose
 from .errors import FormatError
 from .packs import SkillPack
-from .tensors import all_finite, is_int, overflow_checked
+from .tensors import all_finite, is_int, is_real, overflow_checked
 
 
 @dataclass
@@ -185,8 +185,10 @@ def train_router(
     result is deterministic. Returns the classifier and its final training
     accuracy.
     """
-    if epochs < 1:
-        raise ValueError("epochs must be at least 1")
+    if not (is_int(epochs) and epochs >= 1):
+        raise ValueError(f"epochs must be an int of at least 1, got {epochs!r}")
+    if not (is_real(learning_rate) and 0 < learning_rate < np.inf):
+        raise ValueError(f"learning rate {learning_rate!r} is not a finite number greater than 0")
     labels = np.argmin(data.losses, axis=1)
     if len(np.unique(labels)) < 2:
         raise ValueError(

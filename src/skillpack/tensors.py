@@ -9,6 +9,7 @@ float64 until they are quantized or serialized.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -19,6 +20,11 @@ import scipy.linalg
 def is_int(value) -> bool:
     """Whether `value` is an int; a bool, like any other subclass of int, is not."""
     return type(value) is int
+
+
+def is_real(value) -> bool:
+    """Whether `value` is a real number, numpy's included; a bool is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def check_rank(rank, limit: float = math.inf) -> None:

@@ -38,7 +38,7 @@ from .classify import ModuleClass, classify, default_manifest
 from .packs import SkillPack, predict_stats
 from .plans import CompressionPlan, DenseStrategy, PruneStrategy, SvdQuantStrategy
 from .quantize import BitGroup
-from .tensors import check_nonnegative, frobenius_rel_err, is_int, overflow_checked
+from .tensors import check_nonnegative, frobenius_rel_err, is_int, is_real, overflow_checked
 
 # Every toy value lives on a power-of-two grid: base weights, sparse spikes
 # and noise are multiples of 2^-16, low-rank factors are multiples of 2^-8
@@ -77,8 +77,12 @@ class ToySpec:
     recipe: DeltaRecipe = field(default_factory=DeltaRecipe)
 
     def __post_init__(self):
-        if min(self.layers, self.hidden, self.mlp_width, self.vocab) < 1:
-            raise ValueError("all toy dimensions must be at least 1")
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"toy seed must be an int >= 0, got {self.seed!r}")
+        for name in ("layers", "hidden", "mlp_width", "vocab"):
+            value = getattr(self, name)
+            if not (is_int(value) and value >= 1):
+                raise ValueError(f"toy {name} must be an int >= 1, got {value!r}")
         if self.recipe.rank > min(self.hidden, self.mlp_width):
             raise ValueError("recipe rank exceeds the smallest matrix dimension")
 
@@ -217,6 +221,8 @@ def eval_retention(
     """
     if not (is_int(probe_count) and probe_count >= 1 and is_int(seq_len) and seq_len >= 1):
         raise ValueError(f"probe_count and seq_len must be ints of at least 1, got {probe_count!r} and {seq_len!r}")
+    if not (is_int(seed) and seed >= 0):
+        raise ValueError(f"eval seed must be an int >= 0, got {seed!r}")
     compressed = apply_pack(base, pack, scale=1.0)
     vocab = base.tensors["model.embed_tokens.weight"].shape[0]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A]))
@@ -275,7 +281,7 @@ def budget_plan(budget: float, shapes: dict[str, tuple[int, ...]]) -> Compressio
     predicted ratio is nondecreasing in t for any shapes. Set the calibration
     or damping with `dataclasses.replace`.
     """
-    if isinstance(budget, bool) or not (np.isfinite(budget) and budget > 0):
+    if not (is_real(budget) and 0 < budget < np.inf):
         raise ValueError(f"budget must be a finite number greater than 0, got {budget!r}")
     manifest = default_manifest()
     min_dims = {ModuleClass.ATTENTION: 1, ModuleClass.MLP: 1}

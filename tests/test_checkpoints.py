@@ -376,6 +376,17 @@ def test_compose_refuses_a_weight_not_finite_in_float32(monkeypatch, weight):
         apply_pack(base, pack, scale=weight)
 
 
+@pytest.mark.parametrize("weight", ["2", True])
+def test_compose_refuses_a_weight_that_is_not_a_number(weight):
+    base = small_checkpoint()
+    pack = zero_pack(base)
+    pack.task_tag = "skill"
+    with pytest.raises(ValueError, match=f"pack 'skill' weight {re.escape(repr(weight))} is not a finite float32"):
+        apply_pack(base, pack, scale=weight)
+    with pytest.raises(ValueError, match="is not a finite float32"):
+        compose(base, [("skill", pack, weight)])
+
+
 def test_apply_never_mutates_base():
     base = small_checkpoint()
     before = {k: v.copy() for k, v in base.tensors.items()}

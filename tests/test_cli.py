@@ -353,6 +353,31 @@ def test_route_train_refuses_a_learning_rate_that_overflows(tmp_path, capsys, lr
     assert not router.exists()
 
 
+@pytest.mark.parametrize("lr", ["0", "-1"])
+def test_route_train_refuses_a_learning_rate_that_is_not_positive(tmp_path, capsys, lr):
+    data = tmp_path / "train.json"
+    data.write_text(json.dumps({"features": [[1.0], [2.0], [-1.0], [-2.0]], "losses": [[0, 1], [0, 1], [1, 0], [1, 0]]}))
+    router = tmp_path / "clf.json"
+    assert main(["route-train", str(data), "-o", str(router), "--lr", lr]) == 1
+    assert f"learning rate {float(lr)!r} is not a finite number greater than 0" in one_error_line(capsys)
+    assert not router.exists()
+
+
+def test_gen_toy_and_eval_name_a_negative_seed(tmp_path, capsys):
+    base, tuned = tmp_path / "base.gltc", tmp_path / "tuned.gltc"
+    assert main(["gen-toy", "--seed", "-1", "--base-out", str(base), "--tuned-out", str(tuned)]) == 1
+    assert "toy seed must be an int >= 0, got -1" in one_error_line(capsys)
+    assert not base.exists() and not tuned.exists()
+
+    base, tuned = gen_pair(tmp_path)
+    delta, pack = tmp_path / "d.gltc", tmp_path / "p.skpk"
+    main(["diff", str(base), str(tuned), "-o", str(delta)])
+    main(["compress", str(delta), "--plan", dense_plan_config(tmp_path), "-o", str(pack)])
+    capsys.readouterr()
+    assert main(["eval", "--base", str(base), "--tuned", str(tuned), "--pack", str(pack), "--seed", "-1"]) == 1
+    assert "eval seed must be an int >= 0, got -1" in one_error_line(capsys)
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--noise", "1e308", "noise_std overflows"),
     ("--noise", "nan", "noise_std must be a finite number >= 0, got nan"),

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -392,3 +393,103 @@ def test_full_retention_prune_codes_equal_rtn():
         rtn = quantize_rtn(delta, bits)
         np.testing.assert_array_equal(entry.codes, rtn.codes.reshape(-1))
         np.testing.assert_array_equal(entry.scales, rtn.scales)
+
+
+def reference_compress_svd(delta, mclass, strategy, x, damping, factor):
+    """The preallocate-and-scatter `_compress_svd`: zero-filled code and scale
+    buffers sized from the delta and the rank, written group by group."""
+    from skillpack.compress import quantize_gptq, svd, truncate
+
+    rows, cols = delta.shape
+    factors = truncate(svd(delta), strategy.rank)
+    rank = factors.rank
+    groups = clip_groups(strategy.groups, rank)
+    u_codes = np.zeros((rows, rank), dtype=np.int32)
+    v_codes = np.zeros((rank, cols), dtype=np.int32)
+    u_scales = np.zeros(rank, dtype=np.float32)
+    v_scales = np.zeros(rank, dtype=np.float32)
+    for g in groups:
+        qv = quantize_gptq(factors.vt[g.begin : g.end, :], x, g.bits, damping=damping, scale_axis="row", factor=factor)
+        v_codes[g.begin : g.end, :] = qv.codes
+        v_scales[g.begin : g.end] = qv.scales
+        u_inputs = factors.sigma[g.begin : g.end, None] * (qv.dequantize() @ x)
+        qu = quantize_gptq(factors.u[:, g.begin : g.end], u_inputs, g.bits, damping=damping, scale_axis="column")
+        u_codes[:, g.begin : g.end] = qu.codes
+        u_scales[g.begin : g.end] = qu.scales
+    return QuantizedSvdEntry(shape=(rows, cols), mclass=mclass, rank=rank, groups=groups,
+                             sigma=factors.sigma.astype(np.float32), u_codes=u_codes, u_scales=u_scales,
+                             v_codes=v_codes, v_scales=v_scales)
+
+
+REFERENCE_GROUPS = {
+    1: (BitGroup(0, 8, 4),),
+    2: (BitGroup(0, 3, 8), BitGroup(3, 8, 3)),
+    3: (BitGroup(0, 2, 8), BitGroup(2, 5, 4), BitGroup(5, 8, 2)),
+}
+
+
+@pytest.mark.parametrize("calibration", ["synthetic", "file", "zero-file"])
+@pytest.mark.parametrize("shape", [(24, 16), (16, 24), (1, 12)], ids=["tall", "wide", "1xn"])
+def test_svd_entry_equals_the_preallocated_reference(tmp_path, shape, calibration):
+    """Entries built from the groups' quantizer results equal, in every field,
+    bit and dtype, those the preallocate-and-scatter version built."""
+    from skillpack.checkpoints import Checkpoint, save_checkpoint
+
+    name = "model.layers.0.mlp.gate_proj.weight"
+    rng = np.random.default_rng(17)
+    if calibration == "synthetic":
+        spec = SyntheticCalibration(seed=4, samples=32)
+    else:
+        x = rng.standard_normal((shape[1], 32)) if calibration == "file" else np.zeros((shape[1], 32))
+        save_checkpoint(Checkpoint(model_id="calib", tensors={name: x.astype(np.float32)}), tmp_path / "c.gltc")
+        spec = FileCalibration(path=str(tmp_path / "c.gltc"))
+    plan = CompressionPlan(strategies=simple_plan().strategies, calibration=spec)
+    x, factor = compress_module._calibration(plan)(name, shape[1])
+    deltas = {"random": rng.standard_normal(shape).astype(np.float32), "zero": np.zeros(shape, dtype=np.float32)}
+    for (key, delta), count, rank in itertools.product(deltas.items(), REFERENCE_GROUPS, (4, 8)):
+        # rank 8 is clamped to min(shape) on every shape here; rank 4 only on the 1 x n one
+        strategy = SvdQuantStrategy(rank=rank, groups=clip_groups(REFERENCE_GROUPS[count], rank))
+        case = (key, count, rank)
+        entry = compress_module._compress_svd(delta, ModuleClass.MLP, strategy, x, plan.damping, factor)
+        expected = reference_compress_svd(delta, ModuleClass.MLP, strategy, x, plan.damping, factor)
+        assert (entry.shape, entry.mclass, entry.rank, entry.groups) == \
+            (expected.shape, expected.mclass, expected.rank, expected.groups), case
+        for field in ("sigma", "u_codes", "u_scales", "v_codes", "v_scales"):
+            got, want = getattr(entry, field), getattr(expected, field)
+            assert got.dtype == want.dtype and got.shape == want.shape, (case, field)
+            assert got.tobytes() == want.tobytes(), (case, field)
+
+
+def test_signal_free_file_calibration_is_factored_once(tmp_path, monkeypatch):
+    """An all-zero activation file has no Hessian factor; the lookup's None is
+    final, so the V side is not factored again per bit group, and the codes
+    are those of plain RTN."""
+    from skillpack.checkpoints import Checkpoint, save_checkpoint
+
+    name = "model.layers.0.mlp.gate_proj.weight"
+    calib_path = tmp_path / "zero.gltc"
+    save_checkpoint(Checkpoint(model_id="calib", tensors={name: np.zeros((64, 32), dtype=np.float32)}), calib_path)
+    plan = replace(default_plan(), calibration=FileCalibration(path=str(calib_path)))
+    delta = np.random.default_rng(18).standard_normal((128, 64)).astype(np.float32)
+    groups = clip_groups(strategy_for(plan, ModuleClass.MLP, delta.shape).groups, 64)
+    assert len(groups) > 1
+    v_side = []
+    hessian_factor = quantize_module.hessian_factor
+
+    def counting_factor(inputs, *args, **kwargs):
+        if inputs.shape[0] == 64:
+            v_side.append(inputs)
+        return hessian_factor(inputs, *args, **kwargs)
+
+    monkeypatch.setattr(compress_module, "hessian_factor", counting_factor)
+    monkeypatch.setattr(quantize_module, "hessian_factor", counting_factor)
+    entry = compress_entry(name, delta, ModuleClass.MLP, plan)
+    assert len(v_side) == 1
+    factors = compress_module.svd(delta)
+    for g in groups:
+        part = slice(g.begin, g.end)
+        v_rtn, u_rtn = quantize_rtn(factors.vt[part], g.bits), quantize_rtn(factors.u[:, part], g.bits, "column")
+        np.testing.assert_array_equal(entry.v_codes[part], v_rtn.codes)
+        np.testing.assert_array_equal(entry.v_scales[part], v_rtn.scales)
+        np.testing.assert_array_equal(entry.u_codes[:, part], u_rtn.codes)
+        np.testing.assert_array_equal(entry.u_scales[part], u_rtn.scales)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import skillpack.quantize as quantize_module
 from skillpack.checkpoints import diff
 from skillpack.classify import ModuleClass, default_manifest
 from skillpack.compress import compress_delta, synthetic_calibration
@@ -389,6 +390,18 @@ def test_gptq_given_factor_matches_computed():
     a = quantize_gptq(m, x, 3, damping=0.05, factor=factor)
     b = quantize_gptq(m, x, 3, damping=0.05)
     np.testing.assert_array_equal(a.codes, b.codes)
+
+
+def test_gptq_given_none_factor_is_final(monkeypatch):
+    """None from the caller means "no calibration signal": plain RTN, x not factored again."""
+    rng = np.random.default_rng(14)
+    m = rng.standard_normal((20, 30))
+    monkeypatch.setattr(quantize_module, "hessian_factor", lambda *args: pytest.fail("x factored again"))
+    for axis in ("row", "column"):
+        given = quantize_gptq(m, rng.standard_normal((30, 8)), 3, scale_axis=axis, factor=None)
+        rtn = quantize_rtn(m, 3, axis)
+        np.testing.assert_array_equal(given.codes, rtn.codes)
+        np.testing.assert_array_equal(given.scales, rtn.scales)
 
 
 def test_gptq_leaves_inputs_untouched():

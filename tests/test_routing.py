@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,19 @@ def test_train_router_single_class_errors():
     data = RouterTrainingSet(features=feats, losses=losses, pack_ids=["a", "b", "c"])
     with pytest.raises(ValueError, match="TaskTable"):
         train_router(data)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"learning_rate": "x"}, "learning rate 'x' is not a finite number greater than 0"),
+    ({"learning_rate": float("nan")}, "learning rate nan is not a finite number greater than 0"),
+    ({"epochs": 2.5}, "epochs must be an int of at least 1, got 2.5"),
+    ({"epochs": True}, "epochs must be an int of at least 1, got True"),
+], ids=["lr-str", "lr-nan", "epochs-float", "epochs-bool"])
+def test_train_router_refuses_a_bad_learning_rate_or_epoch_count(kwargs, message):
+    feats = np.eye(2).repeat(4, axis=0)
+    data = RouterTrainingSet(features=feats, losses=np.where(feats > 0.5, 0.0, 1.0), pack_ids=["a", "b"])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        train_router(data, **kwargs)
 
 
 def test_train_router_five_blobs():

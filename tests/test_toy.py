@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,15 @@ def test_gen_toy_rejects_bad_dims():
         ToySpec(hidden=4, mlp_width=4, recipe=DeltaRecipe(rank=8))
 
 
+@pytest.mark.parametrize("field, value, bound", [
+    ("seed", -1, ">= 0"), ("seed", 1.5, ">= 0"), ("hidden", 8.0, ">= 1"), ("layers", True, ">= 1"),
+    ("vocab", np.int64(16), ">= 1"), ("mlp_width", 0, ">= 1"),
+], ids=["seed-negative", "seed-float", "hidden-float", "layers-bool", "vocab-numpy", "mlp_width-zero"])
+def test_toy_spec_requires_int_sizes_and_seed(field, value, bound):
+    with pytest.raises(ValueError, match=re.escape(f"toy {field} must be an int {bound}, got {value!r}")):
+        ToySpec(**{field: value})
+
+
 @pytest.mark.parametrize("field, value", [
     ("rank", -1), ("rank", 2.0), ("rank", True), ("sparse_nnz", -1), ("sparse_nnz", 16.0),
     ("noise_std", float("nan")), ("noise_std", float("inf")), ("noise_std", -1.0), ("noise_std", True),
@@ -145,6 +156,14 @@ def test_eval_retention_requires_int_probe_count_and_seq_len(probe_count, seq_le
         eval_retention(base, tuned, pack, probe_count=probe_count, seed=0, seq_len=seq_len)
 
 
+@pytest.mark.parametrize("seed", [1.5, -1, True])
+def test_eval_retention_requires_an_int_seed(seed):
+    base, tuned = gen_toy(ToySpec(seed=0))
+    pack = compress_delta(diff(base, tuned), default_manifest(), dense_plan())
+    with pytest.raises(ValueError, match=f"eval seed must be an int >= 0, got {seed!r}"):
+        eval_retention(base, tuned, pack, probe_count=2, seed=seed)
+
+
 def test_eval_retention_deterministic():
     spec = ToySpec(seed=0)
     base, tuned = gen_toy(spec)
@@ -172,6 +191,12 @@ def test_budget_plan_rejects_nonpositive():
 
 @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf"), True])
 def test_budget_plan_rejects_a_budget_that_is_not_a_finite_positive_number(budget):
+    with pytest.raises(ValueError, match="finite number greater than 0"):
+        budget_plan(budget, toy_param_shapes(ToySpec()))
+
+
+@pytest.mark.parametrize("budget", ["0.1", None])
+def test_budget_plan_rejects_a_budget_that_is_not_a_number(budget):
     with pytest.raises(ValueError, match="finite number greater than 0"):
         budget_plan(budget, toy_param_shapes(ToySpec()))
 
