@@ -21,7 +21,7 @@ from .checkpoints import apply_pack, diff, load_checkpoint, load_delta, save_che
 from .classify import ClassificationManifest, default_manifest
 from .compress import compress_delta
 from .errors import SkillPackError
-from .packs import inspect_pack, load_pack, save_pack
+from .packs import fmt_ratios, inspect_pack, load_pack, save_pack
 from .plans import SyntheticCalibration, default_plan, plan_from_dict
 from .routing import (
     Features,
@@ -92,8 +92,7 @@ def _cmd_compress(args) -> int:
     deltas = load_delta(args.delta)
     pack = compress_delta(deltas, manifest, plan, task_tag=args.tag)
     save_pack(pack, args.out)
-    total = pack.stats.total
-    print(f"wrote {args.out}  ratio_value={100 * total.ratio_value_only:.4f}%  ratio_total={100 * total.ratio_total:.4f}%")
+    print(f"wrote {args.out}  {fmt_ratios(pack.stats.total)}")
     return 0
 
 

@@ -118,7 +118,7 @@ def _compress_svd(
         mclass=mclass,
         rank=factors.rank,
         groups=groups,
-        sigma=factors.sigma.astype(np.float32),
+        sigma=factors.sigma,
         u_codes=np.hstack([q.codes for q in u_parts]),
         u_scales=np.concatenate([q.scales for q in u_parts]),
         v_codes=np.vstack([q.codes for q in v_parts]),

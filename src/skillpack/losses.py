@@ -6,10 +6,11 @@ for desk-scale verification and workbench experiments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tensors import check_number
 
 
 def sft_nll(token_logps, aggregate: str = "mean") -> float:
@@ -44,11 +45,9 @@ class PreferenceScores:
     beta: float
 
     def __post_init__(self):
-        values = (self.logp_w_policy, self.logp_l_policy, self.logp_w_ref, self.logp_l_ref, self.beta)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("preference scores must be finite")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        for name in ("logp_w_policy", "logp_l_policy", "logp_w_ref", "logp_l_ref"):
+            check_number(getattr(self, name), name)
+        check_number(self.beta, "beta", 0)
 
     @property
     def margin(self) -> float:

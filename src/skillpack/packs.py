@@ -22,7 +22,7 @@ from .container import header_field, shape_field
 from .errors import FormatError, IntegrityError
 from .plans import DenseStrategy, PruneStrategy, Strategy, SvdQuantStrategy, clip_groups, strategy_for
 from .quantize import BitGroup, groups_from_json, groups_to_json, pack_codes, packed_size, qmax, unpack_codes
-from .tensors import check_rank, retained_count
+from .tensors import check_int, retained_count
 
 MAGIC = b"SKPK"
 VERSION = 1
@@ -95,6 +95,7 @@ class PrunedSparseEntry:
     def __post_init__(self):
         if len(self.shape) != 2:
             raise ValueError(f"a pruned entry must be 2-D, got shape {tuple(self.shape)}")
+        self.scales = np.asarray(self.scales, dtype=np.float32)  # a float32 array is kept, not copied
         n = math.prod(self.shape)
         keep = retained_count(self.strategy.alpha, n)  # building the strategy checks alpha and value_bits
         idx = self.indices
@@ -155,8 +156,10 @@ class QuantizedSvdEntry:
 
     def __post_init__(self):
         rows, cols = self.shape
-        check_rank(self.rank, min(rows, cols))
+        check_int(self.rank, "rank", 1, min(rows, cols))
         self.groups = self.strategy.groups  # a tuple, checked to cover [0, rank)
+        self.sigma, self.u_scales, self.v_scales = (
+            np.asarray(a, dtype=np.float32) for a in (self.sigma, self.u_scales, self.v_scales))
         if len(self.sigma) != self.rank or len(self.u_scales) != self.rank or len(self.v_scales) != self.rank:
             raise ValueError("sigma and scale lengths must equal the rank")
         if self.u_codes.shape != (rows, self.rank) or self.v_codes.shape != (self.rank, cols):
@@ -418,14 +421,15 @@ def _fmt_shape(shape) -> str:
     return "x".join(str(d) for d in shape)
 
 
-def _fmt_ratios(line: StatLine) -> str:
+def fmt_ratios(line: StatLine) -> str:
+    """The two storage ratios as `inspect` and `compress` print them."""
     return f"ratio_value={100 * line.ratio_value_only:.4f}%  ratio_total={100 * line.ratio_total:.4f}%"
 
 
 def _fmt_bits(line: StatLine) -> str:
     return (
         f"original_bits={line.original_bits}  value_bits={line.stored_value_bits}"
-        f"  overhead_bits={line.stored_overhead_bits}  {_fmt_ratios(line)}"
+        f"  overhead_bits={line.stored_overhead_bits}  {fmt_ratios(line)}"
     )
 
 
@@ -438,7 +442,7 @@ def inspect_pack(pack: SkillPack) -> str:
     for name, entry in pack.entries.items():
         lines.append(
             f"  {name}  kind={entry.kind}  class={entry.mclass.value}  shape={_fmt_shape(entry.shape)}"
-            f"{entry._detail()}  {_fmt_ratios(entry_stats(entry))}"
+            f"{entry._detail()}  {fmt_ratios(entry_stats(entry))}"
         )
     stats = pack.stats
     lines.append("per-class storage:")

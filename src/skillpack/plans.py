@@ -14,7 +14,7 @@ from typing import Union, get_args
 
 from .classify import ModuleClass
 from .quantize import BitGroup, check_bits, check_groups, groups_from_json, groups_to_json
-from .tensors import check_alpha, check_nonnegative, check_rank, is_int
+from .tensors import check_int, check_number
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class PruneStrategy:
     value_bits: int = 4
 
     def __post_init__(self):
-        check_alpha(self.alpha)
+        check_number(self.alpha, "retention ratio", 0, 1, above=True)
         check_bits(self.value_bits)
 
 
@@ -33,7 +33,7 @@ class SvdQuantStrategy:
     groups: tuple[BitGroup, ...]
 
     def __post_init__(self):
-        check_rank(self.rank)
+        check_int(self.rank, "rank", 1)
         object.__setattr__(self, "groups", tuple(self.groups))
         check_groups(self.groups, self.rank)
 
@@ -54,10 +54,8 @@ class SyntheticCalibration:
     samples: int = 128
 
     def __post_init__(self):
-        if not (is_int(self.seed) and self.seed >= 0):
-            raise ValueError(f"calibration seed must be an int >= 0, got {self.seed!r}")
-        if not (is_int(self.samples) and self.samples >= 1):
-            raise ValueError(f"calibration samples must be an int >= 1, got {self.samples!r}")
+        check_int(self.seed, "calibration seed", 0)
+        check_int(self.samples, "calibration samples", 1)
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,7 @@ class CompressionPlan:
                 raise ValueError(f"plan is missing a strategy for module class {cls.value!r}")
         if not isinstance(self.strategies[ModuleClass.PASSTHROUGH], DenseStrategy):
             raise ValueError("the passthrough class must map to the dense strategy")
-        check_nonnegative(self.damping, "damping")
+        check_number(self.damping, "damping", 0)
 
 
 def strategy_for(plan: CompressionPlan, mclass: ModuleClass, shape: tuple[int, ...]) -> Strategy:

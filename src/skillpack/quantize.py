@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .tensors import is_int
+from .tensors import check_int
 
 MIN_BITS = 2
 MAX_BITS = 16
@@ -44,10 +44,7 @@ def qmax(bits: int) -> int:
 
 
 def check_bits(bits: int) -> None:
-    if not is_int(bits) or bits < MIN_BITS:
-        raise ValueError(f"quantizer width must be an int of at least {MIN_BITS} bits, got {bits!r}")
-    if bits > MAX_BITS:
-        raise ValueError(f"quantizer width above {MAX_BITS} bits is not supported, got {bits}")
+    check_int(bits, "quantizer width", MIN_BITS, MAX_BITS)
 
 
 @dataclass(frozen=True)
@@ -59,8 +56,8 @@ class BitGroup:
     bits: int
 
     def __post_init__(self):
-        if not (is_int(self.begin) and is_int(self.end) and 0 <= self.begin < self.end):
-            raise ValueError(f"bit group [{self.begin!r}, {self.end!r}) needs int bounds 0 <= begin < end")
+        check_int(self.begin, "bit group begin", 0)
+        check_int(self.end, "bit group end", self.begin + 1)
         check_bits(self.bits)
 
     @property

@@ -21,7 +21,7 @@ from . import container
 from .checkpoints import Checkpoint, compose
 from .errors import FormatError
 from .packs import SkillPack
-from .tensors import all_finite, is_int, is_real, overflow_checked
+from .tensors import all_finite, check_int, check_number, overflow_checked
 
 
 @dataclass
@@ -185,10 +185,8 @@ def train_router(
     result is deterministic. Returns the classifier and its final training
     accuracy.
     """
-    if not (is_int(epochs) and epochs >= 1):
-        raise ValueError(f"epochs must be an int of at least 1, got {epochs!r}")
-    if not (is_real(learning_rate) and 0 < learning_rate < np.inf):
-        raise ValueError(f"learning rate {learning_rate!r} is not a finite number greater than 0")
+    check_int(epochs, "epochs", 1)
+    check_number(learning_rate, "learning rate", 0, above=True)
     labels = np.argmin(data.losses, axis=1)
     if len(np.unique(labels)) < 2:
         raise ValueError(
@@ -240,8 +238,7 @@ def router_from_dict(d: dict) -> Router:
         return TaskTable(table=fields.pop("table"), **fields)
     if kind == "linear_classifier":
         dim = fields.pop("d")
-        if not is_int(dim) or dim < 1:
-            raise ValueError(f"field 'd' must be a positive int, got {dim!r}")
+        check_int(dim, "field 'd'", 1)
         fields["weights"] = np.asarray(fields["weights"], dtype=np.float64).reshape(len(fields["bias"]), dim)
         return LinearClassifier(**fields)
     raise ValueError(f"unknown router kind {kind!r}")

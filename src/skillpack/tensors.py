@@ -9,7 +9,7 @@ float64 until they are quantized or serialized.
 from __future__ import annotations
 
 import math
-import numbers
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -22,27 +22,23 @@ def is_int(value) -> bool:
     return type(value) is int
 
 
-def is_real(value) -> bool:
-    """Whether `value` is a real number, numpy's included; a bool is not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def check_int(value, what: str, low: int, high: float = math.inf) -> None:
+    """An int in [low, high]; a bool or a numpy integer is not an int."""
+    if not (is_int(value) and low <= value <= high):
+        bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{what} must be an int {bounds}, got {value!r}")
 
 
-def check_rank(rank, limit: float = math.inf) -> None:
-    """A rank is an int in [1, limit]."""
-    if not is_int(rank) or not 1 <= rank <= limit:
-        raise ValueError(f"rank must be an int in [1, {limit}], got {rank!r}")
-
-
-def check_alpha(alpha) -> None:
-    """A retention ratio is a number in (0, 1]; NaN and bools are not."""
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0.0 < alpha <= 1.0:
-        raise ValueError(f"retention ratio must be in (0, 1], got {alpha!r}")
-
-
-def check_nonnegative(value, what: str) -> None:
-    """A finite number >= 0; NaN, infinities and bools are not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
-        raise ValueError(f"{what} must be a finite number >= 0, got {value!r}")
+def check_number(value, what: str, low: float = -math.inf, high: float = math.inf, *, above: bool = False) -> None:
+    """A number in [low, high], or in (low, high] when `above`. A number is an int
+    or a float (numpy's float64 is one), never a bool, and it must be finite as a
+    float: an int past the float range is refused, not left to overflow later."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} {value!r} is not a number (an int or a float)")
+    if not (abs(value) <= sys.float_info.max and (low < value if above else low <= value) and value <= high):
+        lower = f" {'greater than' if above else '>='} {low}" if low > -math.inf else ""
+        bounds = f"a finite number{lower}" if high == math.inf else f"in {'(' if above else '['}{low}, {high}]"
+        raise ValueError(f"{what} must be {bounds}, got {value!r}")
 
 
 @contextmanager
@@ -149,7 +145,7 @@ def svd(a: np.ndarray) -> SvdFactors:
 
 def truncate(factors: SvdFactors, rank: int) -> SvdFactors:
     """Keep the top-`rank` singular triplets; rank clamps at the full rank."""
-    check_rank(rank)
+    check_int(rank, "rank", 1)
     if rank >= factors.rank:
         return factors
     return SvdFactors(
@@ -169,7 +165,7 @@ def magnitude_prune(a: np.ndarray, alpha: float) -> SparseEntries:
     puts first. The kept set is a mask, so its indices come out ascending
     with no sort.
     """
-    check_alpha(alpha)
+    check_number(alpha, "retention ratio", 0, 1, above=True)
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"magnitude_prune requires a 2-D matrix, got shape {a.shape}")

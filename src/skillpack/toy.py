@@ -38,7 +38,7 @@ from .classify import ModuleClass, classify, default_manifest
 from .packs import SkillPack, predict_stats
 from .plans import CompressionPlan, DenseStrategy, PruneStrategy, SvdQuantStrategy
 from .quantize import BitGroup
-from .tensors import check_nonnegative, frobenius_rel_err, is_int, is_real, overflow_checked
+from .tensors import check_int, check_number, frobenius_rel_err, overflow_checked
 
 # Every toy value lives on a power-of-two grid: base weights, sparse spikes
 # and noise are multiples of 2^-16, low-rank factors are multiples of 2^-8
@@ -60,11 +60,9 @@ class DeltaRecipe:
     noise_std: float = 0.0  # dense Gaussian noise on every delta
 
     def __post_init__(self):
-        for name in ("rank", "sparse_nnz"):
-            value = getattr(self, name)
-            if not (is_int(value) and value >= 0):
-                raise ValueError(f"recipe {name} must be an int >= 0, got {value!r}")
-        check_nonnegative(self.noise_std, "recipe noise_std")
+        check_int(self.rank, "recipe rank", 0)
+        check_int(self.sparse_nnz, "recipe sparse_nnz", 0)
+        check_number(self.noise_std, "recipe noise_std", 0)
 
 
 @dataclass(frozen=True)
@@ -77,12 +75,9 @@ class ToySpec:
     recipe: DeltaRecipe = field(default_factory=DeltaRecipe)
 
     def __post_init__(self):
-        if not (is_int(self.seed) and self.seed >= 0):
-            raise ValueError(f"toy seed must be an int >= 0, got {self.seed!r}")
+        check_int(self.seed, "toy seed", 0)
         for name in ("layers", "hidden", "mlp_width", "vocab"):
-            value = getattr(self, name)
-            if not (is_int(value) and value >= 1):
-                raise ValueError(f"toy {name} must be an int >= 1, got {value!r}")
+            check_int(getattr(self, name), f"toy {name}", 1)
         if self.recipe.rank > min(self.hidden, self.mlp_width):
             raise ValueError("recipe rank exceeds the smallest matrix dimension")
 
@@ -219,10 +214,9 @@ def eval_retention(
     Probes are random token sequences; each deviation is
     ||y_compressed - y_tuned||_2 / ||y_tuned||_2 on the mean logit vector.
     """
-    if not (is_int(probe_count) and probe_count >= 1 and is_int(seq_len) and seq_len >= 1):
-        raise ValueError(f"probe_count and seq_len must be ints of at least 1, got {probe_count!r} and {seq_len!r}")
-    if not (is_int(seed) and seed >= 0):
-        raise ValueError(f"eval seed must be an int >= 0, got {seed!r}")
+    check_int(probe_count, "probe_count", 1)
+    check_int(seq_len, "seq_len", 1)
+    check_int(seed, "eval seed", 0)
     compressed = apply_pack(base, pack, scale=1.0)
     vocab = base.tensors["model.embed_tokens.weight"].shape[0]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A]))
@@ -281,8 +275,7 @@ def budget_plan(budget: float, shapes: dict[str, tuple[int, ...]]) -> Compressio
     predicted ratio is nondecreasing in t for any shapes. Set the calibration
     or damping with `dataclasses.replace`.
     """
-    if not (is_real(budget) and 0 < budget < np.inf):
-        raise ValueError(f"budget must be a finite number greater than 0, got {budget!r}")
+    check_number(budget, "budget", 0, above=True)
     manifest = default_manifest()
     min_dims = {ModuleClass.ATTENTION: 1, ModuleClass.MLP: 1}
     for name, shape in shapes.items():

@@ -7,6 +7,7 @@ import pytest
 
 import skillpack.cli as cli
 from skillpack.cli import main
+from skillpack.packs import load_pack
 from skillpack.plans import default_plan, plan_to_dict
 from skillpack.routing import LinearClassifier, save_router
 from skillpack.toy import RetentionReport
@@ -150,6 +151,30 @@ def test_bad_json_input_is_one_error_line_naming_the_file(tmp_path, capsys, comm
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.strip().count("\n") == 0
     assert "bad_input.json" in err
+
+
+def test_compress_rejects_a_damping_past_the_float_range(tmp_path, capsys):
+    base, tuned = gen_pair(tmp_path)
+    delta, pack = tmp_path / "d.gltc", tmp_path / "p.skpk"
+    main(["diff", str(base), str(tuned), "-o", str(delta)])
+    config = tmp_path / "huge_damping.json"
+    config.write_text(default_plan_text(lambda p: p.update(damping=10**400)))
+    capsys.readouterr()
+    assert main(["compress", str(delta), "--plan", str(config), "-o", str(pack)]) == 1
+    line = one_error_line(capsys)
+    assert line.startswith(f"error: config file {str(config)!r}: damping must be a finite number >= 0, got 1000")
+    assert not pack.exists()
+
+
+def test_compress_prints_its_storage_ratio_line(tmp_path, capsys):
+    base, tuned = gen_pair(tmp_path)
+    delta, pack = tmp_path / "d.gltc", tmp_path / "p.skpk"
+    main(["diff", str(base), str(tuned), "-o", str(delta)])
+    capsys.readouterr()
+    assert main(["compress", str(delta), "--plan", write_plan(tmp_path / "plan.json"), "-o", str(pack)]) == 0
+    total = load_pack(pack).stats.total
+    expected = f"wrote {pack}  ratio_value={100 * total.ratio_value_only:.4f}%  ratio_total={100 * total.ratio_total:.4f}%\n"
+    assert capsys.readouterr().out == expected
 
 
 def test_compress_with_a_custom_manifest(tmp_path):
@@ -349,7 +374,11 @@ def test_route_train_refuses_a_learning_rate_that_overflows(tmp_path, capsys, lr
     data.write_text(json.dumps({"features": feats.tolist(), "losses": losses.tolist()}))
     router = tmp_path / "clf.json"
     assert main(["route-train", str(data), "-o", str(router), "--lr", lr]) == 1
-    assert f"learning rate {float(lr)!r}" in one_error_line(capsys)
+    message = {
+        "1e308": "router training overflows at learning rate 1e+308",
+        "inf": "learning rate must be a finite number greater than 0, got inf",
+    }[lr]
+    assert message in one_error_line(capsys)
     assert not router.exists()
 
 
@@ -359,7 +388,7 @@ def test_route_train_refuses_a_learning_rate_that_is_not_positive(tmp_path, caps
     data.write_text(json.dumps({"features": [[1.0], [2.0], [-1.0], [-2.0]], "losses": [[0, 1], [0, 1], [1, 0], [1, 0]]}))
     router = tmp_path / "clf.json"
     assert main(["route-train", str(data), "-o", str(router), "--lr", lr]) == 1
-    assert f"learning rate {float(lr)!r} is not a finite number greater than 0" in one_error_line(capsys)
+    assert f"learning rate must be a finite number greater than 0, got {float(lr)!r}" in one_error_line(capsys)
     assert not router.exists()
 
 

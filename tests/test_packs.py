@@ -350,6 +350,33 @@ def test_loaded_entry_arrays_are_read_only_and_bit_equal(tmp_path):
         loaded["pruned"].codes[0] = 100  # codes stay as their range check at load saw them
 
 
+def test_entry_float_fields_are_float32_once_built(tmp_path):
+    """float64 sigma and scales from a caller are stored as float32, so the entry
+    reconstructs, composes and round-trips as float32; float32 arrays are kept."""
+    entries = _three_kinds()
+    wide = {
+        "pruned": PrunedSparseEntry(**{**vars(entries["pruned"]), "scales": entries["pruned"].scales.astype(np.float64)}),
+        "svd": QuantizedSvdEntry(**{**vars(entries["svd"]), **{
+            name: getattr(entries["svd"], name).astype(np.float64) for name in ("sigma", "u_scales", "v_scales")}}),
+    }
+    for kind, entry in wide.items():
+        assert entry.reconstruct().dtype == np.float32
+        assert entry.reconstruct().tobytes() == entries[kind].reconstruct().tobytes()
+    assert all(getattr(wide["svd"], name).dtype == np.float32 for name in ("sigma", "u_scales", "v_scales"))
+    assert wide["pruned"].scales.dtype == np.float32
+    svd = entries["svd"]
+    assert QuantizedSvdEntry(**vars(svd)).sigma is svd.sigma  # no copy of a float32 array
+
+    shape = svd.shape
+    base = Checkpoint(model_id="b", tensors={"x.weight": np.ones(shape, np.float32)})
+    pack = SkillPack("b", "t", "", {}, {"x.weight": wide["svd"]})
+    composed = apply_pack(base, pack).tensors["x.weight"]
+    save_pack(pack, tmp_path / "p.skpk")
+    reloaded = apply_pack(base, load_pack(tmp_path / "p.skpk")).tensors["x.weight"]
+    assert composed.dtype == reloaded.dtype == np.float32
+    assert composed.tobytes() == reloaded.tobytes()
+
+
 def test_loaded_pack_outlives_its_file(tmp_path):
     path = tmp_path / "p.skpk"
     entries = _three_kinds()

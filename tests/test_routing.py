@@ -218,10 +218,10 @@ def test_train_router_single_class_errors():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"learning_rate": "x"}, "learning rate 'x' is not a finite number greater than 0"),
-    ({"learning_rate": float("nan")}, "learning rate nan is not a finite number greater than 0"),
-    ({"epochs": 2.5}, "epochs must be an int of at least 1, got 2.5"),
-    ({"epochs": True}, "epochs must be an int of at least 1, got True"),
+    ({"learning_rate": "x"}, "learning rate 'x' is not a number (an int or a float)"),
+    ({"learning_rate": float("nan")}, "learning rate must be a finite number greater than 0, got nan"),
+    ({"epochs": 2.5}, "epochs must be an int >= 1, got 2.5"),
+    ({"epochs": True}, "epochs must be an int >= 1, got True"),
 ], ids=["lr-str", "lr-nan", "epochs-float", "epochs-bool"])
 def test_train_router_refuses_a_bad_learning_rate_or_epoch_count(kwargs, message):
     feats = np.eye(2).repeat(4, axis=0)

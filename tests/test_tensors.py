@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from skillpack.tensors import (
     SparseEntries,
     all_finite,
-    check_alpha,
-    check_rank,
+    check_int,
+    check_number,
     frobenius_rel_err,
     magnitude_prune,
     retained_count,
@@ -248,13 +248,13 @@ def test_all_finite_checks_every_slice_in_either_order(order):
 @pytest.mark.parametrize("rank, limit", [(0, 5), (6, 5), (2.0, 5), (True, 5), ("2", 5), (-1, np.inf)])
 def test_rank_rule_rejects(rank, limit):
     with pytest.raises(ValueError, match="rank"):
-        check_rank(rank, limit)
+        check_int(rank, "rank", 1, limit)
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, 7.0, float("nan"), float("inf"), True, "0.5", None])
 def test_alpha_rule_rejects(alpha):
     with pytest.raises(ValueError, match="retention ratio"):
-        check_alpha(alpha)
+        check_number(alpha, "retention ratio", 0, 1, above=True)
 
 
 def test_truncate_takes_an_int_rank():

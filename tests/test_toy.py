@@ -112,7 +112,13 @@ def test_toy_spec_requires_int_sizes_and_seed(field, value, bound):
     ("noise_std", float("nan")), ("noise_std", float("inf")), ("noise_std", -1.0), ("noise_std", True),
 ])
 def test_delta_recipe_refuses_values_gen_toy_would_ignore(field, value):
-    with pytest.raises(ValueError, match=f"recipe {field} must be"):
+    if field != "noise_std":
+        message = f"recipe {field} must be an int >= 0, got {value!r}"
+    elif value is True:
+        message = "recipe noise_std True is not a number (an int or a float)"
+    else:
+        message = f"recipe noise_std must be a finite number >= 0, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         DeltaRecipe(**{field: value})
 
 
@@ -152,7 +158,9 @@ def test_eval_retention_requires_int_probe_count_and_seq_len(probe_count, seq_le
     """seq_len 0 would average empty slices into NaN deviations."""
     base, tuned = gen_toy(ToySpec(seed=0))
     pack = compress_delta(diff(base, tuned), default_manifest(), dense_plan())
-    with pytest.raises(ValueError, match="probe_count and seq_len must be ints of at least 1"):
+    good_count = type(probe_count) is int and probe_count == 4  # then seq_len is the bad argument
+    name, value = ("seq_len", seq_len) if good_count else ("probe_count", probe_count)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an int >= 1, got {value!r}")):
         eval_retention(base, tuned, pack, probe_count=probe_count, seed=0, seq_len=seq_len)
 
 
@@ -191,13 +199,17 @@ def test_budget_plan_rejects_nonpositive():
 
 @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf"), True])
 def test_budget_plan_rejects_a_budget_that_is_not_a_finite_positive_number(budget):
-    with pytest.raises(ValueError, match="finite number greater than 0"):
+    if budget is True:
+        message = "budget True is not a number (an int or a float)"
+    else:
+        message = f"budget must be a finite number greater than 0, got {budget!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         budget_plan(budget, toy_param_shapes(ToySpec()))
 
 
 @pytest.mark.parametrize("budget", ["0.1", None])
 def test_budget_plan_rejects_a_budget_that_is_not_a_number(budget):
-    with pytest.raises(ValueError, match="finite number greater than 0"):
+    with pytest.raises(ValueError, match=re.escape(f"budget {budget!r} is not a number (an int or a float)")):
         budget_plan(budget, toy_param_shapes(ToySpec()))
 
 
