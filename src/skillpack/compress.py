@@ -39,7 +39,7 @@ from .plans import (
     strategy_for,
 )
 from .quantize import encode, hessian_factor, quantize_gptq, rtn_scales
-from .tensors import magnitude_prune, svd, truncate
+from .tensors import all_finite, check_matrix, magnitude_prune, overflow_checked, svd, truncate
 
 
 def synthetic_calibration(seed: int, width: int, samples: int) -> np.ndarray:
@@ -63,8 +63,8 @@ def _calibration(plan: CompressionPlan):
         def from_file(name: str, width: int) -> tuple[np.ndarray, np.ndarray | None]:
             if name not in tensors:
                 raise KeyError(f"calibration file has no activations for {name!r}")
-            x = np.asarray(tensors[name], dtype=np.float64)
-            if x.ndim != 2 or x.shape[0] != width:
+            x = np.asarray(check_matrix(tensors[name], f"calibration for {name!r}"), dtype=np.float64)
+            if x.shape[0] != width:
                 raise ValueError(f"calibration for {name!r} must be ({width} x samples), got {x.shape}")
             return x, hessian_factor(x, plan.damping)
 
@@ -131,7 +131,12 @@ def _compress(name: str, delta: np.ndarray, mclass: ModuleClass, plan: Compressi
     delta = np.asarray(delta)
     strategy = strategy_for(plan, mclass, delta.shape)
     if isinstance(strategy, DenseStrategy):
-        return DenseEntry(shape=tuple(delta.shape), mclass=mclass, values=delta.astype(np.float32))
+        message = f"delta {name!r} must be finite in float32"
+        with overflow_checked(message):
+            values = delta.astype(np.float32)
+        if not all_finite(values):
+            raise ValueError(message)
+        return DenseEntry(shape=tuple(delta.shape), mclass=mclass, values=values)
     if isinstance(strategy, PruneStrategy):
         return _compress_prune(delta, mclass, strategy)
     if isinstance(strategy, SvdQuantStrategy):

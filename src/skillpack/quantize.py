@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .tensors import check_int
+from .tensors import check_int, check_matrix, check_number
 
 MIN_BITS = 2
 MAX_BITS = 16
@@ -143,9 +143,7 @@ def encode(values: np.ndarray, scales64, bits: int) -> np.ndarray:
 def quantize_rtn(m: np.ndarray, bits: int, axis: str = "row") -> QuantizedMatrix:
     """Uncalibrated symmetric quantization with per-vector scales."""
     check_bits(bits)
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise ValueError(f"quantize_rtn requires a 2-D matrix, got shape {m.shape}")
+    m = check_matrix(m, "quantizer input")
     scales = rtn_scales(m, bits, axis)
     s64 = scales.astype(np.float64)
     broadcast = s64[:, None] if axis == "row" else s64[None, :]
@@ -177,7 +175,8 @@ def hessian_factor(x: np.ndarray, damping: float = 0.01) -> np.ndarray | None:
     R = J inv(L) J where L L^T = J H J is a lower Cholesky factorization,
     and both LAPACK steps (potrf, trtri) overwrite their input.
     """
-    x64 = np.asarray(x, dtype=np.float64)
+    check_number(damping, "damping", 0)
+    x64 = np.asarray(check_matrix(x, "calibration activations"), dtype=np.float64)
     cols = x64.shape[0]
     hess = x64 @ x64.T
     mean_diag = float(np.trace(hess)) / cols
@@ -244,10 +243,8 @@ def quantize_gptq(
     it, None included; it is computed here only when not passed.
     """
     check_bits(bits)
-    m = np.asarray(m)
-    x = np.asarray(x)
-    if m.ndim != 2 or x.ndim != 2:
-        raise ValueError("quantize_gptq requires 2-D matrix and calibration inputs")
+    m = check_matrix(m, "quantizer input")
+    x = check_matrix(x, "calibration activations")
     if m.shape[1] != x.shape[0]:
         raise ValueError(
             f"calibration rows ({x.shape[0]}) must match matrix columns ({m.shape[1]})"

@@ -21,7 +21,7 @@ from . import container
 from .checkpoints import Checkpoint, compose
 from .errors import FormatError
 from .packs import SkillPack
-from .tensors import all_finite, check_int, check_number, overflow_checked
+from .tensors import all_finite, check_int, check_matrix, check_number, overflow_checked
 
 
 @dataclass
@@ -49,17 +49,17 @@ class LinearClassifier:
     class_to_pack: list[str]
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
+        self.weights = check_matrix(np.asarray(self.weights, dtype=np.float64), "classifier weights")
         self.bias = np.asarray(self.bias, dtype=np.float64)
         ids = self.class_to_pack
         if not (isinstance(ids, list) and all(isinstance(p, str) for p in ids)):
             raise ValueError("class_to_pack must be a list of pack id strings")
-        if self.weights.ndim != 2 or self.weights.shape[1] < 1:
+        if self.weights.shape[1] < 1:
             raise ValueError("classifier weights must be (n_classes x dim) with dim > 0")
         if len(self.bias) != self.weights.shape[0] or len(self.class_to_pack) != self.weights.shape[0]:
             raise ValueError("bias and class_to_pack must have one entry per class")
-        if not (all_finite(self.weights) and all_finite(self.bias)):
-            raise ValueError("classifier weights and bias must be finite")
+        if not all_finite(self.bias):
+            raise ValueError("classifier bias must be finite")
 
 
 Router = Union[TaskTable, LinearClassifier]
@@ -157,16 +157,12 @@ class RouterTrainingSet:
     pack_ids: list[str]
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.losses = np.asarray(self.losses, dtype=np.float64)
-        if self.features.ndim != 2 or self.losses.ndim != 2:
-            raise ValueError("features and losses must be 2-D arrays")
+        self.features = check_matrix(np.asarray(self.features, dtype=np.float64), "training features")
+        self.losses = check_matrix(np.asarray(self.losses, dtype=np.float64), "training losses")
         if self.features.shape[0] != self.losses.shape[0]:
             raise ValueError("features and losses must have the same number of rows")
         if len(self.pack_ids) != self.losses.shape[1]:
             raise ValueError("pack_ids must have one entry per loss column")
-        if not (all_finite(self.losses) and all_finite(self.features)):
-            raise ValueError("training data contains non-finite values")
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

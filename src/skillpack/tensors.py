@@ -22,11 +22,17 @@ def is_int(value) -> bool:
     return type(value) is int
 
 
+def _shown(value) -> str:
+    """`repr(value)` for an error message, a long one cut to its head and tail."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:20]}...{text[-8:]} ({len(text)} characters)"
+
+
 def check_int(value, what: str, low: int, high: float = math.inf) -> None:
     """An int in [low, high]; a bool or a numpy integer is not an int."""
     if not (is_int(value) and low <= value <= high):
         bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
-        raise ValueError(f"{what} must be an int {bounds}, got {value!r}")
+        raise ValueError(f"{what} must be an int {bounds}, got {_shown(value)}")
 
 
 def check_number(value, what: str, low: float = -math.inf, high: float = math.inf, *, above: bool = False) -> None:
@@ -34,11 +40,11 @@ def check_number(value, what: str, low: float = -math.inf, high: float = math.in
     or a float (numpy's float64 is one), never a bool, and it must be finite as a
     float: an int past the float range is refused, not left to overflow later."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} {value!r} is not a number (an int or a float)")
+        raise ValueError(f"{what} {_shown(value)} is not a number (an int or a float)")
     if not (abs(value) <= sys.float_info.max and (low < value if above else low <= value) and value <= high):
         lower = f" {'greater than' if above else '>='} {low}" if low > -math.inf else ""
         bounds = f"a finite number{lower}" if high == math.inf else f"in {'(' if above else '['}{low}, {high}]"
-        raise ValueError(f"{what} must be {bounds}, got {value!r}")
+        raise ValueError(f"{what} must be {bounds}, got {_shown(value)}")
 
 
 @contextmanager
@@ -59,6 +65,16 @@ def all_finite(values: np.ndarray) -> bool:
         return True
     flat, step = values.ravel(order="K"), 1 << 16
     return all(np.isfinite(flat[i : i + step]).all() for i in range(0, flat.size, step))
+
+
+def check_matrix(a, what: str) -> np.ndarray:
+    """`a` as an array, which must be 2-D with every float finite."""
+    a = np.asarray(a)
+    if a.ndim != 2:
+        raise ValueError(f"{what} must be a 2-D matrix, got shape {a.shape}")
+    if not all_finite(a):
+        raise ValueError(f"{what} contains non-finite values")
+    return a
 
 
 def retained_count(alpha: float, n: int) -> int:
@@ -122,11 +138,7 @@ def svd(a: np.ndarray) -> SvdFactors:
     where gesvd gave equal bits. Packs compressed with 1 and 2 threads
     were still byte-identical there, but that is not guaranteed.
     """
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError(f"svd requires a 2-D matrix, got shape {a.shape}")
-    if not all_finite(a):
-        raise ValueError("svd input contains non-finite values")
+    a = check_matrix(a, "svd input")
     # LAPACK overwrites this Fortran-ordered float64 copy instead of making its own.
     u, sigma, vt = scipy.linalg.svd(
         np.array(a, dtype=np.float64, order="F"),
@@ -166,11 +178,7 @@ def magnitude_prune(a: np.ndarray, alpha: float) -> SparseEntries:
     with no sort.
     """
     check_number(alpha, "retention ratio", 0, 1, above=True)
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError(f"magnitude_prune requires a 2-D matrix, got shape {a.shape}")
-    if not all_finite(a):
-        raise ValueError("prune input contains non-finite values")
+    a = check_matrix(a, "prune input")
     flat = a.reshape(-1)
     keep = retained_count(alpha, flat.size)
     if keep == flat.size:  # also an empty matrix, which keeps 0 of 0

@@ -116,6 +116,15 @@ def test_f16_promoted():
     assert np.array_equal(entry.reconstruct(), delta.astype(np.float32))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39], ids=["nan", "inf", "-inf", "past-float32"])
+def test_a_dense_delta_not_finite_in_float32_is_refused_naming_the_tensor(value):
+    with pytest.raises(ValueError, match=re.escape("delta 'n.weight' must be finite in float32")):
+        compress_entry("n.weight", np.array([value, 1.0]), ModuleClass.PASSTHROUGH, simple_plan())
+    deltas = DeltaMap(base_id="b", tuned_id="t", deltas={"model.norm.weight": np.array([1.0, value, 3.0])})
+    with pytest.raises(ValueError, match=re.escape("delta 'model.norm.weight' must be finite in float32")):
+        compress_delta(deltas, default_manifest(), simple_plan())
+
+
 def test_pruned_values_per_row_scales_over_dense_rows():
     delta = np.array([[1.0, 0.1], [0.0, 8.0]], dtype=np.float32)
     plan = simple_plan(alpha=0.5, value_bits=4)

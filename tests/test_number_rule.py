@@ -4,7 +4,8 @@ An int is a Python int; a number is a Python int or float (numpy's float64
 is a float); a bool is neither; a number must be finite as a float. Every
 scalar a caller passes in is checked by these two, so each input either
 passes or fails with a ValueError naming it, and no other module tests a
-scalar's type itself.
+scalar's type itself. Likewise no other module tests an array's dimensions:
+`tensors.check_matrix` does (see test_matrix_rule.py).
 """
 
 import math
@@ -56,8 +57,12 @@ def test_check_number_states_the_rule():
     for value in (True, False, np.float32(0.5), np.int64(3), "1", None, 1j):
         with pytest.raises(ValueError, match=re.escape(f"x {value!r} is not a number (an int or a float)")):
             check_number(value, "x")
-    for value in (HUGE, -HUGE, math.nan, math.inf, -math.inf):
+    for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=re.escape(f"x must be a finite number, got {value!r}")):
+            check_number(value, "x")
+    for value, shown in ((HUGE, "1" + "0" * 19 + "...00000000 (401 characters)"),
+                         (-HUGE, "-1" + "0" * 18 + "...00000000 (402 characters)")):
+        with pytest.raises(ValueError, match=re.escape(f"x must be a finite number, got {shown}")):
             check_number(value, "x")
 
 
@@ -165,15 +170,25 @@ def test_every_numeric_input_builds_or_raises_a_value_error(site, value):
             pass
 
 
+def _source_lines():
+    """(file name, line number, line) for every line of every module but tensors.py."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "tensors.py":
+            for number, line in enumerate(path.read_text().splitlines(), 1):
+                yield path.name, number, line
+
+
 def test_no_module_but_tensors_tests_a_scalars_type():
     """`container`'s header schema checks use `is_int`, as they raise FormatError."""
     pattern = re.compile(r"numbers\.Real|isinstance\([^)]*\b(bool|int|float)\b|\bis_int\(|\bis_real\(|math\.isfinite\(")
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "tensors.py":
-            continue
-        for number, line in enumerate(path.read_text().splitlines(), 1):
-            match = pattern.search(line)
-            if match and not (path.name == "container.py" and match.group(0) == "is_int("):
-                found.append(f"{path.name}:{number}: {line.strip()}")
+    for name, number, line in _source_lines():
+        match = pattern.search(line)
+        if match and not (name == "container.py" and match.group(0) == "is_int("):
+            found.append(f"{name}:{number}: {line.strip()}")
+    assert not found, "\n".join(found)
+
+
+def test_no_module_but_tensors_tests_an_arrays_ndim():
+    found = [f"{name}:{number}: {line.strip()}" for name, number, line in _source_lines() if re.search(r"\.ndim\b", line)]
     assert not found, "\n".join(found)

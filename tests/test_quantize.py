@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -157,6 +160,13 @@ def test_gptq_singular_hessian_without_damping():
     x[0, :] = rng.standard_normal(3)  # rank-1 Hessian
     with pytest.raises(ValueError, match="[Ss]ingular|damping"):
         quantize_gptq(m, x, 4, damping=0.0)
+
+
+@pytest.mark.parametrize("damping", [10**400, math.nan, math.inf, -0.5], ids=["past-float-range", "nan", "inf", "negative"])
+def test_gptq_refuses_a_bad_damping(damping):
+    rng = np.random.default_rng(5)
+    with pytest.raises(ValueError, match=re.escape("damping must be a finite number >= 0, got ")):
+        quantize_gptq(rng.standard_normal((6, 8)), rng.standard_normal((8, 16)), 4, damping=damping)
 
 
 def test_gptq_deterministic():
