@@ -4,7 +4,7 @@ Dispatch by module class: embedding/head deltas are magnitude-pruned and
 their values quantized with per-row scales; MLP and attention deltas are
 truncated-SVD factorized and the factors quantized group-wise with
 calibrated (GPTQ-style) quantization; everything else, and every tensor
-that is not 2-D, is stored dense and exact.
+that is not 2-D or is empty, is stored dense and exact.
 
 For a factorized delta U diag(sigma) V^T, the V^T rows of each group are
 quantized against the calibration activations x, then the U columns of the
@@ -130,13 +130,16 @@ def _compress(name: str, delta: np.ndarray, mclass: ModuleClass, plan: Compressi
     """`compress_entry` with a `_calibration(plan)` lookup, which only an SVD strategy consults."""
     delta = np.asarray(delta)
     strategy = strategy_for(plan, mclass, delta.shape)
+    message = f"delta {name!r} must be finite in float32"
     if isinstance(strategy, DenseStrategy):
-        message = f"delta {name!r} must be finite in float32"
         with overflow_checked(message):
             values = delta.astype(np.float32)
         if not all_finite(values):
             raise ValueError(message)
-        return DenseEntry(shape=tuple(delta.shape), mclass=mclass, values=values)
+        return DenseEntry(shape=tuple(delta.shape), mclass=mclass, values=values, values_checked=True)
+    limit = np.finfo(np.float32).max
+    if delta.dtype.itemsize > 4 and not (-limit <= delta.min() and delta.max() <= limit):  # NaN fails too
+        raise ValueError(message)
     if isinstance(strategy, PruneStrategy):
         return _compress_prune(delta, mclass, strategy)
     if isinstance(strategy, SvdQuantStrategy):
@@ -148,7 +151,7 @@ def _compress(name: str, delta: np.ndarray, mclass: ModuleClass, plan: Compressi
 def compress_entry(name: str, delta: np.ndarray, mclass: ModuleClass, plan: CompressionPlan) -> CompressedEntry:
     """Compress one delta tensor according to its class strategy.
 
-    Tensors that are not 2-D are stored dense (`strategy_for`). A float16
+    Tensors that are not 2-D or are empty are stored dense (`strategy_for`). A float16
     delta needs no promotion: the dense path stores float32, and the SVD
     and the quantizers compute in float64. The entry calibrates from
     `plan.calibration`, as `compress_delta` does; with a `FileCalibration`

@@ -11,7 +11,7 @@ recomputed from its entries on load and must match.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Union, get_args
 
 import numpy as np
@@ -21,8 +21,9 @@ from .classify import ModuleClass, classify
 from .container import header_field, shape_field
 from .errors import FormatError, IntegrityError
 from .plans import DenseStrategy, PruneStrategy, Strategy, SvdQuantStrategy, clip_groups, strategy_for
-from .quantize import BitGroup, groups_from_json, groups_to_json, pack_codes, packed_size, qmax, unpack_codes
-from .tensors import check_int, retained_count
+from .quantize import (
+    BitGroup, code_dtype, groups_from_json, groups_to_json, pack_codes, packed_size, qmax, unpack_codes)
+from .tensors import all_finite, check_int, overflow_checked, retained_count
 
 MAGIC = b"SKPK"
 VERSION = 1
@@ -34,11 +35,30 @@ VERSION = 1
 # owns its format: `roles` names its blobs in file order, `_encode` gives its
 # header fields and a (data, dtype) per role (dtype None: bytes already
 # packed), `_decode` is its part of `_load_entry`, `_detail` of `inspect`.
+# The constructors also set the in-memory types: float fields float32 and
+# finite, codes `code_dtype` of their width, pruned indices the file's u32
+# or u64. Compress and load hand over those types already, so nothing is
+# copied on either path.
 # --------------------------------------------------------------------------
 
 def _check_code_range(codes: np.ndarray, bits: int, what: str) -> None:
-    if codes.size and int(np.max(np.abs(codes))) > qmax(bits):
+    """Integer codes in the symmetric `bits`-bit range. Min and max, not |.|: in int8,
+    |-128| is -128. Check before narrowing, which would wrap a code into range."""
+    if codes.dtype.kind not in "iu":
+        raise ValueError(f"codes must be integers, got {codes.dtype} for {what}")
+    limit = qmax(bits)
+    if codes.size and (int(codes.min()) < -limit or int(codes.max()) > limit):
         raise IntegrityError(f"corrupted codes: {what} out of range for {bits}-bit values")
+
+
+def _finite_float32(values, what: str) -> np.ndarray:
+    """`values` as float32, every value finite; a float32 array is kept, not copied."""
+    message = f"{what} must be finite in float32"
+    with overflow_checked(message):
+        values = np.asarray(values, dtype=np.float32)
+    if not all_finite(values):
+        raise ValueError(message)
+    return values
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -51,11 +71,16 @@ class DenseEntry:
     shape: tuple[int, ...]
     mclass: ModuleClass
     values: np.ndarray  # float32
+    # True when the caller has already checked `values` (compress, or `read_array` on load),
+    # so a large dense array is not scanned twice.
+    values_checked: InitVar[bool] = False
 
     kind = "dense"
     roles = ("dense",)
 
-    def __post_init__(self):
+    def __post_init__(self, values_checked: bool):
+        if not values_checked:
+            self.values = _finite_float32(self.values, "dense values")
         if self.values.shape != tuple(self.shape):
             raise ValueError(f"dense values of shape {self.values.shape} do not match the entry shape {self.shape}")
 
@@ -73,7 +98,7 @@ class DenseEntry:
     @classmethod
     def _decode(cls, head: dict, mclass: ModuleClass, array, codes) -> DenseEntry:
         shape = shape_field(head)
-        return cls(shape=shape, mclass=mclass, values=array("dense", shape=shape))
+        return cls(shape=shape, mclass=mclass, values=array("dense", shape=shape), values_checked=True)
 
     def _detail(self) -> str:
         return ""
@@ -85,8 +110,8 @@ class PrunedSparseEntry:
     mclass: ModuleClass
     alpha: float
     value_bits: int
-    indices: np.ndarray  # int64, strictly increasing flat positions
-    codes: np.ndarray  # int32, one per retained position
+    indices: np.ndarray  # u32 (u64 from 2**32 elements), strictly increasing flat positions
+    codes: np.ndarray  # code_dtype(value_bits), one per retained position
     scales: np.ndarray  # float32, one per matrix row
 
     kind = "pruned_sparse"
@@ -95,17 +120,19 @@ class PrunedSparseEntry:
     def __post_init__(self):
         if len(self.shape) != 2:
             raise ValueError(f"a pruned entry must be 2-D, got shape {tuple(self.shape)}")
-        self.scales = np.asarray(self.scales, dtype=np.float32)  # a float32 array is kept, not copied
+        self.scales = _finite_float32(self.scales, "pruned scales")
         n = math.prod(self.shape)
         keep = retained_count(self.strategy.alpha, n)  # building the strategy checks alpha and value_bits
         idx = self.indices
-        if idx.size and (np.any(idx[1:] <= idx[:-1]) or idx[0] < 0 or idx[-1] >= n):
-            raise ValueError("indices must be strictly increasing and in range")
+        if idx.dtype.kind not in "iu" or (idx.size and (np.any(idx[1:] <= idx[:-1]) or idx[0] < 0 or idx[-1] >= n)):
+            raise ValueError("indices must be strictly increasing integers in range")
         if len(self.codes) != len(idx) or len(self.scales) != self.shape[0]:
             raise ValueError("a pruned entry needs one code per index and one scale per row")
         if len(idx) != keep:
             raise ValueError(f"alpha={self.alpha!r} keeps {keep} of {n} values, got {len(idx)}")
         _check_code_range(self.codes, self.value_bits, "values")
+        self.indices = idx.astype(np.uint32 if n < 2**32 else np.uint64, copy=False)  # the file's type
+        self.codes = self.codes.astype(code_dtype(self.value_bits), copy=False)
 
     @property
     def strategy(self) -> PruneStrategy:
@@ -119,10 +146,9 @@ class PrunedSparseEntry:
         return dense.reshape(self.shape)
 
     def _encode(self) -> tuple[dict, list]:
-        width = 64 if math.prod(self.shape) >= 2**32 else 32
-        codes = pack_codes(self.codes, self.value_bits)  # first: its temporaries dwarf the indices copy
-        fields = {"alpha": self.alpha, "value_bits": self.value_bits, "index_width": width}
-        return fields, [(self.indices, f"<u{width // 8}"), (codes, None), (self.scales, "<f4")]
+        codes = pack_codes(self.codes, self.value_bits)
+        fields = {"alpha": self.alpha, "value_bits": self.value_bits, "index_width": 8 * self.indices.itemsize}
+        return fields, [(self.indices, self.indices.dtype), (codes, None), (self.scales, "<f4")]
 
     @classmethod
     def _decode(cls, head: dict, mclass: ModuleClass, array, codes) -> PrunedSparseEntry:
@@ -131,7 +157,7 @@ class PrunedSparseEntry:
         width = header_field(head, "index_width", int)
         if width not in (32, 64):
             raise FormatError(f"bad index width {width!r}")
-        indices = _frozen(array("indices", f"<u{width // 8}").astype(np.int64))
+        indices = array("indices", f"<u{width // 8}")
         return cls(shape=shape, mclass=mclass, alpha=head["alpha"], value_bits=value_bits, indices=indices,
                    codes=_frozen(codes("values", [(len(indices), value_bits)])[0]), scales=array("scales"))
 
@@ -146,9 +172,9 @@ class QuantizedSvdEntry:
     rank: int
     groups: tuple[BitGroup, ...]
     sigma: np.ndarray  # float32, length rank, unquantized
-    u_codes: np.ndarray  # int32, (rows x rank)
+    u_codes: np.ndarray  # code_dtype of the widest group, (rows x rank)
     u_scales: np.ndarray  # float32, one per left singular vector (rank,)
-    v_codes: np.ndarray  # int32, (rank x cols)
+    v_codes: np.ndarray  # code_dtype of the widest group, (rank x cols)
     v_scales: np.ndarray  # float32, one per right singular vector (rank,)
 
     kind = "quantized_svd"
@@ -159,7 +185,8 @@ class QuantizedSvdEntry:
         check_int(self.rank, "rank", 1, min(rows, cols))
         self.groups = self.strategy.groups  # a tuple, checked to cover [0, rank)
         self.sigma, self.u_scales, self.v_scales = (
-            np.asarray(a, dtype=np.float32) for a in (self.sigma, self.u_scales, self.v_scales))
+            _finite_float32(a, what) for a, what in ((self.sigma, "sigma"), (self.u_scales, "U scales"),
+                                                     (self.v_scales, "V scales")))
         if len(self.sigma) != self.rank or len(self.u_scales) != self.rank or len(self.v_scales) != self.rank:
             raise ValueError("sigma and scale lengths must equal the rank")
         if self.u_codes.shape != (rows, self.rank) or self.v_codes.shape != (self.rank, cols):
@@ -168,6 +195,8 @@ class QuantizedSvdEntry:
             group = f"group [{g.begin}, {g.end})"
             _check_code_range(self.u_codes[:, g.begin : g.end], g.bits, f"U {group}")
             _check_code_range(self.v_codes[g.begin : g.end, :], g.bits, f"V {group}")
+        dtype = code_dtype(max(g.bits for g in self.groups))
+        self.u_codes, self.v_codes = self.u_codes.astype(dtype, copy=False), self.v_codes.astype(dtype, copy=False)
 
     @property
     def strategy(self) -> SvdQuantStrategy:
@@ -367,7 +396,7 @@ def save_pack(pack: SkillPack, path) -> None:
 
 def _load_entry(head: dict, payload: memoryview) -> CompressedEntry:
     """One entry from its header. Its kind's `_decode` parses the fields; the constructor checks how they relate.
-    Decoded codes and indices are frozen like the file's views, so the entry cannot change after its checks."""
+    Decoded codes are frozen like the file's views, so the entry cannot change after its checks."""
     kind = header_field(head, "kind", str)
     mclass = ModuleClass(header_field(head, "class", str))
     cls = _KINDS.get(kind)

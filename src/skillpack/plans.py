@@ -89,8 +89,9 @@ class CompressionPlan:
 
 
 def strategy_for(plan: CompressionPlan, mclass: ModuleClass, shape: tuple[int, ...]) -> Strategy:
-    """The strategy for a tensor of `shape` in `mclass`: the class's own, or dense when it is not 2-D."""
-    return plan.strategies[mclass] if len(shape) == 2 else DenseStrategy()
+    """The strategy for a tensor of `shape` in `mclass`: the class's own, or dense when it is not
+    2-D or is empty."""
+    return plan.strategies[mclass] if len(shape) == 2 and 0 not in shape else DenseStrategy()
 
 
 def clip_groups(groups: tuple[BitGroup, ...], rank: int) -> tuple[BitGroup, ...]:

@@ -47,6 +47,11 @@ def check_bits(bits: int) -> None:
     check_int(bits, "quantizer width", MIN_BITS, MAX_BITS)
 
 
+def code_dtype(bits: int) -> np.dtype:
+    """The type that holds `bits`-bit codes: int8 up to 8 bits, int16 up to 16."""
+    return np.dtype(np.int8 if bits <= 8 else np.int16)
+
+
 @dataclass(frozen=True)
 class BitGroup:
     """Contiguous range [begin, end) of quantized vectors sharing one width."""
@@ -98,7 +103,7 @@ class QuantizedMatrix:
     codes[i, :], "column" means scales[j] covers codes[:, j].
     """
 
-    codes: np.ndarray  # int32, same shape as the source matrix
+    codes: np.ndarray  # code_dtype(bits), same shape as the source matrix
     scales: np.ndarray  # float32, length = size of the scale axis
     axis: str  # "row" | "column"
 
@@ -137,7 +142,7 @@ def encode(values: np.ndarray, scales64, bits: int) -> np.ndarray:
     np.trunc(ratio, out=ratio)
     limit = qmax(bits)
     np.clip(ratio, -limit, limit, out=ratio)
-    return ratio.astype(np.int32)
+    return ratio.astype(code_dtype(bits))
 
 
 def quantize_rtn(m: np.ndarray, bits: int, axis: str = "row") -> QuantizedMatrix:
@@ -177,6 +182,8 @@ def hessian_factor(x: np.ndarray, damping: float = 0.01) -> np.ndarray | None:
     """
     check_number(damping, "damping", 0)
     x64 = np.asarray(check_matrix(x, "calibration activations"), dtype=np.float64)
+    if x64.size == 0:
+        raise ValueError(f"calibration activations must not be empty, got shape {x64.shape}")
     cols = x64.shape[0]
     hess = x64 @ x64.T
     mean_diag = float(np.trace(hess)) / cols
@@ -206,7 +213,7 @@ def _sweep(w: np.ndarray, factor: np.ndarray, s64: np.ndarray, bits: int, scale_
     """
     cols = w.shape[1]
     wt = np.array(w.T, order="C")
-    codes = np.empty(wt.shape, dtype=np.int32)
+    codes = np.empty(wt.shape, dtype=code_dtype(bits))
     for b0 in range(0, cols, GPTQ_BLOCK):
         b1 = min(b0 + GPTQ_BLOCK, cols)
         errs = np.empty((b1 - b0, wt.shape[1]))
@@ -289,14 +296,14 @@ def pack_codes(codes: np.ndarray, bits: int) -> bytes:
 
 
 def unpack_codes(buf: bytes, count: int, bits: int) -> np.ndarray:
-    """Inverse of pack_codes; sign-extends each field. Range is NOT validated."""
+    """Inverse of pack_codes; sign-extends each field into `code_dtype(bits)`. Range is NOT validated."""
     check_bits(bits)
     needed = packed_size(count, bits)
     if len(buf) < needed:
         raise ValueError(f"code buffer too short: {len(buf)} bytes for {count} x {bits}-bit")
     raw = np.zeros((-(-count // 8), bits), dtype=np.uint8)
     raw.reshape(-1)[:needed] = np.frombuffer(buf, dtype=np.uint8, count=needed)
-    fields = np.empty((len(raw), 8), dtype=np.int32)
+    fields = np.empty((len(raw), 8), dtype=code_dtype(bits))
     half = 1 << (bits - 1)
     for k in range(8):
         first, shift = divmod(k * bits, 8)

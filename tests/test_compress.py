@@ -125,6 +125,30 @@ def test_a_dense_delta_not_finite_in_float32_is_refused_naming_the_tensor(value)
         compress_delta(deltas, default_manifest(), simple_plan())
 
 
+@pytest.mark.parametrize("mclass", [ModuleClass.EMBEDDING_OR_HEAD, ModuleClass.MLP])
+def test_a_float64_delta_past_the_float32_range_is_refused_in_every_class(mclass):
+    # a pruned entry's scales and an SVD entry's sigma overflowed float32 and reconstructed to inf or NaN
+    with pytest.raises(ValueError, match=re.escape("delta 'w' must be finite in float32")):
+        compress_entry("w", np.full((4, 4), 1e39), mclass, default_plan())
+    entry = compress_entry("w", np.full((4, 4), 1e37), mclass, default_plan())
+    assert np.isfinite(entry.reconstruct()).all()
+    if mclass is ModuleClass.MLP:  # in range, but its leading singular value, 4e38, is not
+        with pytest.raises(ValueError, match="sigma must be finite in float32"):
+            compress_entry("w", np.full((4, 4), 1e38, np.float32), mclass, default_plan())
+
+
+@pytest.mark.parametrize("shape", [(4, 0), (0, 4)])
+@pytest.mark.parametrize("name", ["model.embed_tokens.weight", "model.layers.0.mlp.up_proj.weight"])
+def test_an_empty_matrix_is_stored_dense(name, shape):
+    # an MLP one raised ZeroDivisionError (4 x 0) or an unnamed argmax ValueError (0 x 4)
+    deltas = DeltaMap(base_id="b", tuned_id="t", deltas={name: np.zeros(shape, np.float32)})
+    pack = compress_delta(deltas, default_manifest(), default_plan())
+    entry = pack.entries[name]
+    assert isinstance(entry, DenseEntry) and entry.shape == shape
+    assert entry.mclass is classify(name, default_manifest()) is not ModuleClass.PASSTHROUGH
+    assert pack.stats == predict_stats({name: shape}, default_manifest(), default_plan())
+
+
 def test_pruned_values_per_row_scales_over_dense_rows():
     delta = np.array([[1.0, 0.1], [0.0, 8.0]], dtype=np.float32)
     plan = simple_plan(alpha=0.5, value_bits=4)

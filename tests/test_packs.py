@@ -439,6 +439,62 @@ def test_corrupt_svd_code_range_names_entry(tmp_path):
         load_pack(path)
 
 
+def _hand_built(values=(0.0, 1.0, 2.0), scales=(1.0,), sigma=(1.0,), u_scales=(1.0,), v_scales=(1.0,),
+                codes=(1, 1), u_codes=((1,),)):
+    """Per entry kind, a function that builds one small entry; by default each composes finite values."""
+    emb = ModuleClass.EMBEDDING_OR_HEAD
+    return {
+        "dense": lambda: DenseEntry(shape=(3,), mclass=ModuleClass.PASSTHROUGH, values=np.array(values)),
+        "pruned": lambda: PrunedSparseEntry(shape=(1, 4), mclass=emb, alpha=0.5, value_bits=4,
+                                            indices=np.array([0, 1]), codes=np.array(codes), scales=np.array(scales)),
+        "svd": lambda: QuantizedSvdEntry(shape=(1, 1), mclass=ModuleClass.MLP, rank=1, groups=(BitGroup(0, 1, 8),),
+                                         sigma=np.array(sigma), u_codes=np.array(u_codes), u_scales=np.array(u_scales),
+                                         v_codes=np.ones((1, 1), np.int8), v_scales=np.array(v_scales)),
+    }
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39], ids=["nan", "inf", "-inf", "past-float32"])
+def test_a_hand_built_entry_with_a_non_finite_float_is_refused(value):
+    base = Checkpoint("b", {"w": np.ones(3, np.float32), "e": np.ones((1, 4), np.float32),
+                            "m": np.ones((1, 1), np.float32)})
+    built = {name: build() for name, build in zip(("w", "e", "m"), _hand_built().values())}
+    assert all(np.isfinite(t).all() for t in apply_pack(base, SkillPack("b", "t", "", {}, built)).tensors.values())
+    # values [nan, 1, 2] composed to [nan, 2, 3], and pruned scales [nan] to NaN rows, with no error
+    builds = {
+        "dense values": _hand_built(values=(value, 1.0, 2.0))["dense"],
+        "pruned scales": _hand_built(scales=(value,))["pruned"],
+        "sigma": _hand_built(sigma=(value,))["svd"],
+        "U scales": _hand_built(u_scales=(value,))["svd"],
+        "V scales": _hand_built(v_scales=(value,))["svd"],
+    }
+    for what, build in builds.items():
+        with pytest.raises(ValueError, match=re.escape(f"{what} must be finite in float32")):
+            build()
+
+
+@pytest.mark.parametrize("code", [8, -8, 2**31 - 1, -2**31])
+def test_a_hand_built_code_out_of_range_is_refused_before_it_is_narrowed(code):
+    # narrowed to int8 first, 2**31 - 1 would wrap to -1 and -2**31 to 0; -8 is the reserved 4-bit code
+    with pytest.raises(IntegrityError, match="out of range for 4-bit values"):
+        _hand_built(codes=np.array([1, code], np.int64))["pruned"]()
+    with pytest.raises(IntegrityError, match="out of range for 8-bit values"):
+        _hand_built(u_codes=np.array([[code * 16]], np.int64))["svd"]()
+
+
+def test_hand_built_codes_and_indices_must_be_integers():
+    with pytest.raises(ValueError, match="codes must be integers, got float64 for values"):
+        _hand_built(codes=(1.0, 1.5))["pruned"]()
+    with pytest.raises(ValueError, match="indices must be strictly increasing integers"):
+        PrunedSparseEntry(shape=(1, 4), mclass=ModuleClass.EMBEDDING_OR_HEAD, alpha=0.5, value_bits=4,
+                          indices=np.array([0.0, 1.0]), codes=np.ones(2, np.int8), scales=np.ones(1))
+
+
+def test_a_corrupt_8_bit_code_of_minus_128_is_refused():
+    # |int8(-128)| is -128, so a check by magnitude would let it through
+    with pytest.raises(IntegrityError, match="out of range for 8-bit values"):
+        _hand_built(u_codes=np.array([[-128]], np.int8))["svd"]()
+
+
 def test_forged_sparse_shape_is_rejected_before_reconstruct(tmp_path, monkeypatch):
     def entry(shape, alpha=0.5):
         return PrunedSparseEntry(

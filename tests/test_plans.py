@@ -127,6 +127,13 @@ def test_strategy_for_stores_tensors_that_are_not_2d_dense():
     assert strategy_for(dense, ModuleClass.MLP, (4, 4)) == DenseStrategy()
 
 
+def test_strategy_for_stores_empty_matrices_dense():
+    plan = default_plan()
+    for mclass in ModuleClass:
+        for shape in [(4, 0), (0, 4), (0, 0)]:
+            assert strategy_for(plan, mclass, shape) == DenseStrategy()
+
+
 # --------------------------------------------------------------------------
 # Property: any edit of a valid plan config either compresses or fails with
 # one "error:" line; nothing escapes the CLI.

@@ -16,6 +16,7 @@ from skillpack.quantize import (
     BitGroup,
     calibration_error,
     check_groups,
+    code_dtype,
     groups_from_json,
     groups_to_json,
     hessian_factor,
@@ -231,7 +232,7 @@ def test_codec_matches_the_bit_matrix_reference(bits):
         # arbitrary bytes, reserved code -2^(bits-1) included, with trailing bytes after the codes
         noise = rng.integers(0, 256, size=len(buf) + 3, dtype=np.uint8).tobytes()
         got = unpack_codes(noise, count, bits)
-        assert got.dtype == np.int32 and np.array_equal(got, _reference_unpack(noise, count, bits))
+        assert got.dtype == code_dtype(bits) and np.array_equal(got, _reference_unpack(noise, count, bits))
 
 
 def test_pack_codes_pinned_bytes():
@@ -390,6 +391,15 @@ def test_in_place_factor_matches_chain(cols):
 
 def test_hessian_factor_none_without_signal():
     assert hessian_factor(np.zeros((5, 3))) is None
+
+
+def test_an_empty_calibration_is_refused_naming_it():
+    # each divided by a width of 0: ZeroDivisionError
+    message = re.escape("calibration activations must not be empty, got shape (0, ")
+    with pytest.raises(ValueError, match=message):
+        hessian_factor(np.zeros((0, 3)))
+    with pytest.raises(ValueError, match=message):
+        quantize_gptq(np.ones((3, 0)), np.ones((0, 2)), 4)
 
 
 def test_gptq_given_factor_matches_computed():
