@@ -38,7 +38,7 @@ from .plans import (
     plan_to_dict,
     strategy_for,
 )
-from .quantize import encode, hessian_factor, quantize_gptq, rtn_scales
+from .quantize import divisors, encode, hessian_factor, quantize_gptq, rtn_scales
 from .tensors import all_finite, check_matrix, magnitude_prune, overflow_checked, svd, truncate
 
 
@@ -83,8 +83,7 @@ def _calibration(plan: CompressionPlan):
 def _compress_prune(delta: np.ndarray, mclass: ModuleClass, strategy: PruneStrategy) -> PrunedSparseEntry:
     sparse = magnitude_prune(delta, strategy.alpha)
     scales = rtn_scales(delta, strategy.value_bits, axis="row")
-    row_scales = scales.astype(np.float64)[sparse.indices // delta.shape[1]]
-    codes = encode(sparse.values, row_scales, strategy.value_bits)
+    codes = encode(sparse.values, divisors(scales)[sparse.indices // delta.shape[1]], strategy.value_bits)
     return PrunedSparseEntry(
         shape=tuple(delta.shape),
         mclass=mclass,
@@ -106,13 +105,13 @@ def _compress_svd(
 ) -> QuantizedSvdEntry:
     factors = truncate(svd(delta), strategy.rank)
     groups = clip_groups(strategy.groups, factors.rank)
-    v_parts, u_parts = [], []
+    widths = [g.bits for g in groups for _ in range(g.length)]
+    qv = quantize_gptq(factors.vt, x, widths, damping=damping, scale_axis="row", factor=factor)
+    vt_hat = qv.dequantize()
+    u_parts = []
     for g in groups:
-        qv = quantize_gptq(factors.vt[g.begin : g.end, :], x, g.bits, damping=damping, scale_axis="row", factor=factor)
-        u_inputs = factors.sigma[g.begin : g.end, None] * (qv.dequantize() @ x)
-        qu = quantize_gptq(factors.u[:, g.begin : g.end], u_inputs, g.bits, damping=damping, scale_axis="column")
-        v_parts.append(qv)
-        u_parts.append(qu)
+        u_inputs = factors.sigma[g.begin : g.end, None] * (vt_hat[g.begin : g.end] @ x)
+        u_parts.append(quantize_gptq(factors.u[:, g.begin : g.end], u_inputs, g.bits, damping=damping, scale_axis="column"))
     return QuantizedSvdEntry(
         shape=tuple(delta.shape),
         mclass=mclass,
@@ -121,8 +120,8 @@ def _compress_svd(
         sigma=factors.sigma,
         u_codes=np.hstack([q.codes for q in u_parts]),
         u_scales=np.concatenate([q.scales for q in u_parts]),
-        v_codes=np.vstack([q.codes for q in v_parts]),
-        v_scales=np.concatenate([q.scales for q in v_parts]),
+        v_codes=qv.codes,
+        v_scales=qv.scales,
     )
 
 
@@ -144,7 +143,10 @@ def _compress(name: str, delta: np.ndarray, mclass: ModuleClass, plan: Compressi
         return _compress_prune(delta, mclass, strategy)
     if isinstance(strategy, SvdQuantStrategy):
         x, factor = calibration(name, delta.shape[1])
-        return _compress_svd(delta, mclass, strategy, x, plan.damping, factor)
+        try:
+            return _compress_svd(delta, mclass, strategy, x, plan.damping, factor)
+        except ValueError as exc:  # such as a leading singular value past the float32 range
+            raise ValueError(f"delta {name!r}: {exc}") from None
     raise TypeError(f"unknown strategy {strategy!r}")
 
 

@@ -22,6 +22,11 @@ the columns after it through one matrix product.
 
 Codes are symmetric, zero-point free: c in [-(2^(k-1)-1), 2^(k-1)-1].
 An all-zero vector gets scale 0 and codes 0.
+
+`encode` is the one code encoder (pruned values, RTN, each sweep column).
+Both quantizers take one width, or one per scale vector: the V^T rows of all
+bit groups of a factorized delta share one sweep, each row clipped to its
+own limit, with codes of the widest group's type.
 """
 
 from __future__ import annotations
@@ -116,8 +121,8 @@ class QuantizedMatrix:
         return self.codes * (scales[:, None] if self.axis == "row" else scales[None, :])
 
 
-def rtn_scales(m: np.ndarray, bits: int, axis: str = "row") -> np.ndarray:
-    """Per-vector symmetric scales, rounded to their stored float32 values."""
+def rtn_scales(m: np.ndarray, bits, axis: str = "row") -> np.ndarray:
+    """Per-vector symmetric scales, rounded to their stored float32 values; `bits` as in `_widths`."""
     if axis not in ("row", "column"):
         raise ValueError(f"unknown scale axis {axis!r}")
     reduce_axis = 1 if axis == "row" else 0
@@ -129,31 +134,49 @@ def rtn_scales(m: np.ndarray, bits: int, axis: str = "row") -> np.ndarray:
     return (amax / qmax(bits)).astype(np.float32)
 
 
-def encode(values: np.ndarray, scales64, bits: int) -> np.ndarray:
-    """round(v / s) half-away-from-zero, codes 0 where the scale is 0.
+def encode(values, divisor, bits, out=None, limit=None) -> np.ndarray:
+    """round(values / divisor), halves away from zero, clipped to +-limit (default
+    `qmax(bits)`): divide, add copysign(0.5), trunc, clip, in one float64 buffer.
 
-    Rounds in place in the quotient's buffer, so encoding a large pruned
-    entry allocates few float64 temporaries.
+    `divisor` holds inf where the scale is 0 (`divisors`), and v / inf = +-0
+    rounds to code 0, with no mask and no errstate. Given `out`, the codes stay
+    in it as floats and it is returned; otherwise they are `code_dtype(bits)`.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.divide(values, scales64)
-    np.copyto(ratio, 0.0, where=np.equal(scales64, 0.0))
-    ratio += np.copysign(0.5, ratio)
-    np.trunc(ratio, out=ratio)
-    limit = qmax(bits)
-    np.clip(ratio, -limit, limit, out=ratio)
-    return ratio.astype(code_dtype(bits))
+    given = out is not None
+    out = np.divide(values, divisor, out=out)
+    out += np.copysign(0.5, out)
+    np.trunc(out, out=out)
+    limit = qmax(bits) if limit is None else limit
+    np.minimum(out, limit, out=out)
+    np.maximum(out, -limit, out=out)
+    return out if given else out.astype(code_dtype(bits))
 
 
-def quantize_rtn(m: np.ndarray, bits: int, axis: str = "row") -> QuantizedMatrix:
-    """Uncalibrated symmetric quantization with per-vector scales."""
-    check_bits(bits)
+def divisors(scales) -> np.ndarray:
+    """`scales` in float64 with inf in place of 0: the divisor `encode` takes."""
+    return np.where(scales == 0, np.inf, np.asarray(scales, dtype=np.float64))
+
+
+def _widths(bits, m: np.ndarray, axis: str) -> tuple[np.ndarray, np.dtype]:
+    """`bits`, one width or a list or tuple of one per scale vector of m, as one
+    per vector; and the code type of the widest."""
+    count, each = m.shape[0] if axis == "row" else m.shape[1], isinstance(bits, (list, tuple))
+    for b in bits if each else [bits]:
+        check_bits(b)
+    if each and len(bits) != count:
+        raise ValueError(f"quantizer widths must be one per {axis} ({count}), got {len(bits)}")
+    return np.array(bits) if each else np.full(count, bits), code_dtype(max(bits, default=MIN_BITS) if each else bits)
+
+
+def quantize_rtn(m: np.ndarray, bits, axis: str = "row") -> QuantizedMatrix:
+    """Uncalibrated symmetric quantization with per-vector scales; `bits` as in `_widths`."""
     m = check_matrix(m, "quantizer input")
-    scales = rtn_scales(m, bits, axis)
-    s64 = scales.astype(np.float64)
-    broadcast = s64[:, None] if axis == "row" else s64[None, :]
-    codes = encode(m.astype(np.float64), broadcast, bits)
-    return QuantizedMatrix(codes=codes, scales=scales, axis=axis)
+    widths, dtype = _widths(bits, m, axis)
+    scales = rtn_scales(m, widths, axis)
+    along = (slice(None), None) if axis == "row" else (None, slice(None))
+    m64 = m.astype(np.float64)
+    encode(m64, divisors(scales)[along], widths, out=m64, limit=qmax(widths)[along])
+    return QuantizedMatrix(codes=m64.astype(dtype), scales=scales, axis=axis)
 
 
 def _reverse(a: np.ndarray) -> None:
@@ -204,25 +227,29 @@ def hessian_factor(x: np.ndarray, damping: float = 0.01) -> np.ndarray | None:
     return lower
 
 
-def _sweep(w: np.ndarray, factor: np.ndarray, s64: np.ndarray, bits: int, scale_axis: str) -> np.ndarray:
+def _sweep(w: np.ndarray, factor: np.ndarray, scales: np.ndarray, widths: np.ndarray, dtype,
+           scale_axis: str) -> np.ndarray:
     """Quantize w (rows x cols) column by column, in lazy batches.
 
     Works on a copy of w transposed, so that each column is one contiguous row.
     Left-looking in a block: column j first subtracts factor[b0:j, j] @ errs,
     the errors of the block's earlier columns; later blocks are updated once.
+    Each scale vector has its own width: its clip limit, and a code of `dtype`.
     """
     cols = w.shape[1]
     wt = np.array(w.T, order="C")
-    codes = np.empty(wt.shape, dtype=code_dtype(bits))
+    codes = np.empty(wt.shape, dtype=dtype)
+    s64, divisor, limit = scales.astype(np.float64), divisors(scales), qmax(widths).astype(np.float64)
+    ratio = np.empty(wt.shape[1])
     for b0 in range(0, cols, GPTQ_BLOCK):
         b1 = min(b0 + GPTQ_BLOCK, cols)
         errs = np.empty((b1 - b0, wt.shape[1]))
         for j in range(b0, b1):
             col = wt[j] - factor[b0:j, j] @ errs[: j - b0]
-            s_j = s64 if scale_axis == "row" else s64[j]
-            c = encode(col, s_j, bits)
-            codes[j] = c
-            errs[j - b0] = (col - c * s_j) / factor[j, j]
+            s_j, d_j, limit_j = (s64, divisor, limit) if scale_axis == "row" else (s64[j], divisor[j], limit[j])
+            encode(col, d_j, widths, out=ratio, limit=limit_j)
+            codes[j] = ratio
+            errs[j - b0] = (col - ratio * s_j) / factor[j, j]
         if b1 < cols:
             wt[b1:] -= factor[b0:b1, b1:].T @ errs
     return np.ascontiguousarray(codes.T)
@@ -235,7 +262,7 @@ _FROM_X = object()
 def quantize_gptq(
     m: np.ndarray,
     x: np.ndarray,
-    bits: int,
+    bits,
     damping: float = 0.01,
     scale_axis: str = "row",
     factor: np.ndarray | None | object = _FROM_X,
@@ -247,9 +274,9 @@ def quantize_gptq(
     diagonal; a Hessian with an all-zero diagonal (no calibration signal)
     degrades to plain RTN, since every rounding is then cost-free.
     `factor` is `hessian_factor(x, damping)` when the caller already has
-    it, None included; it is computed here only when not passed.
+    it, None included; it is computed here only when not passed. `bits` is
+    one width, or one per scale vector (`_widths`), all in one sweep.
     """
-    check_bits(bits)
     m = check_matrix(m, "quantizer input")
     x = check_matrix(x, "calibration activations")
     if m.shape[1] != x.shape[0]:
@@ -260,13 +287,14 @@ def quantize_gptq(
         raise ValueError("calibration needs at least one sample")
     if scale_axis not in ("row", "column"):
         raise ValueError(f"unknown scale axis {scale_axis!r}")
+    widths, dtype = _widths(bits, m, scale_axis)
 
     if factor is _FROM_X:
         factor = hessian_factor(x, damping)
     if factor is None:  # no calibration signal: plain RTN
         return quantize_rtn(m, bits, scale_axis)
-    scales = rtn_scales(m, bits, scale_axis)
-    codes = _sweep(np.asarray(m, dtype=np.float64), factor, scales.astype(np.float64), bits, scale_axis)
+    scales = rtn_scales(m, widths, scale_axis)
+    codes = _sweep(np.asarray(m, dtype=np.float64), factor, scales, widths, dtype, scale_axis)
     return QuantizedMatrix(codes=codes, scales=scales, axis=scale_axis)
 
 

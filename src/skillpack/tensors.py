@@ -131,22 +131,28 @@ def svd(a: np.ndarray) -> SvdFactors:
     """Full thin SVD of a 2-D matrix, computed in float64.
 
     Uses LAPACK's divide-and-conquer SVD (gesdd), several times faster
-    than gesvd on the matrices compressed here. At a fixed BLAS thread
-    count, repeated calls on the same data give bit-identical factors.
-    Across thread counts they need not: on a 1408x512 Gaussian matrix
-    with OpenBLAS, U from 1 and from 2 threads differed by up to 1.3e-16,
-    where gesvd gave equal bits. Packs compressed with 1 and 2 threads
-    were still byte-identical there, but that is not guaranteed.
+    than gesvd on the matrices compressed here. A wide matrix is factored
+    as its transpose (on a 2-CPU Xeon, one OpenBLAS thread, gesdd took 248
+    ms on 512x1408 and 166 ms on 1408x512), and u and vt are swapped back
+    before the sign fix. At a fixed BLAS thread count, repeated calls on
+    the same data give bit-identical factors. Across thread counts they
+    need not: on a 1408x512 Gaussian matrix with OpenBLAS, U from 1 and
+    from 2 threads differed by up to 1.3e-16, where gesvd gave equal bits.
+    Packs compressed with 1 and 2 threads were still byte-identical there,
+    but that is not guaranteed.
     """
     a = check_matrix(a, "svd input")
+    wide = a.shape[0] < a.shape[1]
     # LAPACK overwrites this Fortran-ordered float64 copy instead of making its own.
     u, sigma, vt = scipy.linalg.svd(
-        np.array(a, dtype=np.float64, order="F"),
+        np.array(a.T if wide else a, dtype=np.float64, order="F"),
         full_matrices=False,
         overwrite_a=True,
         check_finite=False,
         lapack_driver="gesdd",
     )
+    if wide:  # a.T = u diag(sigma) vt, so a = vt.T diag(sigma) u.T
+        u, vt = vt.T, u.T
     # Fix signs: largest-|.| element of each left singular vector positive.
     anchor = np.argmax(np.abs(u), axis=0)
     flip = u[anchor, np.arange(u.shape[1])] < 0

@@ -133,7 +133,7 @@ def test_a_float64_delta_past_the_float32_range_is_refused_in_every_class(mclass
     entry = compress_entry("w", np.full((4, 4), 1e37), mclass, default_plan())
     assert np.isfinite(entry.reconstruct()).all()
     if mclass is ModuleClass.MLP:  # in range, but its leading singular value, 4e38, is not
-        with pytest.raises(ValueError, match="sigma must be finite in float32"):
+        with pytest.raises(ValueError, match=re.escape("delta 'w': sigma must be finite in float32")):
             compress_entry("w", np.full((4, 4), 1e38, np.float32), mclass, default_plan())
 
 

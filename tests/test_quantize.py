@@ -1,5 +1,7 @@
+import inspect
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,11 +295,12 @@ def chained_factor(x, damping=0.01):
     return scipy.linalg.cholesky((hess_inv + hess_inv.T) / 2.0, lower=False)
 
 
-def per_column_gptq(m, x, bits, scale_axis):
+def per_column_gptq(m, x, bits, scale_axis, factor=None):
     """Reference GPTQ: one full-width rank-1 update per column, no lazy batches.
-    A zero scale gives codes 0, as in `encode`."""
+    A zero scale gives codes 0, as in `encode`. An identity `factor` passes no
+    error on to later columns, so the result is plain RTN."""
     s64 = rtn_scales(m, bits, scale_axis).astype(np.float64)
-    factor = chained_factor(x)
+    factor = chained_factor(x) if factor is None else factor
     w = m.astype(np.float64)
     codes = np.zeros(m.shape, dtype=np.int32)
     limit = qmax(bits)
@@ -377,6 +380,77 @@ def test_pack_codes_match_per_column_loop():
             np.testing.assert_array_equal(entry.u_scales[g.begin : g.end], u_scales)
         checked += 1
     assert checked == 7  # four attention and three MLP matrices
+
+
+# int8 and int16 groups: 8, 3, 2 and 16 bits.
+MIXED_GROUPS = (BitGroup(0, 3, 8), BitGroup(3, 7, 3), BitGroup(7, 9, 2), BitGroup(9, 12, 16))
+
+
+def _row_widths(groups):
+    return [g.bits for g in groups for _ in range(g.length)]
+
+
+def test_one_sweep_with_a_width_per_row_matches_the_per_column_loop_per_group():
+    """Rows of four widths, int8 and int16 codes alike, share one sweep, and each
+    group's codes and scales equal the reference sweep of that group alone."""
+    rng = np.random.default_rng(23)
+    cols = GPTQ_BLOCK + 9
+    m = rng.standard_normal((12, cols))
+    m[8] = 0.0  # an all-zero row of the 2-bit group: scale 0, codes 0
+    x = rng.standard_normal((cols, 48))
+    qm = quantize_gptq(m, x, _row_widths(MIXED_GROUPS))
+    assert qm.codes.dtype == np.int16 and qm.scales[8] == 0.0 and not qm.codes[8].any()
+    assert np.abs(qm.codes[9:]).max() > qmax(8)  # the 16-bit rows need int16
+    for g in MIXED_GROUPS:
+        codes, scales = per_column_gptq(m[g.begin : g.end], x, g.bits, "row")
+        np.testing.assert_array_equal(qm.codes[g.begin : g.end], codes)
+        np.testing.assert_array_equal(qm.scales[g.begin : g.end], scales)
+
+
+def test_a_signal_free_svd_entry_with_mixed_widths_is_per_group_rtn():
+    """With no calibration signal each V row and U column is RTN at its group's
+    width: the reference sweep with an identity factor, group by group."""
+    import skillpack.compress as compress_module
+
+    rng = np.random.default_rng(24)
+    delta = rng.standard_normal((20, 14))
+    x = np.zeros((14, 8))
+    strategy = SvdQuantStrategy(rank=12, groups=MIXED_GROUPS)
+    entry = compress_module._compress_svd(delta, ModuleClass.MLP, strategy, x, 0.01, None)
+    factors = svd(delta)
+    assert entry.groups == MIXED_GROUPS and entry.v_codes.dtype == np.int16
+    for g in MIXED_GROUPS:
+        part = slice(g.begin, g.end)
+        v_codes, v_scales = per_column_gptq(factors.vt[part], x, g.bits, "row", factor=np.eye(14))
+        np.testing.assert_array_equal(entry.v_codes[part], v_codes)
+        np.testing.assert_array_equal(entry.v_scales[part], v_scales)
+        u_codes, u_scales = per_column_gptq(factors.u[:, part], np.zeros((g.length, 8)), g.bits, "column",
+                                            factor=np.eye(g.length))
+        np.testing.assert_array_equal(entry.u_codes[:, part], u_codes)
+        np.testing.assert_array_equal(entry.u_scales[part], u_scales)
+
+
+@pytest.mark.parametrize("bits", [[4, 4], [4, 4, 4, 4], [4, 1, 4], [4, 3.0, 4], (17, 2, 2)])
+def test_a_width_per_row_needs_one_valid_width_per_row(bits):
+    m = np.ones((3, 5))
+    with pytest.raises(ValueError, match="quantizer width"):
+        quantize_gptq(m, np.ones((5, 4)), bits)
+    with pytest.raises(ValueError, match="quantizer width"):
+        quantize_rtn(m, bits)
+
+
+def test_codes_are_rounded_only_in_encode():
+    """One code encoder: rounding to a code appears in `src/` only inside
+    `quantize.encode`, and nothing clips through `np.clip`'s Python wrapper."""
+    lines, first = inspect.getsourcelines(quantize_module.encode)
+    assert "np.trunc" in "".join(lines) and "copysign(0.5" in "".join(lines)
+    found = []
+    for path in sorted(Path(quantize_module.__file__).parent.glob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            in_encode = path.name == "quantize.py" and first <= number < first + len(lines)
+            if "np.clip" in line or (not in_encode and re.search(r"np\.trunc|copysign\(0\.5", line)):
+                found.append(f"{path.name}:{number}: {line.strip()}")
+    assert not found, "\n".join(found)
 
 
 @pytest.mark.parametrize("cols", [1, 2, 7, 130, 400])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,6 +78,24 @@ def test_svd_properties_random_sizes():
         assert np.max(np.abs(f.u.T @ f.u - np.eye(p))) <= 1e-10
         assert np.max(np.abs(f.vt @ f.vt.T - np.eye(p))) <= 1e-10
         assert frobenius_rel_err(a, f.reconstruct()) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (1, 9), (1, 300), (2, 5), (7, 30), (40, 41), (12, 200)])
+def test_a_wide_svd_is_the_sign_fixed_swap_of_its_transpose(shape):
+    """A wide matrix is factored the tall way: scipy's gesdd of a.T with u and vt
+    swapped, then the sign rule on u, bit for bit, at float64 accuracy."""
+    a = np.random.default_rng(list(shape)).standard_normal(shape)
+    got = svd(a)
+    u_t, sigma, vt_t = scipy.linalg.svd(a.T, full_matrices=False, lapack_driver="gesdd")
+    u, vt = vt_t.T.copy(), u_t.T.copy()
+    flip = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0
+    u[:, flip] *= -1.0
+    vt[flip, :] *= -1.0
+    for field, want in (("u", u), ("sigma", sigma), ("vt", vt)):
+        have = getattr(got, field)
+        assert have.shape == want.shape and np.ascontiguousarray(have).tobytes() == want.tobytes(), field
+    assert np.all(got.u[np.argmax(np.abs(got.u), axis=0), np.arange(got.rank)] > 0)
+    assert frobenius_rel_err(a, got.reconstruct()) <= 1e-13
 
 
 def test_truncate_diagonal():
