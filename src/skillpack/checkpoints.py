@@ -14,7 +14,7 @@ import numpy as np
 
 from . import container
 from .errors import CompatibilityError, FormatError, IntegrityError
-from .tensors import check_number
+from .tensors import check_float32, check_number
 
 MAGIC = b"GLTC"
 VERSION = 1
@@ -119,8 +119,8 @@ def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) ->
     pack's base id (unless `force`) and every entry's name and shape are
     checked against the base before anything is reconstructed; a mismatch
     raises CompatibilityError, naming the pack by its id, or as <untagged>
-    when the id is empty; a weight that is not a number (see
-    `tensors.check_number`) or not finite in float32 raises ValueError.
+    when the id is empty; a weight that breaks `tensors.check_number` or
+    `tensors.check_float32` (say, 1e39) raises ValueError naming the pack.
     Base tensors are composed one at a time, in base order: a tensor's
     updates are summed in float32 in the given pack order, then added to
     it; packs of weight 0 add nothing. If reconstructing, scaling,
@@ -140,9 +140,7 @@ def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) ->
     labels = [repr(pack_id) if pack_id else "<untagged>" for pack_id, _, _ in selected]
     for label, (_, pack, weight) in zip(labels, selected):
         check_number(weight, f"pack {label} weight")
-        with np.errstate(over="ignore"):  # a weight past the float32 range is refused, not warned about
-            if not np.isfinite(np.float32(weight)):
-                raise ValueError(f"pack {label} weight {weight!r} is not a finite float32")
+        check_float32(weight, f"pack {label} weight")
         if pack.base_model_id != base.model_id and not force:
             raise CompatibilityError(
                 f"pack {label} was built against {pack.base_model_id!r}, base is {base.model_id!r}"

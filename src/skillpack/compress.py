@@ -39,7 +39,7 @@ from .plans import (
     strategy_for,
 )
 from .quantize import divisors, encode, hessian_factor, quantize_gptq, rtn_scales
-from .tensors import all_finite, check_matrix, magnitude_prune, overflow_checked, svd, truncate
+from .tensors import check_float32, check_matrix, magnitude_prune, svd, truncate
 
 
 def synthetic_calibration(seed: int, width: int, samples: int) -> np.ndarray:
@@ -63,9 +63,9 @@ def _calibration(plan: CompressionPlan):
         def from_file(name: str, width: int) -> tuple[np.ndarray, np.ndarray | None]:
             if name not in tensors:
                 raise KeyError(f"calibration file has no activations for {name!r}")
-            x = np.asarray(check_matrix(tensors[name], f"calibration for {name!r}"), dtype=np.float64)
+            x = np.asarray(check_matrix(tensors[name], "calibration"), dtype=np.float64)  # `_compress` names the delta
             if x.shape[0] != width:
-                raise ValueError(f"calibration for {name!r} must be ({width} x samples), got {x.shape}")
+                raise ValueError(f"calibration must be ({width} x samples), got {x.shape}")
             return x, hessian_factor(x, plan.damping)
 
         return from_file
@@ -129,25 +129,18 @@ def _compress(name: str, delta: np.ndarray, mclass: ModuleClass, plan: Compressi
     """`compress_entry` with a `_calibration(plan)` lookup, which only an SVD strategy consults."""
     delta = np.asarray(delta)
     strategy = strategy_for(plan, mclass, delta.shape)
-    message = f"delta {name!r} must be finite in float32"
-    if isinstance(strategy, DenseStrategy):
-        with overflow_checked(message):
-            values = delta.astype(np.float32)
-        if not all_finite(values):
-            raise ValueError(message)
-        return DenseEntry(shape=tuple(delta.shape), mclass=mclass, values=values, values_checked=True)
-    limit = np.finfo(np.float32).max
-    if delta.dtype.itemsize > 4 and not (-limit <= delta.min() and delta.max() <= limit):  # NaN fails too
-        raise ValueError(message)
-    if isinstance(strategy, PruneStrategy):
-        return _compress_prune(delta, mclass, strategy)
-    if isinstance(strategy, SvdQuantStrategy):
+    if isinstance(strategy, DenseStrategy) or delta.dtype.itemsize > 4:  # a narrower one is in float32's range
+        values = check_float32(delta, f"delta {name!r}")
+    try:
+        if isinstance(strategy, DenseStrategy):  # the entry owns its values: a float32 delta is copied
+            return DenseEntry(shape=tuple(delta.shape), mclass=mclass, values_checked=True,
+                              values=delta.astype(np.float32) if values is delta else values)
+        if isinstance(strategy, PruneStrategy):
+            return _compress_prune(delta, mclass, strategy)
         x, factor = calibration(name, delta.shape[1])
-        try:
-            return _compress_svd(delta, mclass, strategy, x, plan.damping, factor)
-        except ValueError as exc:  # such as a leading singular value past the float32 range
-            raise ValueError(f"delta {name!r}: {exc}") from None
-    raise TypeError(f"unknown strategy {strategy!r}")
+        return _compress_svd(delta, mclass, strategy, x, plan.damping, factor)
+    except ValueError as exc:  # such as a NaN in a float32 delta, or a singular value past the float32 range
+        raise ValueError(f"delta {name!r}: {exc}") from None
 
 
 def compress_entry(name: str, delta: np.ndarray, mclass: ModuleClass, plan: CompressionPlan) -> CompressedEntry:
@@ -155,7 +148,10 @@ def compress_entry(name: str, delta: np.ndarray, mclass: ModuleClass, plan: Comp
 
     Tensors that are not 2-D or are empty are stored dense (`strategy_for`). A float16
     delta needs no promotion: the dense path stores float32, and the SVD
-    and the quantizers compute in float64. The entry calibrates from
+    and the quantizers compute in float64. Every class refuses the same deltas by
+    the float32 rule: `tensors.check_float32` checks a dense-stored or float64
+    delta, and `check_matrix` in the operator a float32 or float16 one. Every
+    ValueError starts with `delta '<name>'`. The entry calibrates from
     `plan.calibration`, as `compress_delta` does; with a `FileCalibration`
     plan the file is opened even for a dense or pruned tensor.
     """

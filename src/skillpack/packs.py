@@ -23,7 +23,7 @@ from .errors import FormatError, IntegrityError
 from .plans import DenseStrategy, PruneStrategy, Strategy, SvdQuantStrategy, clip_groups, strategy_for
 from .quantize import (
     BitGroup, code_dtype, groups_from_json, groups_to_json, pack_codes, packed_size, qmax, unpack_codes)
-from .tensors import all_finite, check_int, overflow_checked, retained_count
+from .tensors import check_float32, check_int, retained_count
 
 MAGIC = b"SKPK"
 VERSION = 1
@@ -51,16 +51,6 @@ def _check_code_range(codes: np.ndarray, bits: int, what: str) -> None:
         raise IntegrityError(f"corrupted codes: {what} out of range for {bits}-bit values")
 
 
-def _finite_float32(values, what: str) -> np.ndarray:
-    """`values` as float32, every value finite; a float32 array is kept, not copied."""
-    message = f"{what} must be finite in float32"
-    with overflow_checked(message):
-        values = np.asarray(values, dtype=np.float32)
-    if not all_finite(values):
-        raise ValueError(message)
-    return values
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -80,7 +70,7 @@ class DenseEntry:
 
     def __post_init__(self, values_checked: bool):
         if not values_checked:
-            self.values = _finite_float32(self.values, "dense values")
+            self.values = check_float32(self.values, "dense values")
         if self.values.shape != tuple(self.shape):
             raise ValueError(f"dense values of shape {self.values.shape} do not match the entry shape {self.shape}")
 
@@ -120,7 +110,7 @@ class PrunedSparseEntry:
     def __post_init__(self):
         if len(self.shape) != 2:
             raise ValueError(f"a pruned entry must be 2-D, got shape {tuple(self.shape)}")
-        self.scales = _finite_float32(self.scales, "pruned scales")
+        self.scales = check_float32(self.scales, "pruned scales")
         n = math.prod(self.shape)
         keep = retained_count(self.strategy.alpha, n)  # building the strategy checks alpha and value_bits
         idx = self.indices
@@ -185,8 +175,8 @@ class QuantizedSvdEntry:
         check_int(self.rank, "rank", 1, min(rows, cols))
         self.groups = self.strategy.groups  # a tuple, checked to cover [0, rank)
         self.sigma, self.u_scales, self.v_scales = (
-            _finite_float32(a, what) for a, what in ((self.sigma, "sigma"), (self.u_scales, "U scales"),
-                                                     (self.v_scales, "V scales")))
+            check_float32(a, what) for a, what in ((self.sigma, "sigma"), (self.u_scales, "U scales"),
+                                                   (self.v_scales, "V scales")))
         if len(self.sigma) != self.rank or len(self.u_scales) != self.rank or len(self.v_scales) != self.rank:
             raise ValueError("sigma and scale lengths must equal the rank")
         if self.u_codes.shape != (rows, self.rank) or self.v_codes.shape != (self.rank, cols):

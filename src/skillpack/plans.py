@@ -81,10 +81,14 @@ class CompressionPlan:
     def __post_init__(self):
         object.__setattr__(self, "strategies", dict(self.strategies))
         for cls in ModuleClass:
-            if cls not in self.strategies:
-                raise ValueError(f"plan is missing a strategy for module class {cls.value!r}")
+            if not isinstance(self.strategies.get(cls), get_args(Strategy)):
+                raise ValueError(f"plan is missing a strategy for module class {cls.value!r}, "
+                                 f"got {self.strategies.get(cls)!r}")
         if not isinstance(self.strategies[ModuleClass.PASSTHROUGH], DenseStrategy):
             raise ValueError("the passthrough class must map to the dense strategy")
+        if not isinstance(self.calibration, get_args(CalibrationSpec)):
+            raise ValueError(f"plan calibration must be a SyntheticCalibration or a FileCalibration, "
+                             f"got {self.calibration!r}")
         check_number(self.damping, "damping", 0)
 
 

@@ -308,7 +308,10 @@ def pack_codes(codes: np.ndarray, bits: int) -> bytes:
     """Pack signed codes at `bits` per value, LSB-first, zero-padded to a byte. Eight fields
     fill `bits` bytes, so each field position of every group of eight is shifted in at once."""
     check_bits(bits)
-    flat = np.asarray(codes, dtype=np.int64).reshape(-1)
+    codes = np.asarray(codes)
+    if codes.dtype.kind not in "iu":  # a float would be truncated and a bool packed as 0 or 1
+        raise ValueError(f"codes must be integers, got {codes.dtype}")
+    flat = codes.astype(np.int64, copy=False).reshape(-1)
     limit = qmax(bits)
     if flat.size and (flat.min() < -limit or flat.max() > limit):
         raise ValueError(f"codes out of range for {bits}-bit packing")

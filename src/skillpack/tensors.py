@@ -77,6 +77,17 @@ def check_matrix(a, what: str) -> np.ndarray:
     return a
 
 
+def check_float32(values, what: str) -> np.ndarray:
+    """`values` as float32, every value finite; a float32 array is kept, not copied.
+    A wider value that rounds to the float32 maximum passes; one past it (1e39) does not."""
+    message = f"{what} must be finite in float32"
+    with overflow_checked(message):
+        values = np.asarray(values, dtype=np.float32)
+    if not all_finite(values):
+        raise ValueError(message)
+    return values
+
+
 def retained_count(alpha: float, n: int) -> int:
     """Number of elements kept when pruning n elements at retention ratio alpha.
 

@@ -373,7 +373,7 @@ def test_compose_refuses_a_weight_not_finite_in_float32(monkeypatch, weight):
 
     monkeypatch.setattr(DenseEntry, "reconstruct", reconstruct)
     if np.isfinite(weight):  # a finite number past the float32 range
-        message = f"pack 'skill' weight {weight!r} is not a finite float32"
+        message = "pack 'skill' weight must be finite in float32"
     else:
         message = f"pack 'skill' weight must be a finite number, got {weight!r}"
     with pytest.raises(ValueError, match=re.escape(message)):

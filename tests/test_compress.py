@@ -257,6 +257,16 @@ def test_file_calibration_missing_name(tmp_path):
         compress_delta(deltas, default_manifest(), plan)
 
 
+def test_file_calibration_of_the_wrong_width_is_refused_naming_the_delta_once(tmp_path):
+    from skillpack.checkpoints import Checkpoint, save_checkpoint
+
+    name = "model.layers.0.mlp.gate_proj.weight"
+    save_checkpoint(Checkpoint(model_id="calib", tensors={name: np.ones((3, 2), np.float32)}), tmp_path / "c.gltc")
+    plan = simple_plan(calibration=FileCalibration(path=str(tmp_path / "c.gltc")))
+    with pytest.raises(ValueError, match=re.escape(f"delta {name!r}: calibration must be (4 x samples), got (3, 2)")):
+        compress_entry(name, np.ones((6, 4), np.float32), ModuleClass.MLP, plan)
+
+
 def test_file_calibration_used(tmp_path):
     from skillpack.checkpoints import Checkpoint, save_checkpoint
 

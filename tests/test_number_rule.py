@@ -5,7 +5,8 @@ is a float); a bool is neither; a number must be finite as a float. Every
 scalar a caller passes in is checked by these two, so each input either
 passes or fails with a ValueError naming it, and no other module tests a
 scalar's type itself. Likewise no other module tests an array's dimensions:
-`tensors.check_matrix` does (see test_matrix_rule.py).
+`tensors.check_matrix` does (see test_matrix_rule.py), nor a value's float32
+range: `tensors.check_float32` does (see test_float32_rule.py).
 """
 
 import math
@@ -191,4 +192,11 @@ def test_no_module_but_tensors_tests_a_scalars_type():
 
 def test_no_module_but_tensors_tests_an_arrays_ndim():
     found = [f"{name}:{number}: {line.strip()}" for name, number, line in _source_lines() if re.search(r"\.ndim\b", line)]
+    assert not found, "\n".join(found)
+
+
+def test_no_module_but_tensors_states_the_float32_rule():
+    """`tensors.check_float32` is the one test of a value's float32 range (see test_float32_rule.py)."""
+    pattern = re.compile(r"finite in float32|np\.finfo")
+    found = [f"{name}:{number}: {line.strip()}" for name, number, line in _source_lines() if pattern.search(line)]
     assert not found, "\n".join(found)

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
@@ -109,6 +110,21 @@ def test_kind_must_name_a_part_of_the_right_sort(edit):
 def test_plan_part_is_checked_when_built(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("strategy", ["svd", None, SyntheticCalibration(), {"kind": "dense"}])
+def test_a_strategy_of_the_wrong_type_is_refused_naming_its_class(strategy):
+    # "svd" built, then compress and predict_stats raised TypeError and plan_to_dict KeyError
+    strategies = {**default_plan().strategies, ModuleClass.MLP: strategy}
+    with pytest.raises(ValueError, match=f"missing a strategy for module class 'mlp', got {re.escape(repr(strategy))}"):
+        CompressionPlan(strategies=strategies)
+
+
+@pytest.mark.parametrize("calibration", ["seed7", 7, None, DenseStrategy()])
+def test_a_calibration_of_the_wrong_type_is_refused(calibration):
+    # "seed7" built, then compress raised AttributeError
+    with pytest.raises(ValueError, match=f"plan calibration must be .*, got {re.escape(repr(calibration))}"):
+        replace(default_plan(), calibration=calibration)
 
 
 def test_check_bits_takes_ints_only():

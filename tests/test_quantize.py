@@ -198,6 +198,13 @@ def test_pack_rejects_out_of_range():
         pack_codes(np.array([8]), 4)  # qmax(4) = 7
 
 
+@pytest.mark.parametrize("codes", [np.array([1.7, -2.9, 3.5]), np.array([1.0, 2.0]), np.array([True, False])])
+def test_pack_rejects_codes_that_are_not_integers(codes):
+    # floats were truncated, so [1.7, -2.9, 3.5] unpacked to [1, -2, 3]; bools packed as 0 and 1
+    with pytest.raises(ValueError, match=f"codes must be integers, got {codes.dtype}"):
+        pack_codes(codes, 4)
+
+
 def test_unpack_surfaces_reserved_code():
     # -2^(k-1) is encodable at width k but outside the symmetric range;
     # unpack returns it so loaders can flag corruption
