@@ -147,8 +147,9 @@ def compress_entry(name: str, delta: np.ndarray, mclass: ModuleClass, plan: Comp
     """Compress one delta tensor according to its class strategy.
 
     Tensors that are not 2-D or are empty are stored dense (`strategy_for`). A float16
-    delta needs no promotion: the dense path stores float32, and the SVD
-    and the quantizers compute in float64. Every class refuses the same deltas by
+    delta needs no promotion: the dense path stores float32, `tensors.svd` factors a
+    float32 or float16 delta in float32 with float64-refined sigma (a float64 one in
+    float64), and the quantizers compute in float64. Every class refuses the same deltas by
     the float32 rule: `tensors.check_float32` checks a dense-stored or float64
     delta, and `check_matrix` in the operator a float32 or float16 one. Every
     ValueError starts with `delta '<name>'`. The entry calibrates from

@@ -79,7 +79,11 @@ class CompressionPlan:
     damping: float = 0.01
 
     def __post_init__(self):
-        object.__setattr__(self, "strategies", dict(self.strategies))
+        strategies, known = dict(self.strategies), {cls.value for cls in ModuleClass}
+        for key in strategies:
+            if key not in known:
+                raise ValueError(f"plan has a strategy for an unknown module class {key!r}")
+        object.__setattr__(self, "strategies", {ModuleClass(key): s for key, s in strategies.items()})
         for cls in ModuleClass:
             if not isinstance(self.strategies.get(cls), get_args(Strategy)):
                 raise ValueError(f"plan is missing a strategy for module class {cls.value!r}, "

@@ -6,9 +6,11 @@ scalar a caller passes in is checked by these two, so each input either
 passes or fails with a ValueError naming it, and no other module tests a
 scalar's type itself. Likewise no other module tests an array's dimensions:
 `tensors.check_matrix` does (see test_matrix_rule.py), nor a value's float32
-range: `tensors.check_float32` does (see test_float32_rule.py).
+range: `tensors.check_float32` does (see test_float32_rule.py), nor factors
+a matrix: `tensors.svd` does.
 """
 
+import ast
 import math
 import re
 from dataclasses import replace
@@ -199,4 +201,17 @@ def test_no_module_but_tensors_states_the_float32_rule():
     """`tensors.check_float32` is the one test of a value's float32 range (see test_float32_rule.py)."""
     pattern = re.compile(r"finite in float32|np\.finfo")
     found = [f"{name}:{number}: {line.strip()}" for name, number, line in _source_lines() if pattern.search(line)]
+    assert not found, "\n".join(found)
+
+
+def test_no_function_but_tensors_svd_factors_a_matrix():
+    """`tensors.svd` is the one SVD: its precision follows its input, so no second one is needed."""
+    tree = ast.parse((SRC / "tensors.py").read_text())
+    body = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "svd")
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            inside = path.name == "tensors.py" and body.lineno <= number <= body.end_lineno
+            if re.search(r"linalg\.svd\b", line) and not inside:
+                found.append(f"{path.name}:{number}: {line.strip()}")
     assert not found, "\n".join(found)

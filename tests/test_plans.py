@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skillpack.checkpoints import Checkpoint, diff, save_checkpoint, save_delta
-from skillpack.classify import ModuleClass
+from skillpack.classify import ModuleClass, default_manifest
 from skillpack.cli import main
-from skillpack.packs import load_pack
+from skillpack.compress import compress_delta
+from skillpack.packs import load_pack, save_pack
 from skillpack.plans import (
     CompressionPlan,
     DenseStrategy,
@@ -125,6 +126,30 @@ def test_a_calibration_of_the_wrong_type_is_refused(calibration):
     # "seed7" built, then compress raised AttributeError
     with pytest.raises(ValueError, match=f"plan calibration must be .*, got {re.escape(repr(calibration))}"):
         replace(default_plan(), calibration=calibration)
+
+
+STRING_KEYED = {cls.value: strategy for cls, strategy in default_plan().strategies.items()}
+
+
+def test_a_string_keyed_plan_is_the_enum_keyed_plan():
+    # plan_to_dict raised AttributeError: 'str' object has no attribute 'value'
+    plan = CompressionPlan(strategies=STRING_KEYED)
+    assert plan == default_plan() and all(type(cls) is ModuleClass for cls in plan.strategies)
+    assert plan_from_dict(json.loads(json.dumps(plan_to_dict(plan)))) == default_plan()
+
+
+def test_a_string_keyed_plan_compresses_to_the_enum_keyed_plans_bytes(tmp_path):
+    base, tuned = gen_toy(ToySpec(seed=3, layers=1, hidden=16, mlp_width=24, vocab=32))
+    deltas = diff(base, tuned)
+    for name, plan in (("enum", default_plan()), ("str", CompressionPlan(strategies=STRING_KEYED))):
+        save_pack(compress_delta(deltas, default_manifest(), plan), tmp_path / f"{name}.skpk")
+    assert (tmp_path / "str.skpk").read_bytes() == (tmp_path / "enum.skpk").read_bytes()
+
+
+@pytest.mark.parametrize("key", ["mlp_extra", "MLP", 1, None])
+def test_a_strategy_for_an_unknown_module_class_is_refused_naming_it(key):
+    with pytest.raises(ValueError, match=f"unknown module class {re.escape(repr(key))}"):
+        CompressionPlan(strategies={**default_plan().strategies, key: DenseStrategy()})
 
 
 def test_check_bits_takes_ints_only():

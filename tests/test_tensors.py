@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
 from skillpack.tensors import (
@@ -80,14 +81,13 @@ def test_svd_properties_random_sizes():
         assert frobenius_rel_err(a, f.reconstruct()) <= 1e-10
 
 
-@pytest.mark.parametrize("shape", [(1, 2), (1, 9), (1, 300), (2, 5), (7, 30), (40, 41), (12, 200)])
-def test_a_wide_svd_is_the_sign_fixed_swap_of_its_transpose(shape):
-    """A wide matrix is factored the tall way: scipy's gesdd of a.T with u and vt
-    swapped, then the sign rule on u, bit for bit, at float64 accuracy."""
-    a = np.random.default_rng(list(shape)).standard_normal(shape)
-    got = svd(a)
-    u_t, sigma, vt_t = scipy.linalg.svd(a.T, full_matrices=False, lapack_driver="gesdd")
-    u, vt = vt_t.T.copy(), u_t.T.copy()
+def _assert_is_scipys_float64_gesdd(a):
+    """svd(a) equals scipy's float64 gesdd bit for bit: of a itself when it is tall or
+    square, of a.T with u and vt swapped when it is wide; then the sign rule on u."""
+    got, wide = svd(a), a.shape[0] < a.shape[1]
+    u, sigma, vt = scipy.linalg.svd(a.T if wide else a, full_matrices=False, lapack_driver="gesdd")
+    if wide:
+        u, vt = vt.T.copy(), u.T.copy()
     flip = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0
     u[:, flip] *= -1.0
     vt[flip, :] *= -1.0
@@ -96,6 +96,48 @@ def test_a_wide_svd_is_the_sign_fixed_swap_of_its_transpose(shape):
         assert have.shape == want.shape and np.ascontiguousarray(have).tobytes() == want.tobytes(), field
     assert np.all(got.u[np.argmax(np.abs(got.u), axis=0), np.arange(got.rank)] > 0)
     assert frobenius_rel_err(a, got.reconstruct()) <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (1, 9), (1, 300), (2, 5), (7, 30), (40, 41), (12, 200)])
+def test_a_wide_svd_is_the_sign_fixed_swap_of_its_transpose(shape):
+    """A wide matrix is factored the tall way: scipy's gesdd of a.T with u and vt
+    swapped, then the sign rule on u, bit for bit, at float64 accuracy."""
+    _assert_is_scipys_float64_gesdd(np.random.default_rng(list(shape)).standard_normal(shape))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (9, 1), (30, 7), (200, 12), (5, 5), (41, 41)])
+def test_a_tall_or_square_float64_svd_is_scipys_gesdd(shape):
+    """A tall or square float64 matrix is scipy's float64 gesdd of itself, bit for bit,
+    with the sign rule on u: only float32 and float16 input is factored in float32."""
+    _assert_is_scipys_float64_gesdd(np.random.default_rng(list(shape)).standard_normal(shape))
+
+
+@st.composite
+def single_matrices(draw):
+    """A float32 or float16 matrix, tall, wide, square or 1 x n, with values in [-4, 4]."""
+    dtype = draw(st.sampled_from([np.float32, np.float16]))
+    n, extra = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    shape = draw(st.sampled_from([(n + extra, n), (n, n + extra), (n, n), (1, n)]))
+    return draw(hnp.arrays(dtype, shape, elements=st.floats(-4, 4, width=np.finfo(dtype).bits)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(a=single_matrices())
+@example(a=np.full((40, 37), 3.3174, np.float32))  # rank 1: |a v_i| / |v_i| read a zero as 7.5e-7 sigma_0
+def test_a_single_precision_svd_is_float32_with_float64_accurate_sigma(a):
+    f, a64 = svd(a), a.astype(np.float64)
+    p = min(a.shape)
+    assert f.u.dtype == f.vt.dtype == np.float32 and f.sigma.dtype == np.float64
+    assert f.u.shape == (a.shape[0], p) and f.vt.shape == (p, a.shape[1]) and f.rank == p
+    assert np.max(np.abs(f.u.T.astype(np.float64) @ f.u - np.eye(p))) <= 1e-5
+    assert np.max(np.abs(f.vt.astype(np.float64) @ f.vt.T - np.eye(p))) <= 1e-5
+    assert frobenius_rel_err(a64, f.reconstruct()) <= 1e-5
+    assert np.all(f.sigma >= 0) and np.all(np.diff(f.sigma) <= 0)
+    reference = np.linalg.svd(a64, compute_uv=False)
+    assert np.all(np.abs(f.sigma - reference) <= 2e-7 * reference[0])
+    again = svd(a)
+    for field in ("u", "sigma", "vt"):
+        assert getattr(again, field).tobytes() == getattr(f, field).tobytes(), field
 
 
 def test_truncate_diagonal():
