@@ -19,7 +19,7 @@ from .checkpoints import (
     save_delta,
 )
 from .classify import ClassificationManifest, ModuleClass, classify, default_manifest
-from .compress import compress_delta, compress_entry, synthetic_calibration
+from .compress import compress_delta, compress_entry
 from .errors import CompatibilityError, FormatError, IntegrityError, SkillPackError
 from .losses import PreferenceScores, dpo_loss, sft_nll
 from .packs import (
@@ -42,7 +42,6 @@ from .plans import (
     FileCalibration,
     PruneStrategy,
     SvdQuantStrategy,
-    SyntheticCalibration,
     default_plan,
     plan_from_dict,
     plan_to_dict,

@@ -3,7 +3,7 @@
 Every subcommand exits 0 on success and nonzero with a single
 "error: ..." line on stderr otherwise. Subcommands that draw random
 numbers require an explicit --seed. Plans and manifests travel in one JSON
-config file; the flags listed per subcommand override config keys.
+config file.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from .classify import ClassificationManifest, default_manifest
 from .compress import compress_delta
 from .errors import SkillPackError
 from .packs import fmt_ratios, inspect_pack, load_pack, save_pack
-from .plans import SyntheticCalibration, default_plan, plan_from_dict
+from .plans import default_plan, plan_from_dict
 from .routing import (
     Features,
     FusionRequest,
@@ -48,15 +48,6 @@ def _load_config(path: str, keys: set[str]) -> dict:
     if unknown:
         raise ValueError(f"unknown keys {unknown}")
     return config
-
-
-def _plan_from_config(config: dict, seed_override: int | None):
-    plan = plan_from_dict(config["plan"]) if "plan" in config else default_plan()
-    if seed_override is not None:
-        if not isinstance(plan.calibration, SyntheticCalibration):
-            raise ValueError("--seed only overrides synthetic calibration")
-        plan = replace(plan, calibration=replace(plan.calibration, seed=seed_override))
-    return plan
 
 
 def _cmd_gen_toy(args) -> int:
@@ -86,7 +77,7 @@ def _cmd_diff(args) -> int:
 def _cmd_compress(args) -> int:
     with container.naming(f"config file {args.plan!r}"):
         config = _load_config(args.plan, {"plan", "manifest"})
-        plan = _plan_from_config(config, args.seed)
+        plan = plan_from_dict(config["plan"]) if "plan" in config else default_plan()
         manifest = (ClassificationManifest.from_dict(config["manifest"]) if "manifest" in config
                     else default_manifest())
     deltas = load_delta(args.delta)
@@ -202,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("delta")
     p.add_argument("--plan", required=True, help="JSON config with plan (and optional manifest)")
     p.add_argument("--tag", default="", help="task tag stored in the pack")
-    p.add_argument("--seed", type=int, default=None, help="override the synthetic calibration seed")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=_cmd_compress)
 

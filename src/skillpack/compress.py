@@ -2,17 +2,18 @@
 
 Dispatch by module class: embedding/head deltas are magnitude-pruned and
 their values quantized with per-row scales; MLP and attention deltas are
-truncated-SVD factorized and the factors quantized group-wise with
-calibrated (GPTQ-style) quantization; everything else, and every tensor
-that is not 2-D or is empty, is stored dense and exact.
+truncated-SVD factorized and the factors quantized group-wise; everything
+else, and every tensor that is not 2-D or is empty, is stored dense and
+exact.
 
-For a factorized delta U diag(sigma) V^T, the V^T rows of each group are
-quantized against the calibration activations x, then the U columns of the
-group are quantized against sigma_g * V^T_g * x, so the second step sees
-the quantization error of the first. Sigma stays unquantized at 32 bits.
-The V^T side's inverse-Hessian factor depends only on x, so it is computed
-once per calibration matrix and shared by every group, and by every delta
-of the same input width under synthetic calibration.
+A factorized delta U diag(sigma) V^T keeps sigma unquantized at 32 bits.
+Without a calibration file, V^T is rounded to nearest (RTN) per row and U
+per column, each vector at its group's width. With a `FileCalibration`,
+GPTQ quantizes them against the delta's activations x: the V^T rows of
+every group in one sweep, then the U columns of each group against
+sigma_g * V^T_g * x, so the second step sees the quantization error of the
+first. GPTQ beats RTN only on correlated activations, such as those of a
+real model (see `quantize`).
 """
 
 from __future__ import annotations
@@ -31,53 +32,33 @@ from .packs import (
 from .plans import (
     CompressionPlan,
     DenseStrategy,
-    FileCalibration,
     PruneStrategy,
     SvdQuantStrategy,
     clip_groups,
     plan_to_dict,
     strategy_for,
 )
-from .quantize import divisors, encode, hessian_factor, quantize_gptq, rtn_scales
+from .quantize import divisors, encode, quantize_gptq, quantize_rtn, rtn_scales
 from .tensors import check_float32, check_matrix, magnitude_prune, svd, truncate
 
 
-def synthetic_calibration(seed: int, width: int, samples: int) -> np.ndarray:
-    """Standard-normal activations (width x samples), shared per input width."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, width]))
-    return rng.standard_normal((width, samples))
-
-
 def _calibration(plan: CompressionPlan):
-    """`(name, width) -> (x, factor)`: a tensor's calibration activations
-    (width x samples) and their V-side `hessian_factor`.
+    """`(name, width) -> x`: a tensor's calibration activations (width x samples),
+    or None when the plan has no calibration file. File activations are per tensor
+    name, and the names of a delta map are unique, so nothing is kept."""
+    if plan.calibration is None:
+        return lambda name, width: None
+    tensors = load_checkpoint(plan.calibration.path).tensors
 
-    Synthetic activations are shared per input width, so each width's pair
-    is computed once. File activations are per tensor name, and the names
-    of a delta map are unique, so nothing is kept.
-    """
-    spec = plan.calibration
-    if isinstance(spec, FileCalibration):
-        tensors = load_checkpoint(spec.path).tensors
+    def from_file(name: str, width: int) -> np.ndarray:
+        if name not in tensors:
+            raise KeyError(f"calibration file has no activations for {name!r}")
+        x = np.asarray(check_matrix(tensors[name], "calibration"), dtype=np.float64)  # `_compress` names the delta
+        if x.shape[0] != width:
+            raise ValueError(f"calibration must be ({width} x samples), got {x.shape}")
+        return x
 
-        def from_file(name: str, width: int) -> tuple[np.ndarray, np.ndarray | None]:
-            if name not in tensors:
-                raise KeyError(f"calibration file has no activations for {name!r}")
-            x = np.asarray(check_matrix(tensors[name], "calibration"), dtype=np.float64)  # `_compress` names the delta
-            if x.shape[0] != width:
-                raise ValueError(f"calibration must be ({width} x samples), got {x.shape}")
-            return x, hessian_factor(x, plan.damping)
-
-        return from_file
-    by_width: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
-
-    def synthetic(name: str, width: int) -> tuple[np.ndarray, np.ndarray | None]:
-        if width not in by_width:
-            x = synthetic_calibration(spec.seed, width, spec.samples)
-            by_width[width] = (x, hessian_factor(x, plan.damping))
-        return by_width[width]
-
-    return synthetic
+    return from_file
 
 
 def _compress_prune(delta: np.ndarray, mclass: ModuleClass, strategy: PruneStrategy) -> PrunedSparseEntry:
@@ -99,19 +80,20 @@ def _compress_svd(
     delta: np.ndarray,
     mclass: ModuleClass,
     strategy: SvdQuantStrategy,
-    x: np.ndarray,
+    x: np.ndarray | None,
     damping: float,
-    factor: np.ndarray | None,
 ) -> QuantizedSvdEntry:
     factors = truncate(svd(delta), strategy.rank)
     groups = clip_groups(strategy.groups, factors.rank)
     widths = [g.bits for g in groups for _ in range(g.length)]
-    qv = quantize_gptq(factors.vt, x, widths, damping=damping, scale_axis="row", factor=factor)
-    vt_hat = qv.dequantize()
-    u_parts = []
-    for g in groups:
-        u_inputs = factors.sigma[g.begin : g.end, None] * (vt_hat[g.begin : g.end] @ x)
-        u_parts.append(quantize_gptq(factors.u[:, g.begin : g.end], u_inputs, g.bits, damping=damping, scale_axis="column"))
+    if x is None:  # no calibration file: both sides round to nearest
+        qv, u_parts = quantize_rtn(factors.vt, widths, "row"), [quantize_rtn(factors.u, widths, "column")]
+    else:
+        qv = quantize_gptq(factors.vt, x, widths, damping=damping, scale_axis="row")
+        vt_hat = qv.dequantize()
+        u_parts = [quantize_gptq(factors.u[:, g.begin : g.end],
+                                 factors.sigma[g.begin : g.end, None] * (vt_hat[g.begin : g.end] @ x),
+                                 g.bits, damping=damping, scale_axis="column") for g in groups]
     return QuantizedSvdEntry(
         shape=tuple(delta.shape),
         mclass=mclass,
@@ -137,8 +119,7 @@ def _compress(name: str, delta: np.ndarray, mclass: ModuleClass, plan: Compressi
                               values=delta.astype(np.float32) if values is delta else values)
         if isinstance(strategy, PruneStrategy):
             return _compress_prune(delta, mclass, strategy)
-        x, factor = calibration(name, delta.shape[1])
-        return _compress_svd(delta, mclass, strategy, x, plan.damping, factor)
+        return _compress_svd(delta, mclass, strategy, calibration(name, delta.shape[1]), plan.damping)
     except ValueError as exc:  # such as a NaN in a float32 delta, or a singular value past the float32 range
         raise ValueError(f"delta {name!r}: {exc}") from None
 
@@ -168,7 +149,7 @@ def compress_delta(
     """Compress every delta tensor into one SkillPack.
 
     Deterministic given (deltas, manifest, plan): each entry depends only
-    on its own tensor, the plan, and the calibration seed or file.
+    on its own tensor, the plan, and, with a calibration file, its activations there.
     """
     calibration = _calibration(plan)
     entries = {name: _compress(name, delta, classify(name, manifest), plan, calibration)

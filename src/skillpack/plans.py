@@ -47,20 +47,9 @@ Strategy = Union[PruneStrategy, SvdQuantStrategy, DenseStrategy]
 
 
 @dataclass(frozen=True)
-class SyntheticCalibration:
-    """Standard-normal activations; one shared matrix per input width."""
-
-    seed: int = 0
-    samples: int = 128
-
-    def __post_init__(self):
-        check_int(self.seed, "calibration seed", 0)
-        check_int(self.samples, "calibration samples", 1)
-
-
-@dataclass(frozen=True)
 class FileCalibration:
-    """Checkpoint container of per-parameter activation matrices (h_in x s)."""
+    """Checkpoint container of per-parameter activation matrices (h_in x s), against
+    which GPTQ quantizes SVD factors. A plan without one rounds them to nearest."""
 
     path: str
 
@@ -69,13 +58,10 @@ class FileCalibration:
             raise ValueError(f"calibration path must be a string, got {self.path!r}")
 
 
-CalibrationSpec = Union[SyntheticCalibration, FileCalibration]
-
-
 @dataclass(frozen=True)
 class CompressionPlan:
     strategies: dict[ModuleClass, Strategy]
-    calibration: CalibrationSpec = SyntheticCalibration()
+    calibration: FileCalibration | None = None
     damping: float = 0.01
 
     def __post_init__(self):
@@ -83,16 +69,17 @@ class CompressionPlan:
         for key in strategies:
             if key not in known:
                 raise ValueError(f"plan has a strategy for an unknown module class {key!r}")
-        object.__setattr__(self, "strategies", {ModuleClass(key): s for key, s in strategies.items()})
+        by_class = {ModuleClass(key): s for key, s in strategies.items()}
         for cls in ModuleClass:
-            if not isinstance(self.strategies.get(cls), get_args(Strategy)):
+            if not isinstance(by_class.get(cls), get_args(Strategy)):
                 raise ValueError(f"plan is missing a strategy for module class {cls.value!r}, "
-                                 f"got {self.strategies.get(cls)!r}")
+                                 f"got {by_class.get(cls)!r}")
+        # in ModuleClass order, so that equal plans give equal plan files and pack bytes
+        object.__setattr__(self, "strategies", {cls: by_class[cls] for cls in ModuleClass})
         if not isinstance(self.strategies[ModuleClass.PASSTHROUGH], DenseStrategy):
             raise ValueError("the passthrough class must map to the dense strategy")
-        if not isinstance(self.calibration, get_args(CalibrationSpec)):
-            raise ValueError(f"plan calibration must be a SyntheticCalibration or a FileCalibration, "
-                             f"got {self.calibration!r}")
+        if self.calibration is not None and not isinstance(self.calibration, FileCalibration):
+            raise ValueError(f"plan calibration must be a FileCalibration or None, got {self.calibration!r}")
         check_number(self.damping, "damping", 0)
 
 
@@ -133,7 +120,6 @@ _KINDS = {
     "prune": PruneStrategy,
     "svd_quant": SvdQuantStrategy,
     "dense": DenseStrategy,
-    "synthetic": SyntheticCalibration,
     "file": FileCalibration,
 }
 _KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
@@ -147,11 +133,11 @@ def _part_to_dict(part) -> dict:
     return out
 
 
-def _part_from_dict(d: dict, union):
-    """The `union` member that `d` describes; an unknown or missing key is an error."""
+def _part_from_dict(d: dict, classes: tuple[type, ...]):
+    """The member of `classes` that `d` describes; an unknown or missing key is an error."""
     kind = d.get("kind")
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
-    if cls not in get_args(union):
+    if cls not in classes:
         raise ValueError(f"unknown kind {kind!r}")
     values = {key: value for key, value in d.items() if key != "kind"}
     if "groups" in values:
@@ -162,14 +148,14 @@ def _part_from_dict(d: dict, union):
 def plan_to_dict(plan: CompressionPlan) -> dict:
     return {
         "strategies": {cls.value: _part_to_dict(s) for cls, s in plan.strategies.items()},
-        "calibration": _part_to_dict(plan.calibration),
+        "calibration": None if plan.calibration is None else _part_to_dict(plan.calibration),
         "damping": plan.damping,
     }
 
 
 def plan_from_dict(d: dict) -> CompressionPlan:
-    strategies = {ModuleClass(cls): _part_from_dict(s, Strategy) for cls, s in d["strategies"].items()}
+    strategies = {ModuleClass(cls): _part_from_dict(s, get_args(Strategy)) for cls, s in d["strategies"].items()}
     values = {**d, "strategies": strategies}
-    if "calibration" in d:
-        values["calibration"] = _part_from_dict(d["calibration"], CalibrationSpec)
+    if d.get("calibration") is not None:
+        values["calibration"] = _part_from_dict(d["calibration"], (FileCalibration,))
     return CompressionPlan(**values)

@@ -10,15 +10,19 @@ Two quantizers share one code/scale layout:
   inverse damped activation Hessian, approximately minimizing
   ||m x - m^ x||^2.
 
-The calibrated quantizer has two parts. `hessian_factor(x, damping)`
-computes the factor once; it depends only on the activations, so callers
-quantizing several matrices against the same x (the V^T groups of one
-delta, or every delta of one input width) compute it once and pass it in.
-The column sweep then uses the "lazy batch" updates of GPTQ (Frantar et
-al., arXiv 2210.17323), left-looking inside a block of GPTQ_BLOCK columns:
+The calibrated quantizer has two parts: `hessian_factor(x, damping)`, then
+a column sweep with the "lazy batch" updates of GPTQ (Frantar et al.,
+arXiv 2210.17323), left-looking inside a block of GPTQ_BLOCK columns:
 just before it is rounded, a column gathers the errors of the block's
 earlier columns in one matrix-vector product, and the block's errors reach
 the columns after it through one matrix product.
+
+GPTQ lowers the error on activations it was not fitted to only when they are
+correlated, as a real model's are. On isotropic ones, such as standard-normal
+draws, the expected Hessian is a multiple of the identity, so GPTQ's expected
+objective is RTN's: what it fits is the sampling noise of its samples, and
+its held-out error is higher than RTN's. Compress therefore runs GPTQ only
+against a calibration file.
 
 Codes are symmetric, zero-point free: c in [-(2^(k-1)-1), 2^(k-1)-1].
 An all-zero vector gets scale 0 and codes 0.
@@ -255,26 +259,19 @@ def _sweep(w: np.ndarray, factor: np.ndarray, scales: np.ndarray, widths: np.nda
     return np.ascontiguousarray(codes.T)
 
 
-# `quantize_gptq`'s default factor: none was passed in, so it is computed from x.
-_FROM_X = object()
-
-
 def quantize_gptq(
     m: np.ndarray,
     x: np.ndarray,
     bits,
     damping: float = 0.01,
     scale_axis: str = "row",
-    factor: np.ndarray | None | object = _FROM_X,
 ) -> QuantizedMatrix:
     """Calibrated quantization of m (out x in) against activations x (in x s).
 
     Scales are fixed from the original matrix by the RTN rule before any
     compensation. The Hessian is damped by `damping` times the mean of its
     diagonal; a Hessian with an all-zero diagonal (no calibration signal)
-    degrades to plain RTN, since every rounding is then cost-free.
-    `factor` is `hessian_factor(x, damping)` when the caller already has
-    it, None included; it is computed here only when not passed. `bits` is
+    degrades to plain RTN, since every rounding is then cost-free. `bits` is
     one width, or one per scale vector (`_widths`), all in one sweep.
     """
     m = check_matrix(m, "quantizer input")
@@ -289,8 +286,7 @@ def quantize_gptq(
         raise ValueError(f"unknown scale axis {scale_axis!r}")
     widths, dtype = _widths(bits, m, scale_axis)
 
-    if factor is _FROM_X:
-        factor = hessian_factor(x, damping)
+    factor = hessian_factor(x, damping)
     if factor is None:  # no calibration signal: plain RTN
         return quantize_rtn(m, bits, scale_axis)
     scales = rtn_scales(m, widths, scale_axis)

@@ -120,8 +120,7 @@ def default_plan_text(edit) -> str:
     ("route-train", '{"features": [], "losses": []}'),
     ("route-train", "[1]"),
     ("route-train", '{"features": [[1.0]], "losses": [[1.0, "x"]]}'),
-    ("compress", default_plan_text(lambda p: p["calibration"].update(seed=1.5))),
-    ("compress", default_plan_text(lambda p: p["calibration"].update(samples=2.5))),
+    ("compress", default_plan_text(lambda p: p.update(calibration={"kind": "synthetic", "seed": 0, "samples": 128}))),
     ("compress", default_plan_text(lambda p: p["strategies"]["embedding_or_head"].update(value_bits=4.0))),
     ("compress", default_plan_text(
         lambda p: p["strategies"].update(mlp={"kind": "svd_quant", "rank": 8.0, "groups": [[0, 8, 4]]}))),
@@ -137,7 +136,7 @@ def default_plan_text(edit) -> str:
     ("route-train", '{"features": [[1.0], [0.0]], "losses": [[0.0, 1.0], [1.0, 0.0]], "pack_id": ["alpha", "beta"]}'),
     ("route-train", '{"features": [[1.0], [0.0]], "losses": [[0.0, 1.0], [1.0, 0.0]], "pack_ids": []}'),
 ], ids=["plan-list", "prune-no-alpha", "config-list", "config-truncated", "no-rows", "data-list", "string-loss",
-        "float-seed", "float-samples", "float-value-bits", "float-rank", "nan-damping", "misspelt-config-key",
+        "synthetic-calibration", "float-value-bits", "float-rank", "nan-damping", "misspelt-config-key",
         "misspelt-manifest-rules", "misspelt-manifest-default", "int-manifest-pattern",
         "float-groups", "short-group", "long-group", "string-groups", "misspelt-pack-ids", "empty-pack-ids"])
 def test_bad_json_input_is_one_error_line_naming_the_file(tmp_path, capsys, command, text):
@@ -195,17 +194,13 @@ def test_compress_with_a_custom_manifest(tmp_path):
     assert kinds["lm_head.weight"] == "dense"
 
 
-def test_compress_seed_override_changes_pack(tmp_path):
-    base, tuned = gen_pair(tmp_path)
-    delta = tmp_path / "d.gltc"
-    main(["diff", str(base), str(tuned), "-o", str(delta)])
-    plan = write_plan(tmp_path / "plan.json")
-    p1, p2, p3 = (tmp_path / n for n in ("a.skpk", "b.skpk", "c.skpk"))
-    assert main(["compress", str(delta), "--plan", plan, "--seed", "1", "-o", str(p1)]) == 0
-    assert main(["compress", str(delta), "--plan", plan, "--seed", "2", "-o", str(p2)]) == 0
-    assert main(["compress", str(delta), "--plan", plan, "--seed", "1", "-o", str(p3)]) == 0
-    assert p1.read_bytes() == p3.read_bytes()
-    assert p1.read_bytes() != p2.read_bytes()
+def test_compress_refuses_seed(tmp_path, capsys):
+    """compress draws no random numbers, so it takes no --seed."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["compress", str(tmp_path / "d.gltc"), "--plan", str(tmp_path / "plan.json"), "--seed", "1",
+              "-o", str(tmp_path / "p.skpk")])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_route_and_fuse_with_table(tmp_path, capsys):

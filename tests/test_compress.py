@@ -10,14 +10,13 @@ import skillpack.quantize as quantize_module
 from skillpack.checkpoints import DeltaMap, diff
 from skillpack.classify import ModuleClass, classify, default_manifest
 from skillpack.compress import compress_delta, compress_entry
-from skillpack.packs import DenseEntry, PrunedSparseEntry, QuantizedSvdEntry, SkillPack, predict_stats, save_pack
+from skillpack.packs import DenseEntry, PrunedSparseEntry, QuantizedSvdEntry, predict_stats, save_pack
 from skillpack.plans import (
     CompressionPlan,
     DenseStrategy,
     FileCalibration,
     PruneStrategy,
     SvdQuantStrategy,
-    SyntheticCalibration,
     clip_groups,
     default_plan,
     plan_from_dict,
@@ -38,9 +37,6 @@ def simple_plan(rank=4, bits=8, alpha=0.5, value_bits=4, **kwargs):
         },
         **kwargs,
     )
-
-
-CALIB_64 = SyntheticCalibration(seed=0, samples=64)
 
 
 def test_prune_strategy_checks_value_width():
@@ -77,7 +73,7 @@ def test_dispatch_prune():
 def test_dispatch_svd_rank_clamps():
     rng = np.random.default_rng(1)
     delta = rng.standard_normal((4, 6)).astype(np.float32)
-    plan = simple_plan(rank=10, calibration=CALIB_64)
+    plan = simple_plan(rank=10)
     entry = compress_entry("m", delta, ModuleClass.MLP, plan)
     assert isinstance(entry, QuantizedSvdEntry)
     assert entry.rank == 4
@@ -93,7 +89,7 @@ def test_dispatch_1d_forced_dense():
 
 def test_dispatch_fidelity_random_manifests():
     rng = np.random.default_rng(7)
-    plan = simple_plan(rank=3, bits=4, calibration=CALIB_64)
+    plan = simple_plan(rank=3, bits=4)
     kind_for = {
         ModuleClass.EMBEDDING_OR_HEAD: PrunedSparseEntry,
         ModuleClass.MLP: QuantizedSvdEntry,
@@ -177,7 +173,7 @@ def test_quantized_svd_rank1_bound():
     a = np.zeros((6, 6), dtype=np.float32)
     a[0, 0] = 2.0
     for bits in (2, 4, 8):
-        plan = simple_plan(rank=1, bits=bits, calibration=CALIB_64)
+        plan = simple_plan(rank=1, bits=bits)
         entry = compress_entry("m", a, ModuleClass.MLP, plan)
         err = float(np.linalg.norm(entry.reconstruct() - a))
         step_u = float(entry.u_scales[0])
@@ -231,16 +227,6 @@ def test_compress_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_calibration_seed_changes_codes():
-    rng = np.random.default_rng(6)
-    delta = rng.standard_normal((16, 16)).astype(np.float32)
-    plan_a = simple_plan(rank=8, bits=2, calibration=SyntheticCalibration(seed=0, samples=8))
-    plan_b = simple_plan(rank=8, bits=2, calibration=SyntheticCalibration(seed=1, samples=8))
-    e_a = compress_entry("m", delta, ModuleClass.MLP, plan_a)
-    e_b = compress_entry("m", delta, ModuleClass.MLP, plan_b)
-    assert not np.array_equal(e_a.u_codes, e_b.u_codes) or not np.array_equal(e_a.v_codes, e_b.v_codes)
-
-
 def test_file_calibration_missing_name(tmp_path):
     from skillpack.checkpoints import Checkpoint, save_checkpoint
 
@@ -290,7 +276,7 @@ def test_monotone_fidelity_in_bits():
         delta = rng.standard_normal((32, 48)).astype(np.float32)
         errs = []
         for bits in (2, 3, 4, 6, 8):
-            entry = compress_entry("m", delta, ModuleClass.MLP, simple_plan(rank=12, bits=bits, calibration=CALIB_64))
+            entry = compress_entry("m", delta, ModuleClass.MLP, simple_plan(rank=12, bits=bits))
             errs.append(float(np.linalg.norm(entry.reconstruct().astype(np.float64) - delta)))
         assert all(errs[i + 1] <= errs[i] for i in range(len(errs) - 1))
 
@@ -299,9 +285,8 @@ def test_rank_sweep_tracks_tail_norm():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((32, 48))
     sigma = np.linalg.svd(a, compute_uv=False)
-    calibration = SyntheticCalibration(seed=0, samples=128)
     for r in range(1, 33):
-        plan = simple_plan(rank=r, bits=16, calibration=calibration)
+        plan = simple_plan(rank=r, bits=16)
         entry = compress_entry("m", a.astype(np.float32), ModuleClass.MLP, plan)
         err = float(np.linalg.norm(a - entry.reconstruct().astype(np.float64)))
         tail = float(np.sqrt(np.sum(sigma[r:] ** 2)))
@@ -344,72 +329,30 @@ def test_predicted_stats_match_actual():
     assert abs(predicted.total.ratio_total - pack.stats.total.ratio_total) <= 0.005
 
 
-def test_cached_factor_gives_same_pack_bytes(tmp_path, monkeypatch):
-    rng = np.random.default_rng(14)
-    shapes = {
-        "model.layers.0.mlp.gate_proj.weight": (24, 16),
-        "model.layers.0.mlp.up_proj.weight": (24, 16),
-        "model.layers.0.mlp.down_proj.weight": (16, 24),
-        "model.layers.0.self_attn.q_proj.weight": (16, 16),
-    }
-    deltas = DeltaMap(
-        base_id="b", tuned_id="t",
-        deltas={n: rng.standard_normal(s).astype(np.float32) for n, s in shapes.items()},
-    )
-    groups = (BitGroup(0, 4, 8), BitGroup(4, 12, 3))
-    plan = CompressionPlan(
-        strategies={
-            ModuleClass.EMBEDDING_OR_HEAD: PruneStrategy(alpha=0.5),
-            ModuleClass.MLP: SvdQuantStrategy(rank=12, groups=groups),
-            ModuleClass.ATTENTION: SvdQuantStrategy(rank=12, groups=groups),
-            ModuleClass.PASSTHROUGH: DenseStrategy(),
-        },
-        calibration=SyntheticCalibration(seed=3, samples=32),
-    )
-    factorizations = []
-    hessian_factor = compress_module.hessian_factor
-
-    def counting_factor(*args):
-        factorizations.append(args)
-        return hessian_factor(*args)
-
-    monkeypatch.setattr(compress_module, "hessian_factor", counting_factor)
-    cached = compress_delta(deltas, default_manifest(), plan)
-    assert len(factorizations) == 2  # one per input width, 16 and 24
-
-    fresh = {
-        name: compress_entry(name, d, classify(name, default_manifest()), plan)
-        for name, d in deltas.deltas.items()
-    }
-    fresh_pack = SkillPack(cached.base_model_id, cached.tuned_model_id, cached.task_tag,
-                           cached.plan_snapshot, fresh)
-    save_pack(cached, tmp_path / "cached.skpk")
-    save_pack(fresh_pack, tmp_path / "fresh.skpk")
-    assert (tmp_path / "cached.skpk").read_bytes() == (tmp_path / "fresh.skpk").read_bytes()
-
-
 @pytest.mark.parametrize("shape", [(96, 64), (1408, 512)], ids=["96x64", "mlp-1408x512"])
-def test_entry_without_factor_computes_the_v_side_factor_once(monkeypatch, shape):
-    """compress_entry factors its V-side calibration once per entry, not once
-    per bit group, and gives the entry compress_delta gives."""
+def test_entry_without_factor_computes_the_v_side_factor_once(tmp_path, monkeypatch, shape):
+    """With a calibration file, compress_entry factors its V-side activations once per
+    entry, not once per bit group, and gives the entry compress_delta gives."""
+    from skillpack.checkpoints import Checkpoint, save_checkpoint
+
     name = "model.layers.0.mlp.gate_proj.weight"
-    delta = np.random.default_rng(15).standard_normal(shape).astype(np.float32)
-    plan = replace(default_plan(), calibration=SyntheticCalibration(seed=0, samples=32))
-    assert len(clip_groups(strategy_for(plan, ModuleClass.MLP, shape).groups, min(shape))) > 1
-    v_side_inputs, u_side_inputs = [], []
+    rng = np.random.default_rng(15)
+    delta = rng.standard_normal(shape).astype(np.float32)
+    x = rng.standard_normal((shape[1], 32)).astype(np.float32)
+    save_checkpoint(Checkpoint(model_id="calib", tensors={name: x}), tmp_path / "c.gltc")
+    plan = replace(default_plan(), calibration=FileCalibration(path=str(tmp_path / "c.gltc")))
+    groups = clip_groups(strategy_for(plan, ModuleClass.MLP, shape).groups, min(shape))
+    assert len(groups) > 1 and all(g.length != shape[1] for g in groups)
+    widths = []
     hessian_factor = quantize_module.hessian_factor
 
-    def counting(calls):
-        def counting_factor(inputs, *args, **kwargs):
-            calls.append(inputs)
-            return hessian_factor(inputs, *args, **kwargs)
-        return counting_factor
+    def counting_factor(inputs, *args, **kwargs):
+        widths.append(inputs.shape[0])
+        return hessian_factor(inputs, *args, **kwargs)
 
-    monkeypatch.setattr(compress_module, "hessian_factor", counting(v_side_inputs))
-    monkeypatch.setattr(quantize_module, "hessian_factor", counting(u_side_inputs))
+    monkeypatch.setattr(quantize_module, "hessian_factor", counting_factor)
     entry = compress_entry(name, delta, ModuleClass.MLP, plan)
-    assert [inputs.shape[0] for inputs in v_side_inputs] == [shape[1]]  # V-side factorizations by width
-    assert not any(inputs is v_side_inputs[0] for inputs in u_side_inputs)
+    assert widths == [shape[1]] + [g.length for g in groups]  # the V side once, then each group's U side
     packed = compress_delta(DeltaMap(base_id="b", tuned_id="t", deltas={name: delta}), default_manifest(), plan)
     for field in ("sigma", "u_codes", "u_scales", "v_codes", "v_scales"):
         assert np.array_equal(getattr(entry, field), getattr(packed.entries[name], field)), field
@@ -457,9 +400,10 @@ def test_full_retention_prune_codes_equal_rtn():
         np.testing.assert_array_equal(entry.scales, rtn.scales)
 
 
-def reference_compress_svd(delta, mclass, strategy, x, damping, factor):
+def reference_compress_svd(delta, mclass, strategy, x, damping):
     """The preallocate-and-scatter `_compress_svd`: zero-filled code and scale
-    buffers sized from the delta and the rank, written group by group."""
+    buffers sized from the delta and the rank, written group by group, by RTN
+    without activations and by GPTQ with them."""
     from skillpack.compress import quantize_gptq, svd, truncate
 
     rows, cols = delta.shape
@@ -471,11 +415,15 @@ def reference_compress_svd(delta, mclass, strategy, x, damping, factor):
     u_scales = np.zeros(rank, dtype=np.float32)
     v_scales = np.zeros(rank, dtype=np.float32)
     for g in groups:
-        qv = quantize_gptq(factors.vt[g.begin : g.end, :], x, g.bits, damping=damping, scale_axis="row", factor=factor)
+        if x is None:
+            qv = quantize_rtn(factors.vt[g.begin : g.end, :], g.bits, "row")
+            qu = quantize_rtn(factors.u[:, g.begin : g.end], g.bits, "column")
+        else:
+            qv = quantize_gptq(factors.vt[g.begin : g.end, :], x, g.bits, damping=damping, scale_axis="row")
+            u_inputs = factors.sigma[g.begin : g.end, None] * (qv.dequantize() @ x)
+            qu = quantize_gptq(factors.u[:, g.begin : g.end], u_inputs, g.bits, damping=damping, scale_axis="column")
         v_codes[g.begin : g.end, :] = qv.codes
         v_scales[g.begin : g.end] = qv.scales
-        u_inputs = factors.sigma[g.begin : g.end, None] * (qv.dequantize() @ x)
-        qu = quantize_gptq(factors.u[:, g.begin : g.end], u_inputs, g.bits, damping=damping, scale_axis="column")
         u_codes[:, g.begin : g.end] = qu.codes
         u_scales[g.begin : g.end] = qu.scales
     return QuantizedSvdEntry(shape=(rows, cols), mclass=mclass, rank=rank, groups=groups,
@@ -490,7 +438,7 @@ REFERENCE_GROUPS = {
 }
 
 
-@pytest.mark.parametrize("calibration", ["synthetic", "file", "zero-file"])
+@pytest.mark.parametrize("calibration", ["none", "file", "zero-file"])
 @pytest.mark.parametrize("shape", [(24, 16), (16, 24), (1, 12)], ids=["tall", "wide", "1xn"])
 def test_svd_entry_equals_the_preallocated_reference(tmp_path, shape, calibration):
     """Entries built from the groups' quantizer results equal, in every field,
@@ -499,21 +447,21 @@ def test_svd_entry_equals_the_preallocated_reference(tmp_path, shape, calibratio
 
     name = "model.layers.0.mlp.gate_proj.weight"
     rng = np.random.default_rng(17)
-    if calibration == "synthetic":
-        spec = SyntheticCalibration(seed=4, samples=32)
+    if calibration == "none":
+        spec = None
     else:
         x = rng.standard_normal((shape[1], 32)) if calibration == "file" else np.zeros((shape[1], 32))
         save_checkpoint(Checkpoint(model_id="calib", tensors={name: x.astype(np.float32)}), tmp_path / "c.gltc")
         spec = FileCalibration(path=str(tmp_path / "c.gltc"))
     plan = CompressionPlan(strategies=simple_plan().strategies, calibration=spec)
-    x, factor = compress_module._calibration(plan)(name, shape[1])
+    x = compress_module._calibration(plan)(name, shape[1])
     deltas = {"random": rng.standard_normal(shape).astype(np.float32), "zero": np.zeros(shape, dtype=np.float32)}
     for (key, delta), count, rank in itertools.product(deltas.items(), REFERENCE_GROUPS, (4, 8)):
         # rank 8 is clamped to min(shape) on every shape here; rank 4 only on the 1 x n one
         strategy = SvdQuantStrategy(rank=rank, groups=clip_groups(REFERENCE_GROUPS[count], rank))
         case = (key, count, rank)
-        entry = compress_module._compress_svd(delta, ModuleClass.MLP, strategy, x, plan.damping, factor)
-        expected = reference_compress_svd(delta, ModuleClass.MLP, strategy, x, plan.damping, factor)
+        entry = compress_module._compress_svd(delta, ModuleClass.MLP, strategy, x, plan.damping)
+        expected = reference_compress_svd(delta, ModuleClass.MLP, strategy, x, plan.damping)
         assert (entry.shape, entry.mclass, entry.rank, entry.groups) == \
             (expected.shape, expected.mclass, expected.rank, expected.groups), case
         for field in ("sigma", "u_codes", "u_scales", "v_codes", "v_scales"):
@@ -523,9 +471,8 @@ def test_svd_entry_equals_the_preallocated_reference(tmp_path, shape, calibratio
 
 
 def test_signal_free_file_calibration_is_factored_once(tmp_path, monkeypatch):
-    """An all-zero activation file has no Hessian factor; the lookup's None is
-    final, so the V side is not factored again per bit group, and the codes
-    are those of plain RTN."""
+    """An all-zero activation file has no Hessian factor; the V side is not
+    factored again per bit group, and the codes are those of plain RTN."""
     from skillpack.checkpoints import Checkpoint, save_checkpoint
 
     name = "model.layers.0.mlp.gate_proj.weight"
@@ -543,7 +490,6 @@ def test_signal_free_file_calibration_is_factored_once(tmp_path, monkeypatch):
             v_side.append(inputs)
         return hessian_factor(inputs, *args, **kwargs)
 
-    monkeypatch.setattr(compress_module, "hessian_factor", counting_factor)
     monkeypatch.setattr(quantize_module, "hessian_factor", counting_factor)
     entry = compress_entry(name, delta, ModuleClass.MLP, plan)
     assert len(v_side) == 1

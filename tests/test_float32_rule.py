@@ -9,7 +9,6 @@ ValueError compress raises starts with the delta's name.
 """
 
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,13 +17,13 @@ from hypothesis import strategies as st
 
 from skillpack.classify import ModuleClass
 from skillpack.compress import compress_entry
-from skillpack.plans import SyntheticCalibration, default_plan
+from skillpack.plans import default_plan
 from skillpack.tensors import check_float32
 
 FLOAT32_MAX = float(np.finfo(np.float32).max)
 JUST_PAST = float(np.nextafter(FLOAT32_MAX, np.inf))  # a float64 that rounds to FLOAT32_MAX in float32
 SPECIAL = [np.nan, np.inf, -np.inf, 1e39, JUST_PAST]
-PLAN = replace(default_plan(), calibration=SyntheticCalibration(seed=0, samples=16))
+PLAN = default_plan()
 
 
 def test_check_float32_states_the_rule():

@@ -27,7 +27,7 @@ from skillpack.classify import ModuleClass, default_manifest
 from skillpack.compress import compress_delta
 from skillpack.losses import PreferenceScores
 from skillpack.packs import DenseEntry, SkillPack
-from skillpack.plans import PruneStrategy, SvdQuantStrategy, SyntheticCalibration, default_plan
+from skillpack.plans import PruneStrategy, SvdQuantStrategy, default_plan
 from skillpack.quantize import BitGroup
 from skillpack.routing import train_router
 from skillpack.tensors import check_int, check_number
@@ -139,7 +139,6 @@ SITES = {
     **{f"ToySpec.{f}": (lambda f: lambda v: ToySpec(**{f: v}))(f)
        for f in ("seed", "layers", "hidden", "mlp_width", "vocab")},
     **{f"DeltaRecipe.{f}": (lambda f: lambda v: DeltaRecipe(**{f: v}))(f) for f in ("rank", "sparse_nnz", "noise_std")},
-    **{f"SyntheticCalibration.{f}": (lambda f: lambda v: SyntheticCalibration(**{f: v}))(f) for f in ("seed", "samples")},
     "PruneStrategy.alpha": lambda v: PruneStrategy(alpha=v),
     "PruneStrategy.value_bits": lambda v: PruneStrategy(alpha=0.5, value_bits=v),
     "SvdQuantStrategy.rank": lambda v: SvdQuantStrategy(rank=v, groups=(BitGroup(0, 2**63, 4),)),

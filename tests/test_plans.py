@@ -21,7 +21,6 @@ from skillpack.plans import (
     FileCalibration,
     PruneStrategy,
     SvdQuantStrategy,
-    SyntheticCalibration,
     default_plan,
     plan_from_dict,
     plan_to_dict,
@@ -33,9 +32,12 @@ from skillpack.toy import ToySpec, budget_plan, gen_toy, toy_param_shapes
 VALUES = [math.nan, math.inf, -math.inf, -1, 0, 1, 1.5, 3, True, "x", None, [], {}]
 
 
+CALIBRATED = replace(default_plan(), calibration=FileCalibration(path="calib.gltc"))
+
+
 def test_plan_dict_round_trips():
-    calibrated = replace(default_plan(), calibration=FileCalibration(path="calib.gltc"), damping=0.5)
-    plans = [default_plan(), calibrated, budget_plan(0.05, toy_param_shapes(ToySpec()))]
+    plans = [default_plan(), replace(CALIBRATED, damping=0.5), budget_plan(0.05, toy_param_shapes(ToySpec()))]
+    assert plans[0].calibration is None and plans[2].calibration is None
     for plan in plans:
         assert plan_from_dict(json.loads(json.dumps(plan_to_dict(plan)))) == plan
 
@@ -48,7 +50,7 @@ def test_plan_dict_pinned():
             "attention": {"kind": "svd_quant", "rank": 1000, "groups": [[0, 20, 8], [20, 1000, 2]]},
             "passthrough": {"kind": "dense"},
         },
-        "calibration": {"kind": "synthetic", "seed": 0, "samples": 128},
+        "calibration": None,
         "damping": 0.01,
     }
 
@@ -62,11 +64,11 @@ def test_missing_optional_keys_take_the_defaults():
 @pytest.mark.parametrize("edit", [
     lambda d: d["strategies"]["embedding_or_head"].update(value_bit=8),
     lambda d: d["strategies"]["passthrough"].update(rank=3),
-    lambda d: d["calibration"].update(path="x"),
+    lambda d: d["calibration"].update(seed=0),
     lambda d: d.update(dampening=0.1),
-], ids=["misspelt-strategy-key", "dense-with-field", "synthetic-with-path", "misspelt-plan-key"])
+], ids=["misspelt-strategy-key", "dense-with-field", "file-with-seed", "misspelt-plan-key"])
 def test_unknown_key_is_an_error_not_dropped(edit):
-    d = plan_to_dict(default_plan())
+    d = plan_to_dict(CALIBRATED)
     edit(d)
     with pytest.raises(TypeError, match="unexpected keyword"):
         plan_from_dict(d)
@@ -77,20 +79,16 @@ def test_unknown_key_is_an_error_not_dropped(edit):
     lambda d: d["calibration"].update(kind="prune"),
     lambda d: d["calibration"].update(kind=["x"]),
     lambda d: d["strategies"]["mlp"].pop("kind"),
-], ids=["calibration-as-strategy", "strategy-as-calibration", "list-kind", "no-kind"])
+    lambda d: d.update(calibration={"kind": "synthetic", "seed": 0, "samples": 128}),  # an old plan file's
+], ids=["calibration-as-strategy", "strategy-as-calibration", "list-kind", "no-kind", "synthetic-calibration"])
 def test_kind_must_name_a_part_of_the_right_sort(edit):
-    d = plan_to_dict(default_plan())
+    d = plan_to_dict(CALIBRATED)
     edit(d)
     with pytest.raises(ValueError, match="unknown kind"):
         plan_from_dict(d)
 
 
 @pytest.mark.parametrize("build", [
-    lambda: SyntheticCalibration(seed=1.5),
-    lambda: SyntheticCalibration(seed=-1),
-    lambda: SyntheticCalibration(seed=True),
-    lambda: SyntheticCalibration(samples=2.5),
-    lambda: SyntheticCalibration(samples=0),
     lambda: FileCalibration(path=3),
     lambda: PruneStrategy(alpha=0.5, value_bits=4.0),
     lambda: PruneStrategy(alpha=0.5, value_bits=True),
@@ -104,7 +102,7 @@ def test_kind_must_name_a_part_of_the_right_sort(edit):
     lambda: replace(default_plan(), damping=True),
     lambda: replace(default_plan(), damping="0.1"),
 ], ids=[
-    "float-seed", "negative-seed", "bool-seed", "float-samples", "zero-samples", "int-path", "float-value-bits",
+    "int-path", "float-value-bits",
     "bool-value-bits", "nan-alpha", "float-rank", "float-begin", "float-end", "nan-damping", "inf-damping",
     "negative-damping", "bool-damping", "string-damping",
 ])
@@ -113,7 +111,7 @@ def test_plan_part_is_checked_when_built(build):
         build()
 
 
-@pytest.mark.parametrize("strategy", ["svd", None, SyntheticCalibration(), {"kind": "dense"}])
+@pytest.mark.parametrize("strategy", ["svd", None, FileCalibration(path="c.gltc"), {"kind": "dense"}])
 def test_a_strategy_of_the_wrong_type_is_refused_naming_its_class(strategy):
     # "svd" built, then compress and predict_stats raised TypeError and plan_to_dict KeyError
     strategies = {**default_plan().strategies, ModuleClass.MLP: strategy}
@@ -121,7 +119,7 @@ def test_a_strategy_of_the_wrong_type_is_refused_naming_its_class(strategy):
         CompressionPlan(strategies=strategies)
 
 
-@pytest.mark.parametrize("calibration", ["seed7", 7, None, DenseStrategy()])
+@pytest.mark.parametrize("calibration", ["seed7", 7, {"kind": "file", "path": "c.gltc"}, DenseStrategy()])
 def test_a_calibration_of_the_wrong_type_is_refused(calibration):
     # "seed7" built, then compress raised AttributeError
     with pytest.raises(ValueError, match=f"plan calibration must be .*, got {re.escape(repr(calibration))}"):
@@ -136,6 +134,17 @@ def test_a_string_keyed_plan_is_the_enum_keyed_plan():
     plan = CompressionPlan(strategies=STRING_KEYED)
     assert plan == default_plan() and all(type(cls) is ModuleClass for cls in plan.strategies)
     assert plan_from_dict(json.loads(json.dumps(plan_to_dict(plan)))) == default_plan()
+
+
+def test_equal_plans_give_equal_plan_files_and_pack_bytes(tmp_path):
+    # the reversed plan compared equal, but plan_to_dict wrote its strategies in reverse
+    reversed_plan = CompressionPlan(strategies=dict(reversed(default_plan().strategies.items())))
+    assert reversed_plan == default_plan()
+    assert json.dumps(plan_to_dict(reversed_plan)) == json.dumps(plan_to_dict(default_plan()))
+    deltas = diff(*gen_toy(ToySpec(seed=3, layers=1, hidden=16, mlp_width=24, vocab=32)))
+    for name, plan in (("default", default_plan()), ("reversed", reversed_plan)):
+        save_pack(compress_delta(deltas, default_manifest(), plan), tmp_path / f"{name}.skpk")
+    assert (tmp_path / "reversed.skpk").read_bytes() == (tmp_path / "default.skpk").read_bytes()
 
 
 def test_a_string_keyed_plan_compresses_to_the_enum_keyed_plans_bytes(tmp_path):

@@ -6,13 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skillpack.quantize as quantize_module
-from skillpack.checkpoints import diff
-from skillpack.classify import ModuleClass, default_manifest
-from skillpack.compress import compress_delta, synthetic_calibration
-from skillpack.packs import QuantizedSvdEntry
-from skillpack.plans import CompressionPlan, DenseStrategy, PruneStrategy, SvdQuantStrategy
+from skillpack.checkpoints import Checkpoint, diff, save_checkpoint
+from skillpack.classify import ModuleClass, classify, default_manifest
+from skillpack.compress import compress_delta, compress_entry
+from skillpack.packs import QuantizedSvdEntry, SkillPack, save_pack
+from skillpack.plans import CompressionPlan, DenseStrategy, FileCalibration, PruneStrategy, SvdQuantStrategy
 from skillpack.quantize import (
     GPTQ_BLOCK,
     BitGroup,
@@ -131,6 +133,27 @@ def test_gptq_beats_rtn_on_calibration_error():
             e_gptq = calibration_error(m, quantize_gptq(m, x, k).dequantize(), x)
             wins += e_gptq <= e_rtn
         assert wins >= 27
+
+
+def correlated_activations(rng, mix, samples):
+    """Rank-r mixing of standard-normal sources plus 0.1 noise: width x samples."""
+    return mix @ rng.standard_normal((mix.shape[1], samples)) + 0.1 * rng.standard_normal((mix.shape[0], samples))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), cols=st.integers(32, 64), rank=st.integers(4, 16),
+       rows=st.integers(4, 32), extra=st.integers(0, 64), bits=st.integers(2, 4))
+def test_gptq_beats_rtn_held_out_on_correlated_activations(seed, cols, rank, rows, extra, bits):
+    """Where GPTQ earns its cost: fitted to at least as many correlated samples as
+    columns, its error on a held-out draw of the same activations is below RTN's."""
+    rng = np.random.default_rng(seed)
+    mix = rng.standard_normal((cols, rank))
+    x = correlated_activations(rng, mix, cols + extra)
+    held_out = correlated_activations(rng, mix, 1024)
+    m = rng.standard_normal((rows, cols))
+    e_rtn = calibration_error(m, quantize_rtn(m, bits).dequantize(), held_out)
+    e_gptq = calibration_error(m, quantize_gptq(m, x, bits).dequantize(), held_out)
+    assert e_gptq < e_rtn
 
 
 def test_gptq_column_scales():
@@ -355,26 +378,32 @@ def test_lazy_batch_sweep_matches_per_column_loop_with_zero_scales():
     assert_sweep_matches_per_column_loop(m, rng.standard_normal((GPTQ_BLOCK + 7, 64)))
 
 
-def test_pack_codes_match_per_column_loop():
-    """Every V-side and U-side code of a two-group pack equals the reference sweep's."""
-    spec = ToySpec(seed=3, layers=1, hidden=32, mlp_width=48, vocab=100,
-                   recipe=DeltaRecipe(rank=8, sparse_nnz=16, noise_std=2**-10))
-    deltas = diff(*gen_toy(spec))
-    svd_quant = SvdQuantStrategy(rank=32, groups=(BitGroup(0, 4, 8), BitGroup(4, 32, 2)))
-    plan = CompressionPlan(strategies={
+def svd_plan(svd_quant, calibration=None):
+    return CompressionPlan(strategies={
         ModuleClass.EMBEDDING_OR_HEAD: PruneStrategy(alpha=0.5),
         ModuleClass.MLP: svd_quant,
         ModuleClass.ATTENTION: svd_quant,
         ModuleClass.PASSTHROUGH: DenseStrategy(),
-    })
-    pack = compress_delta(deltas, default_manifest(), plan)
+    }, calibration=calibration)
+
+
+def test_pack_codes_match_per_column_loop(tmp_path):
+    """Every V-side and U-side code of a two-group pack calibrated on a file equals the reference sweep's."""
+    spec = ToySpec(seed=3, layers=1, hidden=32, mlp_width=48, vocab=100,
+                   recipe=DeltaRecipe(rank=8, sparse_nnz=16, noise_std=2**-10))
+    deltas = diff(*gen_toy(spec))
+    rng = np.random.default_rng(3)
+    activations = {name: rng.standard_normal((d.shape[1], 40)) for name, d in deltas.deltas.items() if d.ndim == 2}
+    save_checkpoint(Checkpoint(model_id="calib", tensors={n: x.astype(np.float32) for n, x in activations.items()}),
+                    tmp_path / "calib.gltc")
+    svd_quant = SvdQuantStrategy(rank=32, groups=(BitGroup(0, 4, 8), BitGroup(4, 32, 2)))
+    pack = compress_delta(deltas, default_manifest(), svd_plan(svd_quant, FileCalibration(str(tmp_path / "calib.gltc"))))
     checked = 0
     for name, entry in pack.entries.items():
         if not isinstance(entry, QuantizedSvdEntry):
             continue
-        delta = deltas.deltas[name]
-        factors = svd(delta)
-        x = synthetic_calibration(plan.calibration.seed, delta.shape[1], plan.calibration.samples)
+        factors = svd(deltas.deltas[name])
+        x = activations[name].astype(np.float32).astype(np.float64)
         assert entry.rank == 32 and entry.groups == svd_quant.groups
         for g in entry.groups:
             v_codes, v_scales = per_column_gptq(factors.vt[g.begin : g.end], x, g.bits, "row")
@@ -423,7 +452,7 @@ def test_a_signal_free_svd_entry_with_mixed_widths_is_per_group_rtn():
     delta = rng.standard_normal((20, 14))
     x = np.zeros((14, 8))
     strategy = SvdQuantStrategy(rank=12, groups=MIXED_GROUPS)
-    entry = compress_module._compress_svd(delta, ModuleClass.MLP, strategy, x, 0.01, None)
+    entry = compress_module._compress_svd(delta, ModuleClass.MLP, strategy, x, 0.01)
     factors = svd(delta)
     assert entry.groups == MIXED_GROUPS and entry.v_codes.dtype == np.int16
     for g in MIXED_GROUPS:
@@ -435,6 +464,41 @@ def test_a_signal_free_svd_entry_with_mixed_widths_is_per_group_rtn():
                                             factor=np.eye(g.length))
         np.testing.assert_array_equal(entry.u_codes[:, part], u_codes)
         np.testing.assert_array_equal(entry.u_scales[part], u_scales)
+
+
+def test_a_plan_without_a_calibration_file_rounds_to_nearest_and_runs_no_gptq(tmp_path, monkeypatch):
+    """Without a calibration file each V row and U column of an SVD entry is RTN at
+    its group's width, and no Hessian factor is built nor GPTQ called."""
+    import skillpack.compress as compress_module
+
+    def fail(*args, **kwargs):
+        raise AssertionError("GPTQ ran without a calibration file")
+
+    for owner, name in ((quantize_module, "hessian_factor"), (quantize_module, "quantize_gptq"),
+                        (compress_module, "quantize_gptq")):
+        monkeypatch.setattr(owner, name, fail)
+    plan = svd_plan(SvdQuantStrategy(rank=12, groups=MIXED_GROUPS))
+    assert plan.calibration is None
+    delta = np.random.default_rng(25).standard_normal((20, 14)).astype(np.float32)
+    entry = compress_entry("m", delta, ModuleClass.MLP, plan)
+    factors = svd(delta)
+    assert entry.groups == MIXED_GROUPS and entry.v_codes.dtype == entry.u_codes.dtype == np.int16
+    for g in MIXED_GROUPS:
+        part = slice(g.begin, g.end)
+        v_rtn, u_rtn = quantize_rtn(factors.vt[part], g.bits), quantize_rtn(factors.u[:, part], g.bits, "column")
+        np.testing.assert_array_equal(entry.v_codes[part], v_rtn.codes)
+        np.testing.assert_array_equal(entry.v_scales[part], v_rtn.scales)
+        np.testing.assert_array_equal(entry.u_codes[:, part], u_rtn.codes)
+        np.testing.assert_array_equal(entry.u_scales[part], u_rtn.scales)
+
+    # a whole toy delta: compress_delta runs no GPTQ either, and its pack is compress_entry's
+    deltas = diff(*gen_toy(ToySpec(seed=4, layers=1, hidden=16, mlp_width=24, vocab=32)))
+    pack = compress_delta(deltas, default_manifest(), plan)
+    entries = {name: compress_entry(name, d, classify(name, default_manifest()), plan) for name, d in deltas.deltas.items()}
+    save_pack(pack, tmp_path / "delta.skpk")
+    save_pack(SkillPack(pack.base_model_id, pack.tuned_model_id, pack.task_tag, pack.plan_snapshot, entries),
+              tmp_path / "entries.skpk")
+    assert (tmp_path / "delta.skpk").read_bytes() == (tmp_path / "entries.skpk").read_bytes()
 
 
 @pytest.mark.parametrize("bits", [[4, 4], [4, 4, 4, 4], [4, 1, 4], [4, 3.0, 4], (17, 2, 2)])
@@ -481,28 +545,6 @@ def test_an_empty_calibration_is_refused_naming_it():
         hessian_factor(np.zeros((0, 3)))
     with pytest.raises(ValueError, match=message):
         quantize_gptq(np.ones((3, 0)), np.ones((0, 2)), 4)
-
-
-def test_gptq_given_factor_matches_computed():
-    rng = np.random.default_rng(12)
-    m = rng.standard_normal((20, 150))
-    x = rng.standard_normal((150, 40))
-    factor = hessian_factor(x, 0.05)
-    a = quantize_gptq(m, x, 3, damping=0.05, factor=factor)
-    b = quantize_gptq(m, x, 3, damping=0.05)
-    np.testing.assert_array_equal(a.codes, b.codes)
-
-
-def test_gptq_given_none_factor_is_final(monkeypatch):
-    """None from the caller means "no calibration signal": plain RTN, x not factored again."""
-    rng = np.random.default_rng(14)
-    m = rng.standard_normal((20, 30))
-    monkeypatch.setattr(quantize_module, "hessian_factor", lambda *args: pytest.fail("x factored again"))
-    for axis in ("row", "column"):
-        given = quantize_gptq(m, rng.standard_normal((30, 8)), 3, scale_axis=axis, factor=None)
-        rtn = quantize_rtn(m, 3, axis)
-        np.testing.assert_array_equal(given.codes, rtn.codes)
-        np.testing.assert_array_equal(given.scales, rtn.scales)
 
 
 def test_gptq_leaves_inputs_untouched():
