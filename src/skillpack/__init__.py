@@ -62,7 +62,6 @@ from .routing import (
     train_router,
 )
 from .tensors import (
-    SparseEntries,
     SvdFactors,
     frobenius_rel_err,
     magnitude_prune,

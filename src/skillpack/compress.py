@@ -22,13 +22,7 @@ import numpy as np
 
 from .checkpoints import DeltaMap, load_checkpoint
 from .classify import ClassificationManifest, ModuleClass, classify
-from .packs import (
-    CompressedEntry,
-    DenseEntry,
-    PrunedSparseEntry,
-    QuantizedSvdEntry,
-    SkillPack,
-)
+from .packs import _VALUES_CHECKED, CompressedEntry, DenseEntry, PrunedSparseEntry, QuantizedSvdEntry, SkillPack
 from .plans import (
     CompressionPlan,
     DenseStrategy,
@@ -62,15 +56,15 @@ def _calibration(plan: CompressionPlan):
 
 
 def _compress_prune(delta: np.ndarray, mclass: ModuleClass, strategy: PruneStrategy) -> PrunedSparseEntry:
-    sparse = magnitude_prune(delta, strategy.alpha)
+    indices = magnitude_prune(delta, strategy.alpha)
     scales = rtn_scales(delta, strategy.value_bits, axis="row")
-    codes = encode(sparse.values, divisors(scales)[sparse.indices // delta.shape[1]], strategy.value_bits)
+    codes = encode(delta.reshape(-1)[indices], divisors(scales)[indices // delta.shape[1]], strategy.value_bits)
     return PrunedSparseEntry(
         shape=tuple(delta.shape),
         mclass=mclass,
         alpha=strategy.alpha,
         value_bits=strategy.value_bits,
-        indices=sparse.indices,
+        indices=indices,
         codes=codes,
         scales=scales,
     )
@@ -115,7 +109,7 @@ def _compress(name: str, delta: np.ndarray, mclass: ModuleClass, plan: Compressi
         values = check_float32(delta, f"delta {name!r}")
     try:
         if isinstance(strategy, DenseStrategy):  # the entry owns its values: a float32 delta is copied
-            return DenseEntry(shape=tuple(delta.shape), mclass=mclass, values_checked=True,
+            return DenseEntry(shape=tuple(delta.shape), mclass=mclass, _checked=_VALUES_CHECKED,
                               values=delta.astype(np.float32) if values is delta else values)
         if isinstance(strategy, PruneStrategy):
             return _compress_prune(delta, mclass, strategy)

@@ -20,9 +20,10 @@ from . import container
 from .classify import ModuleClass, classify
 from .container import header_field, shape_field
 from .errors import FormatError, IntegrityError
-from .plans import DenseStrategy, PruneStrategy, Strategy, SvdQuantStrategy, clip_groups, strategy_for
-from .quantize import (
-    BitGroup, code_dtype, groups_from_json, groups_to_json, pack_codes, packed_size, qmax, unpack_codes)
+from .plans import (
+    BitGroup, DenseStrategy, PruneStrategy, Strategy, SvdQuantStrategy, clip_groups, groups_from_json, groups_to_json,
+    strategy_for)
+from .quantize import code_dtype, pack_codes, packed_size, qmax, unpack_codes
 from .tensors import check_float32, check_int, retained_count
 
 MAGIC = b"SKPK"
@@ -56,20 +57,22 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# `_checked` from `compress._compress` and `DenseEntry._decode` only, which scan their values themselves.
+_VALUES_CHECKED = object()
+
+
 @dataclass(eq=False)
 class DenseEntry:
     shape: tuple[int, ...]
     mclass: ModuleClass
     values: np.ndarray  # float32
-    # True when the caller has already checked `values` (compress, or `read_array` on load),
-    # so a large dense array is not scanned twice.
-    values_checked: InitVar[bool] = False
+    _checked: InitVar[object] = None  # `_VALUES_CHECKED`, so that a large dense array is not scanned twice
 
     kind = "dense"
     roles = ("dense",)
 
-    def __post_init__(self, values_checked: bool):
-        if not values_checked:
+    def __post_init__(self, _checked: object):
+        if _checked is not _VALUES_CHECKED:
             self.values = check_float32(self.values, "dense values")
         if self.values.shape != tuple(self.shape):
             raise ValueError(f"dense values of shape {self.values.shape} do not match the entry shape {self.shape}")
@@ -88,7 +91,7 @@ class DenseEntry:
     @classmethod
     def _decode(cls, head: dict, mclass: ModuleClass, array, codes) -> DenseEntry:
         shape = shape_field(head)
-        return cls(shape=shape, mclass=mclass, values=array("dense", shape=shape), values_checked=True)
+        return cls(shape=shape, mclass=mclass, values=array("dense", shape=shape), _checked=_VALUES_CHECKED)
 
     def _detail(self) -> str:
         return ""

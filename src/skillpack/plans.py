@@ -1,4 +1,6 @@
-"""Compression plans: which operator runs on each module class, and how.
+"""Compression plans: which operator runs on each module class, and how. The
+bit groups of an SVD strategy live here too: `BitGroup`, its checks and the
+`[begin, end, bits]` JSON form that plan files and pack headers share.
 
 The shipped default plan prunes embedding/head deltas at alpha=0.5 with
 4-bit values, and factorizes MLP and attention deltas with truncated SVD
@@ -13,8 +15,61 @@ from dataclasses import dataclass, fields
 from typing import Union, get_args
 
 from .classify import ModuleClass
-from .quantize import BitGroup, check_bits, check_groups, groups_from_json, groups_to_json
+from .quantize import check_bits
 from .tensors import check_int, check_number
+
+
+@dataclass(frozen=True)
+class BitGroup:
+    """Contiguous range [begin, end) of quantized vectors sharing one width."""
+
+    begin: int
+    end: int
+    bits: int
+
+    def __post_init__(self):
+        check_int(self.begin, "bit group begin", 0)
+        check_int(self.end, "bit group end", self.begin + 1)
+        check_bits(self.bits)
+
+    @property
+    def length(self) -> int:
+        return self.end - self.begin
+
+
+def check_groups(groups, rank: int) -> None:
+    """Groups must be contiguous, start at 0 and cover [0, rank) exactly."""
+    if not groups:
+        raise ValueError("at least one bit group is required")
+    expect = 0
+    for g in groups:
+        if g.begin != expect:
+            raise ValueError(f"bit groups must be contiguous from 0, got gap at {g.begin}")
+        expect = g.end
+    if expect != rank:
+        raise ValueError(f"bit groups cover [0, {expect}) but rank is {rank}")
+
+
+def clip_groups(groups: tuple[BitGroup, ...], rank: int) -> tuple[BitGroup, ...]:
+    """Restrict declared groups to [0, rank) after rank clamping."""
+    out = []
+    for g in groups:
+        if g.begin >= rank:
+            break
+        out.append(g if g.end <= rank else BitGroup(g.begin, rank, g.bits))
+    return tuple(out)
+
+
+def groups_to_json(groups) -> list[list[int]]:
+    """Bit groups as the `[begin, end, bits]` lists that plan files and pack headers hold."""
+    return [[g.begin, g.end, g.bits] for g in groups]
+
+
+def groups_from_json(value) -> tuple[BitGroup, ...]:
+    """The inverse of `groups_to_json`; anything but a list of three-element lists is an error naming `groups`."""
+    if not isinstance(value, list) or not all(isinstance(g, list) and len(g) == 3 for g in value):
+        raise ValueError(f"groups must be a list of [begin, end, bits] lists, got {value!r}")
+    return tuple(BitGroup(*g) for g in value)
 
 
 @dataclass(frozen=True)
@@ -87,16 +142,6 @@ def strategy_for(plan: CompressionPlan, mclass: ModuleClass, shape: tuple[int, .
     """The strategy for a tensor of `shape` in `mclass`: the class's own, or dense when it is not
     2-D or is empty."""
     return plan.strategies[mclass] if len(shape) == 2 and 0 not in shape else DenseStrategy()
-
-
-def clip_groups(groups: tuple[BitGroup, ...], rank: int) -> tuple[BitGroup, ...]:
-    """Restrict declared groups to [0, rank) after rank clamping."""
-    out = []
-    for g in groups:
-        if g.begin >= rank:
-            break
-        out.append(g if g.end <= rank else BitGroup(g.begin, rank, g.bits))
-    return tuple(out)
 
 
 def default_plan() -> CompressionPlan:

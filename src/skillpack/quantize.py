@@ -1,4 +1,4 @@
-"""Symmetric integer quantizers and the bit-packed code codec.
+"""Symmetric integer quantizers, their code types and the bit-packed code codec.
 
 Two quantizers share one code/scale layout:
 
@@ -30,7 +30,8 @@ An all-zero vector gets scale 0 and codes 0.
 `encode` is the one code encoder (pruned values, RTN, each sweep column).
 Both quantizers take one width, or one per scale vector: the V^T rows of all
 bit groups of a factorized delta share one sweep, each row clipped to its
-own limit, with codes of the widest group's type.
+own limit, with codes of the widest group's type. Which vectors get which
+width is a plan's choice, its bit groups (`plans.BitGroup`).
 """
 
 from __future__ import annotations
@@ -59,49 +60,6 @@ def check_bits(bits: int) -> None:
 def code_dtype(bits: int) -> np.dtype:
     """The type that holds `bits`-bit codes: int8 up to 8 bits, int16 up to 16."""
     return np.dtype(np.int8 if bits <= 8 else np.int16)
-
-
-@dataclass(frozen=True)
-class BitGroup:
-    """Contiguous range [begin, end) of quantized vectors sharing one width."""
-
-    begin: int
-    end: int
-    bits: int
-
-    def __post_init__(self):
-        check_int(self.begin, "bit group begin", 0)
-        check_int(self.end, "bit group end", self.begin + 1)
-        check_bits(self.bits)
-
-    @property
-    def length(self) -> int:
-        return self.end - self.begin
-
-
-def groups_to_json(groups) -> list[list[int]]:
-    """Bit groups as the `[begin, end, bits]` lists that plan files and pack headers hold."""
-    return [[g.begin, g.end, g.bits] for g in groups]
-
-
-def groups_from_json(value) -> tuple[BitGroup, ...]:
-    """The inverse of `groups_to_json`; anything but a list of three-element lists is an error naming `groups`."""
-    if not isinstance(value, list) or not all(isinstance(g, list) and len(g) == 3 for g in value):
-        raise ValueError(f"groups must be a list of [begin, end, bits] lists, got {value!r}")
-    return tuple(BitGroup(*g) for g in value)
-
-
-def check_groups(groups, rank: int) -> None:
-    """Groups must be contiguous, start at 0 and cover [0, rank) exactly."""
-    if not groups:
-        raise ValueError("at least one bit group is required")
-    expect = 0
-    for g in groups:
-        if g.begin != expect:
-            raise ValueError(f"bit groups must be contiguous from 0, got gap at {g.begin}")
-        expect = g.end
-    if expect != rank:
-        raise ValueError(f"bit groups cover [0, {expect}) but rank is {rank}")
 
 
 @dataclass(frozen=True)
@@ -280,10 +238,6 @@ def quantize_gptq(
         raise ValueError(
             f"calibration rows ({x.shape[0]}) must match matrix columns ({m.shape[1]})"
         )
-    if x.shape[1] < 1:
-        raise ValueError("calibration needs at least one sample")
-    if scale_axis not in ("row", "column"):
-        raise ValueError(f"unknown scale axis {scale_axis!r}")
     widths, dtype = _widths(bits, m, scale_axis)
 
     factor = hessian_factor(x, damping)

@@ -1,4 +1,5 @@
-"""Dense-tensor numerical kernels: SVD, truncation, magnitude pruning, norms;
+"""Dense-tensor numerical kernels: SVD, truncation, magnitude pruning (which
+returns indices; `packs.PrunedSparseEntry` owns the pruned layout), norms;
 and the value checks and the overflow guard that other modules share.
 
 Tensors are plain numpy arrays. Checkpoint payloads are float32/float16.
@@ -124,20 +125,6 @@ class SvdFactors:
         return out.astype(dtype)
 
 
-@dataclass(frozen=True)
-class SparseEntries:
-    """Flat row-major positions and values retained by magnitude pruning."""
-
-    shape: tuple[int, ...]
-    indices: np.ndarray  # int64, strictly increasing
-    values: np.ndarray
-
-    def densify(self, dtype=np.float32) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=dtype).reshape(-1)
-        out[self.indices] = self.values
-        return out.reshape(self.shape)
-
-
 def svd(a: np.ndarray) -> SvdFactors:
     """Full thin SVD of a 2-D matrix, in the precision of its input.
 
@@ -203,8 +190,9 @@ def truncate(factors: SvdFactors, rank: int) -> SvdFactors:
     )
 
 
-def magnitude_prune(a: np.ndarray, alpha: float) -> SparseEntries:
-    """Keep the keep = ceil(alpha*N) largest-|value| elements of a 2-D matrix.
+def magnitude_prune(a: np.ndarray, alpha: float) -> np.ndarray:
+    """The flat row-major indices, ascending int64, of the keep = ceil(alpha*N)
+    largest-|value| elements of a 2-D matrix.
 
     Ties broken toward the smaller flat row-major index, so the output is
     deterministic. One `np.partition` finds t, the keep-th largest |value|;
@@ -218,14 +206,12 @@ def magnitude_prune(a: np.ndarray, alpha: float) -> SparseEntries:
     flat = a.reshape(-1)
     keep = retained_count(alpha, flat.size)
     if keep == flat.size:  # also an empty matrix, which keeps 0 of 0
-        indices = np.arange(flat.size, dtype=np.int64)
-    else:
-        mag, cut = np.abs(flat), flat.size - keep
-        threshold = np.partition(mag, cut)[cut]
-        kept = mag > threshold
-        kept[np.flatnonzero(mag == threshold)[: keep - np.count_nonzero(kept)]] = True
-        indices = np.flatnonzero(kept).astype(np.int64, copy=False)
-    return SparseEntries(shape=tuple(a.shape), indices=indices, values=flat[indices])
+        return np.arange(flat.size, dtype=np.int64)
+    mag, cut = np.abs(flat), flat.size - keep
+    threshold = np.partition(mag, cut)[cut]
+    kept = mag > threshold
+    kept[np.flatnonzero(mag == threshold)[: keep - np.count_nonzero(kept)]] = True
+    return np.flatnonzero(kept).astype(np.int64, copy=False)
 
 
 def frobenius_rel_err(a: np.ndarray, b: np.ndarray) -> float:

@@ -36,8 +36,7 @@ import numpy as np
 from .checkpoints import Checkpoint, apply_pack
 from .classify import ModuleClass, classify, default_manifest
 from .packs import SkillPack, predict_stats
-from .plans import CompressionPlan, DenseStrategy, PruneStrategy, SvdQuantStrategy
-from .quantize import BitGroup
+from .plans import BitGroup, CompressionPlan, DenseStrategy, PruneStrategy, SvdQuantStrategy
 from .tensors import check_int, check_number, frobenius_rel_err, overflow_checked
 
 # Every toy value lives on a power-of-two grid: base weights, sparse spikes

@@ -17,11 +17,10 @@ from skillpack.checkpoints import diff
 from skillpack.classify import ModuleClass, default_manifest
 from skillpack.compress import compress_delta, compress_entry
 from skillpack.packs import PrunedSparseEntry, QuantizedSvdEntry, SkillPack, load_pack, save_pack
-from skillpack.plans import CompressionPlan, DenseStrategy, PruneStrategy, SvdQuantStrategy, default_plan
+from skillpack.plans import BitGroup, CompressionPlan, DenseStrategy, PruneStrategy, SvdQuantStrategy, default_plan
 from skillpack.quantize import (
     MAX_BITS,
     MIN_BITS,
-    BitGroup,
     code_dtype,
     encode,
     pack_codes,

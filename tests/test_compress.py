@@ -12,6 +12,7 @@ from skillpack.classify import ModuleClass, classify, default_manifest
 from skillpack.compress import compress_delta, compress_entry
 from skillpack.packs import DenseEntry, PrunedSparseEntry, QuantizedSvdEntry, predict_stats, save_pack
 from skillpack.plans import (
+    BitGroup,
     CompressionPlan,
     DenseStrategy,
     FileCalibration,
@@ -23,7 +24,7 @@ from skillpack.plans import (
     plan_to_dict,
     strategy_for,
 )
-from skillpack.quantize import BitGroup, quantize_rtn
+from skillpack.quantize import quantize_rtn
 from skillpack.toy import DeltaRecipe, ToySpec, gen_toy
 
 

@@ -14,19 +14,20 @@ import json
 import struct
 import tracemalloc
 import zlib
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skillpack.checkpoints import apply_pack, diff, load_checkpoint, save_checkpoint
+from skillpack.checkpoints import Checkpoint, apply_pack, diff, load_checkpoint, save_checkpoint
 from skillpack.classify import ModuleClass, default_manifest
 from skillpack.compress import compress_delta
 from skillpack.errors import SkillPackError
 from skillpack.packs import load_pack, save_pack
-from skillpack.plans import CompressionPlan, DenseStrategy, PruneStrategy, SvdQuantStrategy
-from skillpack.quantize import BitGroup
+from skillpack.plans import BitGroup, CompressionPlan, DenseStrategy, PruneStrategy, SvdQuantStrategy
 from skillpack.routing import LinearClassifier, TaskTable, load_router, save_router
 from skillpack.toy import ToySpec, gen_toy
 
@@ -38,6 +39,19 @@ FLOAT32_MAX = float(np.finfo(np.float32).max)
 FLOAT32_TINY = float(np.finfo(np.float32).tiny)  # the smallest normal float32
 # Peak Python allocation of one load (and compose) per byte of file plus base.
 ALLOC_PER_BYTE = 16
+
+
+class Files(NamedTuple):
+    """The fixture's directory, base checkpoint and file bytes. Hypothesis prints a failing
+    example's arguments; their full repr (43 kB) raised a HypothesisWarning, an error under
+    `filterwarnings`, which took the place of the falsifying example."""
+
+    root: Path
+    base: Checkpoint
+    raw: dict[str, bytes]
+
+    def __repr__(self) -> str:
+        return f"Files(root={str(self.root)!r})"
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +72,7 @@ def files(tmp_path_factory):
     save_router(classifier, root / "classifier.json")
     save_router(TaskTable(table={"math": ["a"], "code": ["a", "b"]}), root / "table.json")
     raw = {name: (root / name).read_bytes() for name in ("base.gltc", "pack.skpk", "classifier.json", "table.json")}
-    return root, base, raw
+    return Files(root, base, raw)
 
 
 def _paths(node, prefix=()):

@@ -27,8 +27,7 @@ from skillpack.classify import ModuleClass, default_manifest
 from skillpack.compress import compress_delta
 from skillpack.losses import PreferenceScores
 from skillpack.packs import DenseEntry, SkillPack
-from skillpack.plans import PruneStrategy, SvdQuantStrategy, default_plan
-from skillpack.quantize import BitGroup
+from skillpack.plans import BitGroup, PruneStrategy, SvdQuantStrategy, default_plan
 from skillpack.routing import train_router
 from skillpack.tensors import check_int, check_number
 from skillpack.toy import DeltaRecipe, ToySpec, budget_plan, eval_retention, gen_toy

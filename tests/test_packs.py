@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import re
 import struct
@@ -8,8 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import skillpack.container as container_module
+import skillpack.tensors as tensors_module
 from skillpack.checkpoints import Checkpoint, apply_pack
 from skillpack.classify import ModuleClass
+from skillpack.compress import compress_entry
 from skillpack.errors import FormatError, IntegrityError
 from skillpack.packs import (
     _KINDS,
@@ -25,8 +29,7 @@ from skillpack.packs import (
     save_pack,
     storage_ratio,
 )
-from skillpack.plans import DenseStrategy, PruneStrategy, SvdQuantStrategy, default_plan
-from skillpack.quantize import BitGroup
+from skillpack.plans import BitGroup, DenseStrategy, PruneStrategy, SvdQuantStrategy, default_plan
 
 
 def random_entry(rng, kind):
@@ -470,6 +473,36 @@ def test_a_hand_built_entry_with_a_non_finite_float_is_refused(value):
     for what, build in builds.items():
         with pytest.raises(ValueError, match=re.escape(f"{what} must be finite in float32")):
             build()
+
+
+@pytest.mark.parametrize("values", [np.array([np.nan, 1, 2], np.float32), np.array([1e39, 1, 2])],
+                         ids=["nan", "past-float32"])
+def test_no_argument_lets_a_hand_built_dense_entry_skip_the_float32_rule(values):
+    """A `values_checked=True` argument built [nan, 1, 2], which composed onto ones as [nan, 2, 3],
+    and left 1e39 float64. Only compress and load, which scan the values themselves, skip the check."""
+    dense = {"shape": (3,), "mclass": ModuleClass.PASSTHROUGH, "values": values}
+    for name in (p for p in inspect.signature(DenseEntry).parameters if p not in dense):
+        for flag in (True, 1, "yes", object()):
+            with pytest.raises(ValueError, match=re.escape("dense values must be finite in float32")):
+                DenseEntry(**dense, **{name: flag})
+
+
+def test_a_dense_blob_is_scanned_once_on_compress_and_on_load(tmp_path, monkeypatch):
+    values = np.arange(6, dtype=np.float32).reshape(2, 3)
+    scanned, real = [], tensors_module.all_finite
+
+    def counting(a):
+        scanned.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(tensors_module, "all_finite", counting)
+    monkeypatch.setattr(container_module, "all_finite", counting)
+    entry = compress_entry("d", values, ModuleClass.PASSTHROUGH, default_plan())
+    assert scanned == [(2, 3)]
+    save_pack(SkillPack("b", "t", "", {}, {"d": entry}), tmp_path / "p.skpk")
+    scanned.clear()
+    assert load_pack(tmp_path / "p.skpk").entries["d"].values.tobytes() == values.tobytes()
+    assert scanned == [(2, 3)]
 
 
 @pytest.mark.parametrize("code", [8, -8, 2**31 - 1, -2**31])

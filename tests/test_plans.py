@@ -16,6 +16,7 @@ from skillpack.cli import main
 from skillpack.compress import compress_delta
 from skillpack.packs import load_pack, save_pack
 from skillpack.plans import (
+    BitGroup,
     CompressionPlan,
     DenseStrategy,
     FileCalibration,
@@ -26,7 +27,7 @@ from skillpack.plans import (
     plan_to_dict,
     strategy_for,
 )
-from skillpack.quantize import BitGroup, check_bits
+from skillpack.quantize import check_bits
 from skillpack.toy import ToySpec, budget_plan, gen_toy, toy_param_shapes
 
 VALUES = [math.nan, math.inf, -math.inf, -1, 0, 1, 1.5, 3, True, "x", None, [], {}]

@@ -14,15 +14,21 @@ from skillpack.checkpoints import Checkpoint, diff, save_checkpoint
 from skillpack.classify import ModuleClass, classify, default_manifest
 from skillpack.compress import compress_delta, compress_entry
 from skillpack.packs import QuantizedSvdEntry, SkillPack, save_pack
-from skillpack.plans import CompressionPlan, DenseStrategy, FileCalibration, PruneStrategy, SvdQuantStrategy
-from skillpack.quantize import (
-    GPTQ_BLOCK,
+from skillpack.plans import (
     BitGroup,
-    calibration_error,
+    CompressionPlan,
+    DenseStrategy,
+    FileCalibration,
+    PruneStrategy,
+    SvdQuantStrategy,
     check_groups,
-    code_dtype,
     groups_from_json,
     groups_to_json,
+)
+from skillpack.quantize import (
+    GPTQ_BLOCK,
+    calibration_error,
+    code_dtype,
     hessian_factor,
     pack_codes,
     packed_size,
@@ -510,18 +516,40 @@ def test_a_width_per_row_needs_one_valid_width_per_row(bits):
         quantize_rtn(m, bits)
 
 
+def _src_lines():
+    """(file name, line number, line) of every line of `src/skillpack`."""
+    for path in sorted(Path(quantize_module.__file__).parent.glob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            yield path.name, number, line
+
+
 def test_codes_are_rounded_only_in_encode():
     """One code encoder: rounding to a code appears in `src/` only inside
     `quantize.encode`, and nothing clips through `np.clip`'s Python wrapper."""
     lines, first = inspect.getsourcelines(quantize_module.encode)
     assert "np.trunc" in "".join(lines) and "copysign(0.5" in "".join(lines)
     found = []
-    for path in sorted(Path(quantize_module.__file__).parent.glob("*.py")):
-        for number, line in enumerate(path.read_text().splitlines(), 1):
-            in_encode = path.name == "quantize.py" and first <= number < first + len(lines)
-            if "np.clip" in line or (not in_encode and re.search(r"np\.trunc|copysign\(0\.5", line)):
-                found.append(f"{path.name}:{number}: {line.strip()}")
+    for name, number, line in _src_lines():
+        in_encode = name == "quantize.py" and first <= number < first + len(lines)
+        if "np.clip" in line or (not in_encode and re.search(r"np\.trunc|copysign\(0\.5", line)):
+            found.append(f"{name}:{number}: {line.strip()}")
     assert not found, "\n".join(found)
+
+
+def test_each_layout_has_one_owner():
+    """Bit groups are defined only in `plans`, and the pruned layout only by
+    `packs.PrunedSparseEntry`: no second sparse type or scatter in `src/`."""
+    definition = re.compile(r"^\s*(?:class|def)\s+(BitGroup|check_groups|groups_to_json|groups_from_json)\b"
+                            r"|^(BitGroup|check_groups|groups_to_json|groups_from_json)\s*=")
+    defined, found = set(), []
+    for name, number, line in _src_lines():
+        match = definition.search(line)
+        if match and name == "plans.py":
+            defined.add(match.group(1) or match.group(2))
+        elif match or re.search(r"SparseEntries|densify", line):
+            found.append(f"{name}:{number}: {line.strip()}")
+    assert not found, "\n".join(found)
+    assert defined == {"BitGroup", "check_groups", "groups_to_json", "groups_from_json"}
 
 
 @pytest.mark.parametrize("cols", [1, 2, 7, 130, 400])
@@ -539,12 +567,11 @@ def test_hessian_factor_none_without_signal():
 
 
 def test_an_empty_calibration_is_refused_naming_it():
-    # each divided by a width of 0: ZeroDivisionError
-    message = re.escape("calibration activations must not be empty, got shape (0, ")
-    with pytest.raises(ValueError, match=message):
-        hessian_factor(np.zeros((0, 3)))
-    with pytest.raises(ValueError, match=message):
-        quantize_gptq(np.ones((3, 0)), np.ones((0, 2)), 4)
+    # a width of 0 divided by zero (ZeroDivisionError), and no samples at all passed as plain RTN
+    for x, m in ((np.zeros((0, 3)), None), (np.ones((0, 2)), np.ones((3, 0))), (np.ones((3, 0)), np.ones((2, 3)))):
+        message = re.escape(f"calibration activations must not be empty, got shape {x.shape}")
+        with pytest.raises(ValueError, match=message):
+            hessian_factor(x) if m is None else quantize_gptq(m, x, 4)
 
 
 def test_gptq_leaves_inputs_untouched():

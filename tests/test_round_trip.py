@@ -26,7 +26,8 @@ from skillpack.packs import (
     save_pack,
     storage_ratio,
 )
-from skillpack.quantize import MAX_BITS, MIN_BITS, BitGroup, qmax
+from skillpack.plans import BitGroup
+from skillpack.quantize import MAX_BITS, MIN_BITS, qmax
 from skillpack.routing import LinearClassifier, TaskTable, load_router, save_router
 from skillpack.tensors import retained_count
 

@@ -6,7 +6,6 @@ from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
 from skillpack.tensors import (
-    SparseEntries,
     all_finite,
     check_int,
     check_number,
@@ -163,30 +162,36 @@ def test_truncate_eckart_young():
         assert abs(err - tail) <= 1e-8 * max(tail, 1.0)
 
 
+def _densify(a: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """`a` with every element outside the flat row-major `indices` set to zero."""
+    out = np.zeros_like(a).reshape(-1)
+    out[indices] = a.reshape(-1)[indices]
+    return out.reshape(a.shape)
+
+
 def test_prune_example():
-    entries = magnitude_prune(np.array([[0.1, -0.5], [0.3, 0.05]]), 0.5)
-    assert entries.indices.tolist() == [1, 2]
-    assert entries.values.tolist() == [-0.5, 0.3]
+    a = np.array([[0.1, -0.5], [0.3, 0.05]])
+    indices = magnitude_prune(a, 0.5)
+    assert indices.tolist() == [1, 2]
+    assert a.reshape(-1)[indices].tolist() == [-0.5, 0.3]
 
 
 def test_prune_alpha_one_keeps_everything():
     a = np.array([[1.0, -2.0], [0.5, 4.0]])
-    entries = magnitude_prune(a, 1.0)
-    assert entries.indices.tolist() == [0, 1, 2, 3]
-    assert np.array_equal(entries.densify(dtype=np.float64), a)
+    indices = magnitude_prune(a, 1.0)
+    assert indices.tolist() == [0, 1, 2, 3]
+    assert np.array_equal(_densify(a, indices), a)
 
 
 def test_prune_tie_break_smaller_index():
-    entries = magnitude_prune(np.ones((2, 2)), 0.5)
-    assert entries.indices.tolist() == [0, 1]
+    assert magnitude_prune(np.ones((2, 2)), 0.5).tolist() == [0, 1]
 
 
 def test_prune_count_is_ceil():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((6, 5))
     for alpha in (0.1, 0.25, 0.333, 0.5, 0.9, 1.0):
-        entries = magnitude_prune(a, alpha)
-        assert len(entries.indices) == retained_count(alpha, 30)
+        assert len(magnitude_prune(a, alpha)) == retained_count(alpha, 30)
     assert retained_count(0.1, 30) == 3  # fp noise must not bump the ceil
     assert retained_count(0.3, 10) == 3
     assert retained_count(0.21, 10) == 3
@@ -195,34 +200,27 @@ def test_prune_count_is_ceil():
 def test_prune_retained_dominate_dropped():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((8, 8))
-    entries = magnitude_prune(a, 0.4)
-    dropped = np.setdiff1d(np.arange(a.size), entries.indices)
-    assert np.min(np.abs(entries.values)) >= np.max(np.abs(a.reshape(-1)[dropped]))
+    indices = magnitude_prune(a, 0.4)
+    dropped = np.setdiff1d(np.arange(a.size), indices)
+    assert np.min(np.abs(a.reshape(-1)[indices])) >= np.max(np.abs(a.reshape(-1)[dropped]))
 
 
 def test_prune_idempotent_after_densify():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((6, 6))
     once = magnitude_prune(a, 0.5)
-    twice = magnitude_prune(once.densify(dtype=np.float64), 0.5)
-    assert once.indices.tolist() == twice.indices.tolist()
-    assert np.array_equal(once.values, twice.values)
+    assert magnitude_prune(_densify(a, once), 0.5).tolist() == once.tolist()
 
 
-def _argsort_prune(a: np.ndarray, alpha: float) -> SparseEntries:
+def _argsort_prune(a: np.ndarray, alpha: float) -> np.ndarray:
     """magnitude_prune as it was: a stable argsort of every -|value|."""
-    flat = a.reshape(-1)
-    order = np.argsort(-np.abs(flat), kind="stable")
-    indices = np.sort(order[: retained_count(alpha, flat.size)]).astype(np.int64, copy=False)
-    return SparseEntries(shape=tuple(a.shape), indices=indices, values=flat[indices])
+    order = np.argsort(-np.abs(a.reshape(-1)), kind="stable")
+    return np.sort(order[: retained_count(alpha, a.size)])
 
 
 def _assert_same_prune(a: np.ndarray, alpha: float) -> None:
-    got, expected = magnitude_prune(a, alpha), _argsort_prune(a, alpha)
-    assert got.shape == expected.shape
-    assert got.indices.dtype == np.int64 and got.indices.tolist() == expected.indices.tolist()
-    assert got.values.dtype == expected.values.dtype
-    assert got.values.tobytes() == expected.values.tobytes()  # bit for bit: the signs of zeros too
+    got = magnitude_prune(a, alpha)
+    assert got.dtype == np.int64 and got.tolist() == _argsort_prune(a, alpha).tolist()
 
 
 _TIE_SPLIT = np.array([[5.0, 1.0, 2.0], [2.0, 2.0, 1.0], [2.0, 0.0, 2.0]])  # at 4/9, 3 of the 5 twos are kept
@@ -254,8 +252,8 @@ def test_prune_equals_the_argsort_reference_on_forced_ties(a, alpha):
 
 
 def test_prune_split_tie_keeps_the_first_equal_magnitudes():
-    assert magnitude_prune(_TIE_SPLIT, 4 / 9).indices.tolist() == [0, 2, 3, 4]  # the tie spans all three rows
-    assert magnitude_prune(np.ones((40, 50)), 1e-4).indices.tolist() == [0]
+    assert magnitude_prune(_TIE_SPLIT, 4 / 9).tolist() == [0, 2, 3, 4]  # the tie spans all three rows
+    assert magnitude_prune(np.ones((40, 50)), 1e-4).tolist() == [0]
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -286,14 +284,6 @@ def test_frobenius_rel_err_basics():
     assert frobenius_rel_err(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
     with pytest.raises(ValueError):
         frobenius_rel_err(a, np.zeros((3, 3)))
-
-
-def test_sparse_entries_densify():
-    entries = SparseEntries(shape=(2, 3), indices=np.array([1, 4]), values=np.array([2.0, -1.0]))
-    dense = entries.densify()
-    assert dense.shape == (2, 3)
-    assert dense[0, 1] == 2.0 and dense[1, 1] == -1.0
-    assert np.count_nonzero(dense) == 2
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

@@ -10,8 +10,7 @@ from skillpack.checkpoints import apply_pack, diff
 from skillpack.classify import ModuleClass, classify, default_manifest
 from skillpack.compress import compress_delta
 from skillpack.packs import predict_stats
-from skillpack.plans import CompressionPlan, DenseStrategy, plan_to_dict
-from skillpack.quantize import BitGroup
+from skillpack.plans import BitGroup, CompressionPlan, DenseStrategy, plan_to_dict
 from skillpack.toy import (
     DeltaRecipe,
     ToySpec,
