@@ -13,8 +13,9 @@ is the error on activations it was not fitted to, here a held-out draw of
 * correlated activations (rank-8 mixing plus 0.1 noise), as a real model's
   are: GPTQ's held-out error is well below RTN's.
 
-This is why compress runs GPTQ only against a calibration file of real
-activations, and rounds to nearest without one.
+This is why compress runs GPTQ only when it is given real activations
+(`activations=`, or `--calibration` on the command line), and rounds to
+nearest without them.
 """
 
 import numpy as np

@@ -39,7 +39,6 @@ from .plans import (
     BitGroup,
     CompressionPlan,
     DenseStrategy,
-    FileCalibration,
     PruneStrategy,
     SvdQuantStrategy,
     default_plan,

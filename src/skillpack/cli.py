@@ -3,7 +3,7 @@
 Every subcommand exits 0 on success and nonzero with a single
 "error: ..." line on stderr otherwise. Subcommands that draw random
 numbers require an explicit --seed. Plans and manifests travel in one JSON
-config file.
+config file; calibration activations in a checkpoint file of their own.
 """
 
 from __future__ import annotations
@@ -81,7 +81,8 @@ def _cmd_compress(args) -> int:
         manifest = (ClassificationManifest.from_dict(config["manifest"]) if "manifest" in config
                     else default_manifest())
     deltas = load_delta(args.delta)
-    pack = compress_delta(deltas, manifest, plan, task_tag=args.tag)
+    activations = None if args.calibration is None else load_checkpoint(args.calibration).tensors
+    pack = compress_delta(deltas, manifest, plan, task_tag=args.tag, activations=activations)
     save_pack(pack, args.out)
     print(f"wrote {args.out}  {fmt_ratios(pack.stats.total)}")
     return 0
@@ -193,6 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("delta")
     p.add_argument("--plan", required=True, help="JSON config with plan (and optional manifest)")
     p.add_argument("--tag", default="", help="task tag stored in the pack")
+    p.add_argument("--calibration", default=None,
+                   help="checkpoint of activations (width x samples) per SVD-compressed tensor, for GPTQ")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=_cmd_compress)
 

@@ -7,20 +7,23 @@ else, and every tensor that is not 2-D or is empty, is stored dense and
 exact.
 
 A factorized delta U diag(sigma) V^T keeps sigma unquantized at 32 bits.
-Without a calibration file, V^T is rounded to nearest (RTN) per row and U
-per column, each vector at its group's width. With a `FileCalibration`,
-GPTQ quantizes them against the delta's activations x: the V^T rows of
-every group in one sweep, then the U columns of each group against
+Without activations, V^T is rounded to nearest (RTN) per row and U per
+column, each vector at its group's width. Given `activations`, a map from
+tensor name to its input activations x (width x samples), such as
+`load_checkpoint(path).tensors`, GPTQ quantizes them against x: the V^T
+rows of every group in one sweep, then the U columns of each group against
 sigma_g * V^T_g * x, so the second step sees the quantization error of the
 first. GPTQ beats RTN only on correlated activations, such as those of a
-real model (see `quantize`).
+real model (see `quantize`). Compress reads no file.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
-from .checkpoints import DeltaMap, load_checkpoint
+from .checkpoints import DeltaMap
 from .classify import ClassificationManifest, ModuleClass, classify
 from .packs import _VALUES_CHECKED, CompressedEntry, DenseEntry, PrunedSparseEntry, QuantizedSvdEntry, SkillPack
 from .plans import (
@@ -33,26 +36,7 @@ from .plans import (
     strategy_for,
 )
 from .quantize import divisors, encode, quantize_gptq, quantize_rtn, rtn_scales
-from .tensors import check_float32, check_matrix, magnitude_prune, svd, truncate
-
-
-def _calibration(plan: CompressionPlan):
-    """`(name, width) -> x`: a tensor's calibration activations (width x samples),
-    or None when the plan has no calibration file. File activations are per tensor
-    name, and the names of a delta map are unique, so nothing is kept."""
-    if plan.calibration is None:
-        return lambda name, width: None
-    tensors = load_checkpoint(plan.calibration.path).tensors
-
-    def from_file(name: str, width: int) -> np.ndarray:
-        if name not in tensors:
-            raise KeyError(f"calibration file has no activations for {name!r}")
-        x = np.asarray(check_matrix(tensors[name], "calibration"), dtype=np.float64)  # `_compress` names the delta
-        if x.shape[0] != width:
-            raise ValueError(f"calibration must be ({width} x samples), got {x.shape}")
-        return x
-
-    return from_file
+from .tensors import check_float32, magnitude_prune, svd, truncate
 
 
 def _compress_prune(delta: np.ndarray, mclass: ModuleClass, strategy: PruneStrategy) -> PrunedSparseEntry:
@@ -80,7 +64,7 @@ def _compress_svd(
     factors = truncate(svd(delta), strategy.rank)
     groups = clip_groups(strategy.groups, factors.rank)
     widths = [g.bits for g in groups for _ in range(g.length)]
-    if x is None:  # no calibration file: both sides round to nearest
+    if x is None:  # no activations: both sides round to nearest
         qv, u_parts = quantize_rtn(factors.vt, widths, "row"), [quantize_rtn(factors.u, widths, "column")]
     else:
         qv = quantize_gptq(factors.vt, x, widths, damping=damping, scale_axis="row")
@@ -101,8 +85,25 @@ def _compress_svd(
     )
 
 
-def _compress(name: str, delta: np.ndarray, mclass: ModuleClass, plan: CompressionPlan, calibration) -> CompressedEntry:
-    """`compress_entry` with a `_calibration(plan)` lookup, which only an SVD strategy consults."""
+def compress_entry(
+    name: str,
+    delta: np.ndarray,
+    mclass: ModuleClass,
+    plan: CompressionPlan,
+    activations: Mapping[str, np.ndarray] | None = None,
+) -> CompressedEntry:
+    """Compress one delta tensor according to its class strategy.
+
+    Tensors that are not 2-D or are empty are stored dense (`strategy_for`). A float16
+    delta needs no promotion: the dense path stores float32, `tensors.svd` factors a
+    float32 or float16 delta in float32 with float64-refined sigma (a float64 one in
+    float64), and the quantizers compute in float64. Every class refuses the same deltas by
+    the float32 rule: `tensors.check_float32` checks a dense-stored or float64
+    delta, and `check_matrix` in the operator a float32 or float16 one. Every
+    ValueError starts with `delta '<name>'`. `activations[name]` is looked up only
+    for an SVD strategy, and a missing name is a KeyError naming the tensor;
+    `quantize_gptq` checks the matrix and its width.
+    """
     delta = np.asarray(delta)
     strategy = strategy_for(plan, mclass, delta.shape)
     if isinstance(strategy, DenseStrategy) or delta.dtype.itemsize > 4:  # a narrower one is in float32's range
@@ -113,25 +114,12 @@ def _compress(name: str, delta: np.ndarray, mclass: ModuleClass, plan: Compressi
                               values=delta.astype(np.float32) if values is delta else values)
         if isinstance(strategy, PruneStrategy):
             return _compress_prune(delta, mclass, strategy)
-        return _compress_svd(delta, mclass, strategy, calibration(name, delta.shape[1]), plan.damping)
-    except ValueError as exc:  # such as a NaN in a float32 delta, or a singular value past the float32 range
+        if activations is not None and name not in activations:
+            raise KeyError(f"no activations for {name!r}")
+        x = None if activations is None else activations[name]
+        return _compress_svd(delta, mclass, strategy, x, plan.damping)
+    except ValueError as exc:  # such as a NaN in a float32 delta, or activations of the wrong width
         raise ValueError(f"delta {name!r}: {exc}") from None
-
-
-def compress_entry(name: str, delta: np.ndarray, mclass: ModuleClass, plan: CompressionPlan) -> CompressedEntry:
-    """Compress one delta tensor according to its class strategy.
-
-    Tensors that are not 2-D or are empty are stored dense (`strategy_for`). A float16
-    delta needs no promotion: the dense path stores float32, `tensors.svd` factors a
-    float32 or float16 delta in float32 with float64-refined sigma (a float64 one in
-    float64), and the quantizers compute in float64. Every class refuses the same deltas by
-    the float32 rule: `tensors.check_float32` checks a dense-stored or float64
-    delta, and `check_matrix` in the operator a float32 or float16 one. Every
-    ValueError starts with `delta '<name>'`. The entry calibrates from
-    `plan.calibration`, as `compress_delta` does; with a `FileCalibration`
-    plan the file is opened even for a dense or pruned tensor.
-    """
-    return _compress(name, delta, mclass, plan, _calibration(plan))
 
 
 def compress_delta(
@@ -139,14 +127,14 @@ def compress_delta(
     manifest: ClassificationManifest,
     plan: CompressionPlan,
     task_tag: str = "",
+    activations: Mapping[str, np.ndarray] | None = None,
 ) -> SkillPack:
     """Compress every delta tensor into one SkillPack.
 
-    Deterministic given (deltas, manifest, plan): each entry depends only
-    on its own tensor, the plan, and, with a calibration file, its activations there.
+    Deterministic given (deltas, manifest, plan, activations): each entry depends
+    only on its own tensor, the plan and, for an SVD strategy, its activations.
     """
-    calibration = _calibration(plan)
-    entries = {name: _compress(name, delta, classify(name, manifest), plan, calibration)
+    entries = {name: compress_entry(name, delta, classify(name, manifest), plan, activations)
                for name, delta in deltas.deltas.items()}
     return SkillPack(
         base_model_id=deltas.base_id,

@@ -7,6 +7,9 @@ The shipped default plan prunes embedding/head deltas at alpha=0.5 with
 (ranks 1400 and 1000) whose singular vectors are quantized group-wise at
 [8, 3, 2] bits over ranks [0,20)/[20,200)/[200,1400) for MLP and [8, 2]
 bits over [0,20)/[20,1000) for attention. Ranks clamp on small matrices.
+
+A plan is policy only. Calibration activations are data, given to
+`compress_delta` and `compress_entry` as `activations=`.
 """
 
 from __future__ import annotations
@@ -102,21 +105,8 @@ Strategy = Union[PruneStrategy, SvdQuantStrategy, DenseStrategy]
 
 
 @dataclass(frozen=True)
-class FileCalibration:
-    """Checkpoint container of per-parameter activation matrices (h_in x s), against
-    which GPTQ quantizes SVD factors. A plan without one rounds them to nearest."""
-
-    path: str
-
-    def __post_init__(self):
-        if not isinstance(self.path, str):
-            raise ValueError(f"calibration path must be a string, got {self.path!r}")
-
-
-@dataclass(frozen=True)
 class CompressionPlan:
     strategies: dict[ModuleClass, Strategy]
-    calibration: FileCalibration | None = None
     damping: float = 0.01
 
     def __post_init__(self):
@@ -133,8 +123,6 @@ class CompressionPlan:
         object.__setattr__(self, "strategies", {cls: by_class[cls] for cls in ModuleClass})
         if not isinstance(self.strategies[ModuleClass.PASSTHROUGH], DenseStrategy):
             raise ValueError("the passthrough class must map to the dense strategy")
-        if self.calibration is not None and not isinstance(self.calibration, FileCalibration):
-            raise ValueError(f"plan calibration must be a FileCalibration or None, got {self.calibration!r}")
         check_number(self.damping, "damping", 0)
 
 
@@ -160,17 +148,16 @@ def default_plan() -> CompressionPlan:
     return CompressionPlan(strategies=strategies)
 
 
-# Strategies and calibration specs serialize as {"kind": ..., <field>: <value>, ...}.
+# Strategies serialize as {"kind": ..., <field>: <value>, ...}.
 _KINDS = {
     "prune": PruneStrategy,
     "svd_quant": SvdQuantStrategy,
     "dense": DenseStrategy,
-    "file": FileCalibration,
 }
 _KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
 
 
-def _part_to_dict(part) -> dict:
+def _strategy_to_dict(part) -> dict:
     out = {"kind": _KIND_OF[type(part)]}
     for f in fields(part):
         value = getattr(part, f.name)
@@ -178,11 +165,11 @@ def _part_to_dict(part) -> dict:
     return out
 
 
-def _part_from_dict(d: dict, classes: tuple[type, ...]):
-    """The member of `classes` that `d` describes; an unknown or missing key is an error."""
+def _strategy_from_dict(d: dict):
+    """The strategy that `d` describes; an unknown or missing key is an error."""
     kind = d.get("kind")
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
-    if cls not in classes:
+    if cls is None:
         raise ValueError(f"unknown kind {kind!r}")
     values = {key: value for key, value in d.items() if key != "kind"}
     if "groups" in values:
@@ -192,15 +179,11 @@ def _part_from_dict(d: dict, classes: tuple[type, ...]):
 
 def plan_to_dict(plan: CompressionPlan) -> dict:
     return {
-        "strategies": {cls.value: _part_to_dict(s) for cls, s in plan.strategies.items()},
-        "calibration": None if plan.calibration is None else _part_to_dict(plan.calibration),
+        "strategies": {cls.value: _strategy_to_dict(s) for cls, s in plan.strategies.items()},
         "damping": plan.damping,
     }
 
 
 def plan_from_dict(d: dict) -> CompressionPlan:
-    strategies = {ModuleClass(cls): _part_from_dict(s, get_args(Strategy)) for cls, s in d["strategies"].items()}
-    values = {**d, "strategies": strategies}
-    if d.get("calibration") is not None:
-        values["calibration"] = _part_from_dict(d["calibration"], (FileCalibration,))
-    return CompressionPlan(**values)
+    strategies = {ModuleClass(cls): _strategy_from_dict(s) for cls, s in d["strategies"].items()}
+    return CompressionPlan(**{**d, "strategies": strategies})

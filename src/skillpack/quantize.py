@@ -22,7 +22,7 @@ correlated, as a real model's are. On isotropic ones, such as standard-normal
 draws, the expected Hessian is a multiple of the identity, so GPTQ's expected
 objective is RTN's: what it fits is the sampling noise of its samples, and
 its held-out error is higher than RTN's. Compress therefore runs GPTQ only
-against a calibration file.
+when it is given activations.
 
 Codes are symmetric, zero-point free: c in [-(2^(k-1)-1), 2^(k-1)-1].
 An all-zero vector gets scale 0 and codes 0.

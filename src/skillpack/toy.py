@@ -271,9 +271,9 @@ def budget_plan(budget: float, shapes: dict[str, tuple[int, ...]]) -> Compressio
     plans the smallest knob wins. Bisection through `predict_stats` finds it:
     alpha, the SVD ranks and both bit widths are nondecreasing in t, and so are
     the retained count, clamped rank and bits per value they give, so the
-    predicted ratio is nondecreasing in t for any shapes. The plan has no
-    calibration file, so its SVD factors round to nearest; give it a
-    `FileCalibration` (and a damping) with `dataclasses.replace` for GPTQ.
+    predicted ratio is nondecreasing in t for any shapes. Its SVD factors round
+    to nearest unless compress is given activations; set a damping for GPTQ
+    with `dataclasses.replace`.
     """
     check_number(budget, "budget", 0, above=True)
     manifest = default_manifest()

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 import skillpack.cli as cli
+from skillpack.checkpoints import Checkpoint, load_delta, save_checkpoint
+from skillpack.classify import default_manifest
 from skillpack.cli import main
-from skillpack.packs import load_pack
+from skillpack.compress import compress_delta
+from skillpack.packs import load_pack, save_pack
 from skillpack.plans import default_plan, plan_to_dict
 from skillpack.routing import LinearClassifier, save_router
 from skillpack.toy import RetentionReport
@@ -192,6 +195,64 @@ def test_compress_with_a_custom_manifest(tmp_path):
     assert kinds["model.embed_tokens.weight"] == "pruned_sparse"
     assert kinds["model.layers.0.self_attn.q_proj.weight"] == "dense"
     assert kinds["lm_head.weight"] == "dense"
+
+
+def delta_and_activations(tmp_path):
+    """A toy delta file and float32 activations (width x 32) for each of its 2-D tensors."""
+    base, tuned = gen_pair(tmp_path)
+    delta = tmp_path / "d.gltc"
+    main(["diff", str(base), str(tuned), "-o", str(delta)])
+    rng = np.random.default_rng(0)
+    acts = {name: rng.standard_normal((d.shape[1], 32)).astype(np.float32)
+            for name, d in load_delta(delta).deltas.items() if d.ndim == 2}
+    return delta, acts
+
+
+def test_compress_calibration_flag_gives_the_library_calls_pack(tmp_path):
+    delta, acts = delta_and_activations(tmp_path)
+    save_checkpoint(Checkpoint(model_id="acts", tensors=acts), tmp_path / "acts.gltc")
+    argv = ["compress", str(delta), "--plan", write_plan(tmp_path / "plan.json"), "--tag", "t"]
+    assert main([*argv, "--calibration", str(tmp_path / "acts.gltc"), "-o", str(tmp_path / "cli.skpk")]) == 0
+    pack = compress_delta(load_delta(delta), default_manifest(), default_plan(), task_tag="t", activations=acts)
+    save_pack(pack, tmp_path / "lib.skpk")
+    assert (tmp_path / "cli.skpk").read_bytes() == (tmp_path / "lib.skpk").read_bytes()
+    assert main([*argv, "-o", str(tmp_path / "rtn.skpk")]) == 0  # without the flag, factors round to nearest
+    assert payload_bytes(tmp_path / "rtn.skpk") != payload_bytes(tmp_path / "cli.skpk")
+
+
+def test_calibrated_pack_bytes_do_not_depend_on_where_the_file_lies(tmp_path, tmp_path_factory, monkeypatch):
+    # the plan snapshot in the header held the calibration path, so each file name gave another pack
+    delta, acts = delta_and_activations(tmp_path)
+    plan = write_plan(tmp_path / "plan.json")
+    monkeypatch.chdir(tmp_path)
+    paths = ["activations.gltc", str(tmp_path_factory.mktemp("elsewhere") / "calib.gltc")]
+    for i, path in enumerate(paths):
+        save_checkpoint(Checkpoint(model_id="acts", tensors=acts), path)
+        assert main(["compress", str(delta), "--plan", plan, "--calibration", path, "-o", f"{i}.skpk"]) == 0
+    assert (tmp_path / "0.skpk").read_bytes() == (tmp_path / "1.skpk").read_bytes()
+
+
+def test_compress_names_a_missing_calibration_file(tmp_path, capsys):
+    delta, _ = delta_and_activations(tmp_path)
+    out = tmp_path / "p.skpk"
+    capsys.readouterr()
+    argv = ["compress", str(delta), "--plan", write_plan(tmp_path / "plan.json"),
+            "--calibration", str(tmp_path / "missing.gltc"), "-o", str(out)]
+    assert main(argv) == 1
+    assert "missing.gltc" in one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("calibration", [None, {"kind": "file", "path": "acts.gltc"}], ids=["null", "file"])
+def test_compress_refuses_a_plan_with_a_calibration_key(tmp_path, capsys, calibration):
+    """Older plan files held the calibration; it is now `--calibration`, and the key is an error."""
+    config = tmp_path / "old_plan.json"
+    config.write_text(default_plan_text(lambda p: p.update(calibration=calibration)))
+    out = tmp_path / "p.skpk"
+    assert main(["compress", str(tmp_path / "d.gltc"), "--plan", str(config), "-o", str(out)]) == 1
+    line = one_error_line(capsys)
+    assert "old_plan.json" in line and "'calibration'" in line
+    assert not out.exists()
 
 
 def test_compress_refuses_seed(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from skillpack.plans import (
     BitGroup,
     CompressionPlan,
     DenseStrategy,
-    FileCalibration,
     PruneStrategy,
     SvdQuantStrategy,
     clip_groups,
@@ -228,35 +229,26 @@ def test_compress_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_file_calibration_missing_name(tmp_path):
-    from skillpack.checkpoints import Checkpoint, save_checkpoint
-
-    calib_path = tmp_path / "calib.gltc"
-    save_checkpoint(
-        Checkpoint(model_id="calib", tensors={"other.weight": np.ones((4, 2), np.float32)}),
-        calib_path,
-    )
-    plan = simple_plan(calibration=FileCalibration(path=str(calib_path)))
-    deltas = DeltaMap(
-        base_id="b", tuned_id="t",
-        deltas={"model.layers.0.mlp.gate_proj.weight": np.ones((6, 4), np.float32)},
-    )
-    with pytest.raises(KeyError, match="no activations"):
-        compress_delta(deltas, default_manifest(), plan)
-
-
-def test_file_calibration_of_the_wrong_width_is_refused_naming_the_delta_once(tmp_path):
-    from skillpack.checkpoints import Checkpoint, save_checkpoint
-
+def test_file_calibration_missing_name():
+    activations = {"other.weight": np.ones((4, 2), np.float32)}
     name = "model.layers.0.mlp.gate_proj.weight"
-    save_checkpoint(Checkpoint(model_id="calib", tensors={name: np.ones((3, 2), np.float32)}), tmp_path / "c.gltc")
-    plan = simple_plan(calibration=FileCalibration(path=str(tmp_path / "c.gltc")))
-    with pytest.raises(ValueError, match=re.escape(f"delta {name!r}: calibration must be (4 x samples), got (3, 2)")):
-        compress_entry(name, np.ones((6, 4), np.float32), ModuleClass.MLP, plan)
+    deltas = DeltaMap(base_id="b", tuned_id="t", deltas={name: np.ones((6, 4), np.float32)})
+    with pytest.raises(KeyError, match=re.escape(f"no activations for {name!r}")):
+        compress_delta(deltas, default_manifest(), simple_plan(), activations=activations)
+
+
+def test_file_calibration_of_the_wrong_width_is_refused_naming_the_delta_once():
+    name = "model.layers.0.mlp.gate_proj.weight"
+    activations = {name: np.ones((3, 2), np.float32)}
+    # quantize_gptq checks the width, behind the delta's name
+    message = f"delta {name!r}: calibration rows (3) must match matrix columns (4)"
+    with pytest.raises(ValueError, match=re.escape(message)) as excinfo:
+        compress_entry(name, np.ones((6, 4), np.float32), ModuleClass.MLP, simple_plan(), activations=activations)
+    assert str(excinfo.value) == message
 
 
 def test_file_calibration_used(tmp_path):
-    from skillpack.checkpoints import Checkpoint, save_checkpoint
+    from skillpack.checkpoints import Checkpoint, load_checkpoint, save_checkpoint
 
     rng = np.random.default_rng(8)
     name = "model.layers.0.mlp.gate_proj.weight"
@@ -265,10 +257,35 @@ def test_file_calibration_used(tmp_path):
         Checkpoint(model_id="calib", tensors={name: rng.standard_normal((4, 16)).astype(np.float32)}),
         calib_path,
     )
-    plan = simple_plan(rank=2, calibration=FileCalibration(path=str(calib_path)))
     deltas = DeltaMap(base_id="b", tuned_id="t", deltas={name: rng.standard_normal((6, 4)).astype(np.float32)})
-    pack = compress_delta(deltas, default_manifest(), plan)
+    pack = compress_delta(deltas, default_manifest(), simple_plan(rank=2), activations=load_checkpoint(calib_path).tensors)
     assert isinstance(pack.entries[name], QuantizedSvdEntry)
+
+
+def test_only_svd_tensors_look_up_their_activations():
+    """Dense and pruned tensors need no activations, so an empty map compresses them as none does."""
+    rng = np.random.default_rng(7)
+    for mclass in (ModuleClass.EMBEDDING_OR_HEAD, ModuleClass.PASSTHROUGH):
+        delta = rng.standard_normal((6, 4)).astype(np.float32)
+        with_map = compress_entry("w", delta, mclass, simple_plan(), activations={})
+        without = compress_entry("w", delta, mclass, simple_plan())
+        assert type(with_map) is type(without)
+        assert with_map.reconstruct().tobytes() == without.reconstruct().tobytes()
+    with pytest.raises(KeyError, match="no activations for 'w'"):
+        compress_entry("w", rng.standard_normal((6, 4)).astype(np.float32), ModuleClass.MLP, simple_plan(),
+                       activations={})
+
+
+def test_compress_calls_no_loader():
+    """Compress does no I/O: activations come in as a map, read by the caller. No loader is
+    imported, named or called in `compress.py`'s code (its docstrings may name one)."""
+    loaders = {"load_checkpoint", "read_container", "open"}
+    found = []
+    for node in ast.walk(ast.parse(Path(compress_module.__file__).read_text())):
+        names = [alias.name for alias in node.names] if isinstance(node, (ast.Import, ast.ImportFrom)) else \
+            [getattr(node, "id", None), getattr(node, "attr", None)]
+        found += [f"line {node.lineno}: {n}" for n in names if n in loaders]
+    assert not found
 
 
 def test_monotone_fidelity_in_bits():
@@ -332,16 +349,13 @@ def test_predicted_stats_match_actual():
 
 @pytest.mark.parametrize("shape", [(96, 64), (1408, 512)], ids=["96x64", "mlp-1408x512"])
 def test_entry_without_factor_computes_the_v_side_factor_once(tmp_path, monkeypatch, shape):
-    """With a calibration file, compress_entry factors its V-side activations once per
+    """Given activations, compress_entry factors its V-side activations once per
     entry, not once per bit group, and gives the entry compress_delta gives."""
-    from skillpack.checkpoints import Checkpoint, save_checkpoint
-
     name = "model.layers.0.mlp.gate_proj.weight"
     rng = np.random.default_rng(15)
     delta = rng.standard_normal(shape).astype(np.float32)
-    x = rng.standard_normal((shape[1], 32)).astype(np.float32)
-    save_checkpoint(Checkpoint(model_id="calib", tensors={name: x}), tmp_path / "c.gltc")
-    plan = replace(default_plan(), calibration=FileCalibration(path=str(tmp_path / "c.gltc")))
+    activations = {name: rng.standard_normal((shape[1], 32)).astype(np.float32)}
+    plan = default_plan()
     groups = clip_groups(strategy_for(plan, ModuleClass.MLP, shape).groups, min(shape))
     assert len(groups) > 1 and all(g.length != shape[1] for g in groups)
     widths = []
@@ -352,15 +366,18 @@ def test_entry_without_factor_computes_the_v_side_factor_once(tmp_path, monkeypa
         return hessian_factor(inputs, *args, **kwargs)
 
     monkeypatch.setattr(quantize_module, "hessian_factor", counting_factor)
-    entry = compress_entry(name, delta, ModuleClass.MLP, plan)
+    entry = compress_entry(name, delta, ModuleClass.MLP, plan, activations=activations)
     assert widths == [shape[1]] + [g.length for g in groups]  # the V side once, then each group's U side
-    packed = compress_delta(DeltaMap(base_id="b", tuned_id="t", deltas={name: delta}), default_manifest(), plan)
+    packed = compress_delta(DeltaMap(base_id="b", tuned_id="t", deltas={name: delta}), default_manifest(), plan,
+                            activations=activations)
     for field in ("sigma", "u_codes", "u_scales", "v_codes", "v_scales"):
         assert np.array_equal(getattr(entry, field), getattr(packed.entries[name], field)), field
 
 
 def test_entry_calibrates_on_its_named_file_activations(tmp_path):
-    from skillpack.checkpoints import Checkpoint, save_checkpoint
+    """An SVD tensor's `compress_entry(..., activations=)` entry is `compress_delta`'s, bit for bit,
+    with the activations read from a file as the command line reads them."""
+    from skillpack.checkpoints import Checkpoint, load_checkpoint, save_checkpoint
 
     rng = np.random.default_rng(16)
     names = ["model.layers.0.mlp.gate_proj.weight", "model.layers.0.mlp.up_proj.weight"]
@@ -369,23 +386,26 @@ def test_entry_calibrates_on_its_named_file_activations(tmp_path):
         Checkpoint(model_id="calib", tensors={n: rng.standard_normal((8, 16)).astype(np.float32) for n in names}),
         calib_path,
     )
-    plan = simple_plan(rank=6, bits=2, calibration=FileCalibration(path=str(calib_path)))
+    acts = load_checkpoint(calib_path).tensors
+    plan = simple_plan(rank=6, bits=2)
     delta = rng.standard_normal((12, 8)).astype(np.float32)
     deltas = DeltaMap(base_id="b", tuned_id="t", deltas={n: delta for n in names})
-    pack = compress_delta(deltas, default_manifest(), plan)
-    entries = {n: compress_entry(n, delta, ModuleClass.MLP, plan) for n in names}
+    pack = compress_delta(deltas, default_manifest(), plan, activations=acts)
+    entries = {n: compress_entry(n, delta, ModuleClass.MLP, plan, activations=acts) for n in names}
     for n in names:
         for field in ("sigma", "u_codes", "u_scales", "v_codes", "v_scales"):
-            assert np.array_equal(getattr(entries[n], field), getattr(pack.entries[n], field)), (n, field)
+            got, want = getattr(entries[n], field), getattr(pack.entries[n], field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, field)
     # the same delta under each name's own activations gives different codes
     a, b = (entries[n] for n in names)
     assert not (np.array_equal(a.u_codes, b.u_codes) and np.array_equal(a.v_codes, b.v_codes))
 
     missing = "model.layers.1.mlp.gate_proj.weight"
     with pytest.raises(KeyError) as from_entry:
-        compress_entry(missing, delta, ModuleClass.MLP, plan)
+        compress_entry(missing, delta, ModuleClass.MLP, plan, activations=acts)
     with pytest.raises(KeyError) as from_delta:
-        compress_delta(DeltaMap(base_id="b", tuned_id="t", deltas={missing: delta}), default_manifest(), plan)
+        compress_delta(DeltaMap(base_id="b", tuned_id="t", deltas={missing: delta}), default_manifest(), plan,
+                       activations=acts)
     assert str(from_entry.value) == str(from_delta.value)
     assert "no activations for 'model.layers.1.mlp.gate_proj.weight'" in str(from_entry.value)
 
@@ -444,18 +464,17 @@ REFERENCE_GROUPS = {
 def test_svd_entry_equals_the_preallocated_reference(tmp_path, shape, calibration):
     """Entries built from the groups' quantizer results equal, in every field,
     bit and dtype, those the preallocate-and-scatter version built."""
-    from skillpack.checkpoints import Checkpoint, save_checkpoint
+    from skillpack.checkpoints import Checkpoint, load_checkpoint, save_checkpoint
 
     name = "model.layers.0.mlp.gate_proj.weight"
     rng = np.random.default_rng(17)
     if calibration == "none":
-        spec = None
+        x = None
     else:
         x = rng.standard_normal((shape[1], 32)) if calibration == "file" else np.zeros((shape[1], 32))
         save_checkpoint(Checkpoint(model_id="calib", tensors={name: x.astype(np.float32)}), tmp_path / "c.gltc")
-        spec = FileCalibration(path=str(tmp_path / "c.gltc"))
-    plan = CompressionPlan(strategies=simple_plan().strategies, calibration=spec)
-    x = compress_module._calibration(plan)(name, shape[1])
+        x = load_checkpoint(tmp_path / "c.gltc").tensors[name]
+    plan = simple_plan()
     deltas = {"random": rng.standard_normal(shape).astype(np.float32), "zero": np.zeros(shape, dtype=np.float32)}
     for (key, delta), count, rank in itertools.product(deltas.items(), REFERENCE_GROUPS, (4, 8)):
         # rank 8 is clamped to min(shape) on every shape here; rank 4 only on the 1 x n one
@@ -471,15 +490,12 @@ def test_svd_entry_equals_the_preallocated_reference(tmp_path, shape, calibratio
             assert got.tobytes() == want.tobytes(), (case, field)
 
 
-def test_signal_free_file_calibration_is_factored_once(tmp_path, monkeypatch):
-    """An all-zero activation file has no Hessian factor; the V side is not
+def test_signal_free_file_calibration_is_factored_once(monkeypatch):
+    """All-zero activations have no Hessian factor; the V side is not
     factored again per bit group, and the codes are those of plain RTN."""
-    from skillpack.checkpoints import Checkpoint, save_checkpoint
-
     name = "model.layers.0.mlp.gate_proj.weight"
-    calib_path = tmp_path / "zero.gltc"
-    save_checkpoint(Checkpoint(model_id="calib", tensors={name: np.zeros((64, 32), dtype=np.float32)}), calib_path)
-    plan = replace(default_plan(), calibration=FileCalibration(path=str(calib_path)))
+    activations = {name: np.zeros((64, 32), dtype=np.float32)}
+    plan = default_plan()
     delta = np.random.default_rng(18).standard_normal((128, 64)).astype(np.float32)
     groups = clip_groups(strategy_for(plan, ModuleClass.MLP, delta.shape).groups, 64)
     assert len(groups) > 1
@@ -492,7 +508,7 @@ def test_signal_free_file_calibration_is_factored_once(tmp_path, monkeypatch):
         return hessian_factor(inputs, *args, **kwargs)
 
     monkeypatch.setattr(quantize_module, "hessian_factor", counting_factor)
-    entry = compress_entry(name, delta, ModuleClass.MLP, plan)
+    entry = compress_entry(name, delta, ModuleClass.MLP, plan, activations=activations)
     assert len(v_side) == 1
     factors = compress_module.svd(delta)
     for g in groups:

@@ -19,7 +19,6 @@ from skillpack.plans import (
     BitGroup,
     CompressionPlan,
     DenseStrategy,
-    FileCalibration,
     PruneStrategy,
     SvdQuantStrategy,
     default_plan,
@@ -33,12 +32,8 @@ from skillpack.toy import ToySpec, budget_plan, gen_toy, toy_param_shapes
 VALUES = [math.nan, math.inf, -math.inf, -1, 0, 1, 1.5, 3, True, "x", None, [], {}]
 
 
-CALIBRATED = replace(default_plan(), calibration=FileCalibration(path="calib.gltc"))
-
-
 def test_plan_dict_round_trips():
-    plans = [default_plan(), replace(CALIBRATED, damping=0.5), budget_plan(0.05, toy_param_shapes(ToySpec()))]
-    assert plans[0].calibration is None and plans[2].calibration is None
+    plans = [default_plan(), replace(default_plan(), damping=0.5), budget_plan(0.05, toy_param_shapes(ToySpec()))]
     for plan in plans:
         assert plan_from_dict(json.loads(json.dumps(plan_to_dict(plan)))) == plan
 
@@ -51,46 +46,47 @@ def test_plan_dict_pinned():
             "attention": {"kind": "svd_quant", "rank": 1000, "groups": [[0, 20, 8], [20, 1000, 2]]},
             "passthrough": {"kind": "dense"},
         },
-        "calibration": None,
         "damping": 0.01,
     }
 
 
 def test_missing_optional_keys_take_the_defaults():
     d = plan_to_dict(default_plan())
-    del d["calibration"], d["damping"], d["strategies"]["embedding_or_head"]["value_bits"]
+    del d["damping"], d["strategies"]["embedding_or_head"]["value_bits"]
     assert plan_from_dict(d) == default_plan()
 
 
 @pytest.mark.parametrize("edit", [
     lambda d: d["strategies"]["embedding_or_head"].update(value_bit=8),
     lambda d: d["strategies"]["passthrough"].update(rank=3),
-    lambda d: d["calibration"].update(seed=0),
     lambda d: d.update(dampening=0.1),
-], ids=["misspelt-strategy-key", "dense-with-field", "file-with-seed", "misspelt-plan-key"])
+    # the calibration key of older plan files: activations are an input to compress now
+    lambda d: d.update(calibration=None),
+    lambda d: d.update(calibration={"kind": "file", "path": "calib.gltc"}),
+    lambda d: d.update(calibration={"kind": "synthetic", "seed": 0, "samples": 128}),
+], ids=["misspelt-strategy-key", "dense-with-field", "misspelt-plan-key", "null-calibration", "file-calibration",
+        "synthetic-calibration"])
 def test_unknown_key_is_an_error_not_dropped(edit):
-    d = plan_to_dict(CALIBRATED)
+    d = plan_to_dict(default_plan())
     edit(d)
     with pytest.raises(TypeError, match="unexpected keyword"):
         plan_from_dict(d)
 
 
 @pytest.mark.parametrize("edit", [
+    lambda d: d["strategies"]["mlp"].update(kind="file"),
     lambda d: d["strategies"]["mlp"].update(kind="synthetic"),
-    lambda d: d["calibration"].update(kind="prune"),
-    lambda d: d["calibration"].update(kind=["x"]),
+    lambda d: d["strategies"]["mlp"].update(kind=["x"]),
     lambda d: d["strategies"]["mlp"].pop("kind"),
-    lambda d: d.update(calibration={"kind": "synthetic", "seed": 0, "samples": 128}),  # an old plan file's
-], ids=["calibration-as-strategy", "strategy-as-calibration", "list-kind", "no-kind", "synthetic-calibration"])
+], ids=["calibration-as-strategy", "synthetic-as-strategy", "list-kind", "no-kind"])
 def test_kind_must_name_a_part_of_the_right_sort(edit):
-    d = plan_to_dict(CALIBRATED)
+    d = plan_to_dict(default_plan())
     edit(d)
     with pytest.raises(ValueError, match="unknown kind"):
         plan_from_dict(d)
 
 
 @pytest.mark.parametrize("build", [
-    lambda: FileCalibration(path=3),
     lambda: PruneStrategy(alpha=0.5, value_bits=4.0),
     lambda: PruneStrategy(alpha=0.5, value_bits=True),
     lambda: PruneStrategy(alpha=math.nan),
@@ -103,7 +99,7 @@ def test_kind_must_name_a_part_of_the_right_sort(edit):
     lambda: replace(default_plan(), damping=True),
     lambda: replace(default_plan(), damping="0.1"),
 ], ids=[
-    "int-path", "float-value-bits",
+    "float-value-bits",
     "bool-value-bits", "nan-alpha", "float-rank", "float-begin", "float-end", "nan-damping", "inf-damping",
     "negative-damping", "bool-damping", "string-damping",
 ])
@@ -112,7 +108,7 @@ def test_plan_part_is_checked_when_built(build):
         build()
 
 
-@pytest.mark.parametrize("strategy", ["svd", None, FileCalibration(path="c.gltc"), {"kind": "dense"}])
+@pytest.mark.parametrize("strategy", ["svd", None, BitGroup(0, 8, 4), {"kind": "dense"}])
 def test_a_strategy_of_the_wrong_type_is_refused_naming_its_class(strategy):
     # "svd" built, then compress and predict_stats raised TypeError and plan_to_dict KeyError
     strategies = {**default_plan().strategies, ModuleClass.MLP: strategy}
@@ -122,8 +118,8 @@ def test_a_strategy_of_the_wrong_type_is_refused_naming_its_class(strategy):
 
 @pytest.mark.parametrize("calibration", ["seed7", 7, {"kind": "file", "path": "c.gltc"}, DenseStrategy()])
 def test_a_calibration_of_the_wrong_type_is_refused(calibration):
-    # "seed7" built, then compress raised AttributeError
-    with pytest.raises(ValueError, match=f"plan calibration must be .*, got {re.escape(repr(calibration))}"):
+    # a plan is policy only: it has no calibration of any type, and activations go to compress
+    with pytest.raises(TypeError, match="unexpected keyword argument 'calibration'"):
         replace(default_plan(), calibration=calibration)
 
 
@@ -192,7 +188,7 @@ def test_strategy_for_stores_empty_matrices_dense():
 
 @pytest.fixture(scope="module")
 def toy_files(tmp_path_factory):
-    """A hidden-8 toy delta, a calibration file for it, and two valid configs."""
+    """A hidden-8 toy delta, a calibration file for it, and a valid config."""
     root = tmp_path_factory.mktemp("plans")
     base, tuned = gen_toy(ToySpec(seed=0, layers=1, hidden=8, mlp_width=12, vocab=16))
     deltas = diff(base, tuned)
@@ -200,11 +196,7 @@ def toy_files(tmp_path_factory):
     rng = np.random.default_rng(0)
     acts = {n: rng.standard_normal((d.shape[1], 16)).astype(np.float32) for n, d in deltas.deltas.items() if d.ndim == 2}
     save_checkpoint(Checkpoint(model_id="calibration", tensors=acts), root / "calib.gltc")
-    configs = [
-        {"plan": plan_to_dict(default_plan())},
-        {"plan": plan_to_dict(replace(default_plan(), calibration=FileCalibration(path=str(root / "calib.gltc"))))},
-    ]
-    return root, configs
+    return root, [{"plan": plan_to_dict(default_plan())}]
 
 
 def _paths(node, prefix=()):
@@ -242,12 +234,13 @@ def mutated_configs(draw, configs):
 def test_mutated_plan_config_compresses_or_fails_with_one_error_line(toy_files, data):
     root, configs = toy_files
     config = data.draw(mutated_configs(configs))
+    calibration = ["--calibration", str(root / "calib.gltc")] if data.draw(st.booleans()) else []
     config_path, out = root / "config.json", root / "out.skpk"
     config_path.write_text(json.dumps(config))
     out.unlink(missing_ok=True)
     stderr = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
-        rc = main(["compress", str(root / "delta.gltc"), "--plan", str(config_path), "-o", str(out)])
+        rc = main(["compress", str(root / "delta.gltc"), "--plan", str(config_path), "-o", str(out), *calibration])
     err = stderr.getvalue()
     if rc == 0:
         assert err == ""

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skillpack.quantize as quantize_module
-from skillpack.checkpoints import Checkpoint, diff, save_checkpoint
+from skillpack.checkpoints import Checkpoint, diff, load_checkpoint, save_checkpoint
 from skillpack.classify import ModuleClass, classify, default_manifest
 from skillpack.compress import compress_delta, compress_entry
 from skillpack.packs import QuantizedSvdEntry, SkillPack, save_pack
@@ -18,7 +18,6 @@ from skillpack.plans import (
     BitGroup,
     CompressionPlan,
     DenseStrategy,
-    FileCalibration,
     PruneStrategy,
     SvdQuantStrategy,
     check_groups,
@@ -384,13 +383,13 @@ def test_lazy_batch_sweep_matches_per_column_loop_with_zero_scales():
     assert_sweep_matches_per_column_loop(m, rng.standard_normal((GPTQ_BLOCK + 7, 64)))
 
 
-def svd_plan(svd_quant, calibration=None):
+def svd_plan(svd_quant):
     return CompressionPlan(strategies={
         ModuleClass.EMBEDDING_OR_HEAD: PruneStrategy(alpha=0.5),
         ModuleClass.MLP: svd_quant,
         ModuleClass.ATTENTION: svd_quant,
         ModuleClass.PASSTHROUGH: DenseStrategy(),
-    }, calibration=calibration)
+    })
 
 
 def test_pack_codes_match_per_column_loop(tmp_path):
@@ -403,7 +402,8 @@ def test_pack_codes_match_per_column_loop(tmp_path):
     save_checkpoint(Checkpoint(model_id="calib", tensors={n: x.astype(np.float32) for n, x in activations.items()}),
                     tmp_path / "calib.gltc")
     svd_quant = SvdQuantStrategy(rank=32, groups=(BitGroup(0, 4, 8), BitGroup(4, 32, 2)))
-    pack = compress_delta(deltas, default_manifest(), svd_plan(svd_quant, FileCalibration(str(tmp_path / "calib.gltc"))))
+    pack = compress_delta(deltas, default_manifest(), svd_plan(svd_quant),
+                          activations=load_checkpoint(tmp_path / "calib.gltc").tensors)
     checked = 0
     for name, entry in pack.entries.items():
         if not isinstance(entry, QuantizedSvdEntry):
@@ -473,18 +473,17 @@ def test_a_signal_free_svd_entry_with_mixed_widths_is_per_group_rtn():
 
 
 def test_a_plan_without_a_calibration_file_rounds_to_nearest_and_runs_no_gptq(tmp_path, monkeypatch):
-    """Without a calibration file each V row and U column of an SVD entry is RTN at
+    """Without activations each V row and U column of an SVD entry is RTN at
     its group's width, and no Hessian factor is built nor GPTQ called."""
     import skillpack.compress as compress_module
 
     def fail(*args, **kwargs):
-        raise AssertionError("GPTQ ran without a calibration file")
+        raise AssertionError("GPTQ ran without activations")
 
     for owner, name in ((quantize_module, "hessian_factor"), (quantize_module, "quantize_gptq"),
                         (compress_module, "quantize_gptq")):
         monkeypatch.setattr(owner, name, fail)
     plan = svd_plan(SvdQuantStrategy(rank=12, groups=MIXED_GROUPS))
-    assert plan.calibration is None
     delta = np.random.default_rng(25).standard_normal((20, 14)).astype(np.float32)
     entry = compress_entry("m", delta, ModuleClass.MLP, plan)
     factors = svd(delta)
