@@ -59,7 +59,6 @@ def _compress_svd(
     mclass: ModuleClass,
     strategy: SvdQuantStrategy,
     x: np.ndarray | None,
-    damping: float,
 ) -> QuantizedSvdEntry:
     factors = truncate(svd(delta), strategy.rank)
     groups = clip_groups(strategy.groups, factors.rank)
@@ -67,11 +66,11 @@ def _compress_svd(
     if x is None:  # no activations: both sides round to nearest
         qv, u_parts = quantize_rtn(factors.vt, widths, "row"), [quantize_rtn(factors.u, widths, "column")]
     else:
-        qv = quantize_gptq(factors.vt, x, widths, damping=damping, scale_axis="row")
+        qv = quantize_gptq(factors.vt, x, widths, scale_axis="row")
         vt_hat = qv.dequantize()
         u_parts = [quantize_gptq(factors.u[:, g.begin : g.end],
                                  factors.sigma[g.begin : g.end, None] * (vt_hat[g.begin : g.end] @ x),
-                                 g.bits, damping=damping, scale_axis="column") for g in groups]
+                                 g.bits, scale_axis="column") for g in groups]
     return QuantizedSvdEntry(
         shape=tuple(delta.shape),
         mclass=mclass,
@@ -101,8 +100,8 @@ def compress_entry(
     the float32 rule: `tensors.check_float32` checks a dense-stored or float64
     delta, and `check_matrix` in the operator a float32 or float16 one. Every
     ValueError starts with `delta '<name>'`. `activations[name]` is looked up only
-    for an SVD strategy, and a missing name is a KeyError naming the tensor;
-    `quantize_gptq` checks the matrix and its width.
+    for an SVD strategy, and a missing name is a ValueError too; `quantize_gptq`
+    checks the matrix, its width and that its Hessian is in the float64 range.
     """
     delta = np.asarray(delta)
     strategy = strategy_for(plan, mclass, delta.shape)
@@ -115,10 +114,10 @@ def compress_entry(
         if isinstance(strategy, PruneStrategy):
             return _compress_prune(delta, mclass, strategy)
         if activations is not None and name not in activations:
-            raise KeyError(f"no activations for {name!r}")
+            raise ValueError("no activations")
         x = None if activations is None else activations[name]
-        return _compress_svd(delta, mclass, strategy, x, plan.damping)
-    except ValueError as exc:  # such as a NaN in a float32 delta, or activations of the wrong width
+        return _compress_svd(delta, mclass, strategy, x)
+    except ValueError as exc:  # such as a NaN in a float32 delta, or missing or wrong-width activations
         raise ValueError(f"delta {name!r}: {exc}") from None
 
 

@@ -8,8 +8,8 @@ The shipped default plan prunes embedding/head deltas at alpha=0.5 with
 [8, 3, 2] bits over ranks [0,20)/[20,200)/[200,1400) for MLP and [8, 2]
 bits over [0,20)/[20,1000) for attention. Ranks clamp on small matrices.
 
-A plan is policy only. Calibration activations are data, given to
-`compress_delta` and `compress_entry` as `activations=`.
+A plan is its strategies only. Activations are data, given to compress as
+`activations=`, and GPTQ's damping is the constant `quantize.GPTQ_DAMPING`.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ Strategy = Union[PruneStrategy, SvdQuantStrategy, DenseStrategy]
 @dataclass(frozen=True)
 class CompressionPlan:
     strategies: dict[ModuleClass, Strategy]
-    damping: float = 0.01
 
     def __post_init__(self):
         strategies, known = dict(self.strategies), {cls.value for cls in ModuleClass}
@@ -123,7 +122,6 @@ class CompressionPlan:
         object.__setattr__(self, "strategies", {cls: by_class[cls] for cls in ModuleClass})
         if not isinstance(self.strategies[ModuleClass.PASSTHROUGH], DenseStrategy):
             raise ValueError("the passthrough class must map to the dense strategy")
-        check_number(self.damping, "damping", 0)
 
 
 def strategy_for(plan: CompressionPlan, mclass: ModuleClass, shape: tuple[int, ...]) -> Strategy:
@@ -178,10 +176,7 @@ def _strategy_from_dict(d: dict):
 
 
 def plan_to_dict(plan: CompressionPlan) -> dict:
-    return {
-        "strategies": {cls.value: _strategy_to_dict(s) for cls, s in plan.strategies.items()},
-        "damping": plan.damping,
-    }
+    return {"strategies": {cls.value: _strategy_to_dict(s) for cls, s in plan.strategies.items()}}
 
 
 def plan_from_dict(d: dict) -> CompressionPlan:

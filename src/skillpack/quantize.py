@@ -10,7 +10,7 @@ Two quantizers share one code/scale layout:
   inverse damped activation Hessian, approximately minimizing
   ||m x - m^ x||^2.
 
-The calibrated quantizer has two parts: `hessian_factor(x, damping)`, then
+The calibrated quantizer has two parts: `hessian_factor(x)`, then
 a column sweep with the "lazy batch" updates of GPTQ (Frantar et al.,
 arXiv 2210.17323), left-looking inside a block of GPTQ_BLOCK columns:
 just before it is rounded, a column gathers the errors of the block's
@@ -41,12 +41,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .tensors import check_int, check_matrix, check_number
+from .tensors import all_finite, check_int, check_matrix, overflow_checked
 
 MIN_BITS = 2
 MAX_BITS = 16
 # Columns per lazy batch of the GPTQ sweep.
 GPTQ_BLOCK = 128
+# The Hessian's damping, as a share of the mean of its diagonal: GPTQ's own 1%.
+GPTQ_DAMPING = 0.01
 
 
 def qmax(bits: int) -> int:
@@ -153,28 +155,31 @@ def _reverse(a: np.ndarray) -> None:
         a[n // 2] = a[n // 2, ::-1].copy()
 
 
-def hessian_factor(x: np.ndarray, damping: float = 0.01) -> np.ndarray | None:
+def hessian_factor(x: np.ndarray) -> np.ndarray | None:
     """Upper Cholesky factor R of the inverse damped Hessian, R^T R = (x x^T + d I)^-1.
 
-    d is `damping` times the mean of the Hessian's diagonal. Returns None
+    d is GPTQ_DAMPING times the mean of the Hessian's diagonal. Returns None
     when that diagonal is all zero: there is no calibration signal, every
-    rounding is cost-free, and the calibrated quantizer is plain RTN.
+    rounding is cost-free, and the calibrated quantizer is plain RTN. A
+    Hessian past the float64 range is a ValueError naming the activations.
 
     The factor is computed in the Hessian's own buffer, with no further
     n x n array: with J the exchange (reversal) matrix,
     R = J inv(L) J where L L^T = J H J is a lower Cholesky factorization,
     and both LAPACK steps (potrf, trtri) overwrite their input.
     """
-    check_number(damping, "damping", 0)
     x64 = np.asarray(check_matrix(x, "calibration activations"), dtype=np.float64)
     if x64.size == 0:
         raise ValueError(f"calibration activations must not be empty, got shape {x64.shape}")
     cols = x64.shape[0]
-    hess = x64 @ x64.T
-    mean_diag = float(np.trace(hess)) / cols
-    if mean_diag == 0.0:
-        return None
-    hess[np.diag_indices(cols)] += damping * mean_diag
+    with overflow_checked("calibration activations overflow the float64 Hessian"):
+        hess = x64 @ x64.T
+        if not all_finite(hess):  # an overflow in a BLAS worker thread sets no flag here
+            raise FloatingPointError("overflow encountered in matmul")
+        mean_diag = float(np.trace(hess)) / cols
+        if mean_diag == 0.0:
+            return None
+        hess[np.diag_indices(cols)] += GPTQ_DAMPING * mean_diag
     _reverse(hess)
     # hess is symmetric, so hess.T is the same matrix in Fortran order and
     # LAPACK can work on it in place.
@@ -182,7 +187,7 @@ def hessian_factor(x: np.ndarray, damping: float = 0.01) -> np.ndarray | None:
     if info == 0:
         lower, info = lapack.dtrtri(lower, lower=1, overwrite_c=1)
     if info != 0:
-        raise ValueError("damped Hessian is singular; increase the damping factor")
+        raise ValueError(f"damped Hessian could not be factored (LAPACK info {info})")
     # Reversing both axes of lower.T (C-ordered, so row by row is fast)
     # reverses both axes of lower: J inv(L) J.
     _reverse(lower.T)
@@ -221,13 +226,12 @@ def quantize_gptq(
     m: np.ndarray,
     x: np.ndarray,
     bits,
-    damping: float = 0.01,
     scale_axis: str = "row",
 ) -> QuantizedMatrix:
     """Calibrated quantization of m (out x in) against activations x (in x s).
 
     Scales are fixed from the original matrix by the RTN rule before any
-    compensation. The Hessian is damped by `damping` times the mean of its
+    compensation. The Hessian is damped by GPTQ_DAMPING times the mean of its
     diagonal; a Hessian with an all-zero diagonal (no calibration signal)
     degrades to plain RTN, since every rounding is then cost-free. `bits` is
     one width, or one per scale vector (`_widths`), all in one sweep.
@@ -240,7 +244,7 @@ def quantize_gptq(
         )
     widths, dtype = _widths(bits, m, scale_axis)
 
-    factor = hessian_factor(x, damping)
+    factor = hessian_factor(x)
     if factor is None:  # no calibration signal: plain RTN
         return quantize_rtn(m, bits, scale_axis)
     scales = rtn_scales(m, widths, scale_axis)

@@ -272,8 +272,7 @@ def budget_plan(budget: float, shapes: dict[str, tuple[int, ...]]) -> Compressio
     alpha, the SVD ranks and both bit widths are nondecreasing in t, and so are
     the retained count, clamped rank and bits per value they give, so the
     predicted ratio is nondecreasing in t for any shapes. Its SVD factors round
-    to nearest unless compress is given activations; set a damping for GPTQ
-    with `dataclasses.replace`.
+    to nearest unless compress is given activations, and then go through GPTQ.
     """
     check_number(budget, "budget", 0, above=True)
     manifest = default_manifest()

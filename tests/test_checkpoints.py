@@ -98,6 +98,15 @@ def test_truncated_file(tmp_path):
         load_checkpoint(path)
 
 
+def test_a_header_that_is_json_but_not_an_object_is_format_error(tmp_path):
+    path = tmp_path / "h.gltc"
+    save_checkpoint(small_checkpoint(), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:8] + (3).to_bytes(8, "little") + b"[1]")
+    with pytest.raises(FormatError, match="header must be a JSON object"):
+        load_checkpoint(path)
+
+
 def test_duplicate_names_rejected(tmp_path):
     path = tmp_path / "d.gltc"
     save_checkpoint(Checkpoint(model_id="m", tensors={"x": np.zeros((2,), np.float32)}), path)
@@ -221,6 +230,13 @@ def test_nonfinite_tensor_on_load_is_integrity_error(tmp_path):
     rewrite_header(path, _set_first("crc32", zlib.crc32(bytes(raw[-8:]))))
     with pytest.raises(IntegrityError, match="tensor 'x': non-finite"):
         load_checkpoint(path)
+
+
+def test_a_float64_tensor_is_refused_on_save(tmp_path):
+    path = tmp_path / "x.gltc"
+    with pytest.raises(ValueError, match=re.escape("tensor 'x' has unsupported dtype float64; use float32 or float16")):
+        save_checkpoint(Checkpoint(model_id="m", tensors={"x": np.zeros(2)}), path)
+    assert not path.exists()
 
 
 def test_nonfinite_rejected_on_save(tmp_path):

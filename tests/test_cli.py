@@ -7,7 +7,7 @@ import pytest
 
 import skillpack.cli as cli
 from skillpack.checkpoints import Checkpoint, load_delta, save_checkpoint
-from skillpack.classify import default_manifest
+from skillpack.classify import ModuleClass, classify, default_manifest
 from skillpack.cli import main
 from skillpack.compress import compress_delta
 from skillpack.packs import load_pack, save_pack
@@ -31,7 +31,6 @@ def write_plan(path, plan=None, manifest=None):
 
 
 def dense_plan_config(tmp_path):
-    from skillpack.classify import ModuleClass
     from skillpack.plans import CompressionPlan, DenseStrategy
 
     plan = CompressionPlan(strategies={cls: DenseStrategy() for cls in ModuleClass})
@@ -155,16 +154,16 @@ def test_bad_json_input_is_one_error_line_naming_the_file(tmp_path, capsys, comm
     assert "bad_input.json" in err
 
 
-def test_compress_rejects_a_damping_past_the_float_range(tmp_path, capsys):
+def test_compress_rejects_an_alpha_past_the_float_range(tmp_path, capsys):
     base, tuned = gen_pair(tmp_path)
     delta, pack = tmp_path / "d.gltc", tmp_path / "p.skpk"
     main(["diff", str(base), str(tuned), "-o", str(delta)])
-    config = tmp_path / "huge_damping.json"
-    config.write_text(default_plan_text(lambda p: p.update(damping=10**400)))
+    config = tmp_path / "huge_alpha.json"
+    config.write_text(default_plan_text(lambda p: p["strategies"]["embedding_or_head"].update(alpha=10**400)))
     capsys.readouterr()
     assert main(["compress", str(delta), "--plan", str(config), "-o", str(pack)]) == 1
     line = one_error_line(capsys)
-    prefix = f"error: config file {str(config)!r}: damping must be a finite number >= 0, got 1000"
+    prefix = f"error: config file {str(config)!r}: retention ratio must be in (0, 1], got 1000"
     assert line.startswith(prefix)
     assert len(line) <= len(prefix) + 60  # the 401-digit value is cut to its head and tail
     assert not pack.exists()
@@ -240,6 +239,21 @@ def test_compress_names_a_missing_calibration_file(tmp_path, capsys):
             "--calibration", str(tmp_path / "missing.gltc"), "-o", str(out)]
     assert main(argv) == 1
     assert "missing.gltc" in one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_compress_names_a_tensor_without_activations_in_one_plain_line(tmp_path, capsys):
+    # the missing name was a KeyError, printed as its repr: error: "no activations for '...'"
+    delta, acts = delta_and_activations(tmp_path)
+    name = next(n for n in acts if classify(n, default_manifest()) is ModuleClass.MLP)
+    del acts[name]
+    save_checkpoint(Checkpoint(model_id="acts", tensors=acts), tmp_path / "acts.gltc")
+    out = tmp_path / "p.skpk"
+    capsys.readouterr()
+    argv = ["compress", str(delta), "--plan", write_plan(tmp_path / "plan.json"),
+            "--calibration", str(tmp_path / "acts.gltc"), "-o", str(out)]
+    assert main(argv) == 1
+    assert one_error_line(capsys) == f"error: delta {name!r}: no activations\n"
     assert not out.exists()
 
 
@@ -322,6 +336,23 @@ def test_fuse_warns_on_overlapping_packs(tmp_path, capsys):
     assert main(["fuse", str(base), "--pack", str(pack_a), "--pack", str(pack_b),
                  "--router", str(router), "--tag", "both", "-o", str(tmp_path / "f.gltc")]) == 0
     assert "touched by multiple packs" in capsys.readouterr().err
+
+
+def test_fuse_refuses_two_packs_with_one_file_stem(tmp_path, capsys):
+    base, tuned = gen_pair(tmp_path)
+    delta = tmp_path / "d.gltc"
+    main(["diff", str(base), str(tuned), "-o", str(delta)])
+    packs = [tmp_path / "a" / "math.skpk", tmp_path / "b" / "math.skpk"]
+    for pack in packs:
+        pack.parent.mkdir()
+        main(["compress", str(delta), "--plan", dense_plan_config(tmp_path), "-o", str(pack)])
+    router, out = tmp_path / "r.json", tmp_path / "f.gltc"
+    router.write_text(json.dumps({"kind": "task_table", "table": {"math": ["math"]}}))
+    capsys.readouterr()
+    assert main(["fuse", str(base), "--pack", str(packs[0]), "--pack", str(packs[1]),
+                 "--router", str(router), "--tag", "math", "-o", str(out)]) == 1
+    assert one_error_line(capsys) == "error: duplicate pack id 'math'; rename one of the files\n"
+    assert not out.exists()
 
 
 def test_eval_prints_report_to_stdout(tmp_path, capsys):

@@ -13,7 +13,6 @@ a matrix: `tensors.svd` does.
 import ast
 import math
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +21,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import skillpack.toy as toy_module
-from skillpack.checkpoints import Checkpoint, apply_pack, compose, diff
-from skillpack.classify import ModuleClass, default_manifest
-from skillpack.compress import compress_delta
+from skillpack.checkpoints import Checkpoint, apply_pack, compose
+from skillpack.classify import ModuleClass
 from skillpack.losses import PreferenceScores
 from skillpack.packs import DenseEntry, SkillPack
-from skillpack.plans import BitGroup, PruneStrategy, SvdQuantStrategy, default_plan
+from skillpack.plans import BitGroup, PruneStrategy, SvdQuantStrategy
 from skillpack.routing import train_router
 from skillpack.tensors import check_int, check_number
 from skillpack.toy import DeltaRecipe, ToySpec, budget_plan, eval_retention, gen_toy
@@ -102,12 +100,10 @@ def test_check_int_states_the_rule():
 @pytest.mark.parametrize("call, name", [
     (lambda: apply_pack(BASE, PACK, scale=HUGE), "pack <untagged> weight"),
     (lambda: gen_toy(ToySpec(recipe=DeltaRecipe(noise_std=HUGE))), "recipe noise_std"),
-    (lambda: compress_delta(diff(*gen_toy(ToySpec())), default_manifest(), replace(default_plan(), damping=HUGE)),
-     "damping"),
     (lambda: train_router(UnreadableTrainingSet(), learning_rate=HUGE), "learning rate"),
     (lambda: budget_plan(HUGE, SHAPES), "budget"),
     (lambda: PreferenceScores(HUGE, 0.0, 0.0, 0.0, 1.0), "logp_w_policy"),
-], ids=["apply_pack-scale", "recipe-noise_std", "plan-damping", "train_router-learning_rate", "budget_plan-budget",
+], ids=["apply_pack-scale", "recipe-noise_std", "train_router-learning_rate", "budget_plan-budget",
         "preference-logp"])
 def test_an_int_past_the_float_range_is_a_value_error_naming_the_input(call, name):
     with pytest.raises(ValueError, match=re.escape(f"{name} must be a finite number")):
@@ -144,7 +140,6 @@ SITES = {
     "BitGroup.begin": lambda v: BitGroup(v, 2**64, 4),
     "BitGroup.end": lambda v: BitGroup(0, v, 4),
     "BitGroup.bits": lambda v: BitGroup(0, 4, v),
-    "CompressionPlan.damping": lambda v: replace(default_plan(), damping=v),
     **{f"eval_retention.{a}": (lambda a: lambda v: eval_retention(None, None, None, **{a: v}))(a)
        for a in ("probe_count", "seed", "seq_len")},
     "budget_plan.budget": lambda v: budget_plan(v, SHAPES),

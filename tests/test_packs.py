@@ -153,6 +153,7 @@ def test_missing_header_field_names_entry(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("rank", "3"), ("rank", 10**6), ("shape", [2]), ("shape", None),
     ("groups", [[0, 1]]), ("groups", 7), ("class", "nonsense"), ("blobs", [{"role": 1}]), ("groups", [[0, 8]]),
+    ("kind", "mystery"),
 ])
 def test_ill_typed_header_field_is_format_error(tmp_path, field, value):
     path = _svd_pack_file(tmp_path)
@@ -298,6 +299,13 @@ def test_missing_index_width_names_the_entry(tmp_path):
     path = _pruned_pack_file(tmp_path)
     _rewrite_header(path, lambda header: header["entries"][0].pop("index_width"))
     with pytest.raises(FormatError, match=r"entry 'e.weight': header field 'index_width' must be int, got missing"):
+        load_pack(path)
+
+
+def test_an_index_width_of_16_names_the_entry(tmp_path):
+    path = _pruned_pack_file(tmp_path)
+    _rewrite_header(path, lambda header: header["entries"][0].update(index_width=16))
+    with pytest.raises(FormatError, match=r"entry 'e.weight': bad index width 16"):
         load_pack(path)
 
 
@@ -636,6 +644,16 @@ def test_storage_ratio_rank_clamps():
     assert line.stored_value_bits == 16 * (16 + 64) * 8 + 32 * 16  # all 16 vectors in the 8-bit group
 
 
+@pytest.mark.parametrize("shape, strategy, error", [
+    ((8,), PruneStrategy(alpha=0.5), ValueError),
+    ((8,), SvdQuantStrategy(rank=2, groups=(BitGroup(0, 2, 8),)), ValueError),
+    ((4, 4), "svd", TypeError),
+], ids=["prune-1d", "svd-1d", "unknown-strategy"])
+def test_storage_ratio_refuses_what_it_cannot_price(shape, strategy, error):
+    with pytest.raises(error, match="2-D shapes|unknown strategy 'svd'"):
+        storage_ratio(shape, strategy)
+
+
 def test_storage_ratio_dense_is_two():
     assert storage_ratio((7, 3), DenseStrategy()).ratio_value_only == 2.0
 
@@ -811,12 +829,13 @@ def _svd(**change):
                  v_codes=np.zeros((3, 2), np.int32), v_scales=np.ones(3, np.float32)),
     lambda: _svd(u_codes=np.zeros((2, 2), np.int32)),
     lambda: _svd(v_codes=np.zeros((2, 3), np.int32)),
+    lambda: _svd(sigma=np.ones(3, np.float32)),
     lambda: _pruned(alpha=7.0),
     lambda: _pruned(alpha=float("nan")),
 ], ids=[
     "dense-values-shape", "pruned-unsorted", "pruned-repeated", "pruned-past-end", "pruned-negative",
     "pruned-codes-per-index", "pruned-scales-per-row", "pruned-value-bits-17",
-    "svd-rank-above-min-shape", "svd-u-codes-shape", "svd-v-codes-shape",
+    "svd-rank-above-min-shape", "svd-u-codes-shape", "svd-v-codes-shape", "svd-sigma-length",
     "pruned-alpha-7", "pruned-alpha-nan",
 ])
 def test_broken_entry_is_rejected_when_built(build):

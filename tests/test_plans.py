@@ -33,7 +33,7 @@ VALUES = [math.nan, math.inf, -math.inf, -1, 0, 1, 1.5, 3, True, "x", None, [], 
 
 
 def test_plan_dict_round_trips():
-    plans = [default_plan(), replace(default_plan(), damping=0.5), budget_plan(0.05, toy_param_shapes(ToySpec()))]
+    plans = [default_plan(), budget_plan(0.05, toy_param_shapes(ToySpec()))]
     for plan in plans:
         assert plan_from_dict(json.loads(json.dumps(plan_to_dict(plan)))) == plan
 
@@ -46,13 +46,12 @@ def test_plan_dict_pinned():
             "attention": {"kind": "svd_quant", "rank": 1000, "groups": [[0, 20, 8], [20, 1000, 2]]},
             "passthrough": {"kind": "dense"},
         },
-        "damping": 0.01,
     }
 
 
 def test_missing_optional_keys_take_the_defaults():
     d = plan_to_dict(default_plan())
-    del d["damping"], d["strategies"]["embedding_or_head"]["value_bits"]
+    del d["strategies"]["embedding_or_head"]["value_bits"]
     assert plan_from_dict(d) == default_plan()
 
 
@@ -64,8 +63,10 @@ def test_missing_optional_keys_take_the_defaults():
     lambda d: d.update(calibration=None),
     lambda d: d.update(calibration={"kind": "file", "path": "calib.gltc"}),
     lambda d: d.update(calibration={"kind": "synthetic", "seed": 0, "samples": 128}),
+    # and the damping key: GPTQ's damping is the constant quantize.GPTQ_DAMPING now
+    lambda d: d.update(damping=0.01),
 ], ids=["misspelt-strategy-key", "dense-with-field", "misspelt-plan-key", "null-calibration", "file-calibration",
-        "synthetic-calibration"])
+        "synthetic-calibration", "damping"])
 def test_unknown_key_is_an_error_not_dropped(edit):
     d = plan_to_dict(default_plan())
     edit(d)
@@ -93,16 +94,8 @@ def test_kind_must_name_a_part_of_the_right_sort(edit):
     lambda: SvdQuantStrategy(rank=8.0, groups=(BitGroup(0, 8, 4),)),
     lambda: BitGroup(0.0, 8, 4),
     lambda: BitGroup(0, 8.0, 4),
-    lambda: replace(default_plan(), damping=math.nan),
-    lambda: replace(default_plan(), damping=math.inf),
-    lambda: replace(default_plan(), damping=-0.1),
-    lambda: replace(default_plan(), damping=True),
-    lambda: replace(default_plan(), damping="0.1"),
-], ids=[
-    "float-value-bits",
-    "bool-value-bits", "nan-alpha", "float-rank", "float-begin", "float-end", "nan-damping", "inf-damping",
-    "negative-damping", "bool-damping", "string-damping",
-])
+    lambda: SvdQuantStrategy(rank=8, groups=()),
+], ids=["float-value-bits", "bool-value-bits", "nan-alpha", "float-rank", "float-begin", "float-end", "no-groups"])
 def test_plan_part_is_checked_when_built(build):
     with pytest.raises(ValueError):
         build()
@@ -121,6 +114,12 @@ def test_a_calibration_of_the_wrong_type_is_refused(calibration):
     # a plan is policy only: it has no calibration of any type, and activations go to compress
     with pytest.raises(TypeError, match="unexpected keyword argument 'calibration'"):
         replace(default_plan(), calibration=calibration)
+
+
+def test_a_damping_is_refused_naming_it():
+    # GPTQ damps by the constant quantize.GPTQ_DAMPING: a plan has no damping to set
+    with pytest.raises(TypeError, match="unexpected keyword argument 'damping'"):
+        replace(default_plan(), damping=0.01)
 
 
 STRING_KEYED = {cls.value: strategy for cls, strategy in default_plan().strategies.items()}

@@ -1,6 +1,6 @@
 import inspect
-import math
 import re
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from skillpack.plans import (
 )
 from skillpack.quantize import (
     GPTQ_BLOCK,
+    QuantizedMatrix,
     calibration_error,
     code_dtype,
     hessian_factor,
@@ -67,6 +68,13 @@ def test_rtn_row_example():
     assert err <= 1.0 / 254.0 + 1e-9
 
 
+def test_rtn_widens_ints_before_taking_their_magnitude():
+    # int8's -128 has no int8 magnitude; widened first, it gives the scale 128/127
+    qm = quantize_rtn(np.array([[-128, 1]], dtype=np.int8), 8)
+    assert qm.scales[0] == np.float32(128 / 127)
+    assert qm.codes.tolist() == [[-127, 1]]
+
+
 def test_rtn_per_element_error_bound():
     rng = np.random.default_rng(0)
     for bits in (2, 4, 8):
@@ -97,6 +105,8 @@ def test_rtn_column_axis():
 def test_rtn_scales_refuse_an_unknown_axis(axis):
     with pytest.raises(ValueError, match="unknown scale axis"):
         rtn_scales(np.ones((2, 3)), 4, axis=axis)
+    with pytest.raises(ValueError, match="unknown scale axis"):
+        QuantizedMatrix(codes=np.zeros((2, 3), np.int8), scales=np.zeros(2, np.float32), axis=axis)
 
 
 def test_rtn_rejects_small_bits():
@@ -182,22 +192,6 @@ def test_gptq_zero_calibration_falls_back_to_rtn():
     m = rng.standard_normal((4, 4))
     qm = quantize_gptq(m, np.zeros((4, 2)), 4)
     assert np.array_equal(qm.codes, quantize_rtn(m, 4).codes)
-
-
-def test_gptq_singular_hessian_without_damping():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((4, 4))
-    x = np.zeros((4, 3))
-    x[0, :] = rng.standard_normal(3)  # rank-1 Hessian
-    with pytest.raises(ValueError, match="[Ss]ingular|damping"):
-        quantize_gptq(m, x, 4, damping=0.0)
-
-
-@pytest.mark.parametrize("damping", [10**400, math.nan, math.inf, -0.5], ids=["past-float-range", "nan", "inf", "negative"])
-def test_gptq_refuses_a_bad_damping(damping):
-    rng = np.random.default_rng(5)
-    with pytest.raises(ValueError, match=re.escape("damping must be a finite number >= 0, got ")):
-        quantize_gptq(rng.standard_normal((6, 8)), rng.standard_normal((8, 16)), 4, damping=damping)
 
 
 def test_gptq_deterministic():
@@ -321,11 +315,12 @@ def test_groups_from_json_names_groups(value):
         groups_from_json(value)
 
 
-def chained_factor(x, damping=0.01):
-    """The inverse-Hessian factor by the cholesky -> cho_solve -> cholesky chain."""
+def chained_factor(x):
+    """The inverse-Hessian factor by the cholesky -> cho_solve -> cholesky chain,
+    damped by GPTQ's 1% of the mean diagonal."""
     cols = x.shape[0]
     hess = x @ x.T
-    hess[np.diag_indices(cols)] += damping * np.trace(hess) / cols
+    hess[np.diag_indices(cols)] += 0.01 * np.trace(hess) / cols
     hess_inv = scipy.linalg.cho_solve((np.linalg.cholesky(hess), True), np.eye(cols))
     return scipy.linalg.cholesky((hess_inv + hess_inv.T) / 2.0, lower=False)
 
@@ -458,7 +453,7 @@ def test_a_signal_free_svd_entry_with_mixed_widths_is_per_group_rtn():
     delta = rng.standard_normal((20, 14))
     x = np.zeros((14, 8))
     strategy = SvdQuantStrategy(rank=12, groups=MIXED_GROUPS)
-    entry = compress_module._compress_svd(delta, ModuleClass.MLP, strategy, x, 0.01)
+    entry = compress_module._compress_svd(delta, ModuleClass.MLP, strategy, x)
     factors = svd(delta)
     assert entry.groups == MIXED_GROUPS and entry.v_codes.dtype == np.int16
     for g in MIXED_GROUPS:
@@ -555,7 +550,7 @@ def test_each_layout_has_one_owner():
 def test_in_place_factor_matches_chain(cols):
     rng = np.random.default_rng(cols)
     x = rng.standard_normal((cols, 96))
-    factor = hessian_factor(x, 0.01)
+    factor = hessian_factor(x)
     reference = chained_factor(x)
     assert np.max(np.abs(factor - reference)) <= 1e-10 * np.max(np.abs(reference))
     assert np.all(np.tril(factor, -1) == 0.0)
@@ -563,6 +558,27 @@ def test_in_place_factor_matches_chain(cols):
 
 def test_hessian_factor_none_without_signal():
     assert hessian_factor(np.zeros((5, 3))) is None
+
+
+def test_activations_whose_hessian_overflows_are_refused_naming_them():
+    # finite activations whose Gram matrix is inf gave an all-zero factor and codes
+    # [[1, 0, 0, 0], [-3, 0, 0, 0], [-4, 0, 0, 0]] with only RuntimeWarnings
+    with pytest.raises(ValueError, match="calibration activations overflow the float64 Hessian"):
+        quantize_gptq(np.arange(12.0).reshape(3, 4), np.full((4, 6), 1e160), 4)
+
+
+def test_a_hessian_overflow_that_raised_no_flag_is_refused(monkeypatch):
+    # an overflow in a BLAS worker thread sets no floating-point flag in the caller
+    checked = quantize_module.overflow_checked
+
+    @contextmanager
+    def flag_lost(message):
+        with checked(message), np.errstate(over="ignore"):
+            yield
+
+    monkeypatch.setattr(quantize_module, "overflow_checked", flag_lost)
+    with pytest.raises(ValueError, match="calibration activations overflow the float64 Hessian"):
+        hessian_factor(np.full((4, 6), 1e160))
 
 
 def test_an_empty_calibration_is_refused_naming_it():

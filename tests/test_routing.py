@@ -71,6 +71,8 @@ def test_route_classifier_argmax():
     router = LinearClassifier(weights=w, bias=np.zeros(2), class_to_pack=["a", "b"])
     assert route(router, Features(np.array([1.0, 0, 0]))) == [("a", 1.0)]
     assert route(router, Features(np.array([-1.0, 0, 0]))) == [("b", 1.0)]
+    with pytest.raises(ValueError, match="a linear classifier routes by features, not by tag"):
+        route(router, Tag("a"))
 
 
 def test_route_dimension_mismatch():
@@ -339,6 +341,23 @@ def test_malformed_router_file_is_format_error(tmp_path, text):
 def test_router_pack_ids_are_checked_when_built(build):
     with pytest.raises(ValueError, match="pack id strings"):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TaskTable(table={"t": ["a", "a"]}), "duplicate pack ids under tag 't'"),
+    (lambda: LinearClassifier(weights=np.ones((2, 0)), bias=np.zeros(2), class_to_pack=["a", "b"]), "dim > 0"),
+    (lambda: RouterTrainingSet(features=np.ones((3, 2)), losses=np.ones((2, 2)), pack_ids=["a", "b"]),
+     "features and losses must have the same number of rows"),
+], ids=["table-duplicate-ids", "classifier-width-0", "training-row-counts"])
+def test_router_shapes_are_checked_when_built(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+@pytest.mark.parametrize("call", [lambda r: route(r, Tag("t")), router_to_dict], ids=["route", "router_to_dict"])
+def test_an_unknown_router_is_a_type_error(call):
+    with pytest.raises(TypeError, match="unknown router 'table'"):
+        call("table")
 
 
 def test_router_with_nonfinite_weight_is_refused_on_save_and_keeps_previous_file(tmp_path):
