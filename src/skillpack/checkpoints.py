@@ -76,8 +76,8 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(model_id=model_id, tensors=_read_tensors(header, payload))
 
 
-def diff(base: Checkpoint, tuned: Checkpoint) -> DeltaMap:
-    """Elementwise tuned - base in float32, requiring identical name sets."""
+def check_like(base: Checkpoint, tuned: Checkpoint) -> None:
+    """Require identical name sets and, name by name, identical shapes."""
     base_names = set(base.tensors)
     tuned_names = set(tuned.tensors)
     if base_names != tuned_names:
@@ -86,14 +86,18 @@ def diff(base: Checkpoint, tuned: Checkpoint) -> DeltaMap:
         raise ValueError(
             f"checkpoints have different parameters; only in base: {only_base}, only in tuned: {only_tuned}"
         )
-    deltas: dict[str, np.ndarray] = {}
     for name, base_arr in base.tensors.items():
         tuned_arr = tuned.tensors[name]
         if base_arr.shape != tuned_arr.shape:
             raise ValueError(
                 f"shape mismatch for {name!r}: base {base_arr.shape} vs tuned {tuned_arr.shape}"
             )
-        deltas[name] = tuned_arr.astype(np.float32) - base_arr.astype(np.float32)
+
+
+def diff(base: Checkpoint, tuned: Checkpoint) -> DeltaMap:
+    """Elementwise tuned - base in float32, requiring like checkpoints (`check_like`)."""
+    check_like(base, tuned)
+    deltas = {name: tuned.tensors[name].astype(np.float32) - arr.astype(np.float32) for name, arr in base.tensors.items()}
     return DeltaMap(base_id=base.model_id, tuned_id=tuned.model_id, deltas=deltas)
 
 

@@ -251,7 +251,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SkillPackError, ValueError, KeyError, OSError) as exc:
+    except (SkillPackError, ValueError, OSError) as exc:
         message = " ".join(str(exc).split())
         print(f"error: {message}", file=sys.stderr)
         return 1

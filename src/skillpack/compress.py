@@ -101,7 +101,7 @@ def compress_entry(
     delta, and `check_matrix` in the operator a float32 or float16 one. Every
     ValueError starts with `delta '<name>'`. `activations[name]` is looked up only
     for an SVD strategy, and a missing name is a ValueError too; `quantize_gptq`
-    checks the matrix, its width and that its Hessian is in the float64 range.
+    checks the matrix and its width.
     """
     delta = np.asarray(delta)
     strategy = strategy_for(plan, mclass, delta.shape)

@@ -10,12 +10,12 @@ Two quantizers share one code/scale layout:
   inverse damped activation Hessian, approximately minimizing
   ||m x - m^ x||^2.
 
-The calibrated quantizer has two parts: `hessian_factor(x)`, then
-a column sweep with the "lazy batch" updates of GPTQ (Frantar et al.,
-arXiv 2210.17323), left-looking inside a block of GPTQ_BLOCK columns:
-just before it is rounded, a column gathers the errors of the block's
-earlier columns in one matrix-vector product, and the block's errors reach
-the columns after it through one matrix product.
+The calibrated quantizer has two parts: `hessian_factor(x)` (of x scaled by a
+power of two, which changes no code), then a column sweep with the "lazy batch"
+updates of GPTQ (Frantar et al., arXiv 2210.17323), left-looking inside a block
+of GPTQ_BLOCK columns: just before it is rounded, a column gathers the errors
+of the block's earlier columns in one matrix-vector product, and the block's
+errors reach the columns after it through one matrix product.
 
 GPTQ lowers the error on activations it was not fitted to only when they are
 correlated, as a real model's are. On isotropic ones, such as standard-normal
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .tensors import all_finite, check_int, check_matrix, overflow_checked
+from .tensors import check_int, check_matrix
 
 MIN_BITS = 2
 MAX_BITS = 16
@@ -156,12 +156,11 @@ def _reverse(a: np.ndarray) -> None:
 
 
 def hessian_factor(x: np.ndarray) -> np.ndarray | None:
-    """Upper Cholesky factor R of the inverse damped Hessian, R^T R = (x x^T + d I)^-1.
+    """Upper Cholesky factor R of (x' x'^T + d I)^-1, x' = 2^-e x with max|x'| in [0.5, 1).
 
-    d is GPTQ_DAMPING times the mean of the Hessian's diagonal. Returns None
-    when that diagonal is all zero: there is no calibration signal, every
-    rounding is cost-free, and the calibrated quantizer is plain RTN. A
-    Hessian past the float64 range is a ValueError naming the activations.
+    d is GPTQ_DAMPING times the mean of the Hessian's diagonal. The scaling is exact and
+    changes no GPTQ code, and x and 2^k x give one factor. Returns None when x is all
+    zero: there is no calibration signal, and the calibrated quantizer is plain RTN.
 
     The factor is computed in the Hessian's own buffer, with no further
     n x n array: with J the exchange (reversal) matrix,
@@ -171,18 +170,15 @@ def hessian_factor(x: np.ndarray) -> np.ndarray | None:
     x64 = np.asarray(check_matrix(x, "calibration activations"), dtype=np.float64)
     if x64.size == 0:
         raise ValueError(f"calibration activations must not be empty, got shape {x64.shape}")
-    cols = x64.shape[0]
-    with overflow_checked("calibration activations overflow the float64 Hessian"):
-        hess = x64 @ x64.T
-        if not all_finite(hess):  # an overflow in a BLAS worker thread sets no flag here
-            raise FloatingPointError("overflow encountered in matmul")
-        mean_diag = float(np.trace(hess)) / cols
-        if mean_diag == 0.0:
-            return None
-        hess[np.diag_indices(cols)] += GPTQ_DAMPING * mean_diag
+    peak = float(np.max(np.abs(x64)))
+    if peak == 0.0:
+        return None
+    x64 = np.ldexp(x64, -np.frexp(peak)[1])
+    hess = x64 @ x64.T
+    hess[np.diag_indices_from(hess)] += GPTQ_DAMPING * (np.trace(hess) / len(hess))
     _reverse(hess)
-    # hess is symmetric, so hess.T is the same matrix in Fortran order and
-    # LAPACK can work on it in place.
+    # hess is symmetric, so hess.T is the same matrix in Fortran order and LAPACK works
+    # on it in place. Scaled, its condition number is at most 1 + 100 * width.
     lower, info = lapack.dpotrf(hess.T, lower=1, clean=1, overwrite_a=1)
     if info == 0:
         lower, info = lapack.dtrtri(lower, lower=1, overwrite_c=1)
@@ -231,10 +227,10 @@ def quantize_gptq(
     """Calibrated quantization of m (out x in) against activations x (in x s).
 
     Scales are fixed from the original matrix by the RTN rule before any
-    compensation. The Hessian is damped by GPTQ_DAMPING times the mean of its
-    diagonal; a Hessian with an all-zero diagonal (no calibration signal)
-    degrades to plain RTN, since every rounding is then cost-free. `bits` is
-    one width, or one per scale vector (`_widths`), all in one sweep.
+    compensation. The sweep uses `hessian_factor(x)`, of x scaled by a power of
+    two, so x and 2^k x give the same codes; all-zero activations (no calibration
+    signal) degrade to plain RTN, since every rounding is then cost-free. `bits`
+    is one width, or one per scale vector (`_widths`), all in one sweep.
     """
     m = check_matrix(m, "quantizer input")
     x = check_matrix(x, "calibration activations")

@@ -56,7 +56,7 @@ class LinearClassifier:
             raise ValueError("class_to_pack must be a list of pack id strings")
         if self.weights.shape[1] < 1:
             raise ValueError("classifier weights must be (n_classes x dim) with dim > 0")
-        if len(self.bias) != self.weights.shape[0] or len(self.class_to_pack) != self.weights.shape[0]:
+        if self.bias.shape != (self.weights.shape[0],) or len(self.class_to_pack) != self.weights.shape[0]:
             raise ValueError("bias and class_to_pack must have one entry per class")
         if not all_finite(self.bias):
             raise ValueError("classifier bias must be finite")

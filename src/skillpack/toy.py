@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoints import Checkpoint, apply_pack
+from .checkpoints import Checkpoint, apply_pack, check_like
 from .classify import ModuleClass, classify, default_manifest
 from .packs import SkillPack, predict_stats
 from .plans import BitGroup, CompressionPlan, DenseStrategy, PruneStrategy, SvdQuantStrategy
@@ -155,6 +155,12 @@ def gen_toy(spec: ToySpec) -> tuple[Checkpoint, Checkpoint]:
 _PROBE_BLOCK = 16  # probes per batched forward; bounds the float64 activations
 
 
+def _tensor(tensors: dict[str, np.ndarray], name: str) -> np.ndarray:
+    if name not in tensors:
+        raise ValueError(f"the toy forward needs tensor {name!r}, which the checkpoint lacks")
+    return tensors[name]
+
+
 def _mean_logits(tensors: dict[str, np.ndarray], tokens: np.ndarray) -> np.ndarray:
     """Mean logit vector per probe for a (probes x seq_len) int token batch.
 
@@ -164,10 +170,10 @@ def _mean_logits(tensors: dict[str, np.ndarray], tokens: np.ndarray) -> np.ndarr
     same mean logits up to rounding, without a probes x seq x vocab array.
     """
     def weight(name: str) -> np.ndarray:
-        return tensors[name].astype(np.float64)
+        return _tensor(tensors, name).astype(np.float64)
 
     probes, seq_len = tokens.shape
-    h = tensors["model.embed_tokens.weight"][tokens.reshape(-1)].astype(np.float64)
+    h = _tensor(tensors, "model.embed_tokens.weight")[tokens.reshape(-1)].astype(np.float64)
     i = 0
     while f"model.layers.{i}.input_layernorm.weight" in tensors:
         prefix = f"model.layers.{i}"
@@ -211,13 +217,15 @@ def eval_retention(
     """Relative output deviation of (base + pack) against the tuned model.
 
     Probes are random token sequences; each deviation is
-    ||y_compressed - y_tuned||_2 / ||y_tuned||_2 on the mean logit vector.
+    ||y_compressed - y_tuned||_2 / ||y_tuned||_2 on the mean logit vector. Base and
+    tuned must be like (`checkpoints.check_like`) and hold every tensor the map needs.
     """
     check_int(probe_count, "probe_count", 1)
     check_int(seq_len, "seq_len", 1)
     check_int(seed, "eval seed", 0)
+    check_like(base, tuned)
     compressed = apply_pack(base, pack, scale=1.0)
-    vocab = base.tensors["model.embed_tokens.weight"].shape[0]
+    vocab = _tensor(base.tensors, "model.embed_tokens.weight").shape[0]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A]))
     tokens = np.stack([rng.integers(0, vocab, size=seq_len) for _ in range(probe_count)])
     deviations = []

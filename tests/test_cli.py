@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import skillpack.cli as cli
-from skillpack.checkpoints import Checkpoint, load_delta, save_checkpoint
+from skillpack.checkpoints import Checkpoint, load_checkpoint, load_delta, save_checkpoint
 from skillpack.classify import ModuleClass, classify, default_manifest
 from skillpack.cli import main
 from skillpack.compress import compress_delta
@@ -399,6 +399,39 @@ def test_eval_refuses_to_write_a_non_finite_report(tmp_path, capsys, monkeypatch
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert not report_path.exists()
+
+
+Q_PROJ = "model.layers.0.self_attn.q_proj.weight"
+
+
+UNLIKE_CHECKPOINT_ERRORS = {
+    "tuned-lacks-a-tensor": f"checkpoints have different parameters; only in base: [{Q_PROJ!r}], only in tuned: []",
+    "tuned-vocab-128": "shape mismatch for 'model.embed_tokens.weight': base (256, 64) vs tuned (128, 64)",
+    "tuned-hidden-32": "shape mismatch for 'model.embed_tokens.weight': base (256, 64) vs tuned (256, 32)",
+    "both-lack-a-tensor": f"the toy forward needs tensor {Q_PROJ!r}, which the checkpoint lacks",
+}
+
+
+@pytest.mark.parametrize("case", list(UNLIKE_CHECKPOINT_ERRORS))
+def test_eval_compares_only_like_checkpoints(tmp_path, capsys, case):
+    # a missing tensor printed a bare KeyError repr, vocab 128 against 256 ended in an IndexError
+    # traceback, and hidden 32 against 64 exited 0 with a deviation between unrelated models
+    base, tuned = gen_pair(tmp_path)
+    if case in ("tuned-vocab-128", "tuned-hidden-32"):
+        option, size = case.split("-")[1:]
+        tuned = tmp_path / "other.gltc"
+        assert main(["gen-toy", "--seed", "0", f"--{option}", size, "--base-out", str(tmp_path / "other_base.gltc"),
+                     "--tuned-out", str(tuned)]) == 0
+    for path in {"tuned-lacks-a-tensor": [tuned], "both-lack-a-tensor": [base, tuned]}.get(case, []):
+        ckpt = load_checkpoint(path)
+        del ckpt.tensors[Q_PROJ]
+        save_checkpoint(ckpt, path)
+    delta, pack = tmp_path / "d.gltc", tmp_path / "p.skpk"
+    assert main(["diff", str(base), str(base), "-o", str(delta)]) == 0
+    assert main(["compress", str(delta), "--plan", dense_plan_config(tmp_path), "-o", str(pack)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--base", str(base), "--tuned", str(tuned), "--pack", str(pack), "--seed", "0"]) == 1
+    assert one_error_line(capsys) == f"error: {UNLIKE_CHECKPOINT_ERRORS[case]}\n"
 
 
 @pytest.mark.parametrize("features", ["nan,nan,nan", "inf,-inf,0"])

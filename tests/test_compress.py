@@ -245,13 +245,18 @@ def test_file_calibration_of_the_wrong_width_is_refused_naming_the_delta_once():
     assert str(excinfo.value) == message
 
 
-def test_activations_whose_hessian_overflows_are_refused_naming_the_delta():
-    # finite float64 activations past the float64 Hessian's range gave wrong codes with only RuntimeWarnings
+@pytest.mark.parametrize("k", [-530, 530])
+def test_activations_scaled_by_a_power_of_two_give_the_same_entry(k):
+    # at 2^530 (entries near 1e160) the float64 Hessian overflowed and compress refused the activations
     name = "model.layers.0.mlp.gate_proj.weight"
-    message = f"delta {name!r}: calibration activations overflow the float64 Hessian"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        compress_entry(name, np.ones((6, 4), np.float32), ModuleClass.MLP, simple_plan(),
-                       activations={name: np.full((4, 6), 1e160)})
+    rng = np.random.default_rng(30)
+    delta = rng.standard_normal((6, 8)).astype(np.float32)
+    x = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 16))
+    plan = simple_plan(rank=4, bits=3)
+    want = compress_entry(name, delta, ModuleClass.MLP, plan, activations={name: x})
+    got = compress_entry(name, delta, ModuleClass.MLP, plan, activations={name: np.ldexp(x, k)})
+    for field in ("sigma", "u_codes", "u_scales", "v_codes", "v_scales"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
 
 def test_file_calibration_used(tmp_path):

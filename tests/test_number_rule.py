@@ -159,7 +159,7 @@ def _stop(*args, **kwargs):
 @given(site=st.sampled_from(sorted(SITES)), value=st.sampled_from(VALUES))
 def test_every_numeric_input_builds_or_raises_a_value_error(site, value):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(toy_module, "apply_pack", _stop)  # eval_retention's first step after its checks
+        mp.setattr(toy_module, "check_like", _stop)  # eval_retention's first step after its number checks
         try:
             SITES[site](value)
         except (ValueError, Reached):

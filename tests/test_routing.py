@@ -318,11 +318,13 @@ def test_failed_router_save_keeps_previous_file(tmp_path):
         '{"kind": "task_table", "table": {"t": ["a"]}, "tabel": {"t": ["b"]}}',
         '{"kind": "linear_classifier", "d": 1, "weights": [1.0], "bias": [0.0], "class_to_pack": ["a"],'
         ' "temperature": 2}',
+        '{"kind": "linear_classifier", "d": 2, "weights": [1.0, 0.0, 0.0, 1.0], "bias": [[0.0], [5.0]],'
+        ' "class_to_pack": ["a", "b"]}',
     ],
     ids=[
         "truncated", "not-utf8", "not-object", "no-table", "table-list", "no-d", "bad-d", "string-weight", "bad-kind",
         "table-string-ids", "table-non-string-ids", "int-class-to-pack", "nan-weight", "bool-d",
-        "nan-constant", "infinity-constant", "misspelt-table-key", "unknown-classifier-key",
+        "nan-constant", "infinity-constant", "misspelt-table-key", "unknown-classifier-key", "nested-bias",
     ],
 )
 def test_malformed_router_file_is_format_error(tmp_path, text):
