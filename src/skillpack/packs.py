@@ -5,7 +5,9 @@ parameters would occupy at 16 bits per element). Two ratios are kept:
 value-only (codes and singular values) and total (adding index bits and
 per-vector scales). Header bytes are not counted; the accounting model is
 the closed form in `storage_ratio`, and the stats stored in a pack are
-recomputed from its entries on load and must match.
+recomputed from its entries on load and must match. They are the bits of
+the entry's blobs, less the byte padding of each bit-packed segment: codes
+at their width and pruned positions at ceil(log2 N) bits.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import FormatError, IntegrityError
 from .plans import (
     BitGroup, DenseStrategy, PruneStrategy, Strategy, SvdQuantStrategy, clip_groups, groups_from_json, groups_to_json,
     strategy_for)
-from .quantize import code_dtype, pack_codes, packed_size, qmax, unpack_codes
+from .quantize import code_dtype, pack_codes, pack_fields, packed_size, qmax, unpack_codes, unpack_fields
 from .tensors import check_float32, check_int, retained_count
 
 MAGIC = b"SKPK"
@@ -37,9 +39,10 @@ VERSION = 1
 # header fields and a (data, dtype) per role (dtype None: bytes already
 # packed), `_decode` is its part of `_load_entry`, `_detail` of `inspect`.
 # The constructors also set the in-memory types: float fields float32 and
-# finite, codes `code_dtype` of their width, pruned indices the file's u32
-# or u64. Compress and load hand over those types already, so nothing is
-# copied on either path.
+# finite, codes `code_dtype` of their width, pruned positions packed as the
+# file holds them. Compress and load hand over those types already, so no
+# code is copied on either path, and a load keeps the packed positions as a
+# view of the file.
 # --------------------------------------------------------------------------
 
 def _check_code_range(codes: np.ndarray, bits: int, what: str) -> None:
@@ -97,15 +100,21 @@ class DenseEntry:
         return ""
 
 
+def index_bits(n: int) -> int:
+    """Bits of one flat position among n: ceil(log2 n), and 0 for n <= 1."""
+    return max(n - 1, 0).bit_length()
+
+
 @dataclass(eq=False)
 class PrunedSparseEntry:
     shape: tuple[int, ...]
     mclass: ModuleClass
     alpha: float
     value_bits: int
-    indices: np.ndarray  # u32 (u64 from 2**32 elements), strictly increasing flat positions
+    indices: np.ndarray  # strictly increasing flat positions, held packed (`pack_fields`) at `index_width` bits
     codes: np.ndarray  # code_dtype(value_bits), one per retained position
     scales: np.ndarray  # float32, one per matrix row
+    index_width: int | None = None  # None: `indices` are positions, checked and packed at `index_bits`
 
     kind = "pruned_sparse"
     roles = ("indices", "values", "scales")
@@ -116,7 +125,12 @@ class PrunedSparseEntry:
         self.scales = check_float32(self.scales, "pruned scales")
         n = math.prod(self.shape)
         keep = retained_count(self.strategy.alpha, n)  # building the strategy checks alpha and value_bits
-        idx = self.indices
+        idx, width = self.indices, self.index_width
+        if width is not None:  # packed already, at index_bits(n) or as the u32 or u64 of earlier files
+            if width not in (index_bits(n), 32, 64) or len(idx) != packed_size(keep, width):
+                raise ValueError(f"bad index width {width!r}: {keep} of {n} values take "
+                                 f"{packed_size(keep, width)} bytes, got {len(idx)}")
+            idx = unpack_fields(idx, keep, width, np.uint64)
         if idx.dtype.kind not in "iu" or (idx.size and (np.any(idx[1:] <= idx[:-1]) or idx[0] < 0 or idx[-1] >= n)):
             raise ValueError("indices must be strictly increasing integers in range")
         if len(self.codes) != len(idx) or len(self.scales) != self.shape[0]:
@@ -124,38 +138,42 @@ class PrunedSparseEntry:
         if len(idx) != keep:
             raise ValueError(f"alpha={self.alpha!r} keeps {keep} of {n} values, got {len(idx)}")
         _check_code_range(self.codes, self.value_bits, "values")
-        self.indices = idx.astype(np.uint32 if n < 2**32 else np.uint64, copy=False)  # the file's type
+        if width is None:  # a copy: the caller's positions may change, the entry's may not
+            self.index_width = index_bits(n)
+            self.indices = _frozen(pack_fields(idx, self.index_width))
         self.codes = self.codes.astype(code_dtype(self.value_bits), copy=False)
 
     @property
     def strategy(self) -> PruneStrategy:
         return PruneStrategy(alpha=self.alpha, value_bits=self.value_bits)
 
+    def positions(self) -> np.ndarray:
+        """The flat positions, decoded from `indices` into a fresh uint64 array."""
+        return unpack_fields(self.indices, len(self.codes), self.index_width, np.uint64)
+
     def reconstruct(self) -> np.ndarray:
         """A fresh, writable float32 array; callers may modify it in place."""
         dense = np.zeros(int(np.prod(self.shape)), dtype=np.float32)
-        rows = self.indices // self.shape[1]
-        dense[self.indices] = self.codes.astype(np.float32) * self.scales[rows]
+        positions = self.positions()
+        dense[positions] = self.codes.astype(np.float32) * self.scales[positions // self.shape[1]]
         return dense.reshape(self.shape)
 
     def _encode(self) -> tuple[dict, list]:
         codes = pack_codes(self.codes, self.value_bits)
-        fields = {"alpha": self.alpha, "value_bits": self.value_bits, "index_width": 8 * self.indices.itemsize}
-        return fields, [(self.indices, self.indices.dtype), (codes, None), (self.scales, "<f4")]
+        fields = {"alpha": self.alpha, "value_bits": self.value_bits, "index_width": self.index_width}
+        return fields, [(self.indices, None), (codes, None), (self.scales, "<f4")]
 
     @classmethod
     def _decode(cls, head: dict, mclass: ModuleClass, array, codes) -> PrunedSparseEntry:
         shape = shape_field(head, 2)
-        value_bits = head["value_bits"]
-        width = header_field(head, "index_width", int)
-        if width not in (32, 64):
-            raise FormatError(f"bad index width {width!r}")
-        indices = array("indices", f"<u{width // 8}")
-        return cls(shape=shape, mclass=mclass, alpha=head["alpha"], value_bits=value_bits, indices=indices,
-                   codes=_frozen(codes("values", [(len(indices), value_bits)])[0]), scales=array("scales"))
+        alpha, value_bits = head["alpha"], head["value_bits"]
+        keep = retained_count(PruneStrategy(alpha=alpha, value_bits=value_bits).alpha, math.prod(shape))
+        return cls(shape=shape, mclass=mclass, alpha=alpha, value_bits=value_bits, indices=array("indices", "u1"),
+                   codes=_frozen(codes("values", [(keep, value_bits)])[0]), scales=array("scales"),
+                   index_width=header_field(head, "index_width", int))
 
     def _detail(self) -> str:
-        return f"  alpha={self.alpha:g}  value_bits={self.value_bits}  retained={len(self.indices)}"
+        return f"  alpha={self.alpha:g}  value_bits={self.value_bits}  retained={len(self.codes)}"
 
 
 @dataclass(eq=False)
@@ -297,11 +315,10 @@ def storage_ratio(shape: tuple[int, ...], strategy: Strategy) -> StatLine:
         if len(shape) != 2:
             raise ValueError("prune strategy applies to 2-D shapes")
         retained = retained_count(strategy.alpha, n)
-        index_bits = math.ceil(math.log2(n)) if n > 1 else 0
         return StatLine(
             original_bits=16 * n,
             stored_value_bits=retained * strategy.value_bits,
-            stored_overhead_bits=retained * index_bits + 32 * shape[0],
+            stored_overhead_bits=retained * index_bits(n) + 32 * shape[0],
         )
     if isinstance(strategy, SvdQuantStrategy):
         if len(shape) != 2:

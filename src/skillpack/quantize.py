@@ -1,4 +1,4 @@
-"""Symmetric integer quantizers, their code types and the bit-packed code codec.
+"""Symmetric integer quantizers, their code types and the bit-packed field codec (codes, positions).
 
 Two quantizers share one code/scale layout:
 
@@ -255,44 +255,71 @@ def calibration_error(m: np.ndarray, dequantized: np.ndarray, x: np.ndarray) -> 
 
 
 def pack_codes(codes: np.ndarray, bits: int) -> bytes:
-    """Pack signed codes at `bits` per value, LSB-first, zero-padded to a byte. Eight fields
-    fill `bits` bytes, so each field position of every group of eight is shifted in at once."""
+    """Pack signed codes at `bits` per value, in two's complement, as `pack_fields` packs."""
     check_bits(bits)
     codes = np.asarray(codes)
     if codes.dtype.kind not in "iu":  # a float would be truncated and a bool packed as 0 or 1
         raise ValueError(f"codes must be integers, got {codes.dtype}")
-    flat = codes.astype(np.int64, copy=False).reshape(-1)
     limit = qmax(bits)
-    if flat.size and (flat.min() < -limit or flat.max() > limit):
+    if codes.size and (codes.min() < -limit or codes.max() > limit):
         raise ValueError(f"codes out of range for {bits}-bit packing")
-    fields = np.zeros((-(-flat.size // 8), 8), dtype=np.uint32)
-    fields.reshape(-1)[: flat.size] = flat & ((1 << bits) - 1)
-    out = np.zeros((len(fields), bits), dtype=np.uint8)
-    for k in range(8):
-        first, shift = divmod(k * bits, 8)
-        word = fields[:, k] << shift
-        for j in range((shift + bits + 7) // 8):
-            out[:, first + j] |= (word >> 8 * j).astype(np.uint8)  # keeps the low byte
-    return out.reshape(-1)[: packed_size(flat.size, bits)].tobytes()
+    return pack_fields(codes, bits).tobytes()
 
 
-def unpack_codes(buf: bytes, count: int, bits: int) -> np.ndarray:
+def unpack_codes(buf, count: int, bits: int) -> np.ndarray:
     """Inverse of pack_codes; sign-extends each field into `code_dtype(bits)`. Range is NOT validated."""
     check_bits(bits)
+    return unpack_fields(buf, count, bits, code_dtype(bits))
+
+
+# Groups of eight fields per block of the field codec: a block's temporaries stay in cache.
+_BLOCK = 8192
+
+
+def pack_fields(values, bits: int) -> np.ndarray:
+    """Integers modulo 2**bits, 0 <= bits <= 64, packed at `bits` per value, LSB-first and zero-padded
+    to a byte, into a uint8 array; at 32 and 64 bits these are the bytes of a little-endian u32 or u64
+    array. Eight fields fill `bits` bytes, held as 64-bit lanes: a block of groups at a time, each
+    field position of every group is shifted in at once, and one into the next lane if it crosses."""
+    check_int(bits, "field width", 0, 64)
+    flat = np.asarray(values).reshape(-1)
+    lanes = np.zeros((-(-flat.size // 8), max(1, -(-bits // 8))), "<u8")
+    buffer = np.empty((min(len(lanes), _BLOCK), 8), np.uint64)  # one for every block: no page faults
+    for g0 in range(0, len(lanes), _BLOCK):
+        block, part, fields = lanes[g0 : g0 + _BLOCK], flat[8 * g0 : 8 * (g0 + _BLOCK)], buffer[: len(lanes) - g0]
+        fields.reshape(-1)[: part.size] = part  # wraps negative codes to two's complement
+        fields.reshape(-1)[part.size :] = 0
+        fields &= np.uint64((1 << bits) - 1)
+        for k in range(8):
+            lane, shift = divmod(k * bits, 64)  # at 64 bits every shift is 0
+            block[:, lane] |= fields[:, k] << shift
+            if shift + bits > 64:
+                block[:, lane + 1] |= fields[:, k] >> (64 - shift)
+    return np.ascontiguousarray(lanes.view(np.uint8)[:, :bits]).reshape(-1)[: packed_size(flat.size, bits)]
+
+
+def unpack_fields(buf, count: int, bits: int, dtype) -> np.ndarray:
+    """The first `count` fields of `buf`, packed as `pack_fields` packs them, as `dtype`: each
+    sign-extended from `bits` bits if `dtype` is signed. `buf` may hold more bytes than they take."""
+    check_int(bits, "field width", 0, 64)
     needed = packed_size(count, bits)
     if len(buf) < needed:
-        raise ValueError(f"code buffer too short: {len(buf)} bytes for {count} x {bits}-bit")
-    raw = np.zeros((-(-count // 8), bits), dtype=np.uint8)
-    raw.reshape(-1)[:needed] = np.frombuffer(buf, dtype=np.uint8, count=needed)
-    fields = np.empty((len(raw), 8), dtype=code_dtype(bits))
-    half = 1 << (bits - 1)
-    for k in range(8):
-        first, shift = divmod(k * bits, 8)
-        word = raw[:, first].astype(np.int32)
-        for j in range(1, (shift + bits + 7) // 8):
-            word |= raw[:, first + j].astype(np.int32) << 8 * j
-        fields[:, k] = (((word >> shift) & ((1 << bits) - 1)) ^ half) - half
-    return fields.reshape(-1)[:count]
+        raise ValueError(f"buffer too short: {len(buf)} bytes for {count} x {bits}-bit fields")
+    lanes = np.zeros((-(-count // 8), max(1, -(-bits // 8))), "<u8")
+    raw = np.zeros(len(lanes) * bits, np.uint8)  # whole groups, the last one zero-padded
+    raw[:needed] = np.frombuffer(buf, dtype=np.uint8, count=needed)
+    lanes.view(np.uint8)[:, :bits] = raw.reshape(len(lanes), bits)
+    out, signed = np.empty((len(lanes), 8), dtype), np.dtype(dtype).kind == "i"
+    for g0 in range(0, len(lanes), _BLOCK):
+        block = lanes[g0 : g0 + _BLOCK]
+        for k in range(8):
+            lane, shift = divmod(k * bits, 64)
+            word = block[:, lane] >> shift
+            if shift + bits > 64:
+                word |= block[:, lane + 1] << (64 - shift)
+            word <<= 64 - bits  # the field's top bit to bit 63, then back: masked, or sign-extended
+            out[g0 : g0 + _BLOCK, k] = (word.view(np.int64) if signed else word) >> (64 - bits)
+    return out.reshape(-1)[:count]
 
 
 def packed_size(count: int, bits: int) -> int:

@@ -2,10 +2,11 @@
 
 Codes of up to 8 bits are int8 and of up to 16 bits int16 (`code_dtype`), from
 the quantizers through compressed, hand-built and loaded entries. A pruned
-entry's flat positions are the file's u32 (u64 past 2**32 elements), and a
-loaded one keeps them as a view of the mapped file.
+entry holds its flat positions packed at ceil(log2 N) bits, as the file does,
+and a loaded one keeps them as a view of the mapped file.
 """
 
+import math
 import mmap
 import tracemalloc
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from skillpack.checkpoints import diff
 from skillpack.classify import ModuleClass, default_manifest
 from skillpack.compress import compress_delta, compress_entry
-from skillpack.packs import PrunedSparseEntry, QuantizedSvdEntry, SkillPack, load_pack, save_pack
+from skillpack.packs import PrunedSparseEntry, QuantizedSvdEntry, SkillPack, index_bits, load_pack, save_pack
 from skillpack.plans import BitGroup, CompressionPlan, DenseStrategy, PruneStrategy, SvdQuantStrategy, default_plan
 from skillpack.quantize import (
     MAX_BITS,
@@ -24,6 +25,7 @@ from skillpack.quantize import (
     code_dtype,
     encode,
     pack_codes,
+    pack_fields,
     qmax,
     quantize_gptq,
     quantize_rtn,
@@ -51,7 +53,7 @@ def _plan(value_bits: int, widths: tuple[int, int]) -> CompressionPlan:
 def _assert_typed(entry):
     if isinstance(entry, PrunedSparseEntry):
         assert entry.codes.dtype == code_dtype(entry.value_bits)
-        assert entry.indices.dtype == np.uint32
+        assert entry.indices.dtype == np.uint8 and entry.index_width == index_bits(math.prod(entry.shape))
     else:
         widest = code_dtype(max(g.bits for g in entry.groups))
         assert entry.u_codes.dtype == widest and entry.v_codes.dtype == widest
@@ -92,10 +94,11 @@ def test_every_path_holds_codes_at_their_width(tmp_path_factory, bits, other, se
 
 
 def test_narrow_types_copy_nothing_in_the_constructor():
+    # positions are always packed, so the no-copy path for them is a buffer packed already, as a load gives
     codes = np.array([1, -1, 0], np.int8)
-    indices = np.array([0, 2, 5], np.uint32)
+    indices = pack_fields([0, 2, 5], 3)
     entry = PrunedSparseEntry(shape=(2, 3), mclass=ModuleClass.EMBEDDING_OR_HEAD, alpha=0.5, value_bits=4,
-                              indices=indices, codes=codes, scales=np.ones(2, np.float32))
+                              indices=indices, codes=codes, scales=np.ones(2, np.float32), index_width=3)
     assert entry.codes is codes and entry.indices is indices
 
 

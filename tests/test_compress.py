@@ -67,7 +67,7 @@ def test_dispatch_prune():
     delta = rng.standard_normal((4, 4)).astype(np.float32)
     entry = compress_entry("e", delta, ModuleClass.EMBEDDING_OR_HEAD, simple_plan())
     assert isinstance(entry, PrunedSparseEntry)
-    assert len(entry.indices) == 8  # ceil(0.5 * 16)
+    assert len(entry.positions()) == 8  # ceil(0.5 * 16)
 
 
 def test_dispatch_svd_rank_clamps():
@@ -153,7 +153,7 @@ def test_pruned_values_per_row_scales_over_dense_rows():
     # row scales come from the dense rows: max|row|/qmax
     assert entry.scales[0] == np.float32(1.0 / 7)
     assert entry.scales[1] == np.float32(8.0 / 7)
-    assert entry.indices.tolist() == [0, 3]
+    assert entry.positions().tolist() == [0, 3]
 
 
 def test_pruned_exact_on_grid_values():

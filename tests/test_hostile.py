@@ -11,6 +11,7 @@ recompute its CRC: these files load, and must compose or raise.
 """
 
 import json
+import math
 import struct
 import tracemalloc
 import zlib
@@ -25,10 +26,12 @@ from hypothesis import strategies as st
 from skillpack.checkpoints import Checkpoint, apply_pack, diff, load_checkpoint, save_checkpoint
 from skillpack.classify import ModuleClass, default_manifest
 from skillpack.compress import compress_delta
-from skillpack.errors import SkillPackError
+from skillpack.errors import FormatError, SkillPackError
 from skillpack.packs import load_pack, save_pack
 from skillpack.plans import BitGroup, CompressionPlan, DenseStrategy, PruneStrategy, SvdQuantStrategy
+from skillpack.quantize import packed_size
 from skillpack.routing import LinearClassifier, TaskTable, load_router, save_router
+from skillpack.tensors import retained_count
 from skillpack.toy import ToySpec, gen_toy
 
 PREFIX = struct.Struct("<4sIQ")
@@ -207,3 +210,43 @@ def test_mutated_router(files, data):
 @given(data=st.data())
 def test_pack_with_rewritten_float_values(files, data):
     _check(files, "skpk", data.draw(float_blob_edits(files[2]["pack.skpk"])))
+
+
+@st.composite
+def forged_counts(draw, raw: bytes) -> tuple[bytes, str, bool]:
+    """`raw`, a .skpk, with the alpha, shape or index width of a pruned entry forged; the entry's name; and
+    whether its indices blob is too short or too long for the forged count at the forged width."""
+    magic, version, header_len = PREFIX.unpack_from(raw)
+    header = json.loads(raw[PREFIX.size : PREFIX.size + header_len])
+    entry = draw(st.sampled_from([e for e in header["entries"] if e["kind"] == "pruned_sparse"]))
+    entry.update(draw(st.fixed_dictionaries({}, optional={
+        "alpha": st.floats(0.0, 1.0, exclude_min=True),
+        "shape": st.lists(st.integers(0, 2**40), min_size=2, max_size=2),
+        "index_width": st.integers(0, 64),
+    })))
+    keep = retained_count(entry["alpha"], math.prod(entry["shape"]))
+    blob = next(b for b in entry["blobs"] if b["role"] == "indices")
+    text = json.dumps(header).encode()
+    forged = PREFIX.pack(magic, version, len(text)) + text + raw[PREFIX.size + header_len :]
+    return forged, entry["name"], packed_size(keep, entry["index_width"]) != blob["byte_len"]
+
+
+@settings(BOUNDED, max_examples=200)
+@given(data=st.data())
+def test_a_forged_count_is_refused_before_it_is_allocated(files, data):
+    forged, name, unheld = data.draw(forged_counts(files.raw["pack.skpk"]))
+    path = files.root / "forged.skpk"
+    path.unlink(missing_ok=True)
+    path.write_bytes(forged)
+    error = None
+    tracemalloc.start()
+    try:
+        load_pack(path)
+    except SkillPackError as exc:
+        error = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak <= ALLOC_PER_BYTE * len(forged)
+    if unheld:
+        assert isinstance(error, FormatError) and f"entry {name!r}" in str(error)

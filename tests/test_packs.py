@@ -291,7 +291,7 @@ def test_pruned_entry_keeps_exactly_retained_count_values():
 def test_edited_alpha_is_format_error_naming_the_entry(tmp_path):
     path = _pruned_pack_file(tmp_path)
     _rewrite_header(path, lambda header: header["entries"][0].update(alpha=0.9))
-    with pytest.raises(FormatError, match=r"entry 'e.weight': alpha=0.9 keeps 22 of 24 values, got 6"):
+    with pytest.raises(FormatError, match=r"entry 'e.weight': blob 'values': buffer too short: 3 bytes for 22 x 4-bit"):
         load_pack(path)
 
 
@@ -309,28 +309,43 @@ def test_an_index_width_of_16_names_the_entry(tmp_path):
         load_pack(path)
 
 
-def test_u64_indices_load_like_u32(tmp_path):
-    path = _pruned_pack_file(tmp_path)
-    wide = tmp_path / "wide.skpk"
+def _with_wide_indices(path, out, width):
+    """`path` rewritten to `out` with the first entry's positions as little-endian u32 or u64
+    values, as files held them before indices were packed at their own width."""
     raw = path.read_bytes()
     magic, version, header_len = struct.unpack_from("<4sIQ", raw)
     header = json.loads(raw[16 : 16 + header_len])
     payload = bytearray(raw[16 + header_len :])
-    assert header["entries"][0]["index_width"] == 32
+    wide = load_pack(path).entries["e.weight"].positions().astype(f"<u{width // 8}").tobytes()
     meta = next(b for b in header["entries"][0]["blobs"] if b["role"] == "indices")
-    u32 = bytes(payload[meta["offset"] : meta["offset"] + meta["byte_len"]])
-    u64 = np.frombuffer(u32, "<u4").astype("<u8").tobytes()
-    payload += bytes(-len(payload) % 64)  # the u64 blob goes at the next aligned offset
-    meta.update(offset=len(payload), byte_len=len(u64), crc32=zlib.crc32(u64))
-    header["entries"][0]["index_width"] = 64
+    payload += bytes(-len(payload) % 64)  # the wide blob goes at the next aligned offset
+    meta.update(offset=len(payload), byte_len=len(wide), crc32=zlib.crc32(wide))
+    header["entries"][0]["index_width"] = width
     blob = json.dumps(header).encode()
-    wide.write_bytes(struct.pack("<4sIQ", magic, version, len(blob)) + blob + bytes(payload) + u64)
+    out.write_bytes(struct.pack("<4sIQ", magic, version, len(blob)) + blob + bytes(payload) + wide)
 
-    narrow_entry, wide_entry = load_pack(path).entries["e.weight"], load_pack(wide).entries["e.weight"]
-    assert wide_entry.indices.tolist() == [0, 1, 5, 7, 20, 23]
-    for name in ("indices", "codes", "scales"):
-        a, b = getattr(narrow_entry, name), getattr(wide_entry, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+def test_u64_indices_load_like_u32(tmp_path):
+    """u32 and u64 indices, as earlier files hold them, load and compose like the fresh file's packed ones,
+    and save back at their own width."""
+    path = _pruned_pack_file(tmp_path)
+    native = load_pack(path)
+    assert native.entries["e.weight"].index_width == 5  # ceil(log2(24))
+    base = Checkpoint(model_id="b", tensors={"e.weight": np.ones((4, 6), np.float32)})
+    for width in (32, 64):
+        wide = tmp_path / f"u{width}.skpk"
+        _with_wide_indices(path, wide, width)
+        pack = load_pack(wide)
+        entry, fresh = pack.entries["e.weight"], native.entries["e.weight"]
+        assert entry.index_width == width and entry.positions().tolist() == [0, 1, 5, 7, 20, 23]
+        for name in ("codes", "scales"):
+            a, b = getattr(fresh, name), getattr(entry, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert entry.reconstruct().tobytes() == fresh.reconstruct().tobytes()
+        assert apply_pack(base, pack).tensors["e.weight"].tobytes() == apply_pack(base, native).tensors["e.weight"].tobytes()
+        save_pack(pack, tmp_path / "again.skpk")
+        again = load_pack(tmp_path / "again.skpk").entries["e.weight"]
+        assert again.index_width == width and again.indices.tobytes() == entry.indices.tobytes()
 
 
 def _entry_arrays(entries) -> list[np.ndarray]:
@@ -414,6 +429,16 @@ def test_dense_pack_load_maps_the_file_instead_of_copying_it(tmp_path):
         tracemalloc.stop()
     assert peak < 2**20
     assert np.array_equal(loaded.entries["w"].values, values)
+
+
+@pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+def test_positions_cannot_change_after_their_checks(dtype):
+    indices = np.array([1, 5], dtype)
+    entry = _pruned(indices=indices, alpha=1 / 3)
+    before = entry.reconstruct()
+    indices[:] = [0, 1]
+    assert entry.reconstruct().tobytes() == before.tobytes()
+    assert entry.positions().tolist() == [1, 5] and not entry.indices.flags.writeable
 
 
 def test_pruned_entry_must_be_2d():
@@ -544,8 +569,9 @@ def test_forged_sparse_shape_is_rejected_before_reconstruct(tmp_path, monkeypatc
             scales=np.ones(1, dtype=np.float32),
         )
 
-    path = tmp_path / "p.skpk"
-    save_pack(SkillPack("b", "t", "", {}, {"e.weight": entry((1, 4))}), path)
+    save_pack(SkillPack("b", "t", "", {}, {"e.weight": entry((1, 4))}), tmp_path / "p.skpk")
+    path = tmp_path / "wide.skpk"
+    _with_wide_indices(tmp_path / "p.skpk", path, 64)  # 2-bit indices do not fit the forged shape, u64 ones do
     forged = (1, 2**40)
     forged_alpha = 2 / 2**40  # keeps the same two values of the forged shape
 
@@ -673,7 +699,7 @@ def test_entry_stats_matches_storage_ratio_closed_form():
     entry = random_entry(rng, "pruned")
     line = entry_stats(entry)
     n = entry.shape[0] * entry.shape[1]
-    assert line.stored_value_bits == len(entry.indices) * entry.value_bits
+    assert line.stored_value_bits == len(entry.codes) * entry.value_bits
     dense = random_entry(rng, "dense")
     assert entry_stats(dense).ratio_value_only == 2.0
 
@@ -789,7 +815,7 @@ def test_saved_pack_bytes_pinned(tmp_path):
     path = tmp_path / "k.skpk"
     save_pack(SkillPack("base-m", "tuned-m", "math", {"damping": 0.01}, entries), path)
     raw = path.read_bytes()
-    assert hashlib.sha256(raw).hexdigest() == "e8652b5d127c9fa604152364ca3f45b8543d53d6963d93dbdc83b27e42960201"
+    assert hashlib.sha256(raw).hexdigest() == "62ac48448f2d5a4808f2f0e0557006cac670609d899cfeb23c6f7aea9e0d0f0f"
     header = json.loads(raw[16 : 16 + struct.unpack_from("<Q", raw, 8)[0]])
     for head in header["entries"]:
         assert [blob["role"] for blob in head["blobs"]] == list(_KINDS[head["kind"]].roles)

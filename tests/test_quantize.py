@@ -30,12 +30,14 @@ from skillpack.quantize import (
     code_dtype,
     hessian_factor,
     pack_codes,
+    pack_fields,
     packed_size,
     qmax,
     quantize_gptq,
     quantize_rtn,
     rtn_scales,
     unpack_codes,
+    unpack_fields,
 )
 from skillpack.tensors import svd
 from skillpack.toy import DeltaRecipe, ToySpec, gen_toy
@@ -283,6 +285,22 @@ def test_unpack_codes_has_no_per_bit_temporaries():
         tracemalloc.stop()
     assert peak <= 4 * codes.nbytes
     assert np.array_equal(codes, np.arange(count) % 255 - 127)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(bits=st.integers(0, 64), count=st.integers(0, 70_000), seed=st.integers(0, 2**16))
+@example(bits=21, count=8 * 8192 + 3, seed=0)  # more than one block of groups, and a partial last group
+def test_fields_round_trip_at_every_width(bits, count, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 2**64, size=count, dtype=np.uint64, endpoint=False) >> np.uint64(64 - bits)  # 0 at 0 bits
+    packed = pack_fields(values, bits)
+    assert len(packed) == packed_size(count, bits)
+    bit_matrix = (values[:, None] >> np.arange(bits, dtype=np.uint64)) & np.uint64(1)
+    assert packed.tobytes() == np.packbits(bit_matrix.astype(np.uint8).reshape(-1), bitorder="little").tobytes()
+    if bits in (32, 64):
+        assert packed.tobytes() == values.astype(f"<u{bits // 8}").tobytes()
+    trailing = packed.tobytes() + bytes(rng.integers(0, 256, size=5, dtype=np.uint8))
+    assert np.array_equal(unpack_fields(trailing, count, bits, np.uint64), values)
 
 
 def test_unpack_rejects_short_buffer():

@@ -4,10 +4,14 @@ Entries are drawn by hand, not compressed: dense entries of any shape, pruned
 entries that keep `retained_count(alpha, N)` values, and SVD entries with
 random contiguous bit groups and in-range codes. A pack of them must load back
 to the same arrays and save to the same bytes, with stats equal to the
-per-class sums of `storage_ratio(entry.shape, entry.strategy)`.
+per-class sums of `storage_ratio(entry.shape, entry.strategy)`. Those stats
+are the bits of the entry's blobs in the file, less the byte padding of each
+packed segment.
 """
 
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -22,12 +26,13 @@ from skillpack.packs import (
     QuantizedSvdEntry,
     SkillPack,
     StatLine,
+    entry_stats,
     load_pack,
     save_pack,
     storage_ratio,
 )
 from skillpack.plans import BitGroup
-from skillpack.quantize import MAX_BITS, MIN_BITS, qmax
+from skillpack.quantize import MAX_BITS, MIN_BITS, packed_size, qmax
 from skillpack.routing import LinearClassifier, TaskTable, load_router, save_router
 from skillpack.tensors import retained_count
 
@@ -86,6 +91,21 @@ def svd_entries(draw):
     )
 
 
+@st.composite
+def wide_pruned_entries(draw):
+    """Pruned entries of up to 2**17 values, whose positions take up to 17 bits, drawn from a seed."""
+    shape = (draw(st.integers(1, 64)), draw(st.integers(1, 2048)))
+    n = shape[0] * shape[1]
+    alpha, bits = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)), draw(BITS)
+    keep = retained_count(alpha, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return PrunedSparseEntry(
+        shape=shape, mclass=ModuleClass.EMBEDDING_OR_HEAD, alpha=alpha, value_bits=bits,
+        indices=np.sort(rng.choice(n, keep, replace=False)), codes=rng.integers(-qmax(bits), qmax(bits) + 1, keep),
+        scales=np.ones(shape[0], np.float32),
+    )
+
+
 ARRAYS = {
     DenseEntry: ("values",),
     PrunedSparseEntry: ("indices", "codes", "scales"),
@@ -122,6 +142,29 @@ def test_drawn_entries_round_trip_bit_for_bit(root, entries):
         per_class[entry.mclass.value] += storage_ratio(entry.shape, entry.strategy)
     assert loaded.stats.per_class == per_class
     assert loaded.stats.total == sum(per_class.values(), StatLine(0, 0, 0))
+
+
+def packed_segments(entry) -> list[tuple[int, int]]:
+    """(count, bits) of each bit-packed segment of the entry's blobs, each padded to a byte."""
+    if isinstance(entry, PrunedSparseEntry):
+        n = math.prod(entry.shape)
+        return [(len(entry.codes), math.ceil(math.log2(n)) if n > 1 else 0), (len(entry.codes), entry.value_bits)]
+    if isinstance(entry, QuantizedSvdEntry):
+        return [(size * g.length, g.bits) for size in entry.shape for g in entry.groups]
+    return []
+
+
+@settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
+@given(entry=st.one_of(dense_entries(), pruned_entries(), wide_pruned_entries(), svd_entries()))
+def test_entry_stats_are_the_bits_of_its_blobs(root, entry):
+    path = root / "s.skpk"
+    save_pack(SkillPack("base", "tuned", "tag", {}, {"t.weight": entry}), path)
+    raw = path.read_bytes()
+    header = json.loads(raw[16 : 16 + struct.unpack_from("<Q", raw, 8)[0]])
+    blob_bits = 8 * sum(blob["byte_len"] for blob in header["entries"][0]["blobs"])
+    padding = sum(8 * packed_size(count, bits) - count * bits for count, bits in packed_segments(entry))
+    line = entry_stats(entry)
+    assert line.stored_value_bits + line.stored_overhead_bits == blob_bits - padding
 
 
 # Router fields are drawn wider than the constructors accept: whatever builds must round-trip.
