@@ -40,9 +40,9 @@ VERSION = 1
 # packed), `_decode` is its part of `_load_entry`, `_detail` of `inspect`.
 # The constructors also set the in-memory types: float fields float32 and
 # finite, codes `code_dtype` of their width, pruned positions packed as the
-# file holds them. Compress and load hand over those types already, so no
-# code is copied on either path, and a load keeps the packed positions as a
-# view of the file.
+# file holds them, then `_hold` makes every array read-only without a copy.
+# Compress and load hand over those types in fresh arrays or views of the
+# file, so they copy no code and freeze no array that a caller holds.
 # --------------------------------------------------------------------------
 
 def _check_code_range(codes: np.ndarray, bits: int, what: str) -> None:
@@ -55,16 +55,23 @@ def _check_code_range(codes: np.ndarray, bits: int, what: str) -> None:
         raise IntegrityError(f"corrupted codes: {what} out of range for {bits}-bit values")
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+def _hold(entry, **fields) -> None:
+    """Set a frozen entry's checked fields. A writable array is made read-only in place, with the array it views."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray) and value.flags.writeable:
+            for arr in (value, value.base) if isinstance(value.base, np.ndarray) else (value,):
+                arr.flags.writeable = False
+        object.__setattr__(entry, name, value)
 
 
 # `_checked` from `compress._compress` and `DenseEntry._decode` only, which scan their values themselves.
 _VALUES_CHECKED = object()
+# Positions per block of a pruned entry's order check: a multiple of 8, so a packed block starts on a byte.
+_POSITIONS = 1 << 16
+_UNORDERED = "indices must be strictly increasing integers in range"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DenseEntry:
     shape: tuple[int, ...]
     mclass: ModuleClass
@@ -75,10 +82,10 @@ class DenseEntry:
     roles = ("dense",)
 
     def __post_init__(self, _checked: object):
-        if _checked is not _VALUES_CHECKED:
-            self.values = check_float32(self.values, "dense values")
-        if self.values.shape != tuple(self.shape):
-            raise ValueError(f"dense values of shape {self.values.shape} do not match the entry shape {self.shape}")
+        values = self.values if _checked is _VALUES_CHECKED else check_float32(self.values, "dense values")
+        if values.shape != tuple(self.shape):
+            raise ValueError(f"dense values of shape {values.shape} do not match the entry shape {self.shape}")
+        _hold(self, values=values)
 
     @property
     def strategy(self) -> DenseStrategy:
@@ -105,7 +112,7 @@ def index_bits(n: int) -> int:
     return max(n - 1, 0).bit_length()
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PrunedSparseEntry:
     shape: tuple[int, ...]
     mclass: ModuleClass
@@ -122,26 +129,32 @@ class PrunedSparseEntry:
     def __post_init__(self):
         if len(self.shape) != 2:
             raise ValueError(f"a pruned entry must be 2-D, got shape {tuple(self.shape)}")
-        self.scales = check_float32(self.scales, "pruned scales")
+        scales = check_float32(self.scales, "pruned scales")
         n = math.prod(self.shape)
         keep = retained_count(self.strategy.alpha, n)  # building the strategy checks alpha and value_bits
-        idx, width = self.indices, self.index_width
+        idx, width, last = self.indices, self.index_width, -1
         if width is not None:  # packed already, at index_bits(n) or as the u32 or u64 of earlier files
             if width not in (index_bits(n), 32, 64) or len(idx) != packed_size(keep, width):
                 raise ValueError(f"bad index width {width!r}: {keep} of {n} values take "
                                  f"{packed_size(keep, width)} bytes, got {len(idx)}")
-            idx = unpack_fields(idx, keep, width, np.uint64)
-        if idx.dtype.kind not in "iu" or (idx.size and (np.any(idx[1:] <= idx[:-1]) or idx[0] < 0 or idx[-1] >= n)):
-            raise ValueError("indices must be strictly increasing integers in range")
-        if len(self.codes) != len(idx) or len(self.scales) != self.shape[0]:
+        elif idx.dtype.kind not in "iu":
+            raise ValueError(_UNORDERED)
+        count = keep if width is not None else len(idx)
+        for start in range(0, count, _POSITIONS):  # packed ones decoded a block at a time
+            block = idx[start : start + _POSITIONS] if width is None else unpack_fields(
+                idx[start * width // 8 :], min(_POSITIONS, count - start), width, np.uint64)
+            if np.any(block[1:] <= block[:-1]) or block[0] <= last or block[-1] >= n:
+                raise ValueError(_UNORDERED)
+            last = block[-1]
+        if len(self.codes) != count or len(scales) != self.shape[0]:
             raise ValueError("a pruned entry needs one code per index and one scale per row")
-        if len(idx) != keep:
-            raise ValueError(f"alpha={self.alpha!r} keeps {keep} of {n} values, got {len(idx)}")
+        if count != keep:
+            raise ValueError(f"alpha={self.alpha!r} keeps {keep} of {n} values, got {count}")
         _check_code_range(self.codes, self.value_bits, "values")
         if width is None:  # a copy: the caller's positions may change, the entry's may not
-            self.index_width = index_bits(n)
-            self.indices = _frozen(pack_fields(idx, self.index_width))
-        self.codes = self.codes.astype(code_dtype(self.value_bits), copy=False)
+            width, idx = index_bits(n), pack_fields(idx, index_bits(n))
+        _hold(self, scales=scales, index_width=width, indices=idx,
+              codes=self.codes.astype(code_dtype(self.value_bits), copy=False))
 
     @property
     def strategy(self) -> PruneStrategy:
@@ -169,14 +182,14 @@ class PrunedSparseEntry:
         alpha, value_bits = head["alpha"], head["value_bits"]
         keep = retained_count(PruneStrategy(alpha=alpha, value_bits=value_bits).alpha, math.prod(shape))
         return cls(shape=shape, mclass=mclass, alpha=alpha, value_bits=value_bits, indices=array("indices", "u1"),
-                   codes=_frozen(codes("values", [(keep, value_bits)])[0]), scales=array("scales"),
+                   codes=codes("values", [(keep, value_bits)])[0], scales=array("scales"),
                    index_width=header_field(head, "index_width", int))
 
     def _detail(self) -> str:
         return f"  alpha={self.alpha:g}  value_bits={self.value_bits}  retained={len(self.codes)}"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class QuantizedSvdEntry:
     shape: tuple[int, ...]
     mclass: ModuleClass
@@ -194,20 +207,21 @@ class QuantizedSvdEntry:
     def __post_init__(self):
         rows, cols = self.shape
         check_int(self.rank, "rank", 1, min(rows, cols))
-        self.groups = self.strategy.groups  # a tuple, checked to cover [0, rank)
-        self.sigma, self.u_scales, self.v_scales = (
+        groups = self.strategy.groups  # a tuple, checked to cover [0, rank)
+        sigma, u_scales, v_scales = (
             check_float32(a, what) for a, what in ((self.sigma, "sigma"), (self.u_scales, "U scales"),
                                                    (self.v_scales, "V scales")))
-        if len(self.sigma) != self.rank or len(self.u_scales) != self.rank or len(self.v_scales) != self.rank:
+        if len(sigma) != self.rank or len(u_scales) != self.rank or len(v_scales) != self.rank:
             raise ValueError("sigma and scale lengths must equal the rank")
         if self.u_codes.shape != (rows, self.rank) or self.v_codes.shape != (self.rank, cols):
             raise ValueError(f"U codes must be {rows}x{self.rank} and V codes {self.rank}x{cols}")
-        for g in self.groups:
+        for g in groups:
             group = f"group [{g.begin}, {g.end})"
             _check_code_range(self.u_codes[:, g.begin : g.end], g.bits, f"U {group}")
             _check_code_range(self.v_codes[g.begin : g.end, :], g.bits, f"V {group}")
-        dtype = code_dtype(max(g.bits for g in self.groups))
-        self.u_codes, self.v_codes = self.u_codes.astype(dtype, copy=False), self.v_codes.astype(dtype, copy=False)
+        dtype = code_dtype(max(g.bits for g in groups))
+        _hold(self, groups=groups, sigma=sigma, u_scales=u_scales, v_scales=v_scales,
+              u_codes=self.u_codes.astype(dtype, copy=False), v_codes=self.v_codes.astype(dtype, copy=False))
 
     @property
     def strategy(self) -> SvdQuantStrategy:
@@ -235,8 +249,8 @@ class QuantizedSvdEntry:
         v_parts = codes("codes_v", [(g.length * cols, g.bits) for g in groups])
         return cls(
             shape=shape, mclass=mclass, rank=head["rank"], groups=groups, sigma=sigma, u_scales=u_scales,
-            u_codes=_frozen(np.concatenate([part.reshape(rows, g.length) for part, g in zip(u_parts, groups)], 1)),
-            v_codes=_frozen(np.concatenate([part.reshape(g.length, cols) for part, g in zip(v_parts, groups)], 0)),
+            u_codes=np.concatenate([part.reshape(rows, g.length) for part, g in zip(u_parts, groups)], 1),
+            v_codes=np.concatenate([part.reshape(g.length, cols) for part, g in zip(v_parts, groups)], 0),
             v_scales=v_scales,
         )
 
@@ -360,7 +374,7 @@ def predict_stats(shapes: dict[str, tuple[int, ...]], manifest, plan) -> Storage
 # The pack itself
 # --------------------------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SkillPack:
     base_model_id: str
     tuned_model_id: str
@@ -405,8 +419,7 @@ def save_pack(pack: SkillPack, path) -> None:
 
 
 def _load_entry(head: dict, payload: memoryview) -> CompressedEntry:
-    """One entry from its header. Its kind's `_decode` parses the fields; the constructor checks how they relate.
-    Decoded codes are frozen like the file's views, so the entry cannot change after its checks."""
+    """One entry from its header. Its kind's `_decode` parses the fields; the constructor checks how they relate."""
     kind = header_field(head, "kind", str)
     mclass = ModuleClass(header_field(head, "class", str))
     cls = _KINDS.get(kind)

@@ -120,9 +120,8 @@ class SvdFactors:
     def rank(self) -> int:
         return len(self.sigma)
 
-    def reconstruct(self, dtype=np.float64) -> np.ndarray:
-        out = (self.u * self.sigma) @ self.vt
-        return out.astype(dtype)
+    def reconstruct(self) -> np.ndarray:
+        return ((self.u * self.sigma) @ self.vt).astype(np.float64, copy=False)
 
 
 def svd(a: np.ndarray) -> SvdFactors:

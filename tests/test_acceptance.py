@@ -95,7 +95,7 @@ def test_criterion_3_numerical_core():
             n = int(rng.integers(1, 513))
             a = rng.standard_normal((m, n))
             factors = svd(a)
-            assert frobenius_rel_err(a, factors.reconstruct(np.float32)) <= 1e-5
+            assert frobenius_rel_err(a, factors.reconstruct().astype(np.float32)) <= 1e-5
             p = factors.rank
             assert np.max(np.abs(factors.u.T @ factors.u - np.eye(p))) <= 1e-5
             assert np.max(np.abs(factors.vt @ factors.vt.T - np.eye(p))) <= 1e-5

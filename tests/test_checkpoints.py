@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -340,16 +341,17 @@ def test_manifest_from_dict_reads_its_json_form():
         ClassificationManifest.from_dict({"rules": [], "defualt": "mlp"})
 
 
-def zero_pack(base: Checkpoint, names=None) -> SkillPack:
+def zero_pack(base: Checkpoint, names=None, fill=0.0, task_tag="") -> SkillPack:
+    """Dense entries of `fill` for the base's tensors (or those in `names`)."""
     entries = {}
     for name, arr in base.tensors.items():
         if names is not None and name not in names:
             continue
         entries[name] = DenseEntry(
-            shape=tuple(arr.shape), mclass=ModuleClass.PASSTHROUGH, values=np.zeros(arr.shape, np.float32)
+            shape=tuple(arr.shape), mclass=ModuleClass.PASSTHROUGH, values=np.full(arr.shape, fill, np.float32)
         )
     return SkillPack(
-        base_model_id=base.model_id, tuned_model_id="t", task_tag="", plan_snapshot={}, entries=entries
+        base_model_id=base.model_id, tuned_model_id="t", task_tag=task_tag, plan_snapshot={}, entries=entries
     )
 
 
@@ -372,8 +374,7 @@ def test_apply_zero_pack_is_identity():
 
 def test_apply_scale_zero_is_identity():
     base = small_checkpoint()
-    pack = zero_pack(base)
-    pack.entries["a.weight"].values += 5.0
+    pack = zero_pack(base, fill=5.0)
     out = apply_pack(base, pack, scale=0.0)
     assert bit_equal(out, base)
 
@@ -381,8 +382,7 @@ def test_apply_scale_zero_is_identity():
 @pytest.mark.parametrize("weight", [float("inf"), -float("inf"), float("nan"), 1e39])
 def test_compose_refuses_a_weight_not_finite_in_float32(monkeypatch, weight):
     base = small_checkpoint()
-    pack = zero_pack(base)
-    pack.task_tag = "skill"
+    pack = zero_pack(base, task_tag="skill")
 
     def reconstruct(self):
         raise AssertionError("reconstructed before the weight was checked")
@@ -399,8 +399,7 @@ def test_compose_refuses_a_weight_not_finite_in_float32(monkeypatch, weight):
 @pytest.mark.parametrize("weight", ["2", True])
 def test_compose_refuses_a_weight_that_is_not_a_number(weight):
     base = small_checkpoint()
-    pack = zero_pack(base)
-    pack.task_tag = "skill"
+    pack = zero_pack(base, task_tag="skill")
     message = f"pack 'skill' weight {weight!r} is not a number (an int or a float)"
     with pytest.raises(ValueError, match=re.escape(message)):
         apply_pack(base, pack, scale=weight)
@@ -411,16 +410,14 @@ def test_compose_refuses_a_weight_that_is_not_a_number(weight):
 def test_apply_never_mutates_base():
     base = small_checkpoint()
     before = {k: v.copy() for k, v in base.tensors.items()}
-    pack = zero_pack(base)
-    pack.entries["a.weight"].values += 1.0
+    pack = zero_pack(base, fill=1.0)
     apply_pack(base, pack, scale=2.0)
     assert bit_equal(base, Checkpoint(model_id="m", tensors=before))
 
 
 def test_apply_uncovered_names_copied_bit_exact():
     base = small_checkpoint()
-    pack = zero_pack(base, names=["a.weight"])
-    pack.entries["a.weight"].values += 1.0
+    pack = zero_pack(base, names=["a.weight"], fill=1.0)
     out = apply_pack(base, pack)
     assert np.array_equal(out.tensors["b.weight"].view(np.uint8), base.tensors["b.weight"].view(np.uint8))
     assert np.allclose(out.tensors["a.weight"], base.tensors["a.weight"] + 1.0)
@@ -428,8 +425,7 @@ def test_apply_uncovered_names_copied_bit_exact():
 
 def test_apply_model_id_checked_and_forced():
     base = small_checkpoint()
-    pack = zero_pack(base)
-    pack.base_model_id = "other"
+    pack = replace(zero_pack(base), base_model_id="other")
     with pytest.raises(ValueError, match="force"):
         apply_pack(base, pack)
     out = apply_pack(base, pack, force=True)
@@ -438,8 +434,7 @@ def test_apply_model_id_checked_and_forced():
 
 def test_compose_mismatch_is_compatibility_error():
     base = small_checkpoint()
-    wrong_base, missing, wrong_shape = zero_pack(base), zero_pack(base), zero_pack(base)
-    wrong_base.base_model_id = "other"
+    wrong_base, missing, wrong_shape = replace(zero_pack(base), base_model_id="other"), zero_pack(base), zero_pack(base)
     missing.entries["z.weight"] = missing.entries.pop("a.weight")
     wrong_shape.entries["a.weight"] = DenseEntry((2, 2), ModuleClass.MLP, np.zeros((2, 2), np.float32))
     for pack in (wrong_base, missing, wrong_shape):
@@ -451,8 +446,7 @@ def test_compose_mismatch_is_compatibility_error():
 def test_apply_shape_mismatch():
     base = small_checkpoint()
     pack = zero_pack(base)
-    pack.entries["a.weight"].values = np.zeros((2, 2), np.float32)
-    pack.entries["a.weight"].shape = (2, 2)
+    pack.entries["a.weight"] = DenseEntry((2, 2), ModuleClass.PASSTHROUGH, np.zeros((2, 2), np.float32))
     with pytest.raises(ValueError, match="shape"):
         apply_pack(base, pack)
 
@@ -460,10 +454,10 @@ def test_apply_shape_mismatch():
 def test_untagged_pack_labelled_in_errors():
     base = small_checkpoint()
     pack = zero_pack(base)
-    pack.entries["a.weight"].shape = (2, 2)
+    pack.entries["a.weight"] = DenseEntry((2, 2), ModuleClass.PASSTHROUGH, np.zeros((2, 2), np.float32))
     with pytest.raises(ValueError, match=r"^pack <untagged> entry 'a.weight' shape \(2, 2\) does not match"):
         apply_pack(base, pack)
-    pack.task_tag = "math"
+    pack = replace(pack, task_tag="math")
     with pytest.raises(ValueError, match=r"^pack 'math' entry 'a.weight'"):
         apply_pack(base, pack)
 
@@ -520,20 +514,18 @@ def dense_pack(base: Checkpoint, names, seed: int, scale: float = 1.0) -> SkillP
     """Random dense updates with +0.0 and -0.0 at fixed positions; scale 0 gives an all-zero pack."""
     rng = np.random.default_rng(seed)
     pack = zero_pack(base, names=names)
-    for entry in pack.entries.values():
+    for name, entry in pack.entries.items():
         values = (scale * rng.standard_normal(entry.shape)).astype(np.float32)
         values.reshape(-1)[1::4] = 0.0
         values.reshape(-1)[2::4] = -0.0
-        entry.values = values
+        pack.entries[name] = replace(entry, values=values)
     return pack
 
 
 def negated(pack: SkillPack) -> SkillPack:
-    out = zero_pack(Checkpoint(model_id=pack.base_model_id))
-    out.entries = {
+    return replace(zero_pack(Checkpoint(model_id=pack.base_model_id)), entries={
         name: DenseEntry(shape=e.shape, mclass=e.mclass, values=-e.values) for name, e in pack.entries.items()
-    }
-    return out
+    })
 
 
 def sparse_pack(base: Checkpoint) -> SkillPack:
@@ -554,7 +546,7 @@ def compose_cases():
     base = signed_zero_base()
     p = dense_pack(base, TOUCHED, seed=1)
     reversed_p = dense_pack(base, TOUCHED, seed=4)
-    reversed_p.entries = dict(reversed(reversed_p.entries.items()))
+    reversed_p = replace(reversed_p, entries=dict(reversed(reversed_p.entries.items())))
     q = dense_pack(base, ["a.weight", "e.weight"], seed=2)
     zero = dense_pack(base, TOUCHED, seed=3, scale=0.0)
     return base, {
@@ -642,7 +634,7 @@ def test_compose_refuses_a_pruned_entry_whose_scales_overflow(tmp_path):
     base, tuned = gen_toy(spec)
     pack = compress_delta(diff(base, tuned), default_manifest(), budget_plan(0.10, toy_param_shapes(spec)))
     name = next(n for n, e in pack.entries.items() if isinstance(e, PrunedSparseEntry))
-    pack.entries[name].scales = np.full_like(pack.entries[name].scales, 3e38)
+    pack.entries[name] = replace(pack.entries[name], scales=np.full_like(pack.entries[name].scales, 3e38))
     save_pack(pack, tmp_path / "p.skpk")
     loaded = load_pack(tmp_path / "p.skpk")
     with pytest.raises(IntegrityError, match=re.escape(f"pack <untagged> entry {name!r}: overflow")):
@@ -650,10 +642,10 @@ def test_compose_refuses_a_pruned_entry_whose_scales_overflow(tmp_path):
 
 
 def _filled(base: Checkpoint, tag: str, a: float, b: float) -> SkillPack:
-    pack = zero_pack(base)
-    pack.task_tag = tag
-    pack.entries["a.weight"].values[...] = a
-    pack.entries["b.weight"].values[...] = b
+    pack = zero_pack(base, task_tag=tag)
+    for name, fill in (("a.weight", a), ("b.weight", b)):
+        entry = pack.entries[name]
+        pack.entries[name] = replace(entry, values=np.full(entry.shape, fill, np.float32))
     return pack
 
 

@@ -30,6 +30,7 @@ from skillpack.packs import (
     storage_ratio,
 )
 from skillpack.plans import BitGroup, DenseStrategy, PruneStrategy, SvdQuantStrategy, default_plan
+from skillpack.quantize import pack_fields
 
 
 def random_entry(rng, kind):
@@ -306,6 +307,42 @@ def test_an_index_width_of_16_names_the_entry(tmp_path):
     path = _pruned_pack_file(tmp_path)
     _rewrite_header(path, lambda header: header["entries"][0].update(index_width=16))
     with pytest.raises(FormatError, match=r"entry 'e.weight': bad index width 16"):
+        load_pack(path)
+
+
+def _multi_block_pack_file(tmp_path, rows=512):
+    """A pack of one pruned entry that keeps every other value of a rows x 512 matrix: positions that span
+    several blocks of the constructor's order check (65,536 each)."""
+    keep = rows * 256
+    entry = PrunedSparseEntry(
+        shape=(rows, 512), mclass=ModuleClass.EMBEDDING_OR_HEAD, alpha=0.5, value_bits=2,
+        indices=np.arange(0, 2 * keep, 2), codes=np.ones(keep, np.int8), scales=np.ones(rows, np.float32),
+    )
+    path = tmp_path / "p.skpk"
+    save_pack(SkillPack("b", "t", "", {}, {"e.weight": entry}), path)
+    return path, entry
+
+
+def test_a_load_checks_positions_without_decoding_them_all(tmp_path):
+    import tracemalloc
+
+    path, entry = _multi_block_pack_file(tmp_path, rows=2048)  # 524,288 positions
+    tracemalloc.start()
+    try:
+        loaded = load_pack(path).entries["e.weight"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(entry.codes)  # below the positions decoded to uint64 at once
+    assert loaded.positions().tobytes() == entry.positions().tobytes()
+
+
+def test_positions_repeated_across_a_check_block_name_the_entry(tmp_path):
+    path, entry = _multi_block_pack_file(tmp_path)  # 131,072 positions: two blocks
+    positions = entry.positions()
+    positions[65536] = positions[65535]  # each block alone is strictly increasing
+    _overwrite_blob_start(path, "indices", pack_fields(positions, entry.index_width).tobytes())
+    with pytest.raises(FormatError, match=r"entry 'e.weight': indices must be strictly increasing"):
         load_pack(path)
 
 
@@ -870,11 +907,13 @@ def test_broken_entry_is_rejected_when_built(build):
 
 
 def test_nonfinite_entry_is_refused_on_save_and_keeps_previous_file(tmp_path):
+    # an entry's arrays are read-only, but memory they view that another object can write is not
     path = tmp_path / "p.skpk"
     save_pack(random_pack(1), path)
     before = path.read_bytes()
-    entry = _svd()
-    entry.sigma[1] = np.nan
+    memory = bytearray(np.ones(2, np.float32).tobytes())
+    entry = _svd(sigma=np.frombuffer(memory, np.float32))
+    memory[4:] = np.float32(np.nan).tobytes()
     with pytest.raises(ValueError, match=r"entry 'mlp.weight' blob 'sigma': non-finite"):
         save_pack(SkillPack("b", "t", "", {}, {"mlp.weight": entry}), path)
     assert path.read_bytes() == before

@@ -6,12 +6,16 @@ random contiguous bit groups and in-range codes. A pack of them must load back
 to the same arrays and save to the same bytes, with stats equal to the
 per-class sums of `storage_ratio(entry.shape, entry.strategy)`. Those stats
 are the bits of the entry's blobs in the file, less the byte padding of each
-packed segment.
+packed segment. Entries and packs stay what their checks passed: no field can
+be assigned, no array written, and an entry built from a caller's arrays does
+not change when the caller writes them or their owners.
 """
 
 import json
 import math
 import struct
+from contextlib import suppress
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from skillpack.classify import ModuleClass
+from skillpack.errors import IntegrityError
 from skillpack.packs import (
     DenseEntry,
     PrunedSparseEntry,
@@ -124,10 +129,51 @@ def assert_same_entry(loaded, built):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
+def assert_frozen(obj):
+    for f in fields(obj):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, f.name, getattr(obj, f.name))
+
+
+def reconstructed(entry) -> bytes:
+    with np.errstate(all="ignore"):  # drawn codes times drawn scales may overflow float32
+        return entry.reconstruct().tobytes()
+
+
+def assert_held(entry):
+    """The entry cannot change: its fields cannot be assigned, and an entry built again from writable views of
+    its arrays cannot be written, nor changed by writing to those views or their owners. `replace` checks again."""
+    assert_frozen(entry)
+    before, kind = reconstructed(entry), type(entry)
+    given = [{name: getattr(entry, name) for name in ARRAYS[kind]}]
+    if kind is PrunedSparseEntry:  # and from positions, which the constructor packs
+        given.append({**given[0], "indices": entry.positions(), "index_width": None})
+    for arrays in given:
+        owners = {name: np.stack([arrays[name], arrays[name]]) for name in ARRAYS[kind]}
+        built = replace(entry, **{**arrays, **{name: owner[0] for name, owner in owners.items()}})
+        for name, owner in owners.items():
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(built, name)[...] = 0
+            for caller in (owner[0], owner):
+                with suppress(ValueError):
+                    caller[...] = 0
+        assert reconstructed(built) == before
+    if kind is DenseEntry:
+        with pytest.raises(ValueError, match="finite"):
+            replace(entry, values=np.full(entry.shape, np.nan, np.float32))
+    else:
+        name, bits = ("codes", entry.value_bits) if kind is PrunedSparseEntry else ("u_codes", MAX_BITS)
+        with pytest.raises(IntegrityError):
+            replace(entry, **{name: np.full(getattr(entry, name).shape, qmax(bits) + 1, np.int32)})
+
+
 @settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
 @given(entries=st.lists(st.one_of(dense_entries(), pruned_entries(), svd_entries()), max_size=4))
 def test_drawn_entries_round_trip_bit_for_bit(root, entries):
+    for entry in entries:
+        assert_held(entry)
     pack = SkillPack("base", "tuned", "tag", {}, {f"t{i}.weight": entry for i, entry in enumerate(entries)})
+    assert_frozen(pack)
     path, again = root / "p.skpk", root / "q.skpk"
     save_pack(pack, path)
     loaded = load_pack(path)

@@ -24,21 +24,23 @@ LEFT_OUT = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast
 
 
 def main() -> int:
-    ran, files = {}, {}  # module path -> lines that ran; code file name -> that set, or None outside SRC
+    # module path -> one byte per line, set when the line ran; code file name -> that, or None outside SRC.
+    # Each is allocated when its file is first seen, so recording a line allocates nothing inside a
+    # test's tracemalloc window.
+    ran, files = {}, {}
+
+    def line(frame, event, arg):
+        if event == "line":
+            files[frame.f_code.co_filename][frame.f_lineno] = 1
+        return line
 
     def trace(frame, event, arg):
         name = frame.f_code.co_filename
         if name not in files:
             path = Path(name).resolve()
-            files[name] = ran.setdefault(path, set()) if path.parent == SRC else None
-        lines = files[name]
-
-        def line(frame, event, arg):
-            if event == "line":
-                lines.add(frame.f_lineno)
-            return line
-
-        return None if lines is None else line
+            files[name] = ran.setdefault(path, bytearray(path.read_bytes().count(b"\n") + 2)) \
+                if path.parent == SRC else None
+        return None if files[name] is None else line
 
     os.chdir(ROOT)
     sys.settrace(trace)
@@ -50,11 +52,11 @@ def main() -> int:
         threading.settrace(None)
     missed = []
     for path in sorted(SRC.glob("*.py")):
-        source, lines = path.read_text(), ran.get(path, set())
+        source, lines = path.read_text(), ran.get(path, b"")
         for node in ast.walk(ast.parse(source)):
             docstring = isinstance(node, ast.Expr) and isinstance(getattr(node.value, "value", None), str)
             if isinstance(node, ast.stmt) and not isinstance(node, LEFT_OUT) and not docstring \
-                    and lines.isdisjoint(range(node.lineno, node.end_lineno + 1)):
+                    and not any(lines[node.lineno : node.end_lineno + 1]):
                 missed.append((path.name, node.lineno, source.splitlines()[node.lineno - 1].strip()))
     for name, number, statement in sorted(missed):
         print(f"{name}:{number}: {statement}")
