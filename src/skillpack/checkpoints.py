@@ -47,6 +47,7 @@ def _write_tensor_container(path, model_id: str, tensors: dict[str, np.ndarray],
     payload = container.Payload()
     entries = []
     for name, arr in tensors.items():
+        container.check_str(f"tensor {name!r}", name=name)
         tag = _dtype_tag(arr, name)
         meta = payload.add_array(arr, _DTYPE_TAGS[tag], f"tensor {name!r}")
         entries.append({"name": name, "dtype": tag, "shape": list(arr.shape), **meta})
@@ -55,6 +56,7 @@ def _write_tensor_container(path, model_id: str, tensors: dict[str, np.ndarray],
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    container.check_str("checkpoint", model_id=ckpt.model_id)
     _write_tensor_container(path, ckpt.model_id, ckpt.tensors)
 
 
@@ -103,6 +105,7 @@ def diff(base: Checkpoint, tuned: Checkpoint) -> DeltaMap:
 
 def save_delta(dm: DeltaMap, path) -> None:
     """Deltas ride the checkpoint container with the two ids in extra header keys."""
+    container.check_str("delta", base_id=dm.base_id, tuned_id=dm.tuned_id)
     extra = {"delta_base_id": dm.base_id, "delta_tuned_id": dm.tuned_id}
     _write_tensor_container(path, dm.tuned_id, dm.deltas, extra)
 
@@ -154,7 +157,7 @@ def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) ->
             arr = base.tensors.get(name)
             if arr is None:
                 raise CompatibilityError(f"pack {label} entry {name!r} has no matching tensor in the base checkpoint")
-            if tuple(entry.shape) != arr.shape:
+            if entry.shape != arr.shape:
                 raise CompatibilityError(
                     f"pack {label} entry {name!r} shape {entry.shape} does not match base {arr.shape}"
                 )

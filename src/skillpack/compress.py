@@ -44,7 +44,7 @@ def _compress_prune(delta: np.ndarray, mclass: ModuleClass, strategy: PruneStrat
     scales = rtn_scales(delta, strategy.value_bits, axis="row")
     codes = encode(delta.reshape(-1)[indices], divisors(scales)[indices // delta.shape[1]], strategy.value_bits)
     return PrunedSparseEntry(
-        shape=tuple(delta.shape),
+        shape=delta.shape,
         mclass=mclass,
         alpha=strategy.alpha,
         value_bits=strategy.value_bits,
@@ -72,7 +72,7 @@ def _compress_svd(
                                  factors.sigma[g.begin : g.end, None] * (vt_hat[g.begin : g.end] @ x),
                                  g.bits, scale_axis="column") for g in groups]
     return QuantizedSvdEntry(
-        shape=tuple(delta.shape),
+        shape=delta.shape,
         mclass=mclass,
         rank=factors.rank,
         groups=groups,
@@ -109,7 +109,7 @@ def compress_entry(
         values = check_float32(delta, f"delta {name!r}")
     try:
         if isinstance(strategy, DenseStrategy):  # the entry owns its values: a float32 delta is copied
-            return DenseEntry(shape=tuple(delta.shape), mclass=mclass, _checked=_VALUES_CHECKED,
+            return DenseEntry(shape=delta.shape, mclass=mclass, _checked=_VALUES_CHECKED,
                               values=delta.astype(np.float32) if values is delta else values)
         if isinstance(strategy, PruneStrategy):
             return _compress_prune(delta, mclass, strategy)

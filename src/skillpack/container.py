@@ -39,7 +39,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import FormatError, IntegrityError
-from .tensors import all_finite, is_int
+from .tensors import all_finite, check_shape, is_int
 
 _PREFIX = struct.Struct("<4sIQ")
 _ALIGN = 64
@@ -105,10 +105,20 @@ def parse_json(text: str):
     return json.loads(text, parse_constant=_reject_constant)
 
 
+def check_str(what: str, **fields) -> None:
+    """A saver's check that each field is a str, as `header_field` requires it on load."""
+    for key, value in fields.items():
+        if not isinstance(value, str):
+            raise ValueError(f"{what} field {key!r} must be str, got {type(value).__name__}")
+
+
 def write_container(path, magic: bytes, version: int, header: dict, parts: Iterable) -> None:
     """Write a container whose payload is `parts` (a `Payload`'s), atomically, as `write_atomic` does.
-    A header holding a non-finite float raises ValueError before anything is written."""
-    header_bytes = json.dumps(header, ensure_ascii=False, allow_nan=False).encode("utf-8")
+    A header holding a non-finite float or a value JSON cannot hold raises ValueError before anything is written."""
+    try:
+        header_bytes = json.dumps(header, ensure_ascii=False, allow_nan=False).encode("utf-8")
+    except TypeError as exc:  # such as an ndarray
+        raise ValueError(f"header is not JSON: {exc}") from None
     pad = _align(_PREFIX.size + len(header_bytes)) - (_PREFIX.size + len(header_bytes))
     header_bytes += b" " * pad
     write_atomic(path, (_PREFIX.pack(magic, version, len(header_bytes)), header_bytes, *parts))
@@ -225,7 +235,4 @@ def header_field(head: dict, key: str, kind: type):
 
 
 def shape_field(head: dict, ndim: int | None = None) -> tuple[int, ...]:
-    shape = header_field(head, "shape", list)
-    if (ndim is not None and len(shape) != ndim) or not all(is_int(d) and d >= 0 for d in shape):
-        raise FormatError(f"header field 'shape' must be {ndim or 'some'} non-negative ints")
-    return tuple(shape)
+    return check_shape(header_field(head, "shape", list), "header field 'shape'", ndim)

@@ -26,7 +26,7 @@ from .plans import (
     BitGroup, DenseStrategy, PruneStrategy, Strategy, SvdQuantStrategy, clip_groups, groups_from_json, groups_to_json,
     strategy_for)
 from .quantize import code_dtype, pack_codes, pack_fields, packed_size, qmax, unpack_codes, unpack_fields
-from .tensors import check_float32, check_int, retained_count
+from .tensors import check_float32, check_int, check_shape, retained_count
 
 MAGIC = b"SKPK"
 VERSION = 1
@@ -38,9 +38,9 @@ VERSION = 1
 # owns its format: `roles` names its blobs in file order, `_encode` gives its
 # header fields and a (data, dtype) per role (dtype None: bytes already
 # packed), `_decode` is its part of `_load_entry`, `_detail` of `inspect`.
-# The constructors also set the in-memory types: float fields float32 and
-# finite, codes `code_dtype` of their width, pruned positions packed as the
-# file holds them, then `_hold` makes every array read-only without a copy.
+# The constructors also set the in-memory types: a tuple shape, a ModuleClass,
+# float32 finite floats, codes `code_dtype` of their width, pruned positions
+# packed as the file holds them; `_hold` makes every array read-only, uncopied.
 # Compress and load hand over those types in fresh arrays or views of the
 # file, so they copy no code and freeze no array that a caller holds.
 # --------------------------------------------------------------------------
@@ -55,9 +55,9 @@ def _check_code_range(codes: np.ndarray, bits: int, what: str) -> None:
         raise IntegrityError(f"corrupted codes: {what} out of range for {bits}-bit values")
 
 
-def _hold(entry, **fields) -> None:
-    """Set a frozen entry's checked fields. A writable array is made read-only in place, with the array it views."""
-    for name, value in fields.items():
+def _hold(entry, shape: tuple[int, ...], **fields) -> None:
+    """Set an entry's checked fields and class (a ModuleClass); a writable array, and the one it views, go read-only."""
+    for name, value in {"shape": shape, "mclass": ModuleClass(entry.mclass), **fields}.items():
         if isinstance(value, np.ndarray) and value.flags.writeable:
             for arr in (value, value.base) if isinstance(value.base, np.ndarray) else (value,):
                 arr.flags.writeable = False
@@ -82,10 +82,11 @@ class DenseEntry:
     roles = ("dense",)
 
     def __post_init__(self, _checked: object):
+        shape = check_shape(self.shape, "a dense entry's shape")
         values = self.values if _checked is _VALUES_CHECKED else check_float32(self.values, "dense values")
-        if values.shape != tuple(self.shape):
-            raise ValueError(f"dense values of shape {values.shape} do not match the entry shape {self.shape}")
-        _hold(self, values=values)
+        if values.shape != shape:
+            raise ValueError(f"dense values of shape {values.shape} do not match the entry shape {shape}")
+        _hold(self, shape, values=values)
 
     @property
     def strategy(self) -> DenseStrategy:
@@ -127,10 +128,9 @@ class PrunedSparseEntry:
     roles = ("indices", "values", "scales")
 
     def __post_init__(self):
-        if len(self.shape) != 2:
-            raise ValueError(f"a pruned entry must be 2-D, got shape {tuple(self.shape)}")
+        shape = check_shape(self.shape, "a 2-D pruned entry's shape", 2)
         scales = check_float32(self.scales, "pruned scales")
-        n = math.prod(self.shape)
+        n = math.prod(shape)
         keep = retained_count(self.strategy.alpha, n)  # building the strategy checks alpha and value_bits
         idx, width, last = self.indices, self.index_width, -1
         if width is not None:  # packed already, at index_bits(n) or as the u32 or u64 of earlier files
@@ -146,14 +146,14 @@ class PrunedSparseEntry:
             if np.any(block[1:] <= block[:-1]) or block[0] <= last or block[-1] >= n:
                 raise ValueError(_UNORDERED)
             last = block[-1]
-        if len(self.codes) != count or len(scales) != self.shape[0]:
+        if len(self.codes) != count or len(scales) != shape[0]:
             raise ValueError("a pruned entry needs one code per index and one scale per row")
         if count != keep:
             raise ValueError(f"alpha={self.alpha!r} keeps {keep} of {n} values, got {count}")
         _check_code_range(self.codes, self.value_bits, "values")
         if width is None:  # a copy: the caller's positions may change, the entry's may not
             width, idx = index_bits(n), pack_fields(idx, index_bits(n))
-        _hold(self, scales=scales, index_width=width, indices=idx,
+        _hold(self, shape, scales=scales, index_width=width, indices=idx,
               codes=self.codes.astype(code_dtype(self.value_bits), copy=False))
 
     @property
@@ -205,7 +205,7 @@ class QuantizedSvdEntry:
     roles = ("sigma", "codes_u", "scales_u", "codes_v", "scales_v")
 
     def __post_init__(self):
-        rows, cols = self.shape
+        rows, cols = shape = check_shape(self.shape, "a 2-D SVD entry's shape", 2)
         check_int(self.rank, "rank", 1, min(rows, cols))
         groups = self.strategy.groups  # a tuple, checked to cover [0, rank)
         sigma, u_scales, v_scales = (
@@ -220,7 +220,7 @@ class QuantizedSvdEntry:
             _check_code_range(self.u_codes[:, g.begin : g.end], g.bits, f"U {group}")
             _check_code_range(self.v_codes[g.begin : g.end, :], g.bits, f"V {group}")
         dtype = code_dtype(max(g.bits for g in groups))
-        _hold(self, groups=groups, sigma=sigma, u_scales=u_scales, v_scales=v_scales,
+        _hold(self, shape, groups=groups, sigma=sigma, u_scales=u_scales, v_scales=v_scales,
               u_codes=self.u_codes.astype(dtype, copy=False), v_codes=self.v_codes.astype(dtype, copy=False))
 
     @property
@@ -322,12 +322,12 @@ def storage_ratio(shape: tuple[int, ...], strategy: Strategy) -> StatLine:
     min(shape), groups clip accordingly. An entry's stats are this line for
     its own shape and strategy, so predictions and pack stats agree exactly.
     """
+    dense = isinstance(strategy, DenseStrategy)
+    shape = check_shape(shape, "a shape" if dense else "a prune or svd shape (2-D shapes only)", None if dense else 2)
     n = math.prod(shape)
-    if isinstance(strategy, DenseStrategy):
+    if dense:
         return StatLine(original_bits=16 * n, stored_value_bits=32 * n, stored_overhead_bits=0)
     if isinstance(strategy, PruneStrategy):
-        if len(shape) != 2:
-            raise ValueError("prune strategy applies to 2-D shapes")
         retained = retained_count(strategy.alpha, n)
         return StatLine(
             original_bits=16 * n,
@@ -335,8 +335,6 @@ def storage_ratio(shape: tuple[int, ...], strategy: Strategy) -> StatLine:
             stored_overhead_bits=retained * index_bits(n) + 32 * shape[0],
         )
     if isinstance(strategy, SvdQuantStrategy):
-        if len(shape) != 2:
-            raise ValueError("svd strategy applies to 2-D shapes")
         rank = min(strategy.rank, *shape)
         codes = sum((shape[0] + shape[1]) * g.length * g.bits for g in clip_groups(strategy.groups, rank))
         return StatLine(original_bits=16 * n, stored_value_bits=codes + 32 * rank, stored_overhead_bits=32 * 2 * rank)
@@ -394,6 +392,7 @@ class SkillPack:
 
 def _encode_entry(name: str, entry: CompressedEntry, payload: container.Payload) -> dict:
     """The entry's header; its blobs go into `payload` in role order."""
+    container.check_str(f"entry {name!r}", name=name)
     head = {"name": name, "kind": entry.kind, "class": entry.mclass.value, "shape": list(entry.shape)}
     fields, data = entry._encode()
     blobs = []
@@ -404,6 +403,8 @@ def _encode_entry(name: str, entry: CompressedEntry, payload: container.Payload)
 
 
 def save_pack(pack: SkillPack, path) -> None:
+    container.check_str("pack", base_model_id=pack.base_model_id, tuned_model_id=pack.tuned_model_id,
+                        task_tag=pack.task_tag)
     payload = container.Payload()
     entries = [_encode_entry(name, entry, payload) for name, entry in pack.entries.items()]
     header = {

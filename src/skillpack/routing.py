@@ -161,6 +161,9 @@ class RouterTrainingSet:
         self.losses = check_matrix(np.asarray(self.losses, dtype=np.float64), "training losses")
         if self.features.shape[0] != self.losses.shape[0]:
             raise ValueError("features and losses must have the same number of rows")
+        ids = self.pack_ids
+        if not (isinstance(ids, list) and all(isinstance(p, str) for p in ids) and len(set(ids)) == len(ids)):
+            raise ValueError("pack_ids must be a list of distinct pack id strings")
         if len(self.pack_ids) != self.losses.shape[1]:
             raise ValueError("pack_ids must have one entry per loss column")
 

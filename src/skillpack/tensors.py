@@ -36,6 +36,13 @@ def check_int(value, what: str, low: int, high: float = math.inf) -> None:
         raise ValueError(f"{what} must be an int {bounds}, got {_shown(value)}")
 
 
+def check_shape(shape, what: str, ndim: int | None = None) -> tuple[int, ...]:
+    """`shape`, a list or tuple of non-negative ints (`ndim` of them when given), as a tuple."""
+    if not (isinstance(shape, (list, tuple)) and ndim in (None, len(shape)) and all(is_int(d) and d >= 0 for d in shape)):
+        raise ValueError(f"{what} must be {'some' if ndim is None else ndim} non-negative ints, got {_shown(shape)}")
+    return tuple(shape)
+
+
 def check_number(value, what: str, low: float = -math.inf, high: float = math.inf, *, above: bool = False) -> None:
     """A number in [low, high], or in (low, high] when `above`. A number is an int
     or a float (numpy's float64 is one), never a bool, and it must be finite as a
@@ -76,6 +83,15 @@ def check_matrix(a, what: str) -> np.ndarray:
     if not all_finite(a):
         raise ValueError(f"{what} contains non-finite values")
     return a
+
+
+def check_indices(values, what: str, n: int) -> np.ndarray:
+    """`values` as an array, which must be a non-empty 1-D one of integers in [0, n); bools are not integers."""
+    values = np.asarray(values)
+    if not (values.ndim == 1 and values.size and values.dtype.kind in "iu" and values.min() >= 0 and values.max() < n):
+        raise ValueError(f"{what} must be a non-empty 1-D sequence of ints in [0, {n}), "
+                         f"got {values.dtype} values of shape {values.shape}")
+    return values
 
 
 def check_float32(values, what: str) -> np.ndarray:

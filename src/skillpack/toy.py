@@ -37,7 +37,7 @@ from .checkpoints import Checkpoint, apply_pack, check_like
 from .classify import ModuleClass, classify, default_manifest
 from .packs import SkillPack, predict_stats
 from .plans import BitGroup, CompressionPlan, DenseStrategy, PruneStrategy, SvdQuantStrategy
-from .tensors import check_int, check_number, frobenius_rel_err, overflow_checked
+from .tensors import check_indices, check_int, check_number, frobenius_rel_err, overflow_checked
 
 # Every toy value lives on a power-of-two grid: base weights, sparse spikes
 # and noise are multiples of 2^-16, low-rank factors are multiples of 2^-8
@@ -194,8 +194,9 @@ def _mean_logits(tensors: dict[str, np.ndarray], tokens: np.ndarray) -> np.ndarr
 
 
 def toy_forward(ckpt: Checkpoint, tokens: np.ndarray) -> np.ndarray:
-    """Mean logit vector of the fixed forward map over a token sequence."""
-    return _mean_logits(ckpt.tensors, np.asarray(tokens, dtype=np.int64)[None])[0]
+    """Mean logit vector of the fixed forward map over tokens, a non-empty 1-D sequence of ints in [0, vocab)."""
+    tokens = check_indices(tokens, "tokens", _tensor(ckpt.tensors, "model.embed_tokens.weight").shape[0])
+    return _mean_logits(ckpt.tensors, tokens.astype(np.int64)[None])[0]
 
 
 @dataclass

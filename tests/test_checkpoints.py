@@ -686,3 +686,51 @@ def test_failed_write_keeps_previous_file(tmp_path):
     save_checkpoint(small_checkpoint(seed=1), path)
     assert path.read_bytes() != before
     assert [p.name for p in tmp_path.iterdir()] == ["a.gltc"]
+
+
+def _pack_with(**fields) -> SkillPack:
+    return replace(zero_pack(small_checkpoint(), task_tag="t"), **fields)
+
+
+def _delta_with(**fields):
+    return replace(diff(small_checkpoint(), small_checkpoint(1)), **fields)
+
+
+def _entry_named(name) -> dict:
+    return {name: zero_pack(small_checkpoint()).entries["a.weight"]}
+
+
+# field -> (save an object whose field holds `value` to a path, read that field back from the file,
+#           the field's name in the saver's error)
+SAVES = {
+    "pack-base-id": (lambda v, p: save_pack(_pack_with(base_model_id=v), p), lambda p: load_pack(p).base_model_id,
+                     "pack field 'base_model_id'"),
+    "pack-tuned-id": (lambda v, p: save_pack(_pack_with(tuned_model_id=v), p), lambda p: load_pack(p).tuned_model_id,
+                      "pack field 'tuned_model_id'"),
+    "pack-tag": (lambda v, p: save_pack(_pack_with(task_tag=v), p), lambda p: load_pack(p).task_tag,
+                 "pack field 'task_tag'"),
+    "pack-entry-name": (lambda v, p: save_pack(_pack_with(entries=_entry_named(v)), p),
+                        lambda p: next(iter(load_pack(p).entries)), "entry 7 field 'name'"),
+    "checkpoint-id": (lambda v, p: save_checkpoint(replace(small_checkpoint(), model_id=v), p),
+                      lambda p: load_checkpoint(p).model_id, "checkpoint field 'model_id'"),
+    "checkpoint-tensor-name": (
+        lambda v, p: save_checkpoint(Checkpoint(model_id="m", tensors={v: np.ones(2, np.float32)}), p),
+        lambda p: next(iter(load_checkpoint(p).tensors)), "tensor 7 field 'name'"),
+    "delta-base-id": (lambda v, p: save_delta(_delta_with(base_id=v), p), lambda p: load_delta(p).base_id,
+                      "delta field 'base_id'"),
+    "delta-tuned-id": (lambda v, p: save_delta(_delta_with(tuned_id=v), p), lambda p: load_delta(p).tuned_id,
+                       "delta field 'tuned_id'"),
+    "delta-tensor-name": (lambda v, p: save_delta(_delta_with(deltas={v: np.ones(2, np.float32)}), p),
+                          lambda p: next(iter(load_delta(p).deltas)), "tensor 7 field 'name'"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(SAVES))
+def test_a_save_refuses_a_name_or_id_its_load_would_refuse(tmp_path, field):
+    save, read_back, what = SAVES[field]
+    path = tmp_path / "x.bin"
+    with pytest.raises(ValueError, match=re.escape(f"{what} must be str, got int")):
+        save(7, path)
+    assert list(tmp_path.iterdir()) == []
+    save("seven", path)
+    assert read_back(path) == "seven"

@@ -1,6 +1,8 @@
 import json
 import os
+import runpy
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -556,3 +558,25 @@ def test_route_and_fuse_refuse_both_selectors(tmp_path, capsys):
                  "--tag", "math", "--features", "1", "-o", str(fused)]) == 1
     assert "not both" in one_error_line(capsys)
     assert not fused.exists()
+
+
+def test_route_train_refuses_pack_ids_that_are_not_distinct_strings(tmp_path, capsys):
+    data, router = tmp_path / "train.json", tmp_path / "r.json"
+    data.write_text(json.dumps({"features": [[1.0], [0.0], [0.5]], "losses": np.eye(3).tolist(), "pack_ids": "abc"}))
+    assert main(["route-train", str(data), "-o", str(router)]) == 1
+    assert "pack_ids must be a list of distinct pack id strings" in one_error_line(capsys)
+    assert not router.exists()
+
+
+def test_the_module_runs_as_a_script(tmp_path, monkeypatch, capsys):
+    pack = tmp_path / "p.skpk"
+    base, tuned = gen_pair(tmp_path)
+    main(["diff", str(base), str(tuned), "-o", str(tmp_path / "d.gltc")])
+    main(["compress", str(tmp_path / "d.gltc"), "--plan", dense_plan_config(tmp_path), "--tag", "toy", "-o", str(pack)])
+    capsys.readouterr()
+    monkeypatch.delitem(sys.modules, "skillpack.cli")  # else runpy warns that the module is imported already
+    monkeypatch.setattr(sys, "argv", ["skillpack", "inspect", str(pack)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("skillpack.cli", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert "tag='toy'" in capsys.readouterr().out

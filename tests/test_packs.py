@@ -930,6 +930,25 @@ def test_nonfinite_plan_snapshot_is_refused_on_save_and_keeps_previous_file(tmp_
     assert [p.name for p in tmp_path.iterdir()] == ["p.skpk"]
 
 
+def test_a_plan_snapshot_json_cannot_hold_is_refused_on_save_and_keeps_previous_file(tmp_path):
+    path = tmp_path / "p.skpk"
+    save_pack(random_pack(1), path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="header is not JSON: Object of type ndarray is not JSON serializable"):
+        save_pack(SkillPack("b", "t", "", {"scales": np.ones(2)}, {"mlp.weight": _svd()}), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["p.skpk"]
+
+
+def test_a_big_endian_blob_is_read_back_native_read_only_and_equal():
+    values = np.array([1.5, -2.25, 3e38, 0.0], np.float32)
+    payload = container_module.Payload()
+    meta = payload.add(values.astype(">f4"))  # `add_array` writes little-endian; these bytes are big-endian
+    out = container_module.read_array(memoryview(b"".join(bytes(part) for part in payload.parts)), meta, ">f4")
+    assert out.dtype == np.float32 and out.dtype.isnative and not out.flags.writeable
+    assert np.array_equal(out, values)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_nonfinite_json_constant_in_header_is_format_error(tmp_path, value):
     path = _svd_pack_file(tmp_path)

@@ -345,6 +345,13 @@ def test_router_pack_ids_are_checked_when_built(build):
         build()
 
 
+@pytest.mark.parametrize("pack_ids", ["abc", ["a", "a", "b"], [1, 2, 3], ("a", "b", "c")],
+                         ids=["string", "duplicates", "ints", "tuple"])
+def test_router_training_ids_are_a_list_of_distinct_strings(pack_ids):
+    with pytest.raises(ValueError, match=re.escape("pack_ids must be a list of distinct pack id strings")):
+        RouterTrainingSet(features=np.eye(3), losses=np.eye(3), pack_ids=pack_ids)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: TaskTable(table={"t": ["a", "a"]}), "duplicate pack ids under tag 't'"),
     (lambda: LinearClassifier(weights=np.ones((2, 0)), bias=np.zeros(2), class_to_pack=["a", "b"]), "dim > 0"),

@@ -130,6 +130,22 @@ def test_toy_forward_deterministic_and_uses_weights():
     assert not np.allclose(toy_forward(tuned, tokens), y1)
 
 
+@pytest.mark.parametrize("tokens", [[-1], [255.9], [256], [], [[1, 2]], [True, False], np.array([1, 2], np.float32)],
+                         ids=["negative", "float", "past-vocab", "empty", "2-D", "bool", "float-array"])
+def test_toy_forward_takes_only_tokens_in_range(tokens):
+    base, _ = gen_toy(ToySpec(seed=0))
+    assert base.tensors["model.embed_tokens.weight"].shape[0] == 256
+    with pytest.raises(ValueError, match=re.escape("tokens must be a non-empty 1-D sequence of ints in [0, 256)")):
+        toy_forward(base, tokens)
+
+
+def test_toy_forward_takes_any_integer_dtype():
+    base, _ = gen_toy(ToySpec(seed=0))
+    want = toy_forward(base, [0, 7, 255])
+    for dtype in (np.uint8, np.int32, np.uint64):
+        assert np.array_equal(toy_forward(base, np.array([0, 7, 255], dtype)), want)
+
+
 def test_eval_retention_dense_pack_is_zero():
     base, tuned = gen_toy(ToySpec(seed=0))
     pack = compress_delta(diff(base, tuned), default_manifest(), dense_plan())
