@@ -99,7 +99,7 @@ def check_like(base: Checkpoint, tuned: Checkpoint) -> None:
 def diff(base: Checkpoint, tuned: Checkpoint) -> DeltaMap:
     """Elementwise tuned - base in float32, requiring like checkpoints (`check_like`)."""
     check_like(base, tuned)
-    deltas = {name: tuned.tensors[name].astype(np.float32) - arr.astype(np.float32) for name, arr in base.tensors.items()}
+    deltas = {name: np.subtract(tuned.tensors[name], arr, dtype=np.float32) for name, arr in base.tensors.items()}
     return DeltaMap(base_id=base.model_id, tuned_id=tuned.model_id, deltas=deltas)
 
 

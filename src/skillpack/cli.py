@@ -126,7 +126,8 @@ def _cmd_fuse(args) -> int:
     base = load_checkpoint(args.base)
     packs = _load_packs(args.pack)
     router = load_router(args.router)
-    overlaps = overlapping_names(packs)
+    routed = {pack_id: packs[pack_id] for pack_id, _ in route(router, selector) if pack_id in packs}
+    overlaps = overlapping_names(routed)  # only the packs that fuse sums
     if overlaps:
         print(f"warning: {len(overlaps)} tensors touched by multiple packs; contributions are summed", file=sys.stderr)
     fused = fuse(FusionRequest(base=base, packs=packs, router=router, selector=selector))

@@ -35,21 +35,21 @@ from .plans import (
     plan_to_dict,
     strategy_for,
 )
-from .quantize import divisors, encode, quantize_gptq, quantize_rtn, rtn_scales
+from .quantize import code_dtype, divisors, encode, qmax, quantize_gptq, quantize_rtn, rtn_scales
 from .tensors import check_float32, magnitude_prune, svd, truncate
 
 
 def _compress_prune(delta: np.ndarray, mclass: ModuleClass, strategy: PruneStrategy) -> PrunedSparseEntry:
     indices = magnitude_prune(delta, strategy.alpha)
     scales = rtn_scales(delta, strategy.value_bits, axis="row")
-    codes = encode(delta.reshape(-1)[indices], divisors(scales)[indices // delta.shape[1]], strategy.value_bits)
+    codes = encode(delta.reshape(-1)[indices], divisors(scales)[indices // delta.shape[1]], qmax(strategy.value_bits))
     return PrunedSparseEntry(
         shape=delta.shape,
         mclass=mclass,
         alpha=strategy.alpha,
         value_bits=strategy.value_bits,
         indices=indices,
-        codes=codes,
+        codes=codes.astype(code_dtype(strategy.value_bits)),
         scales=scales,
     )
 
@@ -87,11 +87,11 @@ def _compress_svd(
 def compress_entry(
     name: str,
     delta: np.ndarray,
-    mclass: ModuleClass,
+    mclass: ModuleClass | str,
     plan: CompressionPlan,
     activations: Mapping[str, np.ndarray] | None = None,
 ) -> CompressedEntry:
-    """Compress one delta tensor according to its class strategy.
+    """Compress one delta tensor according to its class strategy; `mclass` may be a class's value.
 
     Tensors that are not 2-D or are empty are stored dense (`strategy_for`). A float16
     delta needs no promotion: the dense path stores float32, `tensors.svd` factors a
@@ -104,7 +104,10 @@ def compress_entry(
     checks the matrix and its width.
     """
     delta = np.asarray(delta)
-    strategy = strategy_for(plan, mclass, delta.shape)
+    try:
+        strategy = strategy_for(plan, mclass, delta.shape)
+    except ValueError as exc:  # an unknown class
+        raise ValueError(f"delta {name!r}: {exc}") from None
     if isinstance(strategy, DenseStrategy) or delta.dtype.itemsize > 4:  # a narrower one is in float32's range
         values = check_float32(delta, f"delta {name!r}")
     try:

@@ -112,13 +112,25 @@ def check_str(what: str, **fields) -> None:
             raise ValueError(f"{what} field {key!r} must be str, got {type(value).__name__}")
 
 
+def _dumps(value) -> str:
+    """Strict JSON text; a non-finite float or a value JSON cannot hold, such as an ndarray, is a ValueError."""
+    try:
+        return json.dumps(value, ensure_ascii=False, allow_nan=False)
+    except TypeError as exc:
+        raise ValueError(f"header is not JSON: {exc}") from None
+
+
+def check_json(what: str, value) -> None:
+    """A saver's check that a load gives `value` back equal: JSON makes an int key a str and a tuple a list."""
+    back = json.loads(_dumps(value))
+    if back != value:
+        raise ValueError(f"{what} would load back different, as {back!r}")
+
+
 def write_container(path, magic: bytes, version: int, header: dict, parts: Iterable) -> None:
     """Write a container whose payload is `parts` (a `Payload`'s), atomically, as `write_atomic` does.
     A header holding a non-finite float or a value JSON cannot hold raises ValueError before anything is written."""
-    try:
-        header_bytes = json.dumps(header, ensure_ascii=False, allow_nan=False).encode("utf-8")
-    except TypeError as exc:  # such as an ndarray
-        raise ValueError(f"header is not JSON: {exc}") from None
+    header_bytes = _dumps(header).encode("utf-8")
     pad = _align(_PREFIX.size + len(header_bytes)) - (_PREFIX.size + len(header_bytes))
     header_bytes += b" " * pad
     write_atomic(path, (_PREFIX.pack(magic, version, len(header_bytes)), header_bytes, *parts))

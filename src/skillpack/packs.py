@@ -64,7 +64,7 @@ def _hold(entry, shape: tuple[int, ...], **fields) -> None:
         object.__setattr__(entry, name, value)
 
 
-# `_checked` from `compress._compress` and `DenseEntry._decode` only, which scan their values themselves.
+# `_checked` from `compress.compress_entry` and `DenseEntry._decode` only, which scan their values themselves.
 _VALUES_CHECKED = object()
 # Positions per block of a pruned entry's order check: a multiple of 8, so a packed block starts on a byte.
 _POSITIONS = 1 << 16
@@ -100,7 +100,7 @@ class DenseEntry:
         return {}, [(self.values, "<f4")]
 
     @classmethod
-    def _decode(cls, head: dict, mclass: ModuleClass, array, codes) -> DenseEntry:
+    def _decode(cls, head: dict, mclass: str, array, codes) -> DenseEntry:
         shape = shape_field(head)
         return cls(shape=shape, mclass=mclass, values=array("dense", shape=shape), _checked=_VALUES_CHECKED)
 
@@ -177,7 +177,7 @@ class PrunedSparseEntry:
         return fields, [(self.indices, None), (codes, None), (self.scales, "<f4")]
 
     @classmethod
-    def _decode(cls, head: dict, mclass: ModuleClass, array, codes) -> PrunedSparseEntry:
+    def _decode(cls, head: dict, mclass: str, array, codes) -> PrunedSparseEntry:
         shape = shape_field(head, 2)
         alpha, value_bits = head["alpha"], head["value_bits"]
         keep = retained_count(PruneStrategy(alpha=alpha, value_bits=value_bits).alpha, math.prod(shape))
@@ -240,7 +240,7 @@ class QuantizedSvdEntry:
         return fields, [(self.sigma, "<f4"), (u, None), (self.u_scales, "<f4"), (v, None), (self.v_scales, "<f4")]
 
     @classmethod
-    def _decode(cls, head: dict, mclass: ModuleClass, array, codes) -> QuantizedSvdEntry:
+    def _decode(cls, head: dict, mclass: str, array, codes) -> QuantizedSvdEntry:
         shape = shape_field(head, 2)
         rows, cols = shape
         groups = groups_from_json(head["groups"])
@@ -347,11 +347,9 @@ def entry_stats(entry: CompressedEntry) -> StatLine:
 
 def _accumulate(lines: Iterable[tuple[ModuleClass, StatLine]]) -> StorageStats:
     per_class = {cls.value: _ZERO for cls in ModuleClass}
-    total = _ZERO
     for mclass, line in lines:
-        per_class[mclass.value] = per_class[mclass.value] + line
-        total = total + line
-    return StorageStats(per_class=per_class, total=total)
+        per_class[mclass.value] += line
+    return StorageStats(per_class=per_class, total=sum(per_class.values(), _ZERO))
 
 
 def pack_stats(entries: dict[str, CompressedEntry]) -> StorageStats:
@@ -405,6 +403,7 @@ def _encode_entry(name: str, entry: CompressedEntry, payload: container.Payload)
 def save_pack(pack: SkillPack, path) -> None:
     container.check_str("pack", base_model_id=pack.base_model_id, tuned_model_id=pack.tuned_model_id,
                         task_tag=pack.task_tag)
+    container.check_json("pack field 'plan_snapshot'", pack.plan_snapshot)
     payload = container.Payload()
     entries = [_encode_entry(name, entry, payload) for name, entry in pack.entries.items()]
     header = {
@@ -420,9 +419,8 @@ def save_pack(pack: SkillPack, path) -> None:
 
 
 def _load_entry(head: dict, payload: memoryview) -> CompressedEntry:
-    """One entry from its header. Its kind's `_decode` parses the fields; the constructor checks how they relate."""
-    kind = header_field(head, "kind", str)
-    mclass = ModuleClass(header_field(head, "class", str))
+    """One entry from its header. Its kind's `_decode` parses the fields; the constructor checks them and the class."""
+    kind, mclass = header_field(head, "kind", str), header_field(head, "class", str)
     cls = _KINDS.get(kind)
     if cls is None:
         raise FormatError(f"unknown entry kind {kind!r}")

@@ -124,10 +124,10 @@ class CompressionPlan:
             raise ValueError("the passthrough class must map to the dense strategy")
 
 
-def strategy_for(plan: CompressionPlan, mclass: ModuleClass, shape: tuple[int, ...]) -> Strategy:
-    """The strategy for a tensor of `shape` in `mclass`: the class's own, or dense when it is not
-    2-D or is empty."""
-    return plan.strategies[mclass] if len(shape) == 2 and 0 not in shape else DenseStrategy()
+def strategy_for(plan: CompressionPlan, mclass: ModuleClass | str, shape: tuple[int, ...]) -> Strategy:
+    """The strategy for a tensor of `shape` in `mclass`, a class or its value: the class's own (an
+    unknown class is a ValueError naming it), or dense when it is not 2-D or is empty."""
+    return plan.strategies[ModuleClass(mclass)] if len(shape) == 2 and 0 not in shape else DenseStrategy()
 
 
 def default_plan() -> CompressionPlan:
@@ -180,5 +180,5 @@ def plan_to_dict(plan: CompressionPlan) -> dict:
 
 
 def plan_from_dict(d: dict) -> CompressionPlan:
-    strategies = {ModuleClass(cls): _strategy_from_dict(s) for cls, s in d["strategies"].items()}
+    strategies = {cls: _strategy_from_dict(s) for cls, s in d["strategies"].items()}
     return CompressionPlan(**{**d, "strategies": strategies})

@@ -27,11 +27,13 @@ when it is given activations.
 Codes are symmetric, zero-point free: c in [-(2^(k-1)-1), 2^(k-1)-1].
 An all-zero vector gets scale 0 and codes 0.
 
-`encode` is the one code encoder (pruned values, RTN, each sweep column).
-Both quantizers take one width, or one per scale vector: the V^T rows of all
-bit groups of a factorized delta share one sweep, each row clipped to its
-own limit, with codes of the widest group's type. Which vectors get which
-width is a plan's choice, its bit groups (`plans.BitGroup`).
+`encode` is the one code encoder (pruned values, RTN, each sweep column). It
+takes the clip limit, `qmax` of the width, and gives float codes; each caller
+casts them to their `code_dtype`. Both quantizers take one width, or one per
+scale vector: the V^T rows of all bit groups of a factorized delta share one
+sweep, each row clipped to its own limit, with codes of the widest group's
+type. Which vectors get which width is a plan's choice, its bit groups
+(`plans.BitGroup`).
 """
 
 from __future__ import annotations
@@ -98,22 +100,20 @@ def rtn_scales(m: np.ndarray, bits, axis: str = "row") -> np.ndarray:
     return (amax / qmax(bits)).astype(np.float32)
 
 
-def encode(values, divisor, bits, out=None, limit=None) -> np.ndarray:
-    """round(values / divisor), halves away from zero, clipped to +-limit (default
-    `qmax(bits)`): divide, add copysign(0.5), trunc, clip, in one float64 buffer.
+def encode(values, divisor, limit, out=None) -> np.ndarray:
+    """round(values / divisor), halves away from zero, clipped to +-limit, as float
+    codes: divide, add copysign(0.5), trunc, clip, in one buffer, `out` when given.
 
     `divisor` holds inf where the scale is 0 (`divisors`), and v / inf = +-0
-    rounds to code 0, with no mask and no errstate. Given `out`, the codes stay
-    in it as floats and it is returned; otherwise they are `code_dtype(bits)`.
+    rounds to code 0, with no mask and no errstate. `limit` is `qmax` of the
+    width, one or one per vector; the caller casts the codes to their type.
     """
-    given = out is not None
     out = np.divide(values, divisor, out=out)
     out += np.copysign(0.5, out)
     np.trunc(out, out=out)
-    limit = qmax(bits) if limit is None else limit
     np.minimum(out, limit, out=out)
     np.maximum(out, -limit, out=out)
-    return out if given else out.astype(code_dtype(bits))
+    return out
 
 
 def divisors(scales) -> np.ndarray:
@@ -139,7 +139,7 @@ def quantize_rtn(m: np.ndarray, bits, axis: str = "row") -> QuantizedMatrix:
     scales = rtn_scales(m, widths, axis)
     along = (slice(None), None) if axis == "row" else (None, slice(None))
     m64 = m.astype(np.float64)
-    encode(m64, divisors(scales)[along], widths, out=m64, limit=qmax(widths)[along])
+    encode(m64, divisors(scales)[along], qmax(widths)[along], out=m64)
     return QuantizedMatrix(codes=m64.astype(dtype), scales=scales, axis=axis)
 
 
@@ -210,7 +210,7 @@ def _sweep(w: np.ndarray, factor: np.ndarray, scales: np.ndarray, widths: np.nda
         for j in range(b0, b1):
             col = wt[j] - factor[b0:j, j] @ errs[: j - b0]
             s_j, d_j, limit_j = (s64, divisor, limit) if scale_axis == "row" else (s64[j], divisor[j], limit[j])
-            encode(col, d_j, widths, out=ratio, limit=limit_j)
+            encode(col, d_j, limit_j, out=ratio)
             codes[j] = ratio
             errs[j - b0] = (col - ratio * s_j) / factor[j, j]
         if b1 < cols:

@@ -267,6 +267,16 @@ def test_diff_identity():
     assert d.base_id == d.tuned_id == "m"
 
 
+def test_diff_is_the_float32_difference_of_any_float_operands():
+    rng = np.random.default_rng(2)
+    pairs = [(b, t) for b in ("float16", "float32", "float64") for t in ("float16", "float32", "float64")]
+    base = Checkpoint("a", {f"{b}-{t}": rng.standard_normal((3, 5)).astype(b) for b, t in pairs})
+    tuned = Checkpoint("b", {f"{b}-{t}": rng.standard_normal((3, 5)).astype(t) for b, t in pairs})
+    for name, delta in diff(base, tuned).deltas.items():
+        want = tuned.tensors[name].astype(np.float32) - base.tensors[name].astype(np.float32)
+        assert delta.dtype == np.float32 and delta.tobytes() == want.tobytes()
+
+
 def test_diff_name_mismatch_lists_symmetric_difference():
     a = Checkpoint(model_id="a", tensors={"x": np.zeros((2,), np.float32), "y": np.zeros((2,), np.float32)})
     b = Checkpoint(model_id="b", tensors={"x": np.zeros((2,), np.float32), "z": np.zeros((2,), np.float32)})

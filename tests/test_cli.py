@@ -340,6 +340,36 @@ def test_fuse_warns_on_overlapping_packs(tmp_path, capsys):
     assert "touched by multiple packs" in capsys.readouterr().err
 
 
+def test_fuse_warns_only_about_the_packs_it_sums(tmp_path, capsys):
+    base, tuned = gen_pair(tmp_path)
+    delta = tmp_path / "d.gltc"
+    main(["diff", str(base), str(tuned), "-o", str(delta)])
+    plan = dense_plan_config(tmp_path)
+    pack_a, pack_b = tmp_path / "a.skpk", tmp_path / "b.skpk"
+    main(["compress", str(delta), "--plan", plan, "-o", str(pack_a)])
+    main(["compress", str(delta), "--plan", plan, "-o", str(pack_b)])
+    router = tmp_path / "r.json"
+    router.write_text(json.dumps({"kind": "task_table", "table": {"a": ["a"], "b": ["b"]}}))
+    capsys.readouterr()
+    assert main(["fuse", str(base), "--pack", str(pack_a), "--pack", str(pack_b),
+                 "--router", str(router), "--tag", "a", "-o", str(tmp_path / "f.gltc")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_compress_names_a_plan_files_unknown_class_in_one_error_line(tmp_path, capsys):
+    base, tuned = gen_pair(tmp_path)
+    delta, out = tmp_path / "d.gltc", tmp_path / "p.skpk"
+    main(["diff", str(base), str(tuned), "-o", str(delta)])
+    config = {"plan": plan_to_dict(default_plan())}
+    config["plan"]["strategies"]["bogus"] = {"kind": "dense"}
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["compress", str(delta), "--plan", str(plan), "-o", str(out)]) == 1
+    assert "plan has a strategy for an unknown module class 'bogus'" in one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_fuse_refuses_two_packs_with_one_file_stem(tmp_path, capsys):
     base, tuned = gen_pair(tmp_path)
     delta = tmp_path / "d.gltc"

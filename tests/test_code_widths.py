@@ -66,7 +66,8 @@ def test_every_path_holds_codes_at_their_width(tmp_path_factory, bits, other, se
     m = rng.standard_normal((6, 5))
     x = rng.standard_normal((5, 8))
     want = code_dtype(bits)
-    assert encode(m, 0.1, bits).dtype == want
+    codes = encode(m, 0.1, qmax(bits))  # float codes: each caller casts them to their type
+    assert codes.dtype == np.float64 and np.array_equal(codes, np.trunc(codes)) and np.abs(codes).max() <= qmax(bits)
     assert quantize_rtn(m, bits).codes.dtype == want
     assert quantize_gptq(m, x, bits).codes.dtype == want
     assert quantize_gptq(m, np.zeros_like(x), bits).codes.dtype == want  # no signal: the RTN path

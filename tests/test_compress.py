@@ -87,6 +87,16 @@ def test_dispatch_1d_forced_dense():
     assert np.array_equal(entry.reconstruct(), delta)
 
 
+@pytest.mark.parametrize("shape", [(6, 4), (5,)], ids=["2-D", "1-D"])
+def test_a_class_given_as_its_value_is_converted_and_an_unknown_one_refused_naming_it(shape):
+    delta = np.random.default_rng(0).standard_normal(shape)
+    with pytest.raises(ValueError, match=re.escape("delta 'w': 'bogus' is not a valid ModuleClass")):
+        compress_entry("w", delta, "bogus", simple_plan())
+    entry = compress_entry("w", delta, "mlp", simple_plan())
+    assert entry.mclass is ModuleClass.MLP
+    assert isinstance(entry, QuantizedSvdEntry if len(shape) == 2 else DenseEntry)
+
+
 def test_dispatch_fidelity_random_manifests():
     rng = np.random.default_rng(7)
     plan = simple_plan(rank=3, bits=4)

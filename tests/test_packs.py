@@ -936,6 +936,11 @@ def test_a_plan_snapshot_json_cannot_hold_is_refused_on_save_and_keeps_previous_
     before = path.read_bytes()
     with pytest.raises(ValueError, match="header is not JSON: Object of type ndarray is not JSON serializable"):
         save_pack(SkillPack("b", "t", "", {"scales": np.ones(2)}, {"mlp.weight": _svd()}), path)
+    # JSON would give an int key back as a str and a tuple as a list
+    for snapshot, back in (({1: "a"}, {"1": "a"}), ({"k": (1, 2)}, {"k": [1, 2]})):
+        message = f"pack field 'plan_snapshot' would load back different, as {back!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            save_pack(SkillPack("b", "t", "", snapshot, {"mlp.weight": _svd()}), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["p.skpk"]
 

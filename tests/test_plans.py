@@ -157,6 +157,13 @@ def test_a_strategy_for_an_unknown_module_class_is_refused_naming_it(key):
         CompressionPlan(strategies={**default_plan().strategies, key: DenseStrategy()})
 
 
+def test_a_plan_file_with_an_unknown_class_gets_the_plans_own_error():
+    d = plan_to_dict(default_plan())
+    d["strategies"]["bogus"] = {"kind": "dense"}
+    with pytest.raises(ValueError, match=re.escape("plan has a strategy for an unknown module class 'bogus'")):
+        plan_from_dict(d)
+
+
 def test_check_bits_takes_ints_only():
     check_bits(4)
     for bits in (4.0, True, "4", None):

@@ -597,6 +597,13 @@ def test_gptq_codes_do_not_depend_on_a_power_of_two_scale(k, peak):
     assert np.array_equal(quantize_gptq(m, scaled, 3).codes, quantize_gptq(m, x, 3).codes)
 
 
+@pytest.mark.parametrize("step", ["dpotrf", "dtrtri"])
+def test_a_damped_hessian_lapack_refuses_is_a_value_error_with_its_info(monkeypatch, step):
+    monkeypatch.setattr(quantize_module.lapack, step, lambda a, **kwargs: (a, 3))
+    with pytest.raises(ValueError, match=re.escape("damped Hessian could not be factored (LAPACK info 3)")):
+        hessian_factor(np.random.default_rng(0).standard_normal((4, 6)))
+
+
 def test_an_empty_calibration_is_refused_naming_it():
     # a width of 0 divided by zero (ZeroDivisionError), and no samples at all passed as plain RTN
     for x, m in ((np.zeros((0, 3)), None), (np.ones((0, 2)), np.ones((3, 0))), (np.ones((3, 0)), np.ones((2, 3)))):
