@@ -67,6 +67,7 @@ from .tensors import (
     svd,
     truncate,
 )
-from .toy import DeltaRecipe, RetentionReport, ToySpec, budget_plan, eval_retention, gen_toy, toy_forward
+from .toy import (
+    DeltaRecipe, RetentionReport, ToySpec, budget_plan, eval_retention, gen_toy, retention_sweep, toy_forward)
 
 __version__ = "0.1.0"

@@ -180,15 +180,14 @@ def compose(base: Checkpoint, selected: Sequence[tuple], force: bool = False) ->
                         contribution *= np.float32(weight)
                     update = contribution if update is None else np.add(update, contribution, out=update)
                 label, step = ", ".join(part[0] for part in parts), " on the base"
-                if arr.dtype == np.float32:
-                    # base - (0 - update) is base + update, except that a zero update is
-                    # negated to +0.0 and base - (+0.0) is base bit for bit, -0.0 included.
-                    np.subtract(np.float32(0), update, out=update)
-                    out[name] = np.subtract(arr, update, out=update)
-                    continue
-                shifted = np.add(arr, update, dtype=np.float32).astype(arr.dtype)
-                np.copyto(shifted, arr, where=update == 0.0)
-                out[name] = shifted
+                # In float32, base - (0 - update) is base + update, except that a zero update is negated
+                # to +0.0, and base - (+0.0) keeps a float32 or float16 base's bits, -0.0 included.
+                np.subtract(np.float32(0), update, out=update)
+                exact = np.can_cast(arr.dtype, np.float32)  # False for float64, which no file holds
+                sums = np.subtract(arr, update, out=update if exact else None, dtype=np.float32)
+                out[name] = sums.astype(arr.dtype, copy=False)
+                if not exact:  # the sum rounded a float64 base: put its bits back where the update is zero
+                    np.copyto(out[name], arr, where=update == 0.0)
     except FloatingPointError as exc:
         raise IntegrityError(f"pack {label} entry {name!r}{step}: {exc}") from None
     return Checkpoint(model_id=base.model_id, tensors=out)

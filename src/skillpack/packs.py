@@ -25,7 +25,7 @@ from .errors import FormatError, IntegrityError
 from .plans import (
     BitGroup, DenseStrategy, PruneStrategy, Strategy, SvdQuantStrategy, clip_groups, groups_from_json, groups_to_json,
     strategy_for)
-from .quantize import code_dtype, pack_codes, pack_fields, packed_size, qmax, unpack_codes, unpack_fields
+from .quantize import check_codes, code_dtype, pack_codes, pack_fields, packed_size, unpack_codes, unpack_fields
 from .tensors import check_float32, check_int, check_shape, retained_count
 
 MAGIC = b"SKPK"
@@ -44,16 +44,6 @@ VERSION = 1
 # Compress and load hand over those types in fresh arrays or views of the
 # file, so they copy no code and freeze no array that a caller holds.
 # --------------------------------------------------------------------------
-
-def _check_code_range(codes: np.ndarray, bits: int, what: str) -> None:
-    """Integer codes in the symmetric `bits`-bit range. Min and max, not |.|: in int8,
-    |-128| is -128. Check before narrowing, which would wrap a code into range."""
-    if codes.dtype.kind not in "iu":
-        raise ValueError(f"codes must be integers, got {codes.dtype} for {what}")
-    limit = qmax(bits)
-    if codes.size and (int(codes.min()) < -limit or int(codes.max()) > limit):
-        raise IntegrityError(f"corrupted codes: {what} out of range for {bits}-bit values")
-
 
 def _hold(entry, shape: tuple[int, ...], **fields) -> None:
     """Set an entry's checked fields and class (a ModuleClass); a writable array, and the one it views, go read-only."""
@@ -150,7 +140,7 @@ class PrunedSparseEntry:
             raise ValueError("a pruned entry needs one code per index and one scale per row")
         if count != keep:
             raise ValueError(f"alpha={self.alpha!r} keeps {keep} of {n} values, got {count}")
-        _check_code_range(self.codes, self.value_bits, "values")
+        check_codes(self.codes, self.value_bits, "values")
         if width is None:  # a copy: the caller's positions may change, the entry's may not
             width, idx = index_bits(n), pack_fields(idx, index_bits(n))
         _hold(self, shape, scales=scales, index_width=width, indices=idx,
@@ -217,8 +207,8 @@ class QuantizedSvdEntry:
             raise ValueError(f"U codes must be {rows}x{self.rank} and V codes {self.rank}x{cols}")
         for g in groups:
             group = f"group [{g.begin}, {g.end})"
-            _check_code_range(self.u_codes[:, g.begin : g.end], g.bits, f"U {group}")
-            _check_code_range(self.v_codes[g.begin : g.end, :], g.bits, f"V {group}")
+            check_codes(self.u_codes[:, g.begin : g.end], g.bits, f"U {group}")
+            check_codes(self.v_codes[g.begin : g.end, :], g.bits, f"V {group}")
         dtype = code_dtype(max(g.bits for g in groups))
         _hold(self, shape, groups=groups, sigma=sigma, u_scales=u_scales, v_scales=v_scales,
               u_codes=self.u_codes.astype(dtype, copy=False), v_codes=self.v_codes.astype(dtype, copy=False))
@@ -403,6 +393,8 @@ def _encode_entry(name: str, entry: CompressedEntry, payload: container.Payload)
 def save_pack(pack: SkillPack, path) -> None:
     container.check_str("pack", base_model_id=pack.base_model_id, tuned_model_id=pack.tuned_model_id,
                         task_tag=pack.task_tag)
+    if not isinstance(pack.plan_snapshot, dict):  # `load_pack` reads the header's plan as a dict
+        raise ValueError(f"pack field 'plan_snapshot' must be dict, got {type(pack.plan_snapshot).__name__}")
     container.check_json("pack field 'plan_snapshot'", pack.plan_snapshot)
     payload = container.Payload()
     entries = [_encode_entry(name, entry, payload) for name, entry in pack.entries.items()]

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
+from .errors import IntegrityError
 from .tensors import check_int, check_matrix
 
 MIN_BITS = 2
@@ -59,6 +60,16 @@ def qmax(bits: int) -> int:
 
 def check_bits(bits: int) -> None:
     check_int(bits, "quantizer width", MIN_BITS, MAX_BITS)
+
+
+def check_codes(codes: np.ndarray, bits: int, what: str) -> None:
+    """Integer codes (not floats or bools) in the symmetric `bits`-bit range. Min and max, not |.|:
+    in int8, |-128| is -128. Check before narrowing, which would wrap a code into range."""
+    if codes.dtype.kind not in "iu":
+        raise ValueError(f"codes must be integers, got {codes.dtype} for {what}")
+    limit = qmax(bits)
+    if codes.size and (int(codes.min()) < -limit or int(codes.max()) > limit):
+        raise IntegrityError(f"corrupted codes: {what} out of range for {bits}-bit values")
 
 
 def code_dtype(bits: int) -> np.dtype:
@@ -258,11 +269,7 @@ def pack_codes(codes: np.ndarray, bits: int) -> bytes:
     """Pack signed codes at `bits` per value, in two's complement, as `pack_fields` packs."""
     check_bits(bits)
     codes = np.asarray(codes)
-    if codes.dtype.kind not in "iu":  # a float would be truncated and a bool packed as 0 or 1
-        raise ValueError(f"codes must be integers, got {codes.dtype}")
-    limit = qmax(bits)
-    if codes.size and (codes.min() < -limit or codes.max() > limit):
-        raise ValueError(f"codes out of range for {bits}-bit packing")
+    check_codes(codes, bits, "codes")
     return pack_fields(codes, bits).tobytes()
 
 

@@ -6,9 +6,10 @@ attention and MLP matrices, optional dense Gaussian noise. Parameter names
 follow decoder-transformer conventions so the default manifest classifies
 them the way a real model's tensors would be.
 
-`eval_retention` converts weight-space compression error into output-space
-deviation with a fixed forward map. The map is not a faithful transformer,
-just a deterministic pipeline that touches every parameter:
+`retention_sweep` converts weight-space compression error of packs into
+output-space deviation with a fixed forward map (`eval_retention` takes
+one pack). The map is not a faithful transformer, just a deterministic
+pipeline that touches every parameter:
 
     h = embed[token]
     per layer:  hn = ln_in * h
@@ -18,18 +19,20 @@ just a deterministic pipeline that touches every parameter:
     logits = lm_head @ (ln_final * h)
 
 and the probe output is the mean logit vector over a token sequence.
-Probes run batched: `eval_retention` draws each probe's tokens in turn
+Probes run batched: `retention_sweep` draws each probe's tokens in turn
 from its seeded generator, then pushes blocks of `_PROBE_BLOCK` probes
 through the map as (tokens x width) matrix products, casting each weight
 to float64 only while that block uses it. Because the head is linear it
 is applied once to the mean hidden state of each probe. The result equals
-the token-by-token map up to floating-point rounding.
+the token-by-token map up to floating-point rounding. A sweep runs the
+tuned model once on its probes, whatever the number of packs it scores.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -207,40 +210,40 @@ class RetentionReport:
     storage_ratio_total: float
 
 
-def eval_retention(
-    base: Checkpoint,
-    tuned: Checkpoint,
-    pack: SkillPack,
-    probe_count: int = 64,
-    seed: int = 0,
-    seq_len: int = 8,
-) -> RetentionReport:
-    """Relative output deviation of (base + pack) against the tuned model.
+def retention_sweep(base: Checkpoint, tuned: Checkpoint, packs: Iterable[SkillPack], probe_count: int = 64,
+                    seed: int = 0, seq_len: int = 8) -> list[RetentionReport]:
+    """Relative output deviation of (base + pack) against the tuned model, for each pack in turn.
 
     Probes are random token sequences; each deviation is
     ||y_compressed - y_tuned||_2 / ||y_tuned||_2 on the mean logit vector. Base and
     tuned must be like (`checkpoints.check_like`) and hold every tensor the map needs.
+    Probes and tuned outputs are made once per sweep, so each report equals the pack's
+    `eval_retention` bit for bit; one pack's composed checkpoint is alive at a time.
     """
     check_int(probe_count, "probe_count", 1)
     check_int(seq_len, "seq_len", 1)
     check_int(seed, "eval seed", 0)
     check_like(base, tuned)
-    compressed = apply_pack(base, pack, scale=1.0)
     vocab = _tensor(base.tensors, "model.embed_tokens.weight").shape[0]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A]))
     tokens = np.stack([rng.integers(0, vocab, size=seq_len) for _ in range(probe_count)])
-    deviations = []
-    for start in range(0, probe_count, _PROBE_BLOCK):
-        block = tokens[start : start + _PROBE_BLOCK]
-        y_fulls = _mean_logits(tuned.tensors, block)
-        y_comps = _mean_logits(compressed.tensors, block)
-        deviations += [frobenius_rel_err(y_full, y_comp) for y_full, y_comp in zip(y_fulls, y_comps)]
-    return RetentionReport(
-        deviations=deviations,
-        mean_deviation=float(np.mean(deviations)),
-        max_deviation=float(np.max(deviations)),
-        storage_ratio_total=pack.stats.total.ratio_total,
-    )
+    blocks = [tokens[start : start + _PROBE_BLOCK] for start in range(0, probe_count, _PROBE_BLOCK)]
+    references = [_mean_logits(tuned.tensors, block) for block in blocks]
+
+    def score(pack: SkillPack) -> RetentionReport:
+        compressed = apply_pack(base, pack, scale=1.0).tensors
+        deviations = [frobenius_rel_err(y_full, y_comp) for block, y_fulls in zip(blocks, references)
+                      for y_full, y_comp in zip(y_fulls, _mean_logits(compressed, block))]
+        return RetentionReport(deviations, float(np.mean(deviations)), float(np.max(deviations)),
+                               pack.stats.total.ratio_total)
+
+    return [score(pack) for pack in packs]
+
+
+def eval_retention(base: Checkpoint, tuned: Checkpoint, pack: SkillPack, probe_count: int = 64, seed: int = 0,
+                   seq_len: int = 8) -> RetentionReport:
+    """`retention_sweep` of the one pack."""
+    return retention_sweep(base, tuned, [pack], probe_count, seed, seq_len)[0]
 
 
 # --------------------------------------------------------------------------

@@ -585,6 +585,20 @@ def test_compose_bit_identical_to_reference(case):
     assert bit_equal(base, Checkpoint(model_id="m", tensors=before))
 
 
+def test_compose_matches_the_reference_on_every_float16_bit_pattern():
+    """Every non-NaN float16 base value, ±0, subnormals and infinities included, under ±0 and small updates."""
+    values = np.arange(1 << 16).astype(np.uint16).view(np.float16)
+    values = values[~np.isnan(values)]
+    rng = np.random.default_rng(16)
+    update = (rng.standard_normal(values.size) * 2.0 ** rng.integers(-30, 0, values.size)).astype(np.float32)
+    update[::5], update[1::5] = 0.0, -0.0
+    base = Checkpoint(model_id="m", tensors={"w": values})
+    pack = SkillPack("m", "t", "", {}, {"w": DenseEntry(shape=values.shape, mclass=ModuleClass.PASSTHROUGH,
+                                                        values=update)})
+    for weight in (1.0, -0.5):
+        assert bit_equal(compose(base, [("p", pack, weight)]), reference_compose(base, [("p", pack, weight)]))
+
+
 def test_compose_cancelling_packs_keep_negative_zeros():
     base, cases = compose_cases()
     got = compose(base, cases["cancelling"])

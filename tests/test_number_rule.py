@@ -28,7 +28,7 @@ from skillpack.packs import DenseEntry, SkillPack
 from skillpack.plans import BitGroup, PruneStrategy, SvdQuantStrategy
 from skillpack.routing import train_router
 from skillpack.tensors import check_int, check_number
-from skillpack.toy import DeltaRecipe, ToySpec, budget_plan, eval_retention, gen_toy
+from skillpack.toy import DeltaRecipe, ToySpec, budget_plan, eval_retention, gen_toy, retention_sweep
 
 HUGE = 10**400  # an int past the float range
 SRC = Path(__file__).resolve().parents[1] / "src" / "skillpack"
@@ -142,6 +142,8 @@ SITES = {
     "BitGroup.bits": lambda v: BitGroup(0, 4, v),
     **{f"eval_retention.{a}": (lambda a: lambda v: eval_retention(None, None, None, **{a: v}))(a)
        for a in ("probe_count", "seed", "seq_len")},
+    **{f"retention_sweep.{a}": (lambda a: lambda v: retention_sweep(None, None, [], **{a: v}))(a)
+       for a in ("probe_count", "seed", "seq_len")},
     "budget_plan.budget": lambda v: budget_plan(v, SHAPES),
     "train_router.epochs": lambda v: train_router(UnreadableTrainingSet(), epochs=v),
     "train_router.learning_rate": lambda v: train_router(UnreadableTrainingSet(), learning_rate=v),
@@ -159,7 +161,7 @@ def _stop(*args, **kwargs):
 @given(site=st.sampled_from(sorted(SITES)), value=st.sampled_from(VALUES))
 def test_every_numeric_input_builds_or_raises_a_value_error(site, value):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(toy_module, "check_like", _stop)  # eval_retention's first step after its number checks
+        mp.setattr(toy_module, "check_like", _stop)  # retention_sweep's first step after its number checks
         try:
             SITES[site](value)
         except (ValueError, Reached):

@@ -930,6 +930,18 @@ def test_nonfinite_plan_snapshot_is_refused_on_save_and_keeps_previous_file(tmp_
     assert [p.name for p in tmp_path.iterdir()] == ["p.skpk"]
 
 
+def test_a_plan_snapshot_that_is_not_a_dict_is_refused_on_save_and_keeps_previous_file(tmp_path):
+    # JSON gives [1, 2] back equal, but load_pack reads the header's plan as a dict only
+    path = tmp_path / "p.skpk"
+    save_pack(random_pack(1), path)
+    before = path.read_bytes()
+    for snapshot, kind in (([1, 2], "list"), (None, "NoneType"), ("plan", "str")):
+        with pytest.raises(ValueError, match=f"pack field 'plan_snapshot' must be dict, got {kind}"):
+            save_pack(SkillPack("b", "t", "", snapshot, {}), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["p.skpk"]
+
+
 def test_a_plan_snapshot_json_cannot_hold_is_refused_on_save_and_keeps_previous_file(tmp_path):
     path = tmp_path / "p.skpk"
     save_pack(random_pack(1), path)

@@ -12,6 +12,7 @@ import skillpack.quantize as quantize_module
 from skillpack.checkpoints import Checkpoint, diff, load_checkpoint, save_checkpoint
 from skillpack.classify import ModuleClass, classify, default_manifest
 from skillpack.compress import compress_delta, compress_entry
+from skillpack.errors import IntegrityError
 from skillpack.packs import QuantizedSvdEntry, SkillPack, save_pack
 from skillpack.plans import (
     BitGroup,
@@ -217,7 +218,7 @@ def test_pack_unpack_roundtrip(bits):
 
 
 def test_pack_rejects_out_of_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(IntegrityError, match="out of range for 4-bit values"):
         pack_codes(np.array([8]), 4)  # qmax(4) = 7
 
 

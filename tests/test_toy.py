@@ -18,6 +18,7 @@ from skillpack.toy import (
     budget_plan,
     eval_retention,
     gen_toy,
+    retention_sweep,
     toy_forward,
     toy_param_shapes,
 )
@@ -401,6 +402,45 @@ def test_eval_retention_matches_per_probe_reference(probe_count, seq_len):
     assert len(report.deviations) == probe_count
     assert min(want) > 0.0
     np.testing.assert_allclose(report.deviations, want, rtol=1e-9, atol=0.0)
+
+
+@pytest.fixture(scope="module")
+def budget_sweep():
+    """The small toy (perfbench's SMALL dims and RECIPE, seed 4242) and its four budget packs."""
+    spec = ToySpec(seed=4242, layers=1, hidden=128, mlp_width=352, vocab=1024,
+                   recipe=DeltaRecipe(rank=16, sparse_nnz=256, noise_std=2.0**-10))
+    base, tuned = gen_toy(spec)
+    delta = diff(base, tuned)
+    packs = [compress_delta(delta, default_manifest(), budget_plan(budget, toy_param_shapes(spec)))
+             for budget in (0.02, 0.05, 0.10, 0.20)]
+    return base, tuned, packs
+
+
+def report_bits(report):
+    return [float(x).hex() for x in report.deviations], [
+        float(getattr(report, f)).hex() for f in ("mean_deviation", "max_deviation", "storage_ratio_total")]
+
+
+def test_retention_sweep_equals_one_eval_retention_per_pack_bit_for_bit(budget_sweep):
+    base, tuned, packs = budget_sweep
+    singles = [eval_retention(base, tuned, pack, probe_count=40, seed=3, seq_len=5) for pack in packs]
+    sweep = retention_sweep(base, tuned, iter(packs), probe_count=40, seed=3, seq_len=5)
+    assert [report_bits(r) for r in sweep] == [report_bits(r) for r in singles]
+    assert len({r.mean_deviation for r in sweep}) == 4
+    assert retention_sweep(base, tuned, [], probe_count=40) == []
+
+
+def test_retention_sweep_runs_the_tuned_forward_once_per_probe_block(budget_sweep, monkeypatch):
+    base, tuned, packs = budget_sweep
+    calls, forward = [], toy_module._mean_logits
+
+    def counted(tensors, tokens):
+        calls.append(tensors is tuned.tensors)
+        return forward(tensors, tokens)
+
+    monkeypatch.setattr(toy_module, "_mean_logits", counted)
+    retention_sweep(base, tuned, packs, probe_count=40)  # blocks of 16, 16 and 8 probes
+    assert calls.count(True) == 3 and calls.count(False) == 12
 
 
 # Plans the per-call-classifying budget search returned, per budget:
