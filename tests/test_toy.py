@@ -1,4 +1,6 @@
+import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +98,95 @@ def test_gen_toy_rejects_bad_dims():
         ToySpec(hidden=0)
     with pytest.raises(ValueError):
         ToySpec(hidden=4, mlp_width=4, recipe=DeltaRecipe(rank=8))
+
+
+# The odd spec has 1-D tensors, rows of 70,000 values (wider than a block of
+# 2^16), tensors of 210,000 and 120,000 values (short tail blocks) and
+# embedding/head spikes that fall in different blocks.
+ODD_SPEC = ToySpec(seed=7, layers=1, hidden=3, mlp_width=70000, vocab=40000,
+                   recipe=DeltaRecipe(rank=2, sparse_nnz=64, noise_std=2.0**-12))
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (ToySpec(), "8740f3d8a2c1a050ede5d0fa36eafe5fabf06f8a239d217792015f78bbd3e3b4"),
+    (ToySpec(seed=1, recipe=DeltaRecipe(rank=0, sparse_nnz=16, noise_std=0.0)),
+     "eb1af4f8208d8b137555336b562cf16befd295d79fa0e50ffabcb3ca87ead29f"),
+    (ToySpec(seed=3, recipe=DeltaRecipe(rank=4, sparse_nnz=64, noise_std=2.0**-10)),
+     "80d2c51e88ebb5c8f6d576b681c652a16440b86593051b8a5e68a378ebd8e186"),
+    (ODD_SPEC, "ce830b3dc28b5fe47774a22977940535eddda3547cc23a447a108024e779b775"),
+], ids=["default", "sparse-only", "noise", "odd-shapes"])
+def test_gen_toy_bytes_are_pinned(spec, digest):
+    h = hashlib.sha256()
+    for ckpt in gen_toy(spec):
+        for name, tensor in ckpt.tensors.items():
+            h.update(f"{name} {tensor.dtype.str} {tensor.shape}\n".encode())
+            h.update(tensor.tobytes())
+    assert h.hexdigest() == digest
+
+
+def reference_toy(spec):
+    """gen_toy's draws and arithmetic on whole float64 tensors: name -> (base, injected delta)."""
+    def snap(values, grid):
+        return np.round(values / grid) * grid
+
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x70F]))
+    grid, recipe, manifest = 2.0**-16, spec.recipe, default_manifest()
+    tensors = {}
+    for name, shape in toy_param_shapes(spec).items():
+        base = np.ones(shape)
+        if len(shape) == 2:
+            base = snap(rng.standard_normal(shape) * (1.0 / np.sqrt(spec.hidden)), grid) + 0.0
+        delta = np.zeros(shape)
+        sparse = classify(name, manifest) is ModuleClass.EMBEDDING_OR_HEAD
+        if sparse and recipe.sparse_nnz > 0:
+            positions = rng.choice(delta.size, size=min(recipe.sparse_nnz, delta.size), replace=False)
+            spikes = rng.normal(0.0, 0.2, size=len(positions))
+            codes = np.round(spikes / grid)
+            delta.reshape(-1)[positions] = np.where(codes == 0, np.where(spikes >= 0, 1, -1), codes) * grid
+        elif not sparse and len(shape) == 2 and recipe.rank > 0:
+            left = snap(rng.standard_normal((shape[0], recipe.rank)) * 0.105, 2.0**-8)
+            delta += left @ snap(rng.standard_normal((recipe.rank, shape[1])) * 0.105, 2.0**-8)
+        if recipe.noise_std > 0:
+            delta += snap(rng.normal(0.0, recipe.noise_std, size=shape), grid)
+        tensors[name] = base, delta
+    return tensors
+
+
+@pytest.mark.parametrize("spec", [
+    ToySpec(seed=1, recipe=DeltaRecipe(rank=0, sparse_nnz=0, noise_std=16.0)),
+    ToySpec(seed=4, layers=1, hidden=8, mlp_width=20, vocab=30, recipe=DeltaRecipe(rank=3, sparse_nnz=40, noise_std=4.0)),
+    ToySpec(seed=6, recipe=DeltaRecipe(rank=0, sparse_nnz=0, noise_std=0.0)),
+], ids=["noise-16", "all-parts", "no-delta"])
+def test_gen_toy_diff_recovers_the_injected_delta_bit_for_bit(spec):
+    base, tuned = gen_toy(spec)
+    d = diff(base, tuned)
+    for name, (ref_base, ref_delta) in reference_toy(spec).items():
+        assert np.array_equal(base.tensors[name].astype(np.float64), ref_base)
+        assert np.array_equal(tuned.tensors[name].view(np.uint32), (ref_base + ref_delta).astype(np.float32).view(np.uint32))
+        assert np.array_equal(d.deltas[name].astype(np.float64), ref_delta)
+
+
+@pytest.mark.parametrize("noise_std, message", [
+    (256.0, "the toy recipe's noise_std 256.0 puts a value of model.embed_tokens.weight at 2^8 or past it"),
+    (1e300, "the toy recipe's noise_std overflows the float32 weights (overflow encountered in cast)"),
+])
+def test_gen_toy_refuses_noise_past_the_exact_float32_range(noise_std, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        gen_toy(ToySpec(seed=1, recipe=DeltaRecipe(rank=0, sparse_nnz=0, noise_std=noise_std)))
+
+
+def test_gen_toy_working_memory_is_its_outputs_plus_a_block():
+    spec = ToySpec(layers=2, hidden=256, mlp_width=704, vocab=2048,
+                   recipe=DeltaRecipe(rank=16, sparse_nnz=256, noise_std=2.0**-10))
+    tracemalloc.start()
+    try:
+        base, tuned = gen_toy(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(t.nbytes for ckpt in (base, tuned) for t in ckpt.tensors.values())
+    assert outputs >= 8 * 2**20
+    assert peak < outputs + 8 * 2**20
 
 
 @pytest.mark.parametrize("field, value, bound", [
